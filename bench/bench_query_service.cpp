@@ -15,8 +15,9 @@
 // injected transient read faults with retries, and a quarantined-tile
 // sweep — so the cost of the serving-tier fault ladder is a measured number,
 // not a guess. `--assert-max-overhead=PCT` exits non-zero when the
-// checksum-verified clean path costs more than PCT% of best-of-warm pooled
-// throughput vs the unverified engine (ISSUE 7 requires ≤ 2%).
+// checksum-verified clean path costs more than PCT% of the unverified
+// engine's warm pooled batch time, taken as the median of paired per-batch
+// time ratios (the serving tier's budget is 2%).
 // `--assert-cold-fanout=R` exits non-zero unless the cold 16 MiB pooled
 // batch runs at least R× the cold serial batch's qps: cache misses read and
 // decode in parallel, so the miss path must scale with the fan-out.
@@ -185,38 +186,59 @@ int main(int argc, char** argv) {
   // --- fault-tolerance rows: same batch, same 16 MiB pooled config ---
   // Sidecar tile = 256 matches the default cache tiling, so the verified
   // engine resolves the identical tile grid and the comparison is purely
-  // "checksum the miss path or not". Warm runs are best-of-3 on both sides:
-  // the clean-path overhead must come from the ladder, not scheduler noise.
+  // "checksum the miss path or not". Checksums run only on misses, so two
+  // warm engines differ by little more than scheduler noise, and a
+  // best-of-few comparison reads that noise. Instead the overhead is the
+  // median over kOverheadPairs (plain, verified) pairs — alternating which
+  // engine runs first — of the verified/plain per-batch time ratio, each
+  // sample repeating the warm batch for at least kSampleSeconds.
+  constexpr int kOverheadPairs = 15;
+  constexpr double kSampleSeconds = 0.02;
   const auto sums = core::compute_store_checksums(*store, /*tile=*/256);
   service::QueryEngineOptions base_opt;
   base_opt.cache_bytes = 16384u << 10;
-  auto best_of_warm = [&](const service::QueryEngine& engine,
-                          const char* mode) {
-    engine.run_batch(queries);  // cold fill
-    double best = 0.0;
-    double best_s = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto warm = engine.run_batch(queries);
-      if (warm.qps > best) {
-        best = warm.qps;
-        best_s = warm.wall_seconds;
-      }
-    }
-    rows.push_back({mode, 16384, 0, kQueries, best_s, best, 1.0});
-    return best;
-  };
-  const double plain_qps =
-      best_of_warm(service::QueryEngine(*store, base_opt), "ft_plain_warm");
-
   auto verified_opt = base_opt;
   verified_opt.checksums = sums;
-  const double verified_qps = best_of_warm(
-      service::QueryEngine(*store, verified_opt), "ft_verified_warm");
-  const double overhead_pct =
-      plain_qps <= 0.0 ? 0.0 : (plain_qps - verified_qps) / plain_qps * 100.0;
-  std::cout << "checksum-verified warm path: " << verified_qps << " qps vs "
-            << plain_qps << " qps plain (" << overhead_pct
-            << "% overhead)\n";
+  const service::QueryEngine plain(*store, base_opt);
+  const service::QueryEngine verified(*store, verified_opt);
+  plain.run_batch(queries);  // cold fills
+  verified.run_batch(queries);
+  auto warm_batch_seconds = [&](const service::QueryEngine& engine) {
+    Timer t;
+    int reps = 0;
+    do {
+      engine.run_batch(queries);
+      ++reps;
+    } while (t.seconds() < kSampleSeconds);
+    return t.seconds() / reps;
+  };
+  std::vector<double> plain_s, verified_s, ratios;
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    if (pair % 2 == 0) {
+      plain_s.push_back(warm_batch_seconds(plain));
+      verified_s.push_back(warm_batch_seconds(verified));
+    } else {
+      verified_s.push_back(warm_batch_seconds(verified));
+      plain_s.push_back(warm_batch_seconds(plain));
+    }
+    ratios.push_back(verified_s.back() / plain_s.back());
+  }
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  const double plain_batch_s = median(plain_s);
+  const double verified_batch_s = median(verified_s);
+  rows.push_back({"ft_plain_warm", 16384, 0, kQueries, plain_batch_s,
+                  kQueries / plain_batch_s, 1.0});
+  rows.push_back({"ft_verified_warm", 16384, 0, kQueries, verified_batch_s,
+                  kQueries / verified_batch_s, 1.0});
+  const double overhead_pct = (median(ratios) - 1.0) * 100.0;
+  std::cout << "checksum-verified warm path: "
+            << static_cast<long long>(kQueries / verified_batch_s)
+            << " qps vs " << static_cast<long long>(kQueries / plain_batch_s)
+            << " qps plain (" << overhead_pct << "% overhead, median of "
+            << kOverheadPairs << " paired ratios)\n";
 
   {  // degraded: transient read faults healed by the retry ladder (cold —
      // faults only exist on the miss path)

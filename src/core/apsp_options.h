@@ -106,9 +106,9 @@ struct ApspOptions {
   /// wall-clock only, never the simulated timeline.
   KernelVariant kernel_variant = KernelVariant::kAuto;
   /// Host threads executing the blocks of a grid launch (Device::
-  /// launch_grid): 0 = the whole global pool, 1 = serial. Purely a
-  /// wall-clock knob; results and the simulated timeline are identical for
-  /// every setting.
+  /// launch_grid) and the transfer codec's slice frames: 0 = the whole
+  /// global pool, 1 = serial. Purely a wall-clock knob; results and the
+  /// simulated timeline are identical for every setting.
   int kernel_threads = 0;
 
   // ---- fault injection & recovery ----

@@ -13,10 +13,10 @@
 #include "core/checkpoint.h"   // fnv1a
 #include "core/dist_store.h"
 #include "core/kernel_engine.h"
-#include "core/z1_codec.h"
 #include "core/minplus.h"
 #include "core/ooc_fw.h"
 #include "core/ooc_johnson.h"
+#include "core/transfer_codec.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -34,29 +34,19 @@ double compressed_link_bandwidth(const sim::DeviceSpec& spec,
 
 double estimate_transfer_ratio(const graph::CsrGraph& g,
                                const ApspOptions& opts) {
-  const sim::DeviceSpec& spec = opts.device;
-  const double decode_rate = spec.decode_gbps * 1e9;
-  switch (opts.transfer_compression) {
-    case TransferCompression::kOff:
-      return 1.0;
-    case TransferCompression::kOn:
-      if (decode_rate <= 0.0) return 1.0;
-      break;
-    case TransferCompression::kAuto:
-      if (decode_rate <= spec.link_bandwidth) return 1.0;
-      break;
-  }
-  // Probe the same tiles the drivers stage: weight blocks, compressed under
-  // the codec's own per-tile fallback threshold. A handful of sampled
-  // block-rows is representative because the z1 ratio is driven by the kInf
-  // density, which is uniform across an adjacency-structured matrix.
-  const double max_wire_frac =
-      std::max(0.0, 1.0 - spec.link_bandwidth / decode_rate);
+  const WirePolicy policy =
+      wire_policy(opts.device, opts.transfer_compression);
+  if (!policy.enabled) return 1.0;
+  // Probe the same tiles the drivers stage: weight blocks, through the
+  // codec's own per-tile decision (whole-tile probe, slice frames, fallback
+  // threshold). A handful of sampled block-rows is representative because
+  // the z1 ratio is driven by the kInf density, which is uniform across an
+  // adjacency-structured matrix.
   const vidx_t n = g.num_vertices();
   const vidx_t rows = std::min<vidx_t>(n, 64);
   const int blocks = n > rows ? 4 : 1;
   std::vector<dist_t> tile(static_cast<std::size_t>(rows) * n);
-  std::vector<std::uint8_t> frame;
+  SlicedFrames frames;
   double raw_total = 0.0, wire_total = 0.0;
   for (int i = 0; i < blocks; ++i) {
     const vidx_t row0 = static_cast<vidx_t>(
@@ -64,12 +54,10 @@ double estimate_transfer_ratio(const graph::CsrGraph& g,
     weight_block(g, row0, 0, rows, n, tile.data(),
                  static_cast<std::size_t>(n));
     const std::size_t raw = tile.size() * sizeof(dist_t);
-    z1_compress(tile.data(), raw, frame);
+    const bool wins = encode_slices(tile.data(), raw, policy.max_wire_frac,
+                                    opts.kernel_threads, frames);
     raw_total += static_cast<double>(raw);
-    wire_total += (static_cast<double>(frame.size()) <
-                   max_wire_frac * static_cast<double>(raw))
-                      ? static_cast<double>(frame.size())
-                      : static_cast<double>(raw);
+    wire_total += static_cast<double>(wins ? frames.wire_bytes : raw);
   }
   return wire_total > 0.0 ? raw_total / wire_total : 1.0;
 }

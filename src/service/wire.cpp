@@ -37,6 +37,10 @@ struct Unpacker {
   std::size_t pos = 0;
 
   void bytes(void* p, std::size_t len) {
+    // An empty field (a point result's row, an absent error) may come with
+    // p == nullptr, and memcpy with a null pointer is undefined even for
+    // zero bytes.
+    if (len == 0) return;
     if (len > in.size() - pos) {
       throw CorruptError("wire payload truncated");
     }

@@ -242,8 +242,9 @@ class Device {
                      const std::function<void(int)>& block_body,
                      const std::function<KernelProfile()>& profile);
 
-  /// Host threads used to execute a launch_grid's blocks: 0 = the whole
-  /// global pool, 1 = serial. Purely a wall-clock knob.
+  /// Host threads used to execute a launch_grid's blocks and the slice
+  /// frames of a TransferCodec on this device: 0 = the whole global pool,
+  /// 1 = serial. Purely a wall-clock knob.
   void set_kernel_threads(int threads) { kernel_threads_ = threads; }
   int kernel_threads() const { return kernel_threads_; }
 

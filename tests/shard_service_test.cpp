@@ -1,8 +1,9 @@
 // Sharded-store + router coverage: GAPSPSH1 manifest round-trips (raw and
 // GAPSPZ1 sources, ragged last shard), slice stores that refuse rows they
-// do not own, router-vs-single-engine bit parity (in-process and forked
-// worker processes), and the typed degradation sweep — a killed worker
-// quarantines exactly its row range while sibling shards stay bit-identical.
+// do not own, the in-process kBatchReply wire round trip, router-vs-single-
+// engine bit parity (in-process and forked worker processes), and the
+// typed degradation sweep — a killed worker quarantines exactly its row
+// range while sibling shards stay bit-identical.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include "graph/generators.h"
 #include "service/query_engine.h"
 #include "service/shard_router.h"
+#include "service/wire.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -203,6 +205,51 @@ TEST(ShardStore, VerifiedOpenDetectsCorruptShardFile) {
   // The sibling shard is untouched and still verifies.
   EXPECT_NO_THROW(core::open_shard_slice(path, m, 0));
   remove_shard_files(path, m);
+}
+
+TEST(ShardWire, BatchReplyRoundTripsPointRowAndDegradedResults) {
+  // A point result carries an empty row and an empty error: the decoder
+  // must read those zero-length fields without touching a null buffer.
+  BatchReport report;
+  QueryResult point;
+  point.query = {QueryKind::kPoint, 3, 7};
+  point.dist = 42;
+  point.latency_s = 1.5e-6;
+  report.results.push_back(point);
+  QueryResult row;
+  row.query = {QueryKind::kRow, 5, 0};
+  row.row = {0, 4, kInf, 9};
+  report.results.push_back(row);
+  QueryResult degraded;
+  degraded.query = {QueryKind::kPoint, 1, 2};
+  degraded.status = QueryStatus::kQuarantined;
+  degraded.error = "tile (0,0) quarantined";
+  report.results.push_back(degraded);
+  report.service.served = 2;
+  report.service.degraded = 1;
+  report.cache.hits = 11;
+  report.cache.misses = 3;
+  report.wall_seconds = 0.25;
+
+  const auto reply = decode_batch_reply(encode_batch_reply(report));
+  ASSERT_EQ(reply.results.size(), report.results.size());
+  for (std::size_t i = 0; i < reply.results.size(); ++i) {
+    const QueryResult& got = reply.results[i];
+    const QueryResult& want = report.results[i];
+    EXPECT_EQ(got.query.kind, want.query.kind) << "result " << i;
+    EXPECT_EQ(got.query.u, want.query.u) << "result " << i;
+    EXPECT_EQ(got.query.v, want.query.v) << "result " << i;
+    EXPECT_EQ(got.status, want.status) << "result " << i;
+    EXPECT_EQ(got.dist, want.dist) << "result " << i;
+    EXPECT_EQ(got.row, want.row) << "result " << i;
+    EXPECT_EQ(got.error, want.error) << "result " << i;
+    EXPECT_EQ(got.latency_s, want.latency_s) << "result " << i;
+  }
+  EXPECT_EQ(reply.service.served, 2);
+  EXPECT_EQ(reply.service.degraded, 1);
+  EXPECT_EQ(reply.cache.hits, 11);
+  EXPECT_EQ(reply.cache.misses, 3);
+  EXPECT_EQ(reply.wall_seconds, 0.25);
 }
 
 TEST(ShardRouter, LocalBackendsMatchSingleEngineBitForBit) {

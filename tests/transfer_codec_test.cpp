@@ -10,11 +10,16 @@
 // (the autotuned threshold only takes the wire path when it wins); (4) the
 // kDecode fault gate retries whole tiles — a mid-decode fault never
 // publishes a partial decode, probability schedules heal bit-identically,
-// and a killed run resumes through checkpoints unchanged.
+// and a killed run resumes through checkpoints unchanged; (5) tiles travel
+// as 64 KiB slice frames — tiles at and around slice boundaries stay
+// bit-exact, frames, stores and timelines do not depend on how many host
+// threads ran the codec, and a corrupt slice frame surfaces as a typed
+// CorruptError on the calling thread, never inside a pool worker.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/apsp.h"
@@ -83,9 +88,25 @@ TEST(Z1Probe, AcceptsKinfTilesRejectsRandomBytes) {
 // Codec vs raw oracle on a tile corpus, staged and synchronous.
 // ---------------------------------------------------------------------------
 
-/// The three payload shapes the wire path must carry bit-exactly:
-/// kInf-dense (the 11.3× regime), ragged (odd, non-tile-aligned length),
-/// and incompressible (fallback engages).
+/// kInf-dense dist_t payload of `bytes` bytes (a multiple of 4) with a
+/// sparse scatter of reachable entries, so every slice compresses.
+std::vector<std::uint8_t> sparse_dist_tile(std::size_t bytes,
+                                           std::uint64_t seed) {
+  std::vector<dist_t> elems(bytes / sizeof(dist_t), kInf);
+  Rng rng(seed);
+  for (std::size_t i = 0; i < elems.size(); i += 1 + rng.next_below(61)) {
+    elems[i] = static_cast<dist_t>(rng.next_below(1u << 20));
+  }
+  const auto* b = reinterpret_cast<const std::uint8_t*>(elems.data());
+  return {b, b + bytes};
+}
+
+/// The payload shapes the wire path must carry bit-exactly: kInf-dense
+/// (the 11.3× regime), ragged (odd, non-tile-aligned length), incompressible
+/// (fallback engages), and tiles at the 64 KiB slice boundaries — a lone
+/// element (its frame cannot beat 4 bytes, so it falls back), one slice
+/// minus, exactly and plus one element, and a ragged 631×631 dist_t tile
+/// (25 slices, the last one 19,780 bytes).
 std::vector<std::vector<std::uint8_t>> tile_corpus() {
   std::vector<std::vector<std::uint8_t>> corpus;
 
@@ -109,13 +130,20 @@ std::vector<std::vector<std::uint8_t>> tile_corpus() {
   std::vector<std::uint8_t> noise(48 * 1024);
   for (auto& b : noise) b = static_cast<std::uint8_t>(rng.next_below(256));
   corpus.push_back(std::move(noise));
+
+  std::uint64_t seed = 40;
+  for (const std::size_t bytes :
+       {std::size_t{4}, kTransferSliceBytes - 4, kTransferSliceBytes,
+        kTransferSliceBytes + 4, std::size_t{631} * 631 * sizeof(dist_t)}) {
+    corpus.push_back(sparse_dist_tile(bytes, ++seed));
+  }
   return corpus;
 }
 
 class CodecOracle : public ::testing::TestWithParam<TransferCompression> {};
 
 TEST_P(CodecOracle, StagedRoundTripIsBitExact) {
-  sim::Device dev(tiny_device(1u << 20));
+  sim::Device dev(tiny_device(4u << 20));
   sim::StreamPipeline pipe(dev, /*overlap=*/true);
   TransferCodec codec(dev, GetParam());
 
@@ -160,7 +188,7 @@ TEST_P(CodecOracle, StagedRoundTripIsBitExact) {
 }
 
 TEST_P(CodecOracle, SynchronousRoundTripIsBitExact) {
-  sim::Device dev(tiny_device(1u << 20));
+  sim::Device dev(tiny_device(4u << 20));
   TransferCodec codec(dev, GetParam());
 
   for (const auto& tile : tile_corpus()) {
@@ -196,6 +224,80 @@ TEST(CodecAccounting, WireBufferIsPinnedAccounted) {
   }
   // Codec destruction returns its pinned accounting.
   EXPECT_EQ(dev.pinned_bytes(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Slice frames through the shared helper.
+// ---------------------------------------------------------------------------
+
+TEST(SliceFrames, OneFramePerSliceIdenticalForAnyThreadCount) {
+  const auto tile = sparse_dist_tile(std::size_t{631} * 631 * sizeof(dist_t),
+                                     51);
+  SlicedFrames serial;
+  SlicedFrames pooled;
+  ASSERT_TRUE(encode_slices(tile.data(), tile.size(), 1.0, 1, serial));
+  ASSERT_TRUE(encode_slices(tile.data(), tile.size(), 1.0, 0, pooled));
+  ASSERT_EQ(serial.frames.size(), 25u);
+  ASSERT_EQ(serial.frames, pooled.frames);
+  EXPECT_EQ(serial.wire_bytes, pooled.wire_bytes);
+
+  // Each frame is an ordinary z1 frame of its own slice; the summed sizes
+  // are what the link is charged.
+  std::size_t covered = 0;
+  std::size_t wire = 0;
+  for (const auto& frame : serial.frames) {
+    covered += z1_raw_size(frame.data(), frame.size());
+    wire += frame.size();
+  }
+  EXPECT_EQ(covered, tile.size());
+  EXPECT_EQ(z1_raw_size(serial.frames.back().data(),
+                        serial.frames.back().size()),
+            tile.size() - 24 * kTransferSliceBytes);
+  EXPECT_EQ(wire, serial.wire_bytes);
+
+  // The fallback test runs on the sum: a threshold the frames cannot beat
+  // sends the tile raw, and a rejected probe never encodes at all.
+  EXPECT_FALSE(encode_slices(tile.data(), tile.size(), 0.0, 0, pooled));
+  Rng rng(52);
+  std::vector<std::uint8_t> noise(3 * kTransferSliceBytes);
+  for (auto& b : noise) b = static_cast<std::uint8_t>(rng.next_below(256));
+  EXPECT_FALSE(encode_slices(noise.data(), noise.size(), 1.0, 0, pooled));
+  EXPECT_EQ(pooled.wire_bytes, 0u);
+
+  for (const int threads : {1, 0}) {
+    std::vector<std::uint8_t> back(tile.size(), 0xee);
+    decode_slices(serial, back.data(), back.size(), threads);
+    ASSERT_EQ(back, tile) << "threads=" << threads;
+  }
+}
+
+TEST(SliceFrames, CorruptSliceThrowsCorruptErrorOnTheCaller) {
+  const auto tile = sparse_dist_tile(5 * kTransferSliceBytes + 12, 53);
+  SlicedFrames frames;
+  ASSERT_TRUE(encode_slices(tile.data(), tile.size(), 1.0, 0, frames));
+  ASSERT_EQ(frames.frames.size(), 6u);
+
+  for (const int threads : {1, 0}) {
+    // A flipped payload byte in one middle slice fails that slice's content
+    // check; a truncated last slice fails its bounds checks. Either way the
+    // error reaches this thread as CorruptError, after every slice ran.
+    SlicedFrames flipped = frames;
+    auto& mid = flipped.frames[3];
+    mid[mid.size() / 2] ^= 0x5a;
+    SlicedFrames truncated = frames;
+    truncated.frames.back().resize(truncated.frames.back().size() - 3);
+    for (const SlicedFrames* bad : {&flipped, &truncated}) {
+      std::vector<std::uint8_t> back(tile.size());
+      const auto caller = std::this_thread::get_id();
+      try {
+        decode_slices(*bad, back.data(), back.size(), threads);
+        FAIL() << "corrupt slice decoded, threads=" << threads;
+      } catch (const CorruptError& e) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_NE(std::string(e.what()).find("z1 frame"), std::string::npos);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -286,6 +388,64 @@ INSTANTIATE_TEST_SUITE_P(
         DriverCase{Algorithm::kBlockedFloydWarshall, 64u << 10, "fw"},
         DriverCase{Algorithm::kJohnson, 256u << 10, "johnson"},
         DriverCase{Algorithm::kBoundary, 2u << 20, "boundary"}),
+    [](const ::testing::TestParamInfo<DriverCase>& info) {
+      return info.param.name;
+    });
+
+// ---------------------------------------------------------------------------
+// Host thread count: kernel_threads = 1 vs the pool on multi-slice tiles.
+// ---------------------------------------------------------------------------
+
+class ThreadParity : public ::testing::TestWithParam<DriverCase> {};
+
+TEST_P(ThreadParity, PooledCodecMatchesOneThread) {
+  const DriverCase c = GetParam();
+  const auto g = graph::make_road(24, 24, 61);
+  const vidx_t n = g.num_vertices();
+
+  ApspOptions o = parity_opts(c, /*overlap=*/true, TransferCompression::kOn);
+  sim::TraceRecorder trace;
+  o.trace = &trace;
+  o.kernel_threads = 1;
+  auto s_one = make_ram_store(n);
+  const auto r_one = solve_apsp(g, o, *s_one);
+  o.trace = nullptr;
+  o.kernel_threads = 0;
+  auto s_pool = make_ram_store(n);
+  const auto r_pool = solve_apsp(g, o, *s_pool);
+
+  // The comparison only means something if some compressed tile spanned
+  // several slices, so the pool actually fanned out.
+  double widest = 0.0;
+  for (const auto& e : trace.events()) {
+    if (e.kind == sim::TraceEvent::Kind::kDecode) {
+      widest = std::max(widest, e.bytes);
+    }
+  }
+  EXPECT_GT(widest, static_cast<double>(kTransferSliceBytes)) << c.name;
+
+  ASSERT_EQ(r_one.perm, r_pool.perm);
+  std::vector<dist_t> a(static_cast<std::size_t>(n));
+  std::vector<dist_t> b(static_cast<std::size_t>(n));
+  for (vidx_t r = 0; r < n; ++r) {
+    s_one->read_block(r, 0, 1, n, a.data(), a.size());
+    s_pool->read_block(r, 0, 1, n, b.data(), b.size());
+    ASSERT_EQ(a, b) << c.name << " row " << r;
+  }
+  expect_store_matches_reference(g, *s_pool, r_pool);
+  EXPECT_GT(r_one.metrics.decodes, 0) << c.name;
+  EXPECT_EQ(r_one.metrics.decodes, r_pool.metrics.decodes);
+  EXPECT_EQ(r_one.metrics.bytes_h2d_wire, r_pool.metrics.bytes_h2d_wire);
+  EXPECT_EQ(r_one.metrics.bytes_d2h_wire, r_pool.metrics.bytes_d2h_wire);
+  EXPECT_EQ(r_one.metrics.sim_seconds, r_pool.metrics.sim_seconds);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Drivers, ThreadParity,
+    ::testing::Values(
+        DriverCase{Algorithm::kBlockedFloydWarshall, 1u << 20, "fw"},
+        DriverCase{Algorithm::kJohnson, 1u << 20, "johnson"},
+        DriverCase{Algorithm::kBoundary, 4u << 20, "boundary"}),
     [](const ::testing::TestParamInfo<DriverCase>& info) {
       return info.param.name;
     });

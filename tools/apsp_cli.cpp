@@ -53,8 +53,9 @@
 //   --kernel-variant V      auto | naive | tiled | tiled-reg | simd | tensor
 //                           min-plus microkernel (auto benchmarks once and
 //                           caches; unknown names are an error)
-//   --kernel-threads N      host threads for grid-parallel kernel execution
-//                           (0 = whole pool, 1 = serial); never changes
+//   --kernel-threads N      host threads for grid-parallel kernels and the
+//                           transfer codec's slice frames (0 = whole pool,
+//                           1 = serial); never changes
 //                           results or simulated time, only wall-clock
 //
 // Fault injection & recovery (see DESIGN.md §8):
