@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <queue>
 #include <sstream>
 #include <unordered_map>
@@ -23,6 +25,9 @@ namespace {
 // core::Algorithm range so a solver checkpoint can never be mistaken for a
 // delta sidecar (or vice versa).
 constexpr std::uint32_t kDeltaAlgorithm = 0x494E4331;  // "INC1"
+
+// Elements of dirty-tile compute per thread-pool chunk (one 256² tile).
+constexpr std::size_t kWalkChunkElems = std::size_t{1} << 16;
 
 // Checkpoint payload mode byte.
 constexpr std::uint8_t kModeRepair = 0;
@@ -181,15 +186,36 @@ class BucketQueue {
   return ok;
 }
 
-// Weight of arc u->v in g, kInf when absent. CSR collapses parallel arcs,
-// so the first hit is the weight.
+// Weight of arc u->v in g, kInf when absent. CSR collapses parallel arcs
+// and sorts every neighbor list (CsrGraph::from_edges), so one binary
+// search finds it.
 dist_t arc_weight(const graph::CsrGraph& g, vidx_t u, vidx_t v) {
   const auto nbrs = g.neighbors(u);
-  const auto ws = g.weights(u);
-  for (std::size_t e = 0; e < nbrs.size(); ++e) {
-    if (nbrs[e] == v) return ws[e];
+  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
+  if (it == nbrs.end() || *it != v) return kInf;
+  return g.weights(u)[static_cast<std::size_t>(it - nbrs.begin())];
+}
+
+// True when every arc u->v of weight w has a twin v->u of weight w:
+// O(m log d). The exact APSP matrix of such a graph is symmetric, and stays
+// so under any simultaneous row/column permutation.
+bool is_symmetric(const graph::CsrGraph& g) {
+  for (vidx_t u = 0; u < g.num_vertices(); ++u) {
+    const auto nbrs = g.neighbors(u);
+    const auto ws = g.weights(u);
+    for (std::size_t e = 0; e < nbrs.size(); ++e) {
+      if (arc_weight(g, nbrs[e], u) != ws[e]) return false;
+    }
   }
-  return kInf;
+  return true;
+}
+
+// Overwrites `count` elements at dst with src; true when any differed. An
+// unchanged row costs one compare and no write.
+bool land(dist_t* dst, const dist_t* src, std::size_t count) {
+  if (std::memcmp(dst, src, count * sizeof(dist_t)) == 0) return false;
+  std::memcpy(dst, src, count * sizeof(dist_t));
+  return true;
 }
 
 void append_bytes(std::vector<std::uint8_t>& out, const void* p,
@@ -217,6 +243,11 @@ std::vector<EdgeUpdate> read_edge_updates(const std::string& path) {
       throw Error("malformed update line " + std::to_string(lineno) + ": " +
                   line);
     }
+    constexpr long long kMaxId = std::numeric_limits<vidx_t>::max();
+    if (u < 0 || u > kMaxId || v < 0 || v > kMaxId) {
+      throw Error("update vertex id out of range [0, 2^31) on line " +
+                  std::to_string(lineno) + ": " + line);
+    }
     EdgeUpdate up;
     up.u = static_cast<vidx_t>(u);
     up.v = static_cast<vidx_t>(v);
@@ -230,11 +261,12 @@ std::vector<EdgeUpdate> read_edge_updates(const std::string& path) {
       } catch (const std::exception&) {
         pos = 0;
       }
-      if (pos != w_tok.size() || w < 0) {
+      if (pos != w_tok.size() || w < 0 || w >= kInf) {
         throw Error("bad update weight on line " + std::to_string(lineno) +
-                    ": " + w_tok);
+                    " (want 0 <= w < " + std::to_string(kInf) +
+                    ", or inf/x/-1 to delete): " + w_tok);
       }
-      up.w = w >= kInf ? kInf : static_cast<dist_t>(w);
+      up.w = static_cast<dist_t>(w);
     }
     updates.push_back(up);
   }
@@ -307,6 +339,7 @@ IncrementalEngine::IncrementalEngine(const graph::CsrGraph& g,
       inv_perm_[static_cast<std::size_t>(perm_[v])] = static_cast<vidx_t>(v);
     }
   }
+  symmetric_ = is_symmetric(g_);
 }
 
 void IncrementalEngine::classify(std::span<const EdgeUpdate> updates,
@@ -379,32 +412,40 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
   const std::uint64_t fp =
       incremental_fingerprint(g_, updates, tile, opt_.damage_threshold);
 
+  // Pristine columns by stored index, each read at most once per apply and
+  // shared by the probe, its refinement and the decrease panel. On a
+  // symmetric graph the stored column IS the stored row, so it is one
+  // contiguous read instead of n strided element reads.
+  std::unordered_map<vidx_t, std::vector<dist_t>> col_cache;
+  const auto column = [&](vidx_t c) -> const std::vector<dist_t>& {
+    auto it = col_cache.find(c);
+    if (it != col_cache.end()) return it->second;
+    std::vector<dist_t> col(static_cast<std::size_t>(n));
+    if (symmetric_) {
+      pristine.read_block(c, 0, 1, n, col.data(), static_cast<std::size_t>(n));
+    } else {
+      pristine.read_block(0, c, n, 1, col.data(), 1);
+    }
+    return col_cache.emplace(c, std::move(col)).first->second;
+  };
+
   // ---- Phase A: increase probe ---------------------------------------
-  // DR = rows whose stored distances may have used an increased arc. Two
-  // column reads per arc; conservative superset of the truly damaged rows.
+  // DR = rows whose stored distances may have used an increased arc. One
+  // column per distinct arc endpoint; conservative superset of the truly
+  // damaged rows.
   const double t_probe = now_s();
   std::vector<std::uint8_t> damaged_row(static_cast<std::size_t>(n), 0);
-  {
-    std::unordered_map<vidx_t, std::vector<dist_t>> col_cache;
-    auto column = [&](vidx_t c) -> const std::vector<dist_t>& {
-      auto it = col_cache.find(c);
-      if (it != col_cache.end()) return it->second;
-      std::vector<dist_t> col(static_cast<std::size_t>(n));
-      pristine.read_block(0, c, n, 1, col.data(), 1);
-      return col_cache.emplace(c, std::move(col)).first->second;
-    };
-    for (std::size_t a = 0; a < cls.increases.size(); ++a) {
-      const EdgeUpdate& up = cls.increases[a];
-      const dist_t w_old = cls.increases_w_old[a];
-      const vidx_t su = perm_.empty() ? up.u : perm_[up.u];
-      const vidx_t sv = perm_.empty() ? up.v : perm_[up.v];
-      const std::vector<dist_t>& col_u = column(su);
-      const std::vector<dist_t>& col_v = column(sv);
-      for (vidx_t i = 0; i < n; ++i) {
-        const dist_t du = col_u[static_cast<std::size_t>(i)];
-        if (du < kInf && sat_add(du, w_old) == col_v[static_cast<std::size_t>(i)]) {
-          damaged_row[static_cast<std::size_t>(i)] = 1;
-        }
+  for (std::size_t a = 0; a < cls.increases.size(); ++a) {
+    const EdgeUpdate& up = cls.increases[a];
+    const dist_t w_old = cls.increases_w_old[a];
+    const vidx_t su = perm_.empty() ? up.u : perm_[up.u];
+    const vidx_t sv = perm_.empty() ? up.v : perm_[up.v];
+    const std::vector<dist_t>& col_u = column(su);
+    const std::vector<dist_t>& col_v = column(sv);
+    for (vidx_t i = 0; i < n; ++i) {
+      const dist_t du = col_u[static_cast<std::size_t>(i)];
+      if (du < kInf && sat_add(du, w_old) == col_v[static_cast<std::size_t>(i)]) {
+        damaged_row[static_cast<std::size_t>(i)] = 1;
       }
     }
   }
@@ -460,10 +501,10 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
         },
         1);
     std::fill(damaged_row.begin(), damaged_row.end(), 0);
-    std::vector<dist_t> old_col(static_cast<std::size_t>(n));
     for (std::size_t h = 0; h < heads.size(); ++h) {
-      const vidx_t sc = perm_.empty() ? heads[h] : perm_[heads[h]];
-      pristine.read_block(0, sc, n, 1, old_col.data(), 1);
+      // Every head is an increased arc's endpoint: the probe read it.
+      const std::vector<dist_t>& old_col =
+          column(perm_.empty() ? heads[h] : perm_[heads[h]]);
       const dist_t* col = new_cols.data() + h * static_cast<std::size_t>(n);
       for (vidx_t x = 0; x < n; ++x) {
         const vidx_t sx = perm_.empty() ? x : perm_[static_cast<std::size_t>(x)];
@@ -512,8 +553,10 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
   for (std::size_t a = 0; a < dr.size(); ++a) {
     dr_index[static_cast<std::size_t>(dr[a])] = static_cast<int>(a);
   }
-  // Repaired rows, stored order, one length-n row per DR entry.
-  std::vector<dist_t> dr_rows(dr.size() * static_cast<std::size_t>(n));
+  // Repaired rows, stored order, one length-n row per DR entry. Every row
+  // is read or restored before use, so the buffer starts uninitialized.
+  const std::size_t dr_elems = dr.size() * static_cast<std::size_t>(n);
+  const auto dr_rows = std::make_unique_for_overwrite<dist_t[]>(dr_elems);
   bool rows_restored = false;
   if (!full_solve && !dr.empty()) {
     // A matching checkpoint carries the phase-B rows; reuse them instead of
@@ -522,7 +565,7 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
     if (!resumed_payload.empty()) {
       const std::size_t need = 1 + sizeof(std::uint64_t) +
                                dr.size() * sizeof(vidx_t) +
-                               dr_rows.size() * sizeof(dist_t);
+                               dr_elems * sizeof(dist_t);
       if (resumed_payload.size() == need) {
         std::uint64_t count = 0;
         std::memcpy(&count, resumed_payload.data() + 1, sizeof(count));
@@ -531,10 +574,10 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
           std::memcpy(ids.data(), resumed_payload.data() + 1 + sizeof(count),
                       ids.size() * sizeof(vidx_t));
           if (ids == dr) {
-            std::memcpy(dr_rows.data(),
+            std::memcpy(dr_rows.get(),
                         resumed_payload.data() + 1 + sizeof(count) +
                             ids.size() * sizeof(vidx_t),
-                        dr_rows.size() * sizeof(dist_t));
+                        dr_elems * sizeof(dist_t));
             rows_restored = true;
           }
         }
@@ -542,24 +585,30 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
       if (!rows_restored) start_tile = 0;  // incompatible payload: fresh run
     }
     if (!rows_restored) {
-      // Load the old rows as the repair input, banded so a compressed
-      // pristine store decompresses each tile band once, not once per row.
-      {
-        std::vector<dist_t> band(static_cast<std::size_t>(tile) *
-                                 static_cast<std::size_t>(n));
-        for (std::size_t a = 0; a < dr.size();) {
-          const vidx_t r0 = (dr[a] / tile) * tile;
-          const vidx_t rows = std::min<vidx_t>(tile, n - r0);
-          pristine.read_block(r0, 0, rows, n, band.data(),
-                              static_cast<std::size_t>(n));
-          while (a < dr.size() && dr[a] < r0 + rows) {
-            std::memcpy(dr_rows.data() + a * static_cast<std::size_t>(n),
-                        band.data() +
-                            static_cast<std::size_t>(dr[a] - r0) * n,
-                        static_cast<std::size_t>(n) * sizeof(dist_t));
-            ++a;
+      // Load the old rows as the repair input. Consecutive damaged rows own
+      // consecutive slots, so each run of them within a tile row lands
+      // straight in its slots with one read — one pread on a raw file
+      // store. A tiled store is read one stored tile column at a time, so
+      // every run of a tile row decodes from the store's one-tile memo
+      // instead of decoding the whole band again.
+      const vidx_t chunk = pristine.tile_size() > 0 ? tile : n;
+      for (std::size_t a = 0; a < dr.size();) {
+        const vidx_t band_end = (dr[a] / tile + 1) * tile;
+        std::size_t end = a;
+        while (end < dr.size() && dr[end] < band_end) ++end;
+        for (vidx_t c0 = 0; c0 < n; c0 += chunk) {
+          const vidx_t cols = std::min(chunk, n - c0);
+          for (std::size_t b = a; b < end;) {
+            std::size_t e = b + 1;
+            while (e < end && dr[e] == dr[e - 1] + 1) ++e;
+            pristine.read_block(
+                dr[b], c0, static_cast<vidx_t>(e - b), cols,
+                dr_rows.get() + b * static_cast<std::size_t>(n) + c0,
+                static_cast<std::size_t>(n));
+            b = e;
           }
         }
+        a = end;
       }
       // Zero-weight arcs break SWSF's queue-order argument; such graphs
       // take the fresh-Dijkstra path per row instead.
@@ -570,7 +619,7 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
             const vidx_t row = dr[a];
             const vidx_t src =
                 perm_.empty() ? row : inv_perm_[static_cast<std::size_t>(row)];
-            dist_t* out = dr_rows.data() + a * static_cast<std::size_t>(n);
+            dist_t* out = dr_rows.get() + a * static_cast<std::size_t>(n);
             // Per-thread scratch: one queue/buffer pair serves every row a
             // worker repairs, so a row whose region is a handful of
             // vertices is not charged a fresh allocation round-trip.
@@ -625,21 +674,10 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
   }
   outcome.sssp_seconds = now_s() - t_sssp;
 
-  auto read_pristine_tile = [&](vidx_t r0, vidx_t c0, vidx_t rows,
-                                vidx_t cols, dist_t* dst) {
-    if (pristine.block_known_inf(r0, c0, rows, cols)) {
-      std::fill_n(dst, static_cast<std::size_t>(rows) * cols, kInf);
-    } else {
-      pristine.read_block(r0, c0, rows, cols, dst,
-                          static_cast<std::size_t>(cols));
-    }
-  };
-
-  auto write_delta_checkpoint = [&](long long progress,
-                                    const std::vector<std::uint8_t>& payload) {
-    // The sink's buffers must reach the OS before the checkpoint claims its
-    // tiles: a SIGKILL between a buffered emit and the checkpoint write
-    // would otherwise resume past bytes that never landed.
+  std::vector<std::uint8_t> payload;  // what every delta checkpoint carries
+  auto write_delta_checkpoint = [&](long long progress) {
+    // The durability boundary: the sink holds every tile this checkpoint
+    // claims, and the hook is where an fsync of the sink's file goes.
     if (opt_.sync_before_checkpoint) opt_.sync_before_checkpoint();
     Checkpoint ck;
     ck.algorithm = kDeltaAlgorithm;
@@ -653,11 +691,108 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
     ++outcome.checkpoints_written;
   };
 
+  // ---- Tile walk (repair and full-solve fallback alike) ----------------
+  // Per tile row:
+  //   1. read the candidate tiles once, one read per run of adjacent
+  //      candidates, into a rows×n span (each tile at its own column
+  //      offset, leading dimension n);
+  //   2. compute the candidates across the pool: compute(bi, bj, tile,
+  //      scratch) rewrites its tile in the span, with one tile of
+  //      per-worker scratch, and reports whether the tile's bytes changed.
+  //      It runs on pool workers and must not throw;
+  //   3. serially and in (bi, bj) order, hand each run of adjacent changed
+  //      tiles to the sink in one call. A run is cut at every checkpoint
+  //      boundary, so a checkpoint only claims tiles the sink holds.
+  const auto extent = [&](vidx_t b) { return std::min(tile, n - b * tile); };
+  // Tiles per pool chunk: at least kWalkChunkElems elements, so waking a
+  // worker is repaid (a row of small tiles computes inline).
+  const std::size_t grain = std::max<std::size_t>(
+      1, kWalkChunkElems / (static_cast<std::size_t>(tile) * tile));
+  const auto walk = [&](const auto& is_candidate, const auto& compute) {
+    const double t_tiles = now_s();
+    const bool checkpointing = !opt_.checkpoint_path.empty();
+    const auto ld = static_cast<std::size_t>(n);
+    // Only the candidate tiles of a row are ever read back out of it.
+    const auto span = std::make_unique_for_overwrite<dist_t[]>(
+        static_cast<std::size_t>(tile) * ld);
+    std::vector<vidx_t> todo;  // candidate tile columns left to compute
+    std::vector<std::uint8_t> changed;
+    long long idx = 0;  // candidates completed, the checkpoint progress
+    for (vidx_t bi = 0; bi < nb; ++bi) {
+      todo.clear();
+      for (vidx_t bj = 0; bj < nb; ++bj) {
+        if (!is_candidate(bi, bj)) continue;
+        ++outcome.tiles_candidate;
+        if (idx < start_tile) {
+          ++idx;
+          ++outcome.tiles_resumed;
+        } else {
+          todo.push_back(bj);
+        }
+      }
+      if (todo.empty()) continue;
+      const vidx_t r0 = bi * tile;
+      const vidx_t rows = extent(bi);
+      for (std::size_t a = 0; a < todo.size();) {
+        std::size_t b = a + 1;  // todo[a, b): adjacent tile columns
+        while (b < todo.size() && todo[b] == todo[b - 1] + 1) ++b;
+        const vidx_t c0 = todo[a] * tile;
+        const vidx_t c1 = todo[b - 1] * tile + extent(todo[b - 1]);
+        pristine.read_block(r0, c0, rows, c1 - c0, span.get() + c0, ld);
+        a = b;
+      }
+      changed.assign(todo.size(), 0);
+      ThreadPool::global().parallel_for(
+          todo.size(),
+          [&](std::size_t a) {
+            static thread_local std::vector<dist_t> scratch;
+            scratch.resize(static_cast<std::size_t>(tile) * tile);
+            changed[a] = compute(bi, todo[a],
+                                 span.get() +
+                                     static_cast<std::size_t>(todo[a]) * tile,
+                                 scratch.data());
+          },
+          grain);
+      // Emit. The open run is todo[first, first + count).
+      std::size_t first = 0;
+      std::size_t count = 0;
+      const auto flush = [&] {
+        if (count == 0) return;
+        const vidx_t last = todo[first + count - 1];
+        TileRun run;
+        run.bi = bi;
+        run.bj = todo[first];
+        run.tiles = static_cast<vidx_t>(count);
+        run.row0 = r0;
+        run.col0 = run.bj * tile;
+        run.rows = rows;
+        run.cols = last * tile + extent(last) - run.col0;
+        run.data = span.get() + run.col0;
+        run.ld = ld;
+        sink(run);
+        outcome.tiles_touched += static_cast<long long>(count);
+        count = 0;
+      };
+      for (std::size_t a = 0; a < todo.size(); ++a) {
+        if (!changed[a] || (count > 0 && todo[a] != todo[a - 1] + 1)) flush();
+        if (changed[a] && count++ == 0) first = a;
+        ++idx;
+        if (checkpointing && idx % opt_.checkpoint_every_tiles == 0) {
+          flush();
+          write_delta_checkpoint(idx);
+        }
+      }
+      flush();
+    }
+    outcome.tile_seconds = now_s() - t_tiles;
+    if (checkpointing) remove_checkpoint(opt_.checkpoint_path);
+  };
+
   // ---- Fallback: full layout-preserving re-solve ---------------------
   if (full_solve) {
-    std::vector<std::uint8_t> payload{kModeFullSolve};
+    payload.push_back(kModeFullSolve);
     if (!opt_.checkpoint_path.empty() && start_tile == 0) {
-      write_delta_checkpoint(0, payload);
+      write_delta_checkpoint(0);
     }
     auto fresh = make_ram_store(n);
     if (perm_.empty()) {
@@ -688,41 +823,20 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
           },
           1);
     }
-    // Emit every changed tile, deterministic (bi, bj) order.
-    const double t_tiles = now_s();
-    std::vector<dist_t> cur(static_cast<std::size_t>(tile) * tile);
-    std::vector<dist_t> neu(static_cast<std::size_t>(tile) * tile);
-    long long idx = 0;
-    for (vidx_t bi = 0; bi < nb; ++bi) {
-      for (vidx_t bj = 0; bj < nb; ++bj) {
-        ++outcome.tiles_candidate;
-        if (idx < start_tile) {
-          ++idx;
-          ++outcome.tiles_resumed;
-          continue;
-        }
-        const vidx_t r0 = bi * tile, c0 = bj * tile;
-        const vidx_t rows = std::min(tile, n - r0);
-        const vidx_t cols = std::min(tile, n - c0);
-        const std::size_t elems = static_cast<std::size_t>(rows) * cols;
-        read_pristine_tile(r0, c0, rows, cols, cur.data());
-        fresh->read_block(r0, c0, rows, cols, neu.data(),
-                          static_cast<std::size_t>(cols));
-        if (std::memcmp(cur.data(), neu.data(), elems * sizeof(dist_t)) != 0) {
-          sink(bi, bj, r0, c0, rows, cols, neu.data());
-          ++outcome.tiles_touched;
-        }
-        ++idx;
-        if (!opt_.checkpoint_path.empty() &&
-            idx % opt_.checkpoint_every_tiles == 0) {
-          write_delta_checkpoint(idx, payload);
-        }
-      }
-    }
-    outcome.tile_seconds = now_s() - t_tiles;
-    if (!opt_.checkpoint_path.empty()) {
-      remove_checkpoint(opt_.checkpoint_path);
-    }
+    // Every tile is a candidate; the fresh solve supplies its new bytes.
+    walk([](vidx_t, vidx_t) { return true; },
+         [&](vidx_t bi, vidx_t bj, dist_t* t, dist_t* scratch) {
+           const vidx_t rows = extent(bi), cols = extent(bj);
+           fresh->read_block(bi * tile, bj * tile, rows, cols, scratch,
+                             static_cast<std::size_t>(cols));
+           bool changed = false;
+           for (vidx_t r = 0; r < rows; ++r) {
+             changed |= land(t + static_cast<std::size_t>(r) * n,
+                             scratch + static_cast<std::size_t>(r) * cols,
+                             static_cast<std::size_t>(cols));
+           }
+           return changed;
+         });
     outcome.modeled_full_seconds =
         incremental_full_solve_model(n, opt_.solve_opts.device);
     outcome.modeled_repair_seconds = outcome.modeled_full_seconds;
@@ -755,38 +869,36 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
     seed_index[static_cast<std::size_t>(seeds[a])] = static_cast<int>(a);
   }
 
-  // R (k×n): rows of D_mid at the seeds.  Cc (n×k): columns of D_mid.
+  // R (k×n): rows of D_mid at the seeds.  Cc (n×k): columns of D_mid. A
+  // seed outside DR keeps its pristine row, which on a symmetric graph is
+  // the column just read.
   std::vector<dist_t> R(k * static_cast<std::size_t>(n));
   std::vector<dist_t> Cc(static_cast<std::size_t>(n) * k);
   for (std::size_t a = 0; a < k; ++a) {
     const vidx_t s = seeds[a];
+    const std::vector<dist_t>& col = column(s);
+    for (vidx_t i = 0; i < n; ++i) {
+      Cc[static_cast<std::size_t>(i) * k + a] =
+          col[static_cast<std::size_t>(i)];
+    }
     dist_t* row = R.data() + a * static_cast<std::size_t>(n);
     const int di = dr_index[static_cast<std::size_t>(s)];
     if (di >= 0) {
       std::memcpy(row,
-                  dr_rows.data() +
+                  dr_rows.get() +
                       static_cast<std::size_t>(di) * static_cast<std::size_t>(n),
                   static_cast<std::size_t>(n) * sizeof(dist_t));
+    } else if (symmetric_) {
+      std::memcpy(row, col.data(), static_cast<std::size_t>(n) * sizeof(dist_t));
     } else {
       pristine.read_block(s, 0, 1, n, row, static_cast<std::size_t>(n));
     }
   }
-  if (k > 0) {
-    std::vector<dist_t> col(static_cast<std::size_t>(n));
+  for (std::size_t di = 0; di < dr.size() && k > 0; ++di) {
+    const dist_t* row = dr_rows.get() + di * static_cast<std::size_t>(n);
+    dist_t* dst = Cc.data() + static_cast<std::size_t>(dr[di]) * k;
     for (std::size_t a = 0; a < k; ++a) {
-      pristine.read_block(0, seeds[a], n, 1, col.data(), 1);
-      for (vidx_t i = 0; i < n; ++i) {
-        Cc[static_cast<std::size_t>(i) * k + a] =
-            col[static_cast<std::size_t>(i)];
-      }
-    }
-    for (std::size_t di = 0; di < dr.size(); ++di) {
-      const dist_t* row =
-          dr_rows.data() + di * static_cast<std::size_t>(n);
-      dist_t* dst = Cc.data() + static_cast<std::size_t>(dr[di]) * k;
-      for (std::size_t a = 0; a < k; ++a) {
-        dst[a] = row[static_cast<std::size_t>(seeds[a])];
-      }
+      dst[a] = row[static_cast<std::size_t>(seeds[a])];
     }
   }
 
@@ -860,74 +972,65 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
   }
 
   // ---- Checkpoint the deterministic phase-B state --------------------
-  std::vector<std::uint8_t> payload;
   if (!opt_.checkpoint_path.empty()) {
     payload.push_back(kModeRepair);
     const std::uint64_t count = dr.size();
     append_bytes(payload, &count, sizeof(count));
     append_bytes(payload, dr.data(), dr.size() * sizeof(vidx_t));
-    append_bytes(payload, dr_rows.data(), dr_rows.size() * sizeof(dist_t));
-    if (start_tile == 0) write_delta_checkpoint(0, payload);
+    append_bytes(payload, dr_rows.get(), dr_elems * sizeof(dist_t));
+    if (start_tile == 0) write_delta_checkpoint(0);
   }
 
   // ---- Dirty-tile walk ------------------------------------------------
-  const double t_tiles = now_s();
-  std::vector<dist_t> cur(static_cast<std::size_t>(tile) * tile);
-  std::vector<dist_t> orig(static_cast<std::size_t>(tile) * tile);
-  long long idx = 0;
-  for (vidx_t bi = 0; bi < nb; ++bi) {
-    const bool row_damaged = dr_tile[static_cast<std::size_t>(bi)];
-    const bool row_affected = ar_tile[static_cast<std::size_t>(bi)];
-    if (!row_damaged && !row_affected) continue;
-    for (vidx_t bj = 0; bj < nb; ++bj) {
-      const bool relax =
-          row_affected && ac_tile[static_cast<std::size_t>(bj)];
-      if (!row_damaged && !relax) continue;
-      ++outcome.tiles_candidate;
-      if (idx < start_tile) {
-        ++idx;
-        ++outcome.tiles_resumed;
-        continue;
-      }
-      const vidx_t r0 = bi * tile, c0 = bj * tile;
-      const vidx_t rows = std::min(tile, n - r0);
-      const vidx_t cols = std::min(tile, n - c0);
-      const std::size_t elems = static_cast<std::size_t>(rows) * cols;
-      read_pristine_tile(r0, c0, rows, cols, cur.data());
-      std::memcpy(orig.data(), cur.data(), elems * sizeof(dist_t));
-      // Patch the phase-B rows: the tile now holds exact g_mid values.
-      for (vidx_t r = 0; r < rows; ++r) {
-        const int di = dr_index[static_cast<std::size_t>(r0 + r)];
-        if (di < 0) continue;
-        std::memcpy(cur.data() + static_cast<std::size_t>(r) * cols,
-                    dr_rows.data() +
-                        static_cast<std::size_t>(di) *
-                            static_cast<std::size_t>(n) +
-                        c0,
-                    static_cast<std::size_t>(cols) * sizeof(dist_t));
-      }
-      // Decrease relaxation: T = min(T, L[rows,:] ⊗ R[:,cols]).
-      if (relax && k > 0) {
-        minplus_accum(cur.data(), static_cast<std::size_t>(cols),
+  // A tile is a candidate when its tile row holds a damaged row or it lies
+  // in the AR×AC frontier.
+  walk(
+      [&](vidx_t bi, vidx_t bj) {
+        return dr_tile[static_cast<std::size_t>(bi)] ||
+               (ar_tile[static_cast<std::size_t>(bi)] &&
+                ac_tile[static_cast<std::size_t>(bj)]);
+      },
+      [&](vidx_t bi, vidx_t bj, dist_t* t, dist_t* scratch) {
+        const vidx_t r0 = bi * tile, c0 = bj * tile;
+        const vidx_t rows = extent(bi), cols = extent(bj);
+        // The tile's rows of exact g_mid values: the phase-B row where it
+        // has one, the pristine row (in the span) otherwise.
+        const auto mid_row = [&](vidx_t r) -> const dist_t* {
+          const int di = dr_index[static_cast<std::size_t>(r0 + r)];
+          if (di < 0) return t + static_cast<std::size_t>(r) * n;
+          return dr_rows.get() +
+                 static_cast<std::size_t>(di) * static_cast<std::size_t>(n) +
+                 c0;
+        };
+        bool changed = false;
+        if (!(ar_tile[static_cast<std::size_t>(bi)] &&
+              ac_tile[static_cast<std::size_t>(bj)])) {
+          // Only the phase-B rows can differ: land them in place.
+          for (vidx_t r = 0; r < rows; ++r) {
+            if (dr_index[static_cast<std::size_t>(r0 + r)] >= 0) {
+              changed |= land(t + static_cast<std::size_t>(r) * n, mid_row(r),
+                              static_cast<std::size_t>(cols));
+            }
+          }
+          return changed;
+        }
+        // Decrease relaxation T = min(T_mid, L[rows,:] ⊗ R[:,cols]) on a
+        // packed copy (the span's rows lie n apart), then land each row.
+        for (vidx_t r = 0; r < rows; ++r) {
+          std::memcpy(scratch + static_cast<std::size_t>(r) * cols, mid_row(r),
+                      static_cast<std::size_t>(cols) * sizeof(dist_t));
+        }
+        minplus_accum(scratch, static_cast<std::size_t>(cols),
                       L.data() + static_cast<std::size_t>(r0) * k, k,
                       R.data() + c0, static_cast<std::size_t>(n), rows,
                       static_cast<vidx_t>(k), cols);
-      }
-      if (std::memcmp(cur.data(), orig.data(), elems * sizeof(dist_t)) != 0) {
-        sink(bi, bj, r0, c0, rows, cols, cur.data());
-        ++outcome.tiles_touched;
-      }
-      ++idx;
-      if (!opt_.checkpoint_path.empty() &&
-          idx % opt_.checkpoint_every_tiles == 0) {
-        write_delta_checkpoint(idx, payload);
-      }
-    }
-  }
-  outcome.tile_seconds = now_s() - t_tiles;
-  if (!opt_.checkpoint_path.empty()) {
-    remove_checkpoint(opt_.checkpoint_path);
-  }
+        for (vidx_t r = 0; r < rows; ++r) {
+          changed |= land(t + static_cast<std::size_t>(r) * n,
+                          scratch + static_cast<std::size_t>(r) * cols,
+                          static_cast<std::size_t>(cols));
+        }
+        return changed;
+      });
 
   const IncrementalCost cost = estimate_incremental(
       n, g_final_.num_edges(), k, dr.size(),
@@ -942,12 +1045,10 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
 
 UpdateOutcome IncrementalEngine::apply_in_place(
     DistStore& store, std::span<const EdgeUpdate> updates) {
-  return apply(store, updates,
-               [&store](vidx_t, vidx_t, vidx_t row0, vidx_t col0, vidx_t rows,
-                        vidx_t cols, const dist_t* data) {
-                 store.write_block(row0, col0, rows, cols, data,
-                                   static_cast<std::size_t>(cols));
-               });
+  return apply(store, updates, [&store](const TileRun& run) {
+    store.write_block(run.row0, run.col0, run.rows, run.cols, run.data,
+                      run.ld);
+  });
 }
 
 }  // namespace gapsp::core

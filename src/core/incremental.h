@@ -8,20 +8,20 @@
 // with the cheapest exact method:
 //
 //   Increases/deletes (distances can only grow) — one min-plus probe of the
-//   changed endpoints' column panels finds the conservatively-damaged row
-//   set DR = { i : D(i,u) + w_old == D(i,v) for some increased arc (u,v) }.
+//   changed endpoints' columns finds the conservatively-damaged row set
+//   DR = { i : D(i,u) + w_old == D(i,v) for some increased arc (u,v) }.
 //   A shortest path i→j through arc (u,v) makes its prefix i→u→v a shortest
 //   i→v path, so every truly damaged row passes the test (predecessor-free:
-//   no parent pointers kept, just two column reads per arc). The equality
-//   fires on every tie, so when the batch has fewer distinct arc heads than
-//   probe hits the set is refined exactly: one reverse-graph SSSP per head
-//   yields the new column d_mid(·,v), and a row can only change if some
-//   head column grew (the last increased arc on a changed path leaves an
-//   unchanged suffix). Damaged rows are repaired in place by dynamic
-//   SWSF-FP (Ramalingam–Reps) over the graph with only the increases
-//   applied — output-sensitive, so a row that lost one entry pays for one
-//   entry, not a fresh Dijkstra (graphs with zero-weight arcs fall back to
-//   per-row Dijkstra). An optional damage threshold
+//   no parent pointers kept, one column read per distinct arc endpoint).
+//   The equality fires on every tie, so when the batch has fewer distinct
+//   arc heads than probe hits the set is refined exactly: one reverse-graph
+//   SSSP per head yields the new column d_mid(·,v), and a row can only
+//   change if some head column grew (the last increased arc on a changed
+//   path leaves an unchanged suffix). Damaged rows are repaired in place by
+//   dynamic SWSF-FP (Ramalingam–Reps) over the graph with only the
+//   increases applied — output-sensitive, so a row that lost one entry pays
+//   for one entry, not a fresh Dijkstra (graphs with zero-weight arcs fall
+//   back to per-row Dijkstra). An optional damage threshold
 //   (|DR| > damage_threshold · n) can still force a full layout-preserving
 //   re-solve.
 //
@@ -43,13 +43,30 @@
 // intermediate graph g_mid) and then the decrease repair on top, so each
 // phase's exactness argument applies verbatim.
 //
+// I/O shape. The store is touched in rows and bands, never element by
+// element or tile row by tile row:
+//   - columns (probe, refinement, decrease panel) are read at most once per
+//     apply and shared between the phases. On a symmetric pre-update graph
+//     (every arc has a twin of equal weight, checked by the constructor) a
+//     stored column equals the stored row under any simultaneous
+//     permutation, so it is read as one contiguous row; other graphs read
+//     the n-element column;
+//   - phase B reads each run of consecutive damaged rows straight into its
+//     repair slots;
+//   - the dirty-tile walk reads each tile row's candidate tiles once (one
+//     read per run of adjacent candidates) into a rows×n span, computes the
+//     candidates across the thread pool, writes the rows that changed back
+//     into the span, and emits each run of adjacent changed tiles with one
+//     sink call.
+//
 // Crash tolerance reuses the GAPSPCK1 sidecar (checkpoint.h): every emitted
 // tile is a pure function of the *pristine* store plus the deterministic
 // phase-B rows (stored in the checkpoint payload), so a resumed run skips
-// completed tiles and recomputes in-flight ones bit-identically. Callers
-// repairing on-disk stores therefore write into a copy and never mutate the
-// pristine matrix until the atomic rename (apsp_cli update does exactly
-// that).
+// completed tiles and recomputes in-flight ones bit-identically. No run
+// crosses a checkpoint boundary, so a checkpoint only claims tiles the sink
+// already holds. Callers repairing on-disk stores therefore write into a
+// copy and never mutate the pristine matrix until the atomic rename
+// (apsp_cli update does exactly that).
 //
 // The repair is charged by the cost model's estimate_incremental term
 // (cost_model.h): touched-tile bytes over the (optionally compressed)
@@ -81,7 +98,9 @@ struct EdgeUpdate {
 
 /// Parses a text update file: one `u v w` triple per line, `#` comments and
 /// blank lines skipped; `w` may be `inf`, `x`, or `-1` for delete. Throws
-/// IoError when the file is unreadable, Error on a malformed line.
+/// IoError when the file is unreadable, Error naming the line on a
+/// malformed line, a vertex id outside [0, 2³¹) or a numeric weight that is
+/// negative or >= kInf (a delete must be spelled out, never overflowed into).
 std::vector<EdgeUpdate> read_edge_updates(const std::string& path);
 
 /// The graph after applying `updates` to `g` (directed arc semantics above).
@@ -108,13 +127,15 @@ struct IncrementalOptions {
   /// Resume from `checkpoint_path` when it matches this (graph, updates,
   /// tile, threshold) configuration; otherwise start fresh.
   bool resume = false;
-  /// Tiles between checkpoint rewrites.
+  /// Candidate tiles between checkpoint rewrites; no emitted run crosses a
+  /// multiple of it while checkpointing.
   long long checkpoint_every_tiles = 64;
-  /// Called immediately before every checkpoint write. Callers whose sink
-  /// buffers (a file-backed copy) MUST flush it here: a checkpoint claiming
-  /// tiles that still sit in a userspace buffer makes a SIGKILL resume skip
-  /// tiles that never reached disk (`apsp_cli update` passes the tmp
-  /// store's flush).
+  /// Called immediately before every checkpoint write, after the sink has
+  /// received every tile the checkpoint claims: the durability boundary.
+  /// The file-backed stores write positionally and DistStore::flush() is a
+  /// no-op, so a landed run already survives SIGKILL; this hook is where an
+  /// fsync for power-loss durability will go (`apsp_cli update` passes the
+  /// tmp store's flush).
   std::function<void()> sync_before_checkpoint;
 
   /// Options of the full-solve fallback (algorithm kAuto is forced to
@@ -160,33 +181,54 @@ class IncrementalEngine {
   /// `g` is the PRE-update graph the store was solved from; `perm` the
   /// solver's vertex permutation (stored index = perm[vertex], empty =
   /// identity — boundary-solved stores pass ApspResult::perm). The graph is
-  /// captured by reference and must outlive the engine.
+  /// captured by reference and must outlive the engine. Checks in
+  /// O(m log d) whether `g` is symmetric, which lets apply() read columns
+  /// as rows.
   explicit IncrementalEngine(const graph::CsrGraph& g,
                              IncrementalOptions opt = {},
                              std::vector<vidx_t> perm = {});
 
-  /// Receives the final rows×cols contents (row-major, ld == cols, stored
-  /// coordinates) of every tile whose bytes changed, in deterministic
-  /// (bi, bj) order. (bi, bj) index the tile grid; (row0, col0) its corner.
-  using TileSink =
-      std::function<void(vidx_t bi, vidx_t bj, vidx_t row0, vidx_t col0,
-                         vidx_t rows, vidx_t cols, const dist_t* data)>;
+  /// A run of `tiles` horizontally adjacent changed tiles of tile row `bi`,
+  /// starting at tile column `bj`: the final contents of the rows×cols
+  /// block at (row0, col0), stored coordinates, row-major in `data` with
+  /// leading dimension `ld`. `data` is valid only during the sink call.
+  struct TileRun {
+    vidx_t bi = 0;
+    vidx_t bj = 0;
+    vidx_t tiles = 0;
+    vidx_t row0 = 0;
+    vidx_t col0 = 0;
+    vidx_t rows = 0;
+    vidx_t cols = 0;
+    const dist_t* data = nullptr;
+    std::size_t ld = 0;
+  };
+
+  /// Receives every tile whose bytes changed, as runs in deterministic
+  /// (bi, bj) order. A run is maximal within its tile row, except that
+  /// while checkpointing no run crosses a multiple of checkpoint_every_tiles
+  /// in candidate order (so with 1 every run is a single tile).
+  using TileSink = std::function<void(const TileRun&)>;
 
   /// Repairs the matrix in `pristine` (the exact APSP of `g`, read-only —
   /// never written) against `updates`, streaming every changed tile to
   /// `sink`. Deterministic: same (graph, store, updates, options) produce
-  /// the same tile sequence bit-for-bit, which is what makes checkpointed
+  /// the same run sequence bit-for-bit, which is what makes checkpointed
   /// resume sound. Throws Error on negative update weights or dimension
   /// mismatch, IoError/CorruptError from the store.
   UpdateOutcome apply(const DistStore& pristine,
                       std::span<const EdgeUpdate> updates,
                       const TileSink& sink);
 
-  /// Convenience for writable stores: apply() with a sink that writes each
-  /// tile back into `store`. Sound because every tile is read before any
-  /// byte of it is written and tiles are disjoint — but NOT crash-safe
-  /// (a killed in-place repair leaves a store that is neither old nor new);
-  /// callers wanting resume must repair into a copy like `apsp_cli update`.
+  /// Convenience for writable stores: apply() with a sink that lands each
+  /// run with one write_block (one pwrite on a raw file store when the run
+  /// is full-width). Sound in place because every store read precedes the
+  /// writes it could observe: the probe, phase B and the panels read before
+  /// the walk writes anything; a tile row's span is read before any of its
+  /// runs is written; tile rows are disjoint; and no later phase reads an
+  /// earlier tile row. NOT crash-safe (a killed in-place repair leaves a
+  /// store that is neither old nor new); callers wanting resume must repair
+  /// into a copy like `apsp_cli update`.
   UpdateOutcome apply_in_place(DistStore& store,
                                std::span<const EdgeUpdate> updates);
 
@@ -202,6 +244,7 @@ class IncrementalEngine {
   IncrementalOptions opt_;
   std::vector<vidx_t> perm_;      // empty = identity
   std::vector<vidx_t> inv_perm_;  // stored index -> original vertex
+  bool symmetric_ = false;        // every arc has an equal-weight twin
   graph::CsrGraph g_final_;
 };
 

@@ -86,17 +86,6 @@ class OverlaidStore final : public core::DistStore {
 
   vidx_t tile_size() const override { return store_.tile_size(); }
 
-  bool block_known_inf(vidx_t row0, vidx_t col0, vidx_t rows,
-                       vidx_t cols) const override {
-    check_block(row0, col0, rows, cols);
-    for (vidx_t bi = row0 / block_; bi * block_ < row0 + rows; ++bi) {
-      for (vidx_t bj = col0 / block_; bj * block_ < col0 + cols; ++bj) {
-        if (overlay_.count(key(bi, bj)) != 0) return false;
-      }
-    }
-    return store_.block_known_inf(row0, col0, rows, cols);
-  }
-
  private:
   std::uint64_t key(vidx_t bi, vidx_t bj) const {
     return static_cast<std::uint64_t>(bi) *
@@ -162,22 +151,32 @@ core::UpdateOutcome QueryEngine::apply_updates(
   }
   const OverlaidStore current(store_, opt_.block_size, std::move(snapshot));
   return engine.apply(
-      current, updates,
-      [this](vidx_t bi, vidx_t bj, vidx_t, vidx_t, vidx_t rows, vidx_t cols,
-             const dist_t* data) {
-        auto tile = std::make_shared<std::vector<dist_t>>(
-            data, data + static_cast<std::size_t>(rows) * cols);
-        const BlockData fixed = collapse_inf(std::move(tile));
-        {
-          std::lock_guard<std::mutex> lock(overlay_mu_);
-          overlay_[static_cast<std::uint64_t>(bi) *
-                       static_cast<std::uint64_t>(num_blocks_) +
-                   static_cast<std::uint64_t>(bj)] = fixed;
+      current, updates, [this](const core::IncrementalEngine::TileRun& run) {
+        // Each tile of the run is one overlay/cache entry.
+        for (vidx_t t = 0; t < run.tiles; ++t) {
+          const vidx_t bj = run.bj + t;
+          const vidx_t col0 = bj * opt_.block_size;
+          const vidx_t cols = std::min<vidx_t>(opt_.block_size, n() - col0);
+          auto tile = std::make_shared<std::vector<dist_t>>(
+              static_cast<std::size_t>(run.rows) * cols);
+          for (vidx_t r = 0; r < run.rows; ++r) {
+            std::copy_n(run.data + static_cast<std::size_t>(r) * run.ld +
+                            static_cast<std::size_t>(col0 - run.col0),
+                        cols,
+                        tile->data() + static_cast<std::size_t>(r) * cols);
+          }
+          const BlockData fixed = collapse_inf(std::move(tile));
+          {
+            std::lock_guard<std::mutex> lock(overlay_mu_);
+            overlay_[static_cast<std::uint64_t>(run.bi) *
+                         static_cast<std::uint64_t>(num_blocks_) +
+                     static_cast<std::uint64_t>(bj)] = fixed;
+          }
+          // Republish: later misses hit the overlay, current cache readers
+          // swap to the new tile, and a quarantine mark — this tile may
+          // have been unserveable — is cleared.
+          cache_.publish(run.bi, bj, fixed);
         }
-        // Republish: later misses hit the overlay, current cache readers
-        // swap to the new tile, and a quarantine mark — this tile may have
-        // been unserveable — is cleared.
-        cache_.publish(bi, bj, fixed);
       });
 }
 

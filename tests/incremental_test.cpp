@@ -1,5 +1,6 @@
 // IncrementalEngine correctness: bit-parity against a from-scratch solve on
-// every graph × update-pattern cell, kill-mid-update resume, threshold
+// every graph × update-pattern cell (symmetric and directed graphs, RAM and
+// file stores), the run-sink contract, kill-mid-update resume, threshold
 // fallback, permuted layouts, and the QueryEngine::apply_updates serving
 // path. The oracle is a Dijkstra sweep over the updated graph — the same
 // master oracle the solver tests use.
@@ -9,6 +10,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <mutex>
+#include <utility>
 
 #include "core/checkpoint.h"
 #include "core/compressed_store.h"
@@ -31,6 +35,11 @@ using core::IncrementalEngine;
 using core::IncrementalOptions;
 using core::UpdateOutcome;
 using graph::CsrGraph;
+using TileRun = IncrementalEngine::TileRun;
+
+void write_run(DistStore& store, const TileRun& run) {
+  store.write_block(run.row0, run.col0, run.rows, run.cols, run.data, run.ld);
+}
 
 // Exact APSP by Dijkstra sweep, written in stored order (perm[v] = stored
 // id, empty = identity).
@@ -116,13 +125,71 @@ struct Cell {
   CsrGraph g;
 };
 
+// A road graph whose two arc directions carry different weights, so its
+// distance matrix is not symmetric and the engine must read real columns.
+CsrGraph make_directed_road(vidx_t rows, vidx_t cols, std::uint64_t seed) {
+  const CsrGraph base = graph::make_road(rows, cols, seed);
+  std::vector<graph::Edge> edges;
+  for (vidx_t u = 0; u < base.num_vertices(); ++u) {
+    const auto nbrs = base.neighbors(u);
+    const auto ws = base.weights(u);
+    for (std::size_t e = 0; e < nbrs.size(); ++e) {
+      const vidx_t v = nbrs[e];
+      edges.push_back({u, v, u < v ? ws[e] : ws[e] + 1 + (u + v) % 7});
+    }
+  }
+  return CsrGraph::from_edges(base.num_vertices(), std::move(edges), false);
+}
+
 std::vector<Cell> parity_graphs() {
   std::vector<Cell> cells;
   cells.push_back({"road", graph::make_road(12, 10, 7)});
   cells.push_back({"er", graph::make_erdos_renyi(130, 420, 11)});
   cells.push_back({"mesh", graph::make_mesh(110, 6, 13)});
+  cells.push_back({"road-directed", make_directed_road(12, 10, 19)});
   return cells;
 }
+
+// Forwards to an inner store and records the shape of every read and write.
+class RecordingStore : public DistStore {
+ public:
+  struct Block {
+    vidx_t row0, col0, rows, cols;
+  };
+  explicit RecordingStore(DistStore& inner)
+      : DistStore(inner.n()), inner_(inner) {}
+
+  void write_block(vidx_t row0, vidx_t col0, vidx_t rows, vidx_t cols,
+                   const dist_t* src, std::size_t src_ld) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      writes_.push_back({row0, col0, rows, cols});
+    }
+    inner_.write_block(row0, col0, rows, cols, src, src_ld);
+  }
+  void read_block(vidx_t row0, vidx_t col0, vidx_t rows, vidx_t cols,
+                  dist_t* dst, std::size_t dst_ld) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      reads_.push_back({row0, col0, rows, cols});
+    }
+    inner_.read_block(row0, col0, rows, cols, dst, dst_ld);
+  }
+  std::vector<Block> writes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return writes_;
+  }
+  std::vector<Block> reads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return reads_;
+  }
+
+ private:
+  DistStore& inner_;
+  mutable std::mutex mu_;
+  std::vector<Block> writes_;
+  mutable std::vector<Block> reads_;
+};
 
 void run_parity(Pattern pattern, std::size_t count) {
   for (auto& cell : parity_graphs()) {
@@ -174,11 +241,8 @@ TEST(Incremental, NoopBatchTouchesNothing) {
   batch.push_back({0, 0, 5});
   IncrementalEngine engine(g);
   bool emitted = false;
-  const UpdateOutcome out = engine.apply(
-      *store, batch,
-      [&](vidx_t, vidx_t, vidx_t, vidx_t, vidx_t, vidx_t, const dist_t*) {
-        emitted = true;
-      });
+  const UpdateOutcome out =
+      engine.apply(*store, batch, [&](const TileRun&) { emitted = true; });
   EXPECT_FALSE(emitted);
   EXPECT_EQ(out.tiles_touched, 0);
   EXPECT_EQ(out.decreases, 0);
@@ -307,11 +371,7 @@ TEST(Incremental, CompressedPristineSource) {
   fill_exact(g, *target);
   IncrementalEngine engine(g);
   engine.apply(*pristine, batch,
-               [&](vidx_t, vidx_t, vidx_t r0, vidx_t c0, vidx_t rows,
-                   vidx_t cols, const dist_t* data) {
-                 target->write_block(r0, c0, rows, cols, data,
-                                     static_cast<std::size_t>(cols));
-               });
+               [&](const TileRun& run) { write_run(*target, run); });
   auto want = core::make_ram_store(n);
   fill_exact(core::apply_edge_updates(g, batch), *want);
   expect_stores_equal(*target, *want);
@@ -335,6 +395,188 @@ TEST(Incremental, UpdatedGraphAndEditSemantics) {
   EXPECT_EQ(store->at(2, 1), 4 + 2);
   // updated_graph() is the post-batch graph.
   EXPECT_EQ(engine.updated_graph().num_edges(), 2);
+}
+
+TEST(Incremental, FileStoreParityWithRaggedRuns) {
+  // In-place repair of a raw file store whose side is not a tile multiple:
+  // runs land as full-width blocks, partial blocks, and blocks ending in
+  // the ragged last tile column or tile row. Three batches in sequence, so
+  // later batches repair a store earlier ones rewrote, and (make_batch
+  // changes single arcs) run on a directed graph. Tiles of 128² make a
+  // damaged tile row span two pool chunks, so the walk computes on
+  // several threads.
+  CsrGraph g = graph::make_road(25, 23, 59);
+  const vidx_t n = g.num_vertices();
+  constexpr vidx_t kTile = 128;
+  ASSERT_NE(n % kTile, 0);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "gapsp_inc_file.bin").string();
+  auto file = core::make_file_store(n, path);
+  fill_exact(g, *file);
+  bool full_width = false, partial = false, ragged_cols = false,
+       ragged_rows = false;
+  for (std::uint64_t seed : {3u, 4u, 5u}) {
+    SCOPED_TRACE("batch seed " + std::to_string(seed));
+    const auto batch = make_batch(g, Pattern::kMixed, 6, seed);
+    RecordingStore rec(*file);
+    IncrementalOptions opt;
+    opt.tile = kTile;
+    IncrementalEngine engine(g, opt);
+    engine.apply_in_place(rec, batch);
+    g = engine.updated_graph();
+    auto want = core::make_ram_store(n);
+    fill_exact(g, *want);
+    expect_stores_equal(*file, *want);
+    for (const auto& w : rec.writes()) {
+      full_width = full_width || w.cols == n;
+      partial = partial || w.cols < n;
+      ragged_cols = ragged_cols || (w.col0 + w.cols == n && w.cols < n);
+      ragged_rows = ragged_rows || w.rows == n % kTile;
+    }
+  }
+  EXPECT_TRUE(full_width);
+  EXPECT_TRUE(partial);
+  EXPECT_TRUE(ragged_cols);
+  EXPECT_TRUE(ragged_rows);
+}
+
+TEST(Incremental, ColumnsReadAsRowsOnlyOnSymmetricGraphs) {
+  // A symmetric graph's stored column is its stored row, so no n×1 column
+  // read may reach the store; a directed graph must read real columns.
+  for (const bool directed : {false, true}) {
+    SCOPED_TRACE(directed ? "directed" : "symmetric");
+    const CsrGraph g = directed ? make_directed_road(11, 10, 23)
+                                : graph::make_road(11, 10, 23);
+    const vidx_t n = g.num_vertices();
+    auto store = core::make_ram_store(n);
+    fill_exact(g, *store);
+    RecordingStore rec(*store);
+    const auto batch = make_batch(g, Pattern::kMixed, 10, 29);
+    IncrementalOptions opt;
+    opt.tile = 16;
+    IncrementalEngine engine(g, opt);
+    const UpdateOutcome out = engine.apply_in_place(rec, batch);
+    ASSERT_GT(out.increases, 0);
+    ASSERT_GT(out.decreases, 0);
+    long long column_reads = 0;
+    for (const auto& r : rec.reads()) {
+      column_reads += r.rows == n && r.cols == 1;
+    }
+    if (directed) {
+      EXPECT_GT(column_reads, 0);
+    } else {
+      EXPECT_EQ(column_reads, 0);
+    }
+    auto want = core::make_ram_store(n);
+    fill_exact(core::apply_edge_updates(g, batch), *want);
+    expect_stores_equal(*store, *want);
+  }
+}
+
+// ---- run-sink contract ---------------------------------------------------
+
+TEST(IncrementalRuns, MaximalWithinTileRowAndCutAtCheckpoints) {
+  const CsrGraph g = graph::make_road(12, 12, 131);
+  const vidx_t n = g.num_vertices();
+  constexpr vidx_t kTile = 16;
+  auto pristine = core::make_ram_store(n);
+  fill_exact(g, *pristine);
+  const auto batch = make_batch(g, Pattern::kMixed, 12, 137);
+  auto want = core::make_ram_store(n);
+  fill_exact(core::apply_edge_updates(g, batch), *want);
+
+  // The tiles whose bytes the update changes, in (bi, bj) order: exactly
+  // what the runs must deliver, each tile once.
+  const vidx_t nb = (n + kTile - 1) / kTile;
+  std::vector<std::pair<vidx_t, vidx_t>> changed;
+  std::vector<dist_t> a(static_cast<std::size_t>(kTile) * kTile);
+  std::vector<dist_t> b(a.size());
+  for (vidx_t bi = 0; bi < nb; ++bi) {
+    for (vidx_t bj = 0; bj < nb; ++bj) {
+      const vidx_t rows = std::min(kTile, n - bi * kTile);
+      const vidx_t cols = std::min(kTile, n - bj * kTile);
+      pristine->read_block(bi * kTile, bj * kTile, rows, cols, a.data(),
+                           static_cast<std::size_t>(cols));
+      want->read_block(bi * kTile, bj * kTile, rows, cols, b.data(),
+                       static_cast<std::size_t>(cols));
+      if (std::memcmp(a.data(), b.data(),
+                      static_cast<std::size_t>(rows) * cols *
+                          sizeof(dist_t)) != 0) {
+        changed.emplace_back(bi, bj);
+      }
+    }
+  }
+  ASSERT_GT(changed.size(), 2u);
+
+  const std::string ck =
+      (std::filesystem::temp_directory_path() / "gapsp_inc_runs.ck").string();
+  for (const long long every : {0LL, 1LL, 2LL, 3LL, 5LL}) {
+    SCOPED_TRACE("checkpoint every " + std::to_string(every));
+    std::filesystem::remove(ck);
+    IncrementalOptions opt;
+    opt.tile = kTile;
+    struct Event {
+      bool sync;
+      TileRun run;
+    };
+    std::vector<Event> events;
+    if (every > 0) {
+      opt.checkpoint_path = ck;
+      opt.checkpoint_every_tiles = every;
+      opt.sync_before_checkpoint = [&] { events.push_back({true, {}}); };
+    }
+    IncrementalEngine engine(g, opt);
+    std::vector<std::pair<vidx_t, vidx_t>> emitted;
+    engine.apply(*pristine, batch, [&](const TileRun& run) {
+      // The run's geometry covers its tiles and its data is the new truth.
+      EXPECT_EQ(run.row0, run.bi * kTile);
+      EXPECT_EQ(run.col0, run.bj * kTile);
+      EXPECT_EQ(run.rows, std::min(kTile, n - run.row0));
+      EXPECT_EQ(run.cols,
+                std::min<vidx_t>(run.tiles * kTile, n - run.col0));
+      std::vector<dist_t> truth(static_cast<std::size_t>(run.cols));
+      for (vidx_t r = 0; r < run.rows; ++r) {
+        want->read_block(run.row0 + r, run.col0, 1, run.cols, truth.data(),
+                         truth.size());
+        EXPECT_EQ(0, std::memcmp(run.data + static_cast<std::size_t>(r) *
+                                                run.ld,
+                                 truth.data(),
+                                 truth.size() * sizeof(dist_t)));
+      }
+      for (vidx_t t = 0; t < run.tiles; ++t) {
+        emitted.emplace_back(run.bi, run.bj + t);
+      }
+      events.push_back({false, run});
+    });
+    EXPECT_EQ(emitted, changed);
+
+    // Two runs that continue each other within a tile row were cut by a
+    // checkpoint, and only by one; a run never spans a multiple of `every`.
+    bool synced = false;
+    const TileRun* prev = nullptr;
+    bool multi_tile = false;
+    for (const Event& e : events) {
+      if (e.sync) {
+        synced = true;
+        continue;
+      }
+      if (prev != nullptr && prev->bi == e.run.bi &&
+          prev->bj + prev->tiles == e.run.bj) {
+        EXPECT_TRUE(synced) << "run at (" << e.run.bi << ", " << e.run.bj
+                            << ") continues its predecessor";
+      }
+      if (every > 0) {
+        EXPECT_LE(e.run.tiles, every);
+      }
+      multi_tile = multi_tile || e.run.tiles > 1;
+      prev = &e.run;
+      synced = false;
+    }
+    if (every == 0) {
+      EXPECT_TRUE(multi_tile) << "no run joined two tiles";
+    }
+  }
+  std::filesystem::remove(ck);
 }
 
 // ---- checkpointed resume (kill-mid-update chaos) ----------------------
@@ -373,16 +615,16 @@ void run_crash_resume(int crash_after) {
   bool crashed = false;
   try {
     IncrementalEngine engine(g, opt);
-    engine.apply(*pristine, batch,
-                 [&](vidx_t, vidx_t, vidx_t r0, vidx_t c0, vidx_t rows,
-                     vidx_t cols, const dist_t* data) {
-                   if (crash.emitted >= crash.limit) {
-                     throw std::runtime_error("injected crash");
-                   }
-                   ++crash.emitted;
-                   target->write_block(r0, c0, rows, cols, data,
-                                       static_cast<std::size_t>(cols));
-                 });
+    engine.apply(*pristine, batch, [&](const TileRun& run) {
+      // Checkpointing every tile cuts every run to a single tile, so a
+      // crash can land between any two emitted tiles.
+      EXPECT_EQ(run.tiles, 1);
+      if (crash.emitted >= crash.limit) {
+        throw std::runtime_error("injected crash");
+      }
+      ++crash.emitted;
+      write_run(*target, run);
+    });
   } catch (const std::runtime_error&) {
     crashed = true;
   }
@@ -393,11 +635,7 @@ void run_crash_resume(int crash_after) {
     ropt.resume = true;
     IncrementalEngine engine(g, ropt);
     out2 = engine.apply(*pristine, batch,
-                        [&](vidx_t, vidx_t, vidx_t r0, vidx_t c0, vidx_t rows,
-                            vidx_t cols, const dist_t* data) {
-                          target->write_block(r0, c0, rows, cols, data,
-                                              static_cast<std::size_t>(cols));
-                        });
+                        [&](const TileRun& run) { write_run(*target, run); });
   }
   // With checkpoint_every_tiles=1 every candidate processed before the
   // crashing emission was checkpointed, so resuming skips at least those.
@@ -427,10 +665,9 @@ TEST(IncrementalResume, KillAtEveryTile) {
   IncrementalOptions opt;
   opt.tile = 16;
   IncrementalEngine engine(g, opt);
-  long long emitted = 0;
+  long long emitted = 0;  // tiles, not runs
   engine.apply(*pristine, batch,
-               [&](vidx_t, vidx_t, vidx_t, vidx_t, vidx_t, vidx_t,
-                   const dist_t*) { ++emitted; });
+               [&](const TileRun& run) { emitted += run.tiles; });
   ASSERT_GT(emitted, 1);
   for (int k = 0; k <= std::min<long long>(emitted, 8); ++k) {
     SCOPED_TRACE("crash after " + std::to_string(k) + " tiles");
@@ -471,11 +708,9 @@ TEST(IncrementalResume, CheckpointFingerprintMatchesRawBatch) {
   opt.checkpoint_path = ck;
   IncrementalEngine engine(g, opt);
   try {
-    engine.apply(*pristine, batch,
-                 [&](vidx_t, vidx_t, vidx_t, vidx_t, vidx_t, vidx_t,
-                     const dist_t*) {
-                   throw std::runtime_error("stop after first emission");
-                 });
+    engine.apply(*pristine, batch, [&](const TileRun&) {
+      throw std::runtime_error("stop after first emission");
+    });
   } catch (const std::runtime_error&) {
   }
   core::Checkpoint saved;
@@ -487,9 +722,9 @@ TEST(IncrementalResume, CheckpointFingerprintMatchesRawBatch) {
 }
 
 TEST(IncrementalResume, SyncHookRunsBeforeEveryCheckpoint) {
-  // apsp_cli flushes the buffered tmp store through this hook; a checkpoint
-  // written without it can claim tiles a SIGKILL then discards from the
-  // stdio buffer (the store resumes past bytes that never reached disk).
+  // The hook is the durability boundary (apsp_cli passes the tmp store's
+  // flush, where an fsync belongs): it must run before every checkpoint
+  // write, and only after the sink holds every tile that checkpoint claims.
   const CsrGraph g = graph::make_road(8, 8, 91);
   const vidx_t n = g.num_vertices();
   auto store = core::make_ram_store(n);
@@ -509,11 +744,8 @@ TEST(IncrementalResume, SyncHookRunsBeforeEveryCheckpoint) {
     emitted_at_last_sync = emitted;
   };
   IncrementalEngine engine(g, opt);
-  const UpdateOutcome out = engine.apply(
-      *store, batch,
-      [&](vidx_t, vidx_t, vidx_t, vidx_t, vidx_t, vidx_t, const dist_t*) {
-        ++emitted;
-      });
+  const UpdateOutcome out =
+      engine.apply(*store, batch, [&](const TileRun&) { ++emitted; });
   EXPECT_EQ(syncs, out.checkpoints_written);
   EXPECT_GT(syncs, 0);
   // The final checkpoint came after the last emit — nothing was claimed
@@ -569,8 +801,7 @@ TEST(IncrementalResume, MismatchedBatchStartsFresh) {
   try {
     IncrementalEngine engine(g, opt);
     engine.apply(*pristine, batch_a,
-                 [&](vidx_t, vidx_t, vidx_t, vidx_t, vidx_t, vidx_t,
-                     const dist_t*) { throw std::runtime_error("crash"); });
+                 [&](const TileRun&) { throw std::runtime_error("crash"); });
   } catch (const std::runtime_error&) {
   }
   // Resuming with a different batch must ignore the sidecar.
@@ -618,6 +849,44 @@ TEST(Incremental, ReadEdgeUpdatesParsesAndRejects) {
   }
   EXPECT_THROW(core::read_edge_updates(path), Error);
   EXPECT_THROW(core::read_edge_updates(path + ".missing"), IoError);
+  std::filesystem::remove(path);
+}
+
+TEST(Incremental, ReadEdgeUpdatesRejectsOutOfRangeIdsAndWeights) {
+  // Ids used to be cast to 32 bits unchecked and weights >= kInf became
+  // deletes: each of these lines silently edited some other arc.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "gapsp_updates_range.txt")
+          .string();
+  for (const std::string bad :
+       {"4294967296 1 5", "0 4294967298 7", "2 3 600000000", "2 3 536870911",
+        "2147483648 0 1", "-2 3 5", "2 -3 5"}) {
+    SCOPED_TRACE(bad);
+    {
+      std::ofstream out(path);
+      out << "0 1 7\n" << bad << "\n";
+    }
+    try {
+      core::read_edge_updates(path);
+      ADD_FAILURE() << "accepted";
+    } catch (const IoError& e) {
+      ADD_FAILURE() << "not a parse error: " << e.what();
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The ends of both ranges still parse, and deletes keep their spellings.
+  {
+    std::ofstream out(path);
+    out << "2147483647 0 536870910\n0 2147483647 inf\n";
+  }
+  const auto ups = core::read_edge_updates(path);
+  ASSERT_EQ(ups.size(), 2u);
+  EXPECT_EQ(ups[0].u, std::numeric_limits<vidx_t>::max());
+  EXPECT_EQ(ups[0].w, kInf - 1);
+  EXPECT_EQ(ups[1].v, std::numeric_limits<vidx_t>::max());
+  EXPECT_EQ(ups[1].w, kInf);
   std::filesystem::remove(path);
 }
 

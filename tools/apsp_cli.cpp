@@ -886,18 +886,17 @@ int run_update(const Args& args) {
               << opt.checkpoint_path << "\n";
   }
 
-  // Checkpoint durability: the tmp copy's stdio buffers must land before a
-  // checkpoint claims their tiles, or a SIGKILL resume would skip tiles
-  // that never reached disk.
+  // Checkpoint durability boundary: each run is pwritten to the tmp copy
+  // before any checkpoint claims it, which already survives SIGKILL.
+  // flush() is a no-op today; it is where the fsync for power loss goes.
   opt.sync_before_checkpoint = [&target] { target->flush(); };
 
   core::IncrementalEngine engine(g, opt);
+  // One write_block per run: a full-width run is one pwrite.
   const core::UpdateOutcome out = engine.apply(
-      *pristine, updates,
-      [&](vidx_t, vidx_t, vidx_t r0, vidx_t c0, vidx_t rows, vidx_t cols,
-          const dist_t* data) {
-        target->write_block(r0, c0, rows, cols, data,
-                            static_cast<std::size_t>(cols));
+      *pristine, updates, [&](const core::IncrementalEngine::TileRun& run) {
+        target->write_block(run.row0, run.col0, run.rows, run.cols, run.data,
+                            run.ld);
       });
 
   // Swap the repaired matrix in and fix up every sidecar derived from the
