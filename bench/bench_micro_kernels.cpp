@@ -4,14 +4,13 @@
 // parallelism degree threshold.
 //
 // Besides the google-benchmark suite, `--ablation` runs the kernel-engine
-// ablation (microkernel variant × grid-execution threads on the blocked-FW
-// path), prints the table behind EXPERIMENTS.md §"Microkernel ablation" and
-// writes BENCH_kernels.json. `--kernel-variant=a,b,...` restricts the
-// ablation to the named variants — unknown names are an error (exit 2), not
-// a silent skip. `--assert-min-speedup=R` additionally exits non-zero unless
-// best-tiled is at least R× naive-serial, and `--assert-simd-speedup=R`
-// requires the simd variant to beat tiled-reg by R× on serial blocked FW —
-// the CI perf-smoke guards against microkernel regressions.
+// ablation (naive vs simd microkernel × grid-execution threads on the
+// blocked-FW path), prints the table behind EXPERIMENTS.md §"Microkernel
+// ablation" and writes BENCH_kernels.json. `--assert-min-speedup=R`
+// additionally exits non-zero unless the best simd blocked-FW row is at
+// least R× naive-serial, and `--assert-simd-speedup=R` requires serial simd
+// to beat serial naive by R× on blocked FW — the CI perf-smoke guards
+// against microkernel regressions.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -70,21 +69,13 @@ void BM_FwInplace(benchmark::State& state) {
 }
 BENCHMARK(BM_FwInplace)->Arg(64)->Arg(128)->Arg(256);
 
-constexpr core::KernelVariant kAllVariants[core::kNumKernelVariants] = {
-    core::KernelVariant::kNaive,    core::KernelVariant::kTiled,
-    core::KernelVariant::kTiledReg, core::KernelVariant::kSimd,
-    core::KernelVariant::kTensor};
-
-core::KernelVariant variant_of(int idx) {
-  GAPSP_CHECK(idx >= 0 && idx < core::kNumKernelVariants,
-              "variant index out of range");
-  return kAllVariants[idx];
-}
+constexpr core::KernelVariant kVariants[] = {core::KernelVariant::kNaive,
+                                             core::KernelVariant::kSimd};
 
 void BM_MinPlusVariant(benchmark::State& state) {
   // Microkernel variant sweep: the ratio between rows (same size) is the
-  // cache/register-blocking payoff, independent of the thread pool.
-  const core::KernelVariant v = variant_of(static_cast<int>(state.range(0)));
+  // vector register-tile payoff, independent of the thread pool.
+  const core::KernelVariant v = kVariants[state.range(0)];
   const vidx_t n = static_cast<vidx_t>(state.range(1));
   auto a = random_tile(n, 1), b = random_tile(n, 2), c = random_tile(n, 3);
   for (auto _ : state) {
@@ -96,21 +87,17 @@ void BM_MinPlusVariant(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * static_cast<long long>(n) *
                           n * n);
 }
-BENCHMARK(BM_MinPlusVariant)
-    ->ArgsProduct({{0, 1, 2, 3, 4}, {64, 128, 256}});
+BENCHMARK(BM_MinPlusVariant)->ArgsProduct({{0, 1}, {64, 128, 256}});
 
 void BM_BlockedFwVariantThreads(benchmark::State& state) {
   // The full simulated blocked-FW path (diag / panels / update grid
   // launches) under an explicit variant × grid-thread setting. Results and
   // the simulated timeline are identical across all rows; only host
   // wall-clock moves.
-  const core::KernelVariant v = variant_of(static_cast<int>(state.range(0)));
+  const core::KernelVariant v = kVariants[state.range(0)];
   const int threads = static_cast<int>(state.range(1));
   const vidx_t n = 512;
-  core::KernelConfig cfg;
-  cfg.variant = v;
-  cfg.threads = threads;
-  core::set_kernel_config(cfg);
+  core::set_kernel_variant(v);
   const auto original = random_tile(n, 5);
   for (auto _ : state) {
     sim::Device dev(sim::DeviceSpec::v100_scaled(std::size_t{64} << 20));
@@ -125,10 +112,9 @@ void BM_BlockedFwVariantThreads(benchmark::State& state) {
                  std::to_string(threads));
   state.SetItemsProcessed(state.iterations() * 2 * static_cast<long long>(n) *
                           n * n);
-  core::set_kernel_config(core::KernelConfig{});
+  core::set_kernel_variant(core::KernelVariant::kAuto);
 }
-BENCHMARK(BM_BlockedFwVariantThreads)
-    ->ArgsProduct({{0, 1, 2, 3, 4}, {1, 0}});
+BENCHMARK(BM_BlockedFwVariantThreads)->ArgsProduct({{0, 1}, {1, 0}});
 
 void BM_DijkstraRoad(benchmark::State& state) {
   const auto g = graph::make_road(40, 40, 5);
@@ -202,27 +188,31 @@ double best_of(int reps, const std::function<double()>& run) {
   return best;
 }
 
-/// Kernel-engine ablation: microkernel alone (n=256) and the full blocked-FW
-/// launch path (n=512) for the selected variant × thread settings. Returns
-/// the rows and prints the table.
-std::vector<AblationRow> run_ablation(
-    const std::vector<core::KernelVariant>& variants) {
+/// Kernel-engine ablation: microkernel alone (n=64, the device tile blocked
+/// FW launches, and n=256) and the full blocked-FW launch path (n=512) for
+/// each variant × thread setting. Returns the rows and prints the table.
+std::vector<AblationRow> run_ablation() {
   using clock = std::chrono::steady_clock;
   std::vector<AblationRow> rows;
   const std::size_t pool = ThreadPool::global().size();
 
   // ---- microkernel, serial (variant effect in isolation) ----
-  {
-    const vidx_t n = 256;
+  for (const vidx_t n : {vidx_t{64}, vidx_t{256}}) {
+    // Each sample covers (256/n)³ calls, so a 64³ tile is timed over a span
+    // as long as one 256³ call instead of at the clock's noise floor.
+    const int calls = (256 / n) * (256 / n) * (256 / n);
     auto a = random_tile(n, 1), b = random_tile(n, 2), c0 = random_tile(n, 3);
-    for (const core::KernelVariant v : variants) {
+    for (const core::KernelVariant v : kVariants) {
       auto c = c0;
       const double s = best_of(5, [&] {
         c = c0;
         const auto t0 = clock::now();
-        core::minplus_accum_variant(v, c.data(), n, a.data(), n, b.data(), n,
-                                    n, n, n);
-        return std::chrono::duration<double>(clock::now() - t0).count();
+        for (int i = 0; i < calls; ++i) {
+          core::minplus_accum_variant(v, c.data(), n, a.data(), n, b.data(),
+                                      n, n, n, n);
+        }
+        return std::chrono::duration<double>(clock::now() - t0).count() /
+               calls;
       });
       rows.push_back({"minplus", core::kernel_variant_name(v), 1, n, s,
                       2.0 * n * n * n / s / 1e9});
@@ -233,12 +223,9 @@ std::vector<AblationRow> run_ablation(
   {
     const vidx_t n = 512;
     const auto original = random_tile(n, 5);
-    for (const core::KernelVariant v : variants) {
+    for (const core::KernelVariant v : kVariants) {
       for (const int threads : {1, 0}) {
-        core::KernelConfig cfg;
-        cfg.variant = v;
-        cfg.threads = threads;
-        core::set_kernel_config(cfg);
+        core::set_kernel_variant(v);
         const double s = best_of(3, [&] {
           sim::Device dev(
               sim::DeviceSpec::v100_scaled(std::size_t{64} << 20));
@@ -255,26 +242,25 @@ std::vector<AblationRow> run_ablation(
                         2.0 * n * n * n / s / 1e9});
       }
     }
-    core::set_kernel_config(core::KernelConfig{});
+    core::set_kernel_variant(core::KernelVariant::kAuto);
   }
 
   std::cout << "kernel engine ablation (pool: " << pool << " threads, "
             << core::simd_lane_isa() << " lanes)\n"
-            << "kernel       variant    threads       n      ms    GOP/s\n";
+            << "kernel       variant    threads       n       ms    GOP/s\n";
   for (const auto& r : rows) {
-    std::printf("%-12s %-10s %7d %7d %7.2f %8.2f\n", r.kernel.c_str(),
+    std::printf("%-12s %-10s %7d %7d %8.3f %8.2f\n", r.kernel.c_str(),
                 r.variant.c_str(), r.threads, static_cast<int>(r.n),
                 r.seconds * 1e3, r.gops);
   }
-  const core::KernelVariant winner = core::autotune_kernel_variant();
-  std::cout << "autotuner winner: " << core::kernel_variant_name(winner)
-            << " (" << core::kernel_variant_rel_speed(winner)
-            << "x vs naive on the tuning shape)\n";
+  const core::KernelVariant resolved = core::autotune_kernel_variant();
+  std::cout << "auto resolves to: " << core::kernel_variant_name(resolved)
+            << " (" << core::kernel_variant_rel_speed(resolved)
+            << "x vs naive on the 128^3 shape)\n";
   return rows;
 }
 
-/// Best serial blocked-FW seconds of `variant` among the rows; 0 when the
-/// ablation did not run it.
+/// Serial blocked-FW seconds of `variant` among the rows.
 double serial_fw_seconds(const std::vector<AblationRow>& rows,
                          const std::string& variant) {
   for (const auto& r : rows) {
@@ -306,11 +292,6 @@ int main(int argc, char** argv) {
   bool ablation = false;
   double min_speedup = 0.0;
   double simd_speedup = 0.0;
-  // Default: every concrete variant (the ablation never skips one silently;
-  // narrowing the sweep takes an explicit, validated filter).
-  std::vector<core::KernelVariant> variants(kAllVariants,
-                                            kAllVariants +
-                                                core::kNumKernelVariants);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--ablation") == 0) ablation = true;
     if (std::strncmp(argv[i], "--assert-min-speedup=", 21) == 0) {
@@ -321,43 +302,21 @@ int main(int argc, char** argv) {
       ablation = true;
       simd_speedup = std::stod(argv[i] + 22);
     }
-    if (std::strncmp(argv[i], "--kernel-variant=", 17) == 0) {
-      ablation = true;
-      variants.clear();
-      std::string list(argv[i] + 17);
-      std::size_t pos = 0;
-      while (pos <= list.size()) {
-        const std::size_t comma = std::min(list.find(',', pos), list.size());
-        const std::string name = list.substr(pos, comma - pos);
-        pos = comma + 1;
-        try {
-          const core::KernelVariant v = core::parse_kernel_variant(name);
-          if (v == core::KernelVariant::kAuto) {
-            throw Error("'auto' is not an explicit ablation variant");
-          }
-          variants.push_back(v);
-        } catch (const Error& e) {
-          std::cerr << "bench_micro_kernels: bad --kernel-variant: "
-                    << e.what() << "\n";
-          return 2;
-        }
-      }
-    }
   }
   if (ablation) {
-    const auto rows = run_ablation(variants);
+    const auto rows = run_ablation();
     write_json(rows, "BENCH_kernels.json");
     if (min_speedup > 0.0) {
-      // Guard: the best tiled blocked-FW configuration must beat the naive
+      // Guard: the best simd blocked-FW configuration must beat the naive
       // serial one by at least the requested factor.
-      double naive_serial = 0.0, best_tiled = 1e300;
+      double best_simd = 1e300;
       for (const auto& r : rows) {
-        if (r.kernel != "blocked_fw") continue;
-        if (r.variant == "naive" && r.threads == 1) naive_serial = r.seconds;
-        if (r.variant != "naive") best_tiled = std::min(best_tiled, r.seconds);
+        if (r.kernel == "blocked_fw" && r.variant == "simd") {
+          best_simd = std::min(best_simd, r.seconds);
+        }
       }
-      const double speedup = naive_serial / best_tiled;
-      std::cout << "speedup (best tiled vs naive serial): " << speedup
+      const double speedup = serial_fw_seconds(rows, "naive") / best_simd;
+      std::cout << "speedup (best simd vs naive serial): " << speedup
                 << "x (required >= " << min_speedup << "x)\n";
       if (speedup < min_speedup) {
         std::cerr << "FAILED: kernel engine speedup below threshold\n";
@@ -365,17 +324,12 @@ int main(int argc, char** argv) {
       }
     }
     if (simd_speedup > 0.0) {
-      // Guard: the vector microkernel must beat the scalar register-blocked
-      // one on the serial blocked-FW path (ISSUE 6 acceptance floor).
-      const double reg = serial_fw_seconds(rows, "tiled-reg");
-      const double simd = serial_fw_seconds(rows, "simd");
-      if (reg == 0.0 || simd == 0.0) {
-        std::cerr << "FAILED: --assert-simd-speedup needs both tiled-reg and "
-                     "simd in the ablation sweep\n";
-        return 1;
-      }
-      const double speedup = reg / simd;
-      std::cout << "speedup (simd vs tiled-reg, serial blocked FW): "
+      // Guard: the vector microkernel must beat the scalar oracle on the
+      // serial blocked-FW path, so a build that lost its vector backend
+      // fails here.
+      const double speedup =
+          serial_fw_seconds(rows, "naive") / serial_fw_seconds(rows, "simd");
+      std::cout << "speedup (simd vs naive, serial blocked FW): "
                 << speedup << "x (required >= " << simd_speedup << "x)\n";
       if (speedup < simd_speedup) {
         std::cerr << "FAILED: simd microkernel speedup below threshold\n";

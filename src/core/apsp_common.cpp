@@ -1,6 +1,7 @@
 #include "core/apsp_common.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 namespace gapsp::core {
@@ -34,10 +35,12 @@ void init_weight_matrix(const graph::CsrGraph& g, DistStore& store) {
 }
 
 void configure_kernels(sim::Device& dev, const ApspOptions& opts) {
-  KernelConfig cfg;
-  cfg.variant = opts.kernel_variant;
-  cfg.threads = opts.kernel_threads;
-  set_kernel_config(cfg);
+  // Device::launch_grid and the codec's slice fan-out read any value <= 0 as
+  // "the whole pool", so a negative count would silently mean 0.
+  GAPSP_CHECK(opts.kernel_threads >= 0,
+              "kernel threads must be >= 0 (0 = whole pool), got " +
+                  std::to_string(opts.kernel_threads));
+  set_kernel_variant(opts.kernel_variant);
   dev.set_kernel_threads(opts.kernel_threads);
   dev.note_kernel_variant(kernel_variant_name(resolved_kernel_variant()));
 }

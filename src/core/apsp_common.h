@@ -51,9 +51,10 @@ void init_weight_matrix(const graph::CsrGraph& g, DistStore& store);
 void weight_block(const graph::CsrGraph& g, vidx_t row0, vidx_t col0,
                   vidx_t rows, vidx_t cols, dist_t* dst, std::size_t ld);
 
-/// Applies the kernel-engine options to the process-wide engine config and
+/// Applies the kernel-engine options to the process-wide engine variant and
 /// to `dev` (grid-execution thread count), and records the resolved variant
-/// name in the device metrics. Call once per Device, right after creation.
+/// name in the device metrics. Throws Error on a negative thread count.
+/// Call once per Device, right after creation.
 void configure_kernels(sim::Device& dev, const ApspOptions& opts);
 
 /// Copies the device metrics counters into an ApspMetrics (the algorithm-

@@ -101,14 +101,16 @@ struct ApspOptions {
 
   // ---- kernel engine (DESIGN.md §9) ----
   /// Min-plus microkernel variant run inside the simulated kernels. kAuto
-  /// micro-benchmarks the candidates once per process and caches the winner.
-  /// Every variant produces bit-identical distances; the choice affects host
-  /// wall-clock only, never the simulated timeline.
+  /// runs simd (naive when the CPU lacks the AVX2 the vector kernel was
+  /// built for); kNaive rules the vector kernel out. Both produce
+  /// bit-identical distances; the choice affects host wall-clock only, never
+  /// the simulated timeline.
   KernelVariant kernel_variant = KernelVariant::kAuto;
   /// Host threads executing the blocks of a grid launch (Device::
   /// launch_grid) and the transfer codec's slice frames: 0 = the whole
-  /// global pool, 1 = serial. Purely a wall-clock knob; results and the
-  /// simulated timeline are identical for every setting.
+  /// global pool, 1 = serial; negative is an error. Purely a wall-clock
+  /// knob; results and the simulated timeline are identical for every
+  /// setting.
   int kernel_threads = 0;
 
   // ---- fault injection & recovery ----
@@ -167,7 +169,7 @@ struct ApspMetrics {
   std::size_t pinned_peak_bytes = 0;
 
   /// Microkernel variant the kernel engine actually ran with ("naive" |
-  /// "tiled" | "tiled-reg"; the autotuner's pick when configured auto).
+  /// "simd"; the resolved pick when configured auto).
   std::string kernel_variant;
 
   // Algorithm-specific (0 when not applicable).

@@ -12,8 +12,6 @@
 #include "core/apsp_common.h"  // weight_block
 #include "core/checkpoint.h"   // fnv1a
 #include "core/dist_store.h"
-#include "core/kernel_engine.h"
-#include "core/minplus.h"
 #include "core/ooc_fw.h"
 #include "core/ooc_johnson.h"
 #include "core/transfer_codec.h"
@@ -258,11 +256,11 @@ std::string calibration_cache_key(const ApspOptions& opts) {
   // changes their cost must be part of the key — keying on the device alone
   // would let two configs on the same device silently share stale
   // calibrations (e.g. overlap on/off changes block sizes and hidden
-  // transfer time, the kernel variant changes measured kernel seconds).
+  // transfer time). The kernel variant is not part of it: the probes record
+  // modeled kernel seconds, which no variant changes.
   return opts.device.name + "/" + std::to_string(opts.device.memory_bytes) +
          "/ov" + std::to_string(opts.overlap_transfers ? 1 : 0) + "/bt" +
-         std::to_string(opts.batch_transfers ? 1 : 0) + "/kv" +
-         std::to_string(static_cast<int>(opts.kernel_variant)) + "/qf" +
+         std::to_string(opts.batch_transfers ? 1 : 0) + "/qf" +
          std::to_string(opts.johnson_queue_factor) + "/ft" +
          std::to_string(opts.fw_tile) + "/tc" +
          std::to_string(static_cast<int>(opts.transfer_compression));
@@ -401,25 +399,6 @@ long long calibration_runs() {
   return g_calibration_runs;
 }
 
-namespace {
-
-/// Fills the variant-aware host-side fields of an estimate: `ops` is the
-/// scalar min-plus op count of the algorithm (minplus_ops convention, add +
-/// compare = 2), priced at the autotuner's measured per-element constant for
-/// the variant the run would resolve to. Host wall-clock only — total() and
-/// the selector's ordering stay on the variant-invariant simulated timeline.
-void apply_kernel_variant(CostBreakdown& cost, const ApspOptions& opts,
-                          double ops) {
-  KernelVariant v = opts.kernel_variant;
-  const KernelTuning tuning = kernel_tuning();
-  if (v == KernelVariant::kAuto) v = tuning.winner;
-  cost.kernel_rel_speed = kernel_variant_rel_speed(v);
-  const int idx = kernel_variant_index(v);
-  if (idx >= 0) cost.host_minplus_s = ops * tuning.seconds_per_op[idx];
-}
-
-}  // namespace
-
 CostBreakdown estimate_fw(const graph::CsrGraph& g, const ApspOptions& opts) {
   const Calibration& cal = calibrate(opts);
   const double scale =
@@ -431,9 +410,6 @@ CostBreakdown estimate_fw(const graph::CsrGraph& g, const ApspOptions& opts) {
                         opts.store_bytes_per_element,
                         estimate_transfer_ratio(g, opts));
   cost.overlapped = opts.overlap_transfers;
-  // FW relaxes every (i, k, j) triple once: n³ inner elements.
-  const vidx_t n = g.num_vertices();
-  apply_kernel_variant(cost, opts, minplus_ops(n, n, n));
   return cost;
 }
 
@@ -485,9 +461,6 @@ CostBreakdown estimate_johnson(const graph::CsrGraph& g,
                                            opts.store_bytes_per_element,
                                            estimate_transfer_ratio(g, opts));
   cost.overlapped = opts.overlap_transfers;
-  // Johnson is SSSP-bound, not min-plus-bound: no dense-kernel host term,
-  // but report the resolved variant's relative speed for symmetry.
-  apply_kernel_variant(cost, opts, 0.0);
   return cost;
 }
 
@@ -531,10 +504,6 @@ CostBreakdown estimate_boundary(const graph::CsrGraph& g,
   // Overlap only helps when the batched D2H path is actually in use.
   cost.overlapped = opts.overlap_transfers && opts.batch_transfers &&
                     plan.staging_rows > 0;
-  // boundary_nop counts inner relaxations; ×2 converts to the minplus_ops
-  // add+compare convention the tuning table is priced in.
-  const double b = static_cast<double>(plan.nb) / static_cast<double>(plan.k);
-  apply_kernel_variant(cost, opts, 2.0 * boundary_nop(n, plan.k, b));
   return cost;
 }
 

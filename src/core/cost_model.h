@@ -124,18 +124,6 @@ struct CostBreakdown {
   /// (opts.overlap_transfers): the pipeline hides the shorter leg, so the
   /// total is the longer one instead of the sum.
   bool overlapped = false;
-  /// Host-side wall-clock prediction for the algorithm's min-plus work under
-  /// the kernel variant the run would resolve to: scalar op count × the
-  /// autotuner's measured per-element constant for that variant
-  /// (kernel_tuning(), DESIGN.md §12). The simulated timeline — and thus
-  /// compute_s and total() — is variant-invariant by design; this field is
-  /// what makes the estimate variant-aware without perturbing the selector's
-  /// modeled-device ordering. Zero for algorithms that are not
-  /// min-plus-bound (Johnson) and when the estimate is infeasible.
-  double host_minplus_s = 0.0;
-  /// Measured speed of the resolved variant relative to kNaive on the
-  /// autotune working set (kernel_variant_rel_speed); 1.0 when unmeasured.
-  double kernel_rel_speed = 1.0;
   double total() const {
     return overlapped ? std::max(compute_s, transfer_s)
                       : compute_s + transfer_s;

@@ -1,10 +1,10 @@
-// Kernel engine: cache-blocked / register-blocked / vectorized min-plus
-// microkernel variants with a process-wide configuration and a startup
-// autotuner (DESIGN.md §9, §12). minplus_accum() dispatches through the
-// engine, so every dense kernel — OOC FW panels, boundary dist4 chains, the
-// in-core baseline — picks up the selected variant. All variants are
-// bit-identical: a cell's result is the min over the same candidate set, and
-// integer min is order-independent.
+// Kernel engine: the min-plus microkernel behind minplus_accum() (DESIGN.md
+// §9, §12). Two kernels exist: `naive`, the reference the conformance and
+// fuzz suites compare against, and `simd`, the vector register-tile kernel
+// that kAuto runs. minplus_accum() dispatches through the engine, so every
+// dense kernel — OOC FW panels, boundary dist4 chains, the in-core baseline —
+// picks up the selected kernel. Both are bit-identical: a cell's result is
+// the min over the same candidate set, and integer min is order-independent.
 #pragma once
 
 #include <cstddef>
@@ -15,113 +15,59 @@
 namespace gapsp::core {
 
 enum class KernelVariant {
-  kAuto,      ///< micro-benchmark the candidates once, cache the winner
-  kNaive,     ///< scalar r-k-c triple loop (the pre-engine kernel)
-  kTiled,     ///< k-tiled loops, kInf-row skip hoisted to tile granularity
-  kTiledReg,  ///< kTiled + 4×16 register accumulator block
-  kSimd,      ///< 8×16 lane-vector register tile (AVX2/NEON/autovec)
-  kTensor,    ///< kSimd over a lane-major packed k-panel (fused tiles)
+  kAuto,   ///< kSimd, or kNaive when the CPU fails the vector TU's gate
+  kNaive,  ///< scalar r-k-c triple loop (the reference oracle)
+  kSimd,   ///< 8×16 lane-vector register tile (AVX2/NEON/autovec)
 };
-
-/// Number of concrete (non-kAuto) variants; the autotuner measures all of
-/// them, in enum order, and kernel_variant_index() maps into [0, this).
-inline constexpr int kNumKernelVariants = 5;
 
 const char* kernel_variant_name(KernelVariant v);
 
-/// Dense index of a concrete variant (kNaive = 0 … kTensor = 4); -1 for
-/// kAuto. Used to address KernelTuning::seconds_per_op.
-int kernel_variant_index(KernelVariant v);
-
-/// Parses "auto" | "naive" | "tiled" | "tiled-reg" | "simd" | "tensor";
-/// throws on anything else. Both the CLI and the bench route their
-/// --kernel-variant values through here so an unknown name is an error
-/// everywhere, never a silent skip.
+/// Parses "auto" | "naive" | "simd"; throws on anything else, so an unknown
+/// `--kernel-variant` name is an error, never a silent fallback.
 KernelVariant parse_kernel_variant(const std::string& name);
 
-/// Process-wide kernel engine configuration. `threads` is the grid-parallel
-/// execution width handed to sim::Device::set_kernel_threads by
-/// configure_kernels (0 = whole pool, 1 = serial); it never changes results
-/// or the simulated timeline, only host wall-clock.
-struct KernelConfig {
-  KernelVariant variant = KernelVariant::kAuto;
-  int threads = 0;
-};
-
-void set_kernel_config(const KernelConfig& cfg);
-KernelConfig kernel_config();
+/// Sets the process-wide variant minplus_accum dispatches to (default
+/// kAuto). configure_kernels calls it with ApspOptions::kernel_variant.
+void set_kernel_variant(KernelVariant v);
 
 /// The variant minplus_accum actually runs: the configured one, or — when
-/// configured kAuto — the autotuner's cached winner (tuned once per
-/// process, on first use).
+/// configured kAuto — kSimd, falling back to kNaive when the binary's vector
+/// TU was built for AVX2 and this CPU lacks it. Times nothing, so the pick
+/// is the same in every run on a given host.
 KernelVariant resolved_kernel_variant();
 
-/// Micro-benchmarks the candidate variants on an FW-shaped working set and
-/// returns the fastest (never kAuto). Results of all candidates are
-/// bit-identical, so a timing-noise-dependent winner is still correct.
-/// Also refreshes the process-wide KernelTuning table as a side effect.
+/// Re-measures naive and simd on a 128³ working set for the rel-speed
+/// report and returns resolved_kernel_variant(). The measurement decides
+/// nothing; kernel_variant_rel_speed() reads it.
 KernelVariant autotune_kernel_variant();
 
-/// Host-measured per-variant timings from the autotune working set:
-/// seconds_per_op[kernel_variant_index(v)] is the best-of-reps host seconds
-/// divided by the minplus_ops() of the tuning shape — the per-element
-/// constant the cost model scales by (DESIGN.md §12). Purely host
-/// wall-clock; the simulated timeline never depends on it.
-struct KernelTuning {
-  bool measured = false;
-  KernelVariant winner = KernelVariant::kTiledReg;
-  double seconds_per_op[kNumKernelVariants] = {};
-};
-
-/// Returns the tuning table, measuring it first if this process has not yet
-/// (lazy, thread-safe; one measurement per process unless
-/// autotune_kernel_variant() is called again explicitly).
-KernelTuning kernel_tuning();
-
-/// Measured speed of `v` relative to kNaive on the tuning working set
+/// Measured host speed of `v` relative to kNaive on the 128³ working set
 /// (e.g. 2.0 = half the host time per element). 1.0 for kNaive by
-/// definition; kAuto resolves to the tuned winner first.
+/// definition; kAuto reports the variant it resolves to. Measures once per
+/// process on first use unless autotune_kernel_variant() ran already.
 double kernel_variant_rel_speed(KernelVariant v);
 
 // ---- vector-lane backend introspection (simd_lane.h) ----
 
-/// ISA the simd/tensor kernels were compiled against ("avx2" | "neon" |
-/// "autovec") and its lane width in dist_t elements.
+/// ISA the simd kernel was compiled against ("avx2" | "neon" | "autovec")
+/// and its lane width in dist_t elements.
 const char* simd_lane_isa();
 int simd_lane_width();
-/// True when the simd/tensor TU was built with AVX2 code generation — the
+/// True when the simd TU was built with AVX2 code generation — the
 /// dispatcher then requires runtime AVX2 support (and falls back to the
-/// scalar tiled kernel, bit-identically, when the CPU lacks it).
+/// naive kernel, bit-identically, when the CPU lacks it).
 bool simd_kernels_built_avx2();
 
-// ---- variant-explicit kernels (all compute C = min(C, A ⊗ B)) ----
+// ---- variant-explicit kernels (both compute C = min(C, A ⊗ B)) ----
 
+/// The reference oracle: a plain loop that shares no code with simd.
 void minplus_accum_naive(dist_t* c, std::size_t ldc, const dist_t* a,
                          std::size_t lda, const dist_t* b, std::size_t ldb,
                          vidx_t nr, vidx_t nk, vidx_t nc);
 
-void minplus_accum_tiled(dist_t* c, std::size_t ldc, const dist_t* a,
-                         std::size_t lda, const dist_t* b, std::size_t ldb,
-                         vidx_t nr, vidx_t nk, vidx_t nc);
-
-void minplus_accum_tiled_reg(dist_t* c, std::size_t ldc, const dist_t* a,
-                             std::size_t lda, const dist_t* b,
-                             std::size_t ldb, vidx_t nr, vidx_t nk,
-                             vidx_t nc);
-
-/// Vector register-tile kernel (simd_lane.h backend; requires operands in
-/// [0, kInf] — the invariant every distance matrix here satisfies).
-void minplus_accum_simd(dist_t* c, std::size_t ldc, const dist_t* a,
-                        std::size_t lda, const dist_t* b, std::size_t ldb,
-                        vidx_t nr, vidx_t nk, vidx_t nc);
-
-/// Fused-tile layout kernel: packs each k-panel of B into contiguous
-/// lane-major tiles and runs the batched vector min-plus over them.
-void minplus_accum_tensor(dist_t* c, std::size_t ldc, const dist_t* a,
-                          std::size_t lda, const dist_t* b, std::size_t ldb,
-                          vidx_t nr, vidx_t nk, vidx_t nc);
-
-/// Runs one explicit variant (kAuto resolves first).
+/// Runs one explicit variant (kAuto resolves first). kSimd requires
+/// operands in [0, kInf] — the invariant every distance matrix here
+/// satisfies.
 void minplus_accum_variant(KernelVariant v, dist_t* c, std::size_t ldc,
                            const dist_t* a, std::size_t lda, const dist_t* b,
                            std::size_t ldb, vidx_t nr, vidx_t nk, vidx_t nc);
@@ -129,23 +75,19 @@ void minplus_accum_variant(KernelVariant v, dist_t* c, std::size_t ldc,
 namespace detail {
 
 /// Naive triple loop over a sub-rectangle of rows × [c_lo, c_hi) — the
-/// shared remainder path of the register-blocked and vector kernels.
+/// remainder path of the vector kernel's ragged row and column tails.
 void minplus_scalar_block(dist_t* c, std::size_t ldc, const dist_t* a,
                           std::size_t lda, const dist_t* b, std::size_t ldb,
                           vidx_t r_lo, vidx_t r_hi, vidx_t nk, vidx_t c_lo,
                           vidx_t c_hi);
 
-/// Backend entry points defined in kernel_engine_simd.cpp (possibly built
-/// with AVX2 codegen). Call only through minplus_accum_simd/_tensor, which
-/// apply the runtime CPU gate.
+/// Backend entry point defined in kernel_engine_simd.cpp (possibly built
+/// with AVX2 codegen). Call only through minplus_accum_variant, which
+/// applies the runtime CPU gate.
 void minplus_accum_simd_impl(dist_t* c, std::size_t ldc, const dist_t* a,
                              std::size_t lda, const dist_t* b,
                              std::size_t ldb, vidx_t nr, vidx_t nk,
                              vidx_t nc);
-void minplus_accum_tensor_impl(dist_t* c, std::size_t ldc, const dist_t* a,
-                               std::size_t lda, const dist_t* b,
-                               std::size_t ldb, vidx_t nr, vidx_t nk,
-                               vidx_t nc);
 
 }  // namespace detail
 

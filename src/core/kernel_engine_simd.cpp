@@ -1,14 +1,13 @@
-// Vectorized min-plus microkernels (DESIGN.md §12): the `simd` register-tile
-// kernel and the `tensor` fused-tile-layout kernel, both written against the
-// portable lane API in simd_lane.h. src/core/CMakeLists.txt compiles this
-// translation unit with -mavx2 when the compiler supports it, so the lane
-// backend here may be AVX2 even though the rest of the library is baseline;
-// kernel_engine.cpp gates every call behind a runtime CPU check and falls
-// back to the scalar tiled kernel (bit-identical by contract) on hosts the
-// build outruns. Keep this TU free of global initializers — nothing in it
-// may execute before the gate.
+// Vectorized min-plus microkernel (DESIGN.md §12): the `simd` register-tile
+// kernel, written against the portable lane API in simd_lane.h.
+// src/core/CMakeLists.txt compiles this translation unit with -mavx2 when
+// the compiler supports it, so the lane backend here may be AVX2 even though
+// the rest of the library is baseline; kernel_engine.cpp gates every call
+// behind a runtime CPU check and falls back to the naive kernel
+// (bit-identical by contract) on hosts the build outruns. Keep this TU free
+// of global initializers — nothing in it may execute before the gate.
 //
-// Both kernels require operands in [0, kInf] (every distance matrix in this
+// The kernel requires operands in [0, kInf] (every distance matrix in this
 // system satisfies that: weights are non-negative and sat_add clamps at
 // kInf). Under that precondition kInf needs no per-lane branch: a candidate
 // through an unreachable entry sums to >= kInf without wrapping (kInf is
@@ -16,7 +15,6 @@
 // against an accumulator that never exceeds kInf discards it — exactly what
 // the scalar kernels' `aval >= kInf` skip does, computed branch-free.
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "core/kernel_engine.h"
@@ -25,8 +23,8 @@
 namespace gapsp::core {
 namespace {
 
-/// k-strip granularity of the hoisted liveness skip — matches the scalar
-/// tiled kernel so all-kInf strips cost one scan here too.
+/// k-strip granularity of the hoisted liveness skip: an all-kInf strip
+/// costs one scan instead of a pass over every output column.
 constexpr vidx_t kSimdKTile = 64;
 /// Register tile: 8 output rows × 16 output columns held in lane vectors
 /// across the whole k loop (C read and written once per tile).
@@ -128,82 +126,6 @@ void minplus_accum_simd_impl(dist_t* c, std::size_t ldc, const dist_t* a,
                                  nk, c_main, nc);
   }
   // Rows that do not fill a register tile.
-  detail::minplus_scalar_block(c, ldc, a, lda, b, ldb, r_main, nr, nk, 0,
-                               nc);
-}
-
-void minplus_accum_tensor_impl(dist_t* c, std::size_t ldc, const dist_t* a,
-                               std::size_t lda, const dist_t* b,
-                               std::size_t ldb, vidx_t nr, vidx_t nk,
-                               vidx_t nc) {
-  using lanes::VI32;
-  const vidx_t c_main = nc - nc % kSimdCols;
-  const vidx_t r_main = nr - nr % kSimdRows;
-  const vidx_t num_ctiles = c_main / kSimdCols;
-
-  // Fused-tile B layout: per k-panel, the panel is repacked into contiguous
-  // lane-major tiles — tile t holds its 16 columns for every local k back to
-  // back (one cache line per k at dist_t=4B), so the inner loop streams the
-  // pack buffer sequentially instead of striding ldb between k's. This is
-  // the 3D-tensor recasting of the panel update: a batch of (k × 16) tiles
-  // swept by the same register-tile min-plus. The pack cost (read the panel
-  // once) amortizes over all nr rows.
-  thread_local std::vector<dist_t> pack;
-
-  for (vidx_t k0 = 0; k0 < nk; k0 += kSimdKTile) {
-    const vidx_t k1 = std::min<vidx_t>(nk, k0 + kSimdKTile);
-    const vidx_t kt = k1 - k0;
-    if (num_ctiles > 0) {
-      pack.resize(static_cast<std::size_t>(num_ctiles) * kt * kSimdCols);
-      for (vidx_t k = 0; k < kt; ++k) {
-        const dist_t* brow = b + static_cast<std::size_t>(k0 + k) * ldb;
-        for (vidx_t t = 0; t < num_ctiles; ++t) {
-          std::memcpy(pack.data() +
-                          (static_cast<std::size_t>(t) * kt + k) * kSimdCols,
-                      brow + static_cast<std::size_t>(t) * kSimdCols,
-                      sizeof(dist_t) * kSimdCols);
-        }
-      }
-    }
-    for (vidx_t r = 0; r < r_main; r += kSimdRows) {
-      if (!strip_live(a, lda, r, kSimdRows, k0, k1)) continue;
-      for (vidx_t t = 0; t < num_ctiles; ++t) {
-        const dist_t* ptile =
-            pack.data() + static_cast<std::size_t>(t) * kt * kSimdCols;
-        dist_t* ctile =
-            c + static_cast<std::size_t>(r) * ldc + t * kSimdCols;
-        VI32 acc[kSimdRows][kColVecs];
-        for (int i = 0; i < kSimdRows; ++i) {
-          for (int j = 0; j < kColVecs; ++j) {
-            acc[i][j] = lanes::load(ctile + static_cast<std::size_t>(i) * ldc +
-                                    j * lanes::kWidth);
-          }
-        }
-        for (vidx_t k = 0; k < kt; ++k) {
-          const dist_t* brow = ptile + static_cast<std::size_t>(k) * kSimdCols;
-          for (int j = 0; j < kColVecs; ++j) {
-            const VI32 bv = lanes::load(brow + j * lanes::kWidth);
-            for (int i = 0; i < kSimdRows; ++i) {
-              const VI32 av = lanes::splat(
-                  a[static_cast<std::size_t>(r + i) * lda + k0 + k]);
-              acc[i][j] = lanes::vmin(acc[i][j], lanes::add(av, bv));
-            }
-          }
-        }
-        for (int i = 0; i < kSimdRows; ++i) {
-          for (int j = 0; j < kColVecs; ++j) {
-            lanes::store(ctile + static_cast<std::size_t>(i) * ldc +
-                             j * lanes::kWidth,
-                         acc[i][j]);
-          }
-        }
-      }
-    }
-  }
-  // Ragged tails, full k depth in one pass: columns past the last whole tile
-  // for the blocked rows, then the leftover rows across the full width.
-  detail::minplus_scalar_block(c, ldc, a, lda, b, ldb, 0, r_main, nk, c_main,
-                               nc);
   detail::minplus_scalar_block(c, ldc, a, lda, b, ldb, r_main, nr, nk, 0,
                                nc);
 }

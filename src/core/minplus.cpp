@@ -9,9 +9,9 @@ namespace gapsp::core {
 void minplus_accum(dist_t* c, std::size_t ldc, const dist_t* a,
                    std::size_t lda, const dist_t* b, std::size_t ldb,
                    vidx_t nr, vidx_t nk, vidx_t nc) {
-  // Dispatches through the kernel engine: the configured (or autotuned)
-  // microkernel variant runs here. All variants are bit-identical — they
-  // take the min over the same candidate set and integer min is
+  // Dispatches through the kernel engine: the configured microkernel
+  // variant (simd under kAuto) runs here. Both variants are bit-identical —
+  // they take the min over the same candidate set and integer min is
   // order-independent — so callers never observe which one executed.
   minplus_accum_variant(resolved_kernel_variant(), c, ldc, a, lda, b, ldb,
                         nr, nk, nc);

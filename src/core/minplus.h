@@ -11,8 +11,8 @@ namespace gapsp::core {
 
 /// C = min(C, A ⊗ B) where ⊗ is min-plus product.
 /// C is nr×nc (ldc), A is nr×nk (lda), B is nk×nc (ldb).
-/// Dispatches to the kernel-engine variant selected by set_kernel_config /
-/// the autotuner (see core/kernel_engine.h); every variant is bit-identical.
+/// Dispatches to the kernel-engine variant selected by set_kernel_variant
+/// (see core/kernel_engine.h); both variants are bit-identical.
 void minplus_accum(dist_t* c, std::size_t ldc, const dist_t* a,
                    std::size_t lda, const dist_t* b, std::size_t ldb,
                    vidx_t nr, vidx_t nk, vidx_t nc);

@@ -1,7 +1,8 @@
-// CLI regression tests for the serving-flag validation matrix: contradictory
-// shard/route/chaos combinations must exit 1 with a typed error (not crash,
-// not silently serve the wrong thing), unknown flags exit 2, and the valid
-// single-slice and routed paths exit 0. Drives the real apsp_cli binary.
+// CLI regression tests for the flag validation matrix: contradictory
+// shard/route/chaos combinations and out-of-range kernel settings must exit
+// 1 with a typed error (not crash, not silently serve or solve the wrong
+// thing), unknown flags exit 2, and the valid single-slice and routed paths
+// exit 0. Drives the real apsp_cli binary.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -112,6 +113,25 @@ TEST_F(CliFlags, UnknownFlagsExitTwo) {
   EXPECT_EQ(run_cli(cli, "shard --store-path " + store + " --route local"),
             2);
   EXPECT_EQ(run_cli(cli, "serve --store-path " + store + " --point 0,1"), 2);
+}
+
+TEST_F(CliFlags, BadKernelFlagsExitOne) {
+  // A negative thread count used to run on the whole pool and exit 0.
+  EXPECT_EQ(run_cli(cli, "--generate road:8x8 --kernel-threads -3"), 1);
+  EXPECT_EQ(run_cli(cli, "--generate road:8x8 --algorithm fw "
+                         "--kernel-threads 1"),
+            0);
+  // The deleted microkernels are unknown names like any other.
+  for (const char* v : {"tiled", "tiled-reg", "tensor", "avx9000"}) {
+    EXPECT_EQ(run_cli(cli, std::string("--generate road:8x8 "
+                                       "--kernel-variant ") +
+                               v),
+              1)
+        << v;
+  }
+  EXPECT_EQ(run_cli(cli, "--generate road:8x8 --algorithm fw "
+                         "--kernel-variant naive"),
+            0);
 }
 
 TEST_F(CliFlags, ServeRequiresAShard) {

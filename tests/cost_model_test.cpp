@@ -94,8 +94,8 @@ TEST(Calibration, CachedPerDeviceConfig) {
 
 TEST(Calibration, KeyedOnCostRelevantOptions) {
   // Regression: the cache key was device name + memory only, so flipping
-  // overlap_transfers, the kernel variant, or the Johnson queue factor
-  // returned a calibration measured under the *other* configuration.
+  // overlap_transfers or the Johnson queue factor returned a calibration
+  // measured under the *other* configuration.
   const auto base = model_opts();
   const Calibration& a = calibrate(base);
 
@@ -170,6 +170,35 @@ TEST(Calibration, PersistsNextToTheStoreAndSkipsWarmup) {
   EXPECT_EQ(after.bnd_exponent, before.bnd_exponent);
   EXPECT_EQ(after.c_unit, before.c_unit);
   std::remove(path.c_str());
+}
+
+TEST(Calibration, SharedAcrossKernelVariants) {
+  // The probes record modeled kernel seconds, which no variant changes, so
+  // `--kernel-variant naive` must reuse the calibration (and the sidecar) an
+  // auto run paid for instead of re-running the probes.
+  auto opts = model_opts();
+  opts.device.name = "cal-variant-test";
+  auto naive = opts;
+  naive.kernel_variant = KernelVariant::kNaive;
+  const long long runs = calibration_runs();
+  calibrate(opts);
+  calibrate(naive);
+  EXPECT_EQ(calibration_runs(), runs + 1);
+
+  // A sidecar saved by an auto run seeds a naive run.
+  const std::string path = ::testing::TempDir() + "gapsp_cal_variant.cal";
+  ASSERT_TRUE(save_calibration(opts, path));
+  clear_calibration_cache();
+  EXPECT_TRUE(load_calibration(naive, path));
+  std::remove(path.c_str());
+
+  // Estimates do not depend on the variant either.
+  const auto g = graph::make_erdos_renyi(200, 800, 88);
+  const auto auto_est = estimate_fw(g, opts);
+  const auto naive_est = estimate_fw(g, naive);
+  EXPECT_EQ(naive_est.compute_s, auto_est.compute_s);
+  EXPECT_EQ(naive_est.transfer_s, auto_est.transfer_s);
+  EXPECT_EQ(naive_est.total(), auto_est.total());
 }
 
 TEST(Calibration, SidecarForOtherConfigurationIsIgnored) {
@@ -274,69 +303,6 @@ TEST(Estimates, BoundaryInfeasibleReported) {
   const auto est = estimate_boundary(g, opts);
   EXPECT_FALSE(est.feasible);
   EXPECT_TRUE(std::isinf(est.total()));
-}
-
-TEST(Estimates, HostMinplusTermIsVariantAware) {
-  // The host-side min-plus prediction prices the variant the run would
-  // resolve to: explicit naive costs n³ ops × the naive per-op constant,
-  // and a measured faster variant predicts proportionally less host time.
-  // total() must not move — the selector orders on the variant-invariant
-  // simulated timeline.
-  const auto g = graph::make_erdos_renyi(200, 800, 88);
-  auto naive_opts = model_opts();
-  naive_opts.kernel_variant = KernelVariant::kNaive;
-  const auto naive_est = estimate_fw(g, naive_opts);
-  const KernelTuning tuning = kernel_tuning();
-  const double n = g.num_vertices();
-  EXPECT_DOUBLE_EQ(naive_est.host_minplus_s,
-                   2.0 * n * n * n * tuning.seconds_per_op[0]);
-  EXPECT_DOUBLE_EQ(naive_est.kernel_rel_speed, 1.0);
-
-  for (const KernelVariant v :
-       {KernelVariant::kTiledReg, KernelVariant::kSimd,
-        KernelVariant::kTensor}) {
-    auto opts = model_opts();
-    opts.kernel_variant = v;
-    const auto est = estimate_fw(g, opts);
-    EXPECT_DOUBLE_EQ(est.kernel_rel_speed, kernel_variant_rel_speed(v));
-    EXPECT_NEAR(est.host_minplus_s * est.kernel_rel_speed,
-                naive_est.host_minplus_s, naive_est.host_minplus_s * 1e-9);
-    // The simulated-timeline estimate is identical across variants, so the
-    // selector's ordering cannot be perturbed by host kernel speed.
-    EXPECT_DOUBLE_EQ(est.compute_s, naive_est.compute_s);
-  }
-}
-
-TEST(Estimates, AutoVariantPricesTheTunedWinner) {
-  const auto g = graph::make_erdos_renyi(150, 600, 89);
-  auto opts = model_opts();
-  opts.kernel_variant = KernelVariant::kAuto;
-  const auto est = estimate_fw(g, opts);
-  const KernelTuning tuning = kernel_tuning();
-  auto explicit_opts = model_opts();
-  explicit_opts.kernel_variant = tuning.winner;
-  const auto want = estimate_fw(g, explicit_opts);
-  EXPECT_DOUBLE_EQ(est.host_minplus_s, want.host_minplus_s);
-  EXPECT_DOUBLE_EQ(est.kernel_rel_speed, want.kernel_rel_speed);
-}
-
-TEST(Estimates, JohnsonHasNoHostMinplusTerm) {
-  const auto g = graph::make_mesh(400, 12, 90);
-  auto opts = model_opts();
-  opts.kernel_variant = KernelVariant::kSimd;
-  const auto est = estimate_johnson(g, opts, 3);
-  EXPECT_DOUBLE_EQ(est.host_minplus_s, 0.0);
-  EXPECT_DOUBLE_EQ(est.kernel_rel_speed,
-                   kernel_variant_rel_speed(KernelVariant::kSimd));
-}
-
-TEST(Estimates, BoundaryHostTermTracksOperationCount) {
-  const auto opts = model_opts();
-  const auto g = graph::make_road(20, 20, 91);
-  const auto est = estimate_boundary(g, opts);
-  ASSERT_TRUE(est.feasible);
-  EXPECT_GT(est.host_minplus_s, 0.0);
-  EXPECT_GT(est.kernel_rel_speed, 0.0);
 }
 
 TEST(Estimates, JohnsonSamplingUsesFewBatches) {

@@ -1,11 +1,11 @@
-// Differential kernel-conformance harness (ISSUE 6): every registered
-// min-plus microkernel variant must be bit-identical to kNaive — same
+// Differential kernel-conformance harness: the simd min-plus microkernel
+// must be bit-identical to kNaive — same
 // distances for every cell, no tolerance — across a corpus chosen to hit the
 // places vector kernels break: ragged tails at every blocking boundary,
 // kInf-dense strips (the hoisted liveness skip must not change results),
 // aliased closed-operand panel forms (the FW call sites), and plain directed
 // asymmetry. The contract closes end-to-end with full solve_apsp parity,
-// including under a chaos fault schedule: variants may only move host
+// including under a chaos fault schedule: the variant may only move host
 // wall-clock, never distances, the simulated timeline, or the fault/retry
 // sequence.
 #include <gtest/gtest.h>
@@ -36,15 +36,13 @@ using test::tiny_device;
 
 /// Every concrete variant that is not the oracle.
 const std::vector<KernelVariant>& non_naive_variants() {
-  static const std::vector<KernelVariant> v{
-      KernelVariant::kTiled, KernelVariant::kTiledReg, KernelVariant::kSimd,
-      KernelVariant::kTensor};
+  static const std::vector<KernelVariant> v{KernelVariant::kSimd};
   return v;
 }
 
 class KernelConformance : public ::testing::Test {
  protected:
-  void TearDown() override { set_kernel_config(KernelConfig{}); }
+  void TearDown() override { set_kernel_variant(KernelVariant::kAuto); }
 };
 
 std::vector<dist_t> random_matrix(vidx_t rows, vidx_t cols,
@@ -79,9 +77,9 @@ void expect_all_variants_match(const std::vector<dist_t>& a,
 
 TEST_F(KernelConformance, RandomizedRaggedCorpus) {
   // Shapes straddle every blocking boundary in play: the 8-row / 16-column
-  // vector register tile, the lane width, the 64-wide k tile, and the
-  // scalar kernels' 4×16 block — plus asymmetric nr/nk/nc so row, column
-  // and depth tails all appear, separately and together. Random directed
+  // vector register tile, the lane width and the 64-wide k tile — plus
+  // asymmetric nr/nk/nc so row, column and depth tails all appear,
+  // separately and together. Random directed
   // weights are asymmetric by construction (d(i,j) independent of d(j,i)).
   const vidx_t sizes[] = {1, 2, 7, 8, 9, 15, 17, 31, 64, 65, 97};
   int case_no = 0;
@@ -129,7 +127,7 @@ TEST_F(KernelConformance, AliasedClosedOperandForms) {
   // The FW panel forms run the product in place: row-panel P = min(P, D⊗P)
   // (C aliases B) and col-panel P = min(P, P⊗D) (C aliases A), with D the
   // transitively closed diagonal block. Closure makes every read
-  // interleaving — including tensor's pack-then-sweep and the deferred
+  // interleaving — including the register tile's deferred stores and the
   // scalar tails — converge to the same entrywise min (DESIGN.md §9), so
   // bit-identicality must hold here exactly as in the unaliased case.
   const vidx_t n = 150;  // ragged against every tile width in play
@@ -165,16 +163,11 @@ TEST_F(KernelConformance, AliasedClosedOperandForms) {
 }
 
 TEST_F(KernelConformance, TuningTableCoversEveryVariant) {
-  const KernelTuning tuning = kernel_tuning();
-  EXPECT_TRUE(tuning.measured);
-  EXPECT_NE(tuning.winner, KernelVariant::kAuto);
-  for (int i = 0; i < kNumKernelVariants; ++i) {
-    EXPECT_GT(tuning.seconds_per_op[i], 0.0) << "variant index " << i;
-  }
   EXPECT_DOUBLE_EQ(kernel_variant_rel_speed(KernelVariant::kNaive), 1.0);
-  // kAuto prices as the winner it resolves to.
+  EXPECT_GT(kernel_variant_rel_speed(KernelVariant::kSimd), 0.0);
+  // kAuto reports the variant it resolves to.
   EXPECT_DOUBLE_EQ(kernel_variant_rel_speed(KernelVariant::kAuto),
-                   kernel_variant_rel_speed(tuning.winner));
+                   kernel_variant_rel_speed(resolved_kernel_variant()));
 }
 
 TEST_F(KernelConformance, LaneBackendReportsSanely) {
@@ -200,7 +193,7 @@ void expect_stores_identical(const DistStore& sa, const DistStore& sb) {
 
 class SolveConformance : public ::testing::TestWithParam<Algorithm> {
  protected:
-  void TearDown() override { set_kernel_config(KernelConfig{}); }
+  void TearDown() override { set_kernel_variant(KernelVariant::kAuto); }
 };
 
 TEST_P(SolveConformance, FullSolveParityForVectorVariants) {
@@ -215,8 +208,7 @@ TEST_P(SolveConformance, FullSolveParityForVectorVariants) {
   const auto base = solve_apsp(g, opts, *s_base);
   expect_store_matches_reference(g, *s_base, base);
 
-  for (const KernelVariant v :
-       {KernelVariant::kSimd, KernelVariant::kTensor}) {
+  for (const KernelVariant v : non_naive_variants()) {
     for (const int threads : {1, 0}) {
       ApspOptions alt = opts;
       alt.kernel_variant = v;
@@ -235,8 +227,8 @@ TEST_P(SolveConformance, FullSolveParityForVectorVariants) {
 TEST_P(SolveConformance, ChaosScheduleParityForVectorVariants) {
   // Faults gate at launch granularity, before kernel bodies run: an
   // identical launch sequence implies an identical fault/retry schedule, so
-  // swapping in the vector microkernels must reproduce the whole chaotic
-  // run bit-for-bit.
+  // swapping in the vector microkernel must reproduce the whole chaotic run
+  // bit-for-bit.
   const auto g = graph::make_erdos_renyi(130, 700, 52);
   ApspOptions opts;
   opts.device = tiny_device(256u << 10);
@@ -254,8 +246,7 @@ TEST_P(SolveConformance, ChaosScheduleParityForVectorVariants) {
   auto s_base = make_ram_store(g.num_vertices());
   const auto base = solve_apsp(g, opts, *s_base);
 
-  for (const KernelVariant v :
-       {KernelVariant::kSimd, KernelVariant::kTensor}) {
+  for (const KernelVariant v : non_naive_variants()) {
     ApspOptions alt = opts;
     alt.kernel_variant = v;
     alt.kernel_threads = 0;

@@ -1,7 +1,7 @@
 // Kernel-engine equivalence suite (DESIGN.md §9).
 //
-// The contract under test: every microkernel variant and every grid-
-// execution thread setting produces bit-identical distances AND an
+// The contract under test: both microkernel variants (naive, simd) and every
+// grid-execution thread setting produce bit-identical distances AND an
 // identical simulated timeline. The kernel engine is a host wall-clock
 // optimization only — nothing observable through the simulator may move.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "core/apsp.h"
 #include "core/device_kernels.h"
 #include "core/kernel_engine.h"
+#include "core/minplus.h"
 #include "graph/generators.h"
 #include "sim/trace.h"
 #include "test_util.h"
@@ -33,10 +34,10 @@ using test::tiny_device;
   return true;
 }();
 
-/// Every test leaves the process-wide engine config at its default.
+/// Every test leaves the process-wide engine variant at its default.
 class KernelEngineTest : public ::testing::Test {
  protected:
-  void TearDown() override { set_kernel_config(KernelConfig{}); }
+  void TearDown() override { set_kernel_variant(KernelVariant::kAuto); }
 };
 
 std::vector<dist_t> random_matrix(vidx_t rows, vidx_t cols,
@@ -52,11 +53,13 @@ std::vector<dist_t> random_matrix(vidx_t rows, vidx_t cols,
 
 TEST_F(KernelEngineTest, VariantNamesRoundTrip) {
   for (const KernelVariant v :
-       {KernelVariant::kAuto, KernelVariant::kNaive, KernelVariant::kTiled,
-        KernelVariant::kTiledReg, KernelVariant::kSimd,
-        KernelVariant::kTensor}) {
+       {KernelVariant::kAuto, KernelVariant::kNaive, KernelVariant::kSimd}) {
     EXPECT_EQ(parse_kernel_variant(kernel_variant_name(v)), v);
   }
+  // The deleted microkernels are unknown names like any other.
+  EXPECT_THROW(parse_kernel_variant("tiled"), Error);
+  EXPECT_THROW(parse_kernel_variant("tiled-reg"), Error);
+  EXPECT_THROW(parse_kernel_variant("tensor"), Error);
   EXPECT_THROW(parse_kernel_variant("simd8"), Error);
   EXPECT_THROW(parse_kernel_variant("SIMD"), Error);
   EXPECT_THROW(parse_kernel_variant(""), Error);
@@ -66,9 +69,45 @@ TEST_F(KernelEngineTest, AutotunePicksConcreteVariant) {
   const KernelVariant v = autotune_kernel_variant();
   EXPECT_NE(v, KernelVariant::kAuto);
   // With the default (auto) config, dispatch must resolve to a concrete
-  // variant as well, and cache it.
+  // variant as well, the same one every time.
   EXPECT_NE(resolved_kernel_variant(), KernelVariant::kAuto);
   EXPECT_EQ(resolved_kernel_variant(), resolved_kernel_variant());
+}
+
+/// The engine's CPU gate, restated: the vector TU runs unless it was built
+/// for AVX2 and this x86 CPU lacks it.
+bool host_passes_cpu_gate() {
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  return !simd_kernels_built_avx2() || __builtin_cpu_supports("avx2");
+#else
+  return true;
+#endif
+}
+
+TEST_F(KernelEngineTest, AutoResolvesToSimdWithoutARace) {
+  // kAuto is a fixed pick, not a timing race: simd wherever the vector TU
+  // can run, and re-measuring never moves it.
+  const KernelVariant want =
+      host_passes_cpu_gate() ? KernelVariant::kSimd : KernelVariant::kNaive;
+  EXPECT_EQ(resolved_kernel_variant(), want);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(autotune_kernel_variant(), want);
+    EXPECT_EQ(resolved_kernel_variant(), want);
+  }
+
+  // An explicit naive setting is what minplus_accum dispatches on, and the
+  // rel-speed report follows it.
+  set_kernel_variant(KernelVariant::kNaive);
+  EXPECT_EQ(resolved_kernel_variant(), KernelVariant::kNaive);
+  EXPECT_DOUBLE_EQ(kernel_variant_rel_speed(KernelVariant::kAuto), 1.0);
+  const vidx_t n = 70;
+  const auto a = random_matrix(n, n, 61, 0.2);
+  const auto b = random_matrix(n, n, 62, 0.2);
+  auto want_c = random_matrix(n, n, 63, 0.1);
+  auto got_c = want_c;
+  minplus_accum_naive(want_c.data(), n, a.data(), n, b.data(), n, n, n, n);
+  minplus_accum(got_c.data(), n, a.data(), n, b.data(), n, n, n, n);
+  EXPECT_EQ(got_c, want_c);
 }
 
 TEST_F(KernelEngineTest, AllVariantsBitIdenticalToNaive) {
@@ -88,15 +127,11 @@ TEST_F(KernelEngineTest, AllVariantsBitIdenticalToNaive) {
           auto want = c0;
           minplus_accum_naive(want.data(), nc, a.data(), nk, b.data(), nc,
                               nr, nk, nc);
-          for (const KernelVariant v :
-               {KernelVariant::kTiled, KernelVariant::kTiledReg}) {
-            auto got = c0;
-            minplus_accum_variant(v, got.data(), nc, a.data(), nk, b.data(),
-                                  nc, nr, nk, nc);
-            ASSERT_EQ(got, want)
-                << kernel_variant_name(v) << " diverges at " << nr << "x"
-                << nk << "x" << nc << " p_inf=" << p_inf;
-          }
+          auto got = c0;
+          minplus_accum_variant(KernelVariant::kSimd, got.data(), nc,
+                                a.data(), nk, b.data(), nc, nr, nk, nc);
+          ASSERT_EQ(got, want) << "simd diverges at " << nr << "x" << nk
+                               << "x" << nc << " p_inf=" << p_inf;
         }
       }
     }
@@ -153,10 +188,7 @@ struct DevRun {
 };
 
 DevRun run_dev_minplus(KernelVariant v, int threads, int alias) {
-  KernelConfig cfg;
-  cfg.variant = v;
-  cfg.threads = threads;
-  set_kernel_config(cfg);
+  set_kernel_variant(v);
   const vidx_t n = 150;  // ragged against the 64-wide device tile
   sim::Device dev(tiny_device(8u << 20));
   dev.set_kernel_threads(threads);
@@ -192,9 +224,7 @@ TEST_F(KernelEngineTest, DevMinplusIdenticalAcrossVariantsAndThreads) {
   for (int alias = 0; alias < 4; ++alias) {
     const DevRun base = run_dev_minplus(KernelVariant::kNaive, 1, alias);
     for (const KernelVariant v :
-         {KernelVariant::kNaive, KernelVariant::kTiled,
-          KernelVariant::kTiledReg, KernelVariant::kSimd,
-          KernelVariant::kTensor}) {
+         {KernelVariant::kNaive, KernelVariant::kSimd}) {
       for (const int threads : {1, 2, 0}) {
         const DevRun r = run_dev_minplus(v, threads, alias);
         ASSERT_EQ(r.result, base.result)
@@ -209,10 +239,7 @@ TEST_F(KernelEngineTest, DevMinplusIdenticalAcrossVariantsAndThreads) {
 }
 
 DevRun run_blocked_fw(KernelVariant v, int threads) {
-  KernelConfig cfg;
-  cfg.variant = v;
-  cfg.threads = threads;
-  set_kernel_config(cfg);
+  set_kernel_variant(v);
   const vidx_t n = 200;  // 4 ragged tiles per side at tile 64
   sim::Device dev(tiny_device(8u << 20));
   dev.set_kernel_threads(threads);
@@ -229,10 +256,7 @@ DevRun run_blocked_fw(KernelVariant v, int threads) {
 
 TEST_F(KernelEngineTest, BlockedFwIdenticalAcrossVariantsAndThreads) {
   const DevRun base = run_blocked_fw(KernelVariant::kNaive, 1);
-  for (const KernelVariant v :
-       {KernelVariant::kNaive, KernelVariant::kTiled,
-        KernelVariant::kTiledReg, KernelVariant::kSimd,
-        KernelVariant::kTensor}) {
+  for (const KernelVariant v : {KernelVariant::kNaive, KernelVariant::kSimd}) {
     for (const int threads : {1, 2, 0}) {
       const DevRun r = run_blocked_fw(v, threads);
       ASSERT_EQ(r.result, base.result)
@@ -260,7 +284,7 @@ void expect_stores_identical(const DistStore& sa, const DistStore& sb) {
 
 class SolveParity : public ::testing::TestWithParam<Algorithm> {
  protected:
-  void TearDown() override { set_kernel_config(KernelConfig{}); }
+  void TearDown() override { set_kernel_variant(KernelVariant::kAuto); }
 };
 
 TEST_P(SolveParity, FullSolveIdenticalAcrossEngineSettings) {
@@ -278,20 +302,17 @@ TEST_P(SolveParity, FullSolveIdenticalAcrossEngineSettings) {
     EXPECT_EQ(base.metrics.kernel_variant, "naive");
     expect_store_matches_reference(*g, *s_base, base);
 
-    for (const KernelVariant v :
-         {KernelVariant::kTiled, KernelVariant::kTiledReg}) {
-      for (const int threads : {1, 0}) {
-        ApspOptions alt = opts;
-        alt.kernel_variant = v;
-        alt.kernel_threads = threads;
-        auto s_alt = make_ram_store(g->num_vertices());
-        const auto r = solve_apsp(*g, alt, *s_alt);
-        ASSERT_EQ(r.perm, base.perm);
-        EXPECT_DOUBLE_EQ(r.metrics.sim_seconds, base.metrics.sim_seconds);
-        EXPECT_EQ(r.metrics.kernels, base.metrics.kernels);
-        EXPECT_EQ(r.metrics.kernel_variant, kernel_variant_name(v));
-        expect_stores_identical(*s_base, *s_alt);
-      }
+    for (const int threads : {1, 0}) {
+      ApspOptions alt = opts;
+      alt.kernel_variant = KernelVariant::kSimd;
+      alt.kernel_threads = threads;
+      auto s_alt = make_ram_store(g->num_vertices());
+      const auto r = solve_apsp(*g, alt, *s_alt);
+      ASSERT_EQ(r.perm, base.perm);
+      EXPECT_DOUBLE_EQ(r.metrics.sim_seconds, base.metrics.sim_seconds);
+      EXPECT_EQ(r.metrics.kernels, base.metrics.kernels);
+      EXPECT_EQ(r.metrics.kernel_variant, "simd");
+      expect_stores_identical(*s_base, *s_alt);
     }
   }
 }
@@ -318,7 +339,7 @@ TEST_P(SolveParity, ChaosScheduleIdenticalAcrossEngineSettings) {
   const auto base = solve_apsp(g, opts, *s_base);
 
   ApspOptions alt = opts;
-  alt.kernel_variant = KernelVariant::kTiledReg;
+  alt.kernel_variant = KernelVariant::kSimd;
   alt.kernel_threads = 0;
   auto s_alt = make_ram_store(g.num_vertices());
   const auto r = solve_apsp(g, alt, *s_alt);

@@ -50,12 +50,13 @@
 //   --stats                 print graph statistics and exit
 //
 // Kernel engine (see DESIGN.md §9):
-//   --kernel-variant V      auto | naive | tiled | tiled-reg | simd | tensor
-//                           min-plus microkernel (auto benchmarks once and
-//                           caches; unknown names are an error)
+//   --kernel-variant V      auto | naive | simd   min-plus microkernel (auto
+//                           = simd, or naive on a CPU without AVX2; naive
+//                           rules the vector kernel out of a wrong answer;
+//                           unknown names are an error)
 //   --kernel-threads N      host threads for grid-parallel kernels and the
 //                           transfer codec's slice frames (0 = whole pool,
-//                           1 = serial); never changes
+//                           1 = serial; negative is an error); never changes
 //                           results or simulated time, only wall-clock
 //
 // Fault injection & recovery (see DESIGN.md §8):
@@ -1249,17 +1250,12 @@ int run(const Args& args) {
                             ? std::string("pooled")
                             : std::to_string(opts.kernel_threads) +
                                   "-thread")
-              << " grid execution";
-    const core::KernelTuning tuning = core::kernel_tuning();
-    if (tuning.measured) {
-      std::cout << " (" << core::simd_lane_isa() << " lanes, "
-                << std::fixed << std::setprecision(2)
-                << core::kernel_variant_rel_speed(
-                       core::parse_kernel_variant(r.metrics.kernel_variant))
-                << "x vs naive)";
-      std::cout.unsetf(std::ios::fixed);
-    }
-    std::cout << "\n";
+              << " grid execution (" << core::simd_lane_isa() << " lanes, "
+              << std::fixed << std::setprecision(2)
+              << core::kernel_variant_rel_speed(
+                     core::parse_kernel_variant(r.metrics.kernel_variant))
+              << "x vs naive)\n";
+    std::cout.unsetf(std::ios::fixed);
   }
   if (r.metrics.johnson_batch_size > 0) {
     std::cout << "johnson: bat=" << r.metrics.johnson_batch_size << ", "
