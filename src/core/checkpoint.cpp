@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "core/compressed_store.h"
+#include "util/file_io.h"
 
 namespace gapsp::core {
 namespace {
@@ -30,38 +31,14 @@ struct Header {
 };
 static_assert(sizeof(Header) == 64, "sidecar header layout drifted");
 
-/// RAII stdio handle so error paths cannot leak the descriptor.
-struct File {
-  std::FILE* f = nullptr;
-  explicit File(std::FILE* f) : f(f) {}
-  ~File() {
-    if (f != nullptr) std::fclose(f);
-  }
-  std::FILE* release() {
-    std::FILE* out = f;
-    f = nullptr;
-    return out;
-  }
-};
-
 }  // namespace
-
-std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 std::uint64_t graph_fingerprint(const graph::CsrGraph& g) {
   const std::int64_t shape[2] = {g.num_vertices(), g.num_edges()};
-  std::uint64_t h = fnv1a(shape, sizeof(shape));
-  h = fnv1a(g.offsets().data(), g.offsets().size_bytes(), h);
-  h = fnv1a(g.targets().data(), g.targets().size_bytes(), h);
-  h = fnv1a(g.edge_weights().data(), g.edge_weights().size_bytes(), h);
+  std::uint64_t h = util::fnv1a(shape, sizeof(shape));
+  h = util::fnv1a(g.offsets().data(), g.offsets().size_bytes(), h);
+  h = util::fnv1a(g.targets().data(), g.targets().size_bytes(), h);
+  h = util::fnv1a(g.edge_weights().data(), g.edge_weights().size_bytes(), h);
   return h;
 }
 
@@ -88,74 +65,51 @@ void write_checkpoint(const std::string& path, const Checkpoint& ck) {
   h.payload_bytes = body->size();
   // Content checksum over header+payload so a torn write is detected on
   // read instead of resuming from garbage progress.
-  std::uint64_t sum = fnv1a(&h, sizeof(h));
-  if (!body->empty()) {
-    sum = fnv1a(body->data(), body->size(), sum);
-  }
+  const std::uint64_t sum = util::fnv1a(
+      body->data(), body->size(), util::fnv1a(&h, sizeof(h)));
 
-  // Write to a sibling tmp file, then rename: the sidecar at `path` is
-  // either the previous complete checkpoint or the new complete one, never
-  // a partial write (a crash mid-checkpoint must not poison resume).
-  const std::string tmp = path + ".tmp";
-  File file(std::fopen(tmp.c_str(), "wb"));
-  if (file.f == nullptr) {
-    throw IoError("checkpoint: cannot open " + tmp + " for writing");
-  }
-  bool ok = std::fwrite(&h, sizeof(h), 1, file.f) == 1;
-  if (ok && !body->empty()) {
-    ok = std::fwrite(body->data(), 1, body->size(), file.f) == body->size();
-  }
-  ok = ok && std::fwrite(&sum, sizeof(sum), 1, file.f) == 1;
-  ok = ok && std::fflush(file.f) == 0;
-  ok = std::fclose(file.release()) == 0 && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    throw IoError("checkpoint: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw IoError("checkpoint: cannot rename " + tmp + " to " + path);
-  }
+  // The sidecar at `path` is either the previous complete checkpoint or the
+  // new complete one, never a partial write (a crash mid-checkpoint must not
+  // poison resume).
+  util::atomic_replace(path, [&](util::File& file) {
+    file.pwrite_exact(&h, sizeof(h), 0);
+    file.pwrite_exact(body->data(), body->size(), sizeof(h));
+    file.pwrite_exact(&sum, sizeof(sum), sizeof(h) + body->size());
+  });
 }
 
 bool read_checkpoint(const std::string& path, Checkpoint* ck) {
-  File file(std::fopen(path.c_str(), "rb"));
-  if (file.f == nullptr) return false;  // no sidecar: start fresh
   Header h{};
-  if (std::fread(&h, sizeof(h), 1, file.f) != 1) return false;
-  if (std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0) return false;
-  // Bound the payload by the actual file size before allocating.
-  if (std::fseek(file.f, 0, SEEK_END) != 0) return false;
-  const long size = std::ftell(file.f);
-  if (size < 0 ||
-      static_cast<unsigned long>(size) !=
-          sizeof(Header) + h.payload_bytes + sizeof(std::uint64_t)) {
-    return false;
-  }
-  if (std::fseek(file.f, sizeof(Header), SEEK_SET) != 0) return false;
-  std::vector<std::uint8_t> payload(static_cast<std::size_t>(h.payload_bytes));
-  if (!payload.empty() &&
-      std::fread(payload.data(), 1, payload.size(), file.f) !=
-          payload.size()) {
-    return false;
-  }
-  std::uint64_t stored_sum = 0;
-  if (std::fread(&stored_sum, sizeof(stored_sum), 1, file.f) != 1) {
-    return false;
-  }
-  std::uint64_t sum = fnv1a(&h, sizeof(h));
-  if (!payload.empty()) sum = fnv1a(payload.data(), payload.size(), sum);
-  if (sum != stored_sum) return false;  // torn/corrupt sidecar
-  if ((h.flags & ~kPayloadCompressed) != 0) return false;  // unknown flags
-  if ((h.flags & kPayloadCompressed) != 0) {
-    try {
+  std::vector<std::uint8_t> payload;
+  try {
+    const auto file = util::File::open_if_present(path);
+    if (!file) return false;  // no sidecar: start fresh
+    // Bound the payload by the actual file size before allocating. The
+    // subtraction cannot wrap once the fixed parts are known to fit.
+    constexpr std::uint64_t kFixedBytes =
+        sizeof(Header) + sizeof(std::uint64_t);
+    const std::uint64_t size = file->size();
+    if (size < kFixedBytes) return false;
+    file->pread_exact(&h, sizeof(h), 0);
+    if (std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0) return false;
+    if (h.payload_bytes != size - kFixedBytes) return false;
+    payload.resize(static_cast<std::size_t>(h.payload_bytes));
+    file->pread_exact(payload.data(), payload.size(), sizeof(Header));
+    std::uint64_t stored_sum = 0;
+    file->pread_exact(&stored_sum, sizeof(stored_sum),
+                      sizeof(Header) + payload.size());
+    const std::uint64_t sum = util::fnv1a(payload.data(), payload.size(),
+                                          util::fnv1a(&h, sizeof(h)));
+    if (sum != stored_sum) return false;  // torn/corrupt sidecar
+    if ((h.flags & ~kPayloadCompressed) != 0) return false;  // unknown flags
+    if ((h.flags & kPayloadCompressed) != 0) {
       std::vector<std::uint8_t> raw(static_cast<std::size_t>(
           z1_raw_size(payload.data(), payload.size())));
       z1_decompress(payload.data(), payload.size(), raw.data(), raw.size());
       payload = std::move(raw);
-    } catch (const IoError&) {
-      return false;  // corrupt frame: start fresh, like any other damage
     }
+  } catch (const IoError&) {
+    return false;  // unreadable or corrupt frame: start fresh, like any damage
   }
 
   ck->algorithm = h.algorithm;

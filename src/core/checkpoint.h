@@ -41,16 +41,11 @@ struct Checkpoint {
   std::vector<std::uint8_t> payload;
 };
 
-/// FNV-1a over a byte range, exposed so callers can fold extra parameters
-/// into a fingerprint (seed with the previous hash).
-std::uint64_t fnv1a(const void* data, std::size_t bytes,
-                    std::uint64_t seed = 0xcbf29ce484222325ULL);
-
 /// Fingerprint of the CSR arrays (offsets, targets, weights) and n/m.
 std::uint64_t graph_fingerprint(const graph::CsrGraph& g);
 
-/// Atomically writes `ck` to `path` (tmp file + rename) with a trailing
-/// content checksum. Throws IoError when the filesystem misbehaves.
+/// Writes `ck` to `path` with a trailing content checksum, landed by
+/// util::atomic_replace. Throws IoError when the filesystem misbehaves.
 void write_checkpoint(const std::string& path, const Checkpoint& ck);
 
 /// Loads the checkpoint at `path`. Returns false (and leaves *ck untouched)

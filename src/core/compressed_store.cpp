@@ -1,10 +1,9 @@
 #include "core/compressed_store.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
+#include <limits>
 
-#include "core/checkpoint.h"  // fnv1a
 #include "util/timer.h"
 
 namespace gapsp::core {
@@ -57,30 +56,16 @@ ZIndex read_index(const util::File& f) {
   const std::int64_t n = ix.h.n;
   const std::int64_t tile = ix.h.tile;
   const std::int64_t tps = ix.h.tiles_per_side;
-  if (n <= 0 || tile <= 0 || tile > n || tps != (n + tile - 1) / tile) {
+  if (n <= 0 || n > std::numeric_limits<vidx_t>::max() || tile <= 0 ||
+      tile > n || tps != (n + tile - 1) / tile) {
     throw CorruptError(path + ": corrupt GAPSPZ1 geometry");
   }
-  const auto num_tiles =
-      static_cast<std::uint64_t>(tps) * static_cast<std::uint64_t>(tps);
-  ix.dir.resize(static_cast<std::size_t>(num_tiles));
-  f.pread_exact(ix.dir.data(), ix.dir.size() * sizeof(ZDirEntry),
-                sizeof(ZHeader));
-  if (fnv1a(ix.dir.data(), ix.dir.size() * sizeof(ZDirEntry)) !=
-      ix.h.dir_checksum) {
-    throw CorruptError(path + ": GAPSPZ1 directory checksum mismatch");
-  }
   ix.file_bytes = f.size();
-  const std::uint64_t data_start =
-      sizeof(ZHeader) + num_tiles * sizeof(ZDirEntry);
+  ix.dir = read_tile_directory(f, "GAPSPZ1", static_cast<std::uint64_t>(tps),
+                               static_cast<std::uint64_t>(tps),
+                               sizeof(ZHeader), ix.h.dir_checksum);
   std::uint64_t payload = 0;
-  for (const ZDirEntry& e : ix.dir) {
-    if (e.bytes == 0) continue;
-    if (e.offset < data_start || e.offset + e.bytes < e.offset ||
-        e.offset + e.bytes > ix.file_bytes) {
-      throw CorruptError(path + ": GAPSPZ1 directory entry out of bounds");
-    }
-    payload += e.bytes;
-  }
+  for (const ZDirEntry& e : ix.dir) payload += e.bytes;
   if (payload != ix.h.payload_bytes) {
     throw CorruptError(path + ": GAPSPZ1 payload size mismatch");
   }
@@ -121,6 +106,36 @@ class CompressedStore final : public DistStore {
 };
 
 }  // namespace
+
+std::vector<CompressedTileEntry> read_tile_directory(
+    const util::File& file, const char* format, std::uint64_t rows,
+    std::uint64_t cols, std::uint64_t offset, std::uint64_t checksum) {
+  const std::string& path = file.path();
+  const std::uint64_t file_bytes = file.size();
+  // rows > held / cols is the overflow-safe form of rows · cols > held.
+  const std::uint64_t held =
+      file_bytes > offset ? (file_bytes - offset) / sizeof(CompressedTileEntry)
+                          : 0;
+  if (cols != 0 && rows > held / cols) {
+    throw CorruptError(path + ": " + format + " directory past end of file");
+  }
+  std::vector<CompressedTileEntry> dir(static_cast<std::size_t>(rows * cols));
+  const std::uint64_t dir_bytes = dir.size() * sizeof(CompressedTileEntry);
+  file.pread_exact(dir.data(), dir_bytes, offset);
+  if (util::fnv1a(dir.data(), dir_bytes) != checksum) {
+    throw CorruptError(path + ": " + format + " directory checksum mismatch");
+  }
+  const std::uint64_t data_start = offset + dir_bytes;
+  for (const CompressedTileEntry& e : dir) {
+    if (e.bytes == 0) continue;
+    if (e.offset < data_start || e.offset + e.bytes < e.offset ||
+        e.offset + e.bytes > file_bytes) {
+      throw CorruptError(path + ": " + format +
+                         " directory entry out of bounds");
+    }
+  }
+  return dir;
+}
 
 Z1TileGrid::Z1TileGrid(util::File file, vidx_t n, vidx_t tile,
                        vidx_t first_row_block,
@@ -252,9 +267,7 @@ StoreCompactionStats write_compressed_store(const DistStore& src,
   std::vector<ZDirEntry> dir(static_cast<std::size_t>(tps) *
                              static_cast<std::size_t>(tps));
 
-  const std::string tmp = out_path + ".ztmp";
-  try {
-    util::File file(tmp, O_WRONLY | O_CREAT | O_TRUNC);
+  util::atomic_replace(out_path, [&](util::File& file) {
     // Frames first; the header and directory go in front once the offsets
     // are known.
     std::uint64_t offset = sizeof(ZHeader) + dir.size() * sizeof(ZDirEntry);
@@ -283,18 +296,11 @@ StoreCompactionStats write_compressed_store(const DistStore& src,
         h.payload_bytes += frame.size();
       }
     }
-    h.dir_checksum = fnv1a(dir.data(), dir.size() * sizeof(ZDirEntry));
+    h.dir_checksum = util::fnv1a(dir.data(), dir.size() * sizeof(ZDirEntry));
     stats.compressed_bytes = offset;
     file.pwrite_exact(&h, sizeof(h), 0);
     file.pwrite_exact(dir.data(), dir.size() * sizeof(ZDirEntry), sizeof(h));
-  } catch (...) {
-    std::remove(tmp.c_str());
-    throw;
-  }
-  if (std::rename(tmp.c_str(), out_path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw IoError("cannot rename " + tmp + " to " + out_path);
-  }
+  });
   stats.seconds = timer.seconds();
   return stats;
 }
@@ -309,12 +315,10 @@ StoreCompactionStats compact_store(const std::string& raw_path,
 }
 
 bool is_compressed_store(const std::string& path) {
+  const auto file = util::File::open_if_present(path);
   char magic[8] = {};
-  try {
-    util::File(path, O_RDONLY).pread_exact(magic, sizeof(magic), 0);
-  } catch (const IoError&) {
-    return false;  // missing or shorter than the magic
-  }
+  if (!file || file->size() < sizeof(magic)) return false;
+  file->pread_exact(magic, sizeof(magic), 0);
   return std::memcmp(magic, kZMagic, sizeof(kZMagic)) == 0;
 }
 

@@ -54,8 +54,7 @@ struct StoreCompactionStats {
 };
 
 /// Writes `src` to `out_path` as a GAPSPZ1 store with `tile`-sided tiles
-/// (clamped to n; edge tiles are ragged). Atomic: a sibling tmp file is
-/// renamed over `out_path` only once complete.
+/// (clamped to n; edge tiles are ragged), landed by util::atomic_replace.
 StoreCompactionStats write_compressed_store(const DistStore& src,
                                             const std::string& out_path,
                                             vidx_t tile = 256);
@@ -102,6 +101,15 @@ struct CompressedDirectory {
   std::vector<CompressedTileEntry> entries;  ///< row-major tile grid
 };
 CompressedDirectory read_compressed_directory(const std::string& path);
+
+/// Reads the `rows`×`cols` tile directory at byte `offset` of a GAPSPZ1
+/// store or GAPSPSD1 shard (`format` names which in errors). Throws
+/// CorruptError unless the entries fit in the file (checked before they are
+/// allocated), hash to `checksum`, and each lies after the directory and
+/// inside the file without wrapping.
+std::vector<CompressedTileEntry> read_tile_directory(
+    const util::File& file, const char* format, std::uint64_t rows,
+    std::uint64_t cols, std::uint64_t offset, std::uint64_t checksum);
 
 /// The read side of a file of z1 tile frames, shared by GAPSPZ1 stores and
 /// z1 shard slices (core/shard_store.h) so both decode by one rule.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -10,12 +9,12 @@
 #include <vector>
 
 #include "core/apsp_common.h"  // weight_block
-#include "core/checkpoint.h"   // fnv1a
 #include "core/dist_store.h"
 #include "core/ooc_fw.h"
 #include "core/ooc_johnson.h"
 #include "core/transfer_codec.h"
 #include "graph/generators.h"
+#include "util/file_io.h"
 #include "util/rng.h"
 
 namespace gapsp::core {
@@ -309,34 +308,26 @@ bool save_calibration(const ApspOptions& opts, const std::string& path) {
   const std::uint64_t buckets = cal.c_unit.size();
   put(&buckets, sizeof(buckets));
   put(cal.c_unit.data(), cal.c_unit.size() * sizeof(double));
-  const std::uint64_t sum = fnv1a(buf.data(), buf.size());
+  const std::uint64_t sum = util::fnv1a(buf.data(), buf.size());
   put(&sum, sizeof(sum));
-
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    throw IoError("calibration: cannot open " + tmp + " for writing");
-  }
-  bool ok = std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
-  ok = ok && std::fflush(f) == 0;
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw IoError("calibration: short write to " + tmp);
-  }
+  // Captured as pointer + length: a captured `buf` reference makes GCC 12
+  // flag the puts above with a false -Wstringop-overflow.
+  const std::uint8_t* data = buf.data();
+  const std::size_t len = buf.size();
+  util::atomic_replace(path, [data, len](util::File& f) {
+    f.pwrite_exact(data, len, 0);
+  });
   return true;
 }
 
 bool load_calibration(const ApspOptions& opts, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;  // no sidecar: calibrate() will probe
   std::vector<std::uint8_t> buf;
-  std::uint8_t chunk[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    buf.insert(buf.end(), chunk, chunk + got);
+  {
+    const auto f = util::File::open_if_present(path);
+    if (!f) return false;  // no sidecar: calibrate() will probe
+    buf.resize(static_cast<std::size_t>(f->size()));
+    f->pread_exact(buf.data(), buf.size(), 0);
   }
-  std::fclose(f);
 
   std::size_t pos = 0;
   const auto take = [&](void* p, std::size_t bytes) {
@@ -354,7 +345,7 @@ bool load_calibration(const ApspOptions& opts, const std::string& path) {
   const std::size_t body = buf.size() - sizeof(std::uint64_t);
   std::uint64_t stored_sum = 0;
   std::memcpy(&stored_sum, buf.data() + body, sizeof(stored_sum));
-  if (fnv1a(buf.data(), body) != stored_sum) return false;
+  if (util::fnv1a(buf.data(), body) != stored_sum) return false;
 
   std::uint64_t key_len = 0;
   if (!take(&key_len, sizeof(key_len)) || key_len > body - pos) return false;

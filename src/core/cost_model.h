@@ -92,14 +92,16 @@ const Calibration& calibrate(const ApspOptions& opts);
 std::string calibration_cache_key(const ApspOptions& opts);
 
 /// Serializes the cached calibration for `opts` to `path` (a "GAPSPCAL1"
-/// sidecar, atomic tmp+rename). Returns false without touching the file
-/// when calibrate() has not run for this configuration yet. The CLI drops
-/// one next to a kept store so a serving process skips the warm-up solves.
+/// sidecar, landed by util::atomic_replace). Returns false without touching
+/// the file when calibrate() has not run for this configuration yet. The
+/// CLI drops one next to a kept store so a serving process skips the
+/// warm-up solves.
 bool save_calibration(const ApspOptions& opts, const std::string& path);
 
 /// Seeds the in-process cache from `path`. Returns false (cache untouched)
 /// when the file is missing, corrupt, or keyed for a different
-/// configuration; true means the next calibrate() is a cache hit.
+/// configuration; true means the next calibrate() is a cache hit. Throws
+/// IoError when the file exists but cannot be read.
 bool load_calibration(const ApspOptions& opts, const std::string& path);
 
 /// Drops every cached calibration (test hook for the persistence path).

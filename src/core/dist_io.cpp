@@ -1,10 +1,11 @@
 #include "core/dist_io.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <vector>
+
+#include "util/file_io.h"
 
 namespace gapsp::core {
 namespace {
@@ -17,24 +18,11 @@ struct Header {
   std::int64_t has_perm;
 };
 
-class FileCloser {
- public:
-  explicit FileCloser(std::FILE* f) : f_(f) {}
-  ~FileCloser() {
-    if (f_ != nullptr) std::fclose(f_);
-  }
-  std::FILE* get() const { return f_; }
-
- private:
-  std::FILE* f_;
-};
-
 }  // namespace
 
 void save_distances(const DistStore& store, const ApspResult& result,
                     const std::string& path) {
-  FileCloser f(std::fopen(path.c_str(), "wb"));
-  GAPSP_CHECK(f.get() != nullptr, "cannot create " + path);
+  util::File f(path, O_WRONLY | O_CREAT | O_TRUNC);
   const vidx_t n = store.n();
   GAPSP_CHECK(result.perm.empty() ||
                   result.perm.size() == static_cast<std::size_t>(n),
@@ -43,28 +31,25 @@ void save_distances(const DistStore& store, const ApspResult& result,
   std::memcpy(h.magic, kMagic, sizeof(kMagic));
   h.n = n;
   h.has_perm = result.perm.empty() ? 0 : 1;
-  GAPSP_CHECK(std::fwrite(&h, sizeof(h), 1, f.get()) == 1, "header write");
-  if (!result.perm.empty()) {
-    GAPSP_CHECK(std::fwrite(result.perm.data(), sizeof(vidx_t),
-                            result.perm.size(),
-                            f.get()) == result.perm.size(),
-                "permutation write");
-  }
+  f.pwrite_exact(&h, sizeof(h), 0);
+  std::uint64_t offset = sizeof(h);
+  f.pwrite_exact(result.perm.data(), result.perm.size() * sizeof(vidx_t),
+                 offset);
+  offset += result.perm.size() * sizeof(vidx_t);
   std::vector<dist_t> row(static_cast<std::size_t>(n));
   for (vidx_t r = 0; r < n; ++r) {
     store.read_block(r, 0, 1, n, row.data(), row.size());
-    GAPSP_CHECK(std::fwrite(row.data(), sizeof(dist_t), row.size(),
-                            f.get()) == row.size(),
-                "row write to " + path);
+    f.pwrite_exact(row.data(), row.size() * sizeof(dist_t), offset);
+    offset += row.size() * sizeof(dist_t);
   }
 }
 
 LoadedDistances load_distances(const std::string& path) {
-  FileCloser f(std::fopen(path.c_str(), "rb"));
-  GAPSP_CHECK(f.get() != nullptr, "cannot open " + path);
+  const util::File f(path, O_RDONLY);
+  const std::uint64_t actual = f.size();
+  GAPSP_CHECK(actual >= sizeof(Header), "truncated header in " + path);
   Header h{};
-  GAPSP_CHECK(std::fread(&h, sizeof(h), 1, f.get()) == 1,
-              "truncated header in " + path);
+  f.pread_exact(&h, sizeof(h), 0);
   GAPSP_CHECK(std::memcmp(h.magic, kMagic, sizeof(kMagic)) == 0,
               path + " is not a gapsp distance file");
   GAPSP_CHECK(h.n >= 0 && h.n < (1LL << 31), "implausible matrix size");
@@ -82,24 +67,17 @@ LoadedDistances load_distances(const std::string& path) {
                   un <= std::numeric_limits<std::size_t>::max() /
                             sizeof(dist_t) / un,
               "matrix size overflows addressable memory");
-  const std::uint64_t expected = sizeof(Header) +
-                                 (h.has_perm != 0 ? un * sizeof(vidx_t) : 0) +
-                                 un * un * sizeof(dist_t);
-  GAPSP_CHECK(std::fseek(f.get(), 0, SEEK_END) == 0, "cannot seek " + path);
-  const long actual = std::ftell(f.get());
-  GAPSP_CHECK(actual >= 0, "cannot size " + path);
-  GAPSP_CHECK(static_cast<std::uint64_t>(actual) == expected,
+  const std::uint64_t perm_bytes = h.has_perm != 0 ? un * sizeof(vidx_t) : 0;
+  const std::uint64_t expected =
+      sizeof(Header) + perm_bytes + un * un * sizeof(dist_t);
+  GAPSP_CHECK(actual == expected,
               path + " size does not match its header (truncated or "
                      "malformed n)");
-  GAPSP_CHECK(std::fseek(f.get(), sizeof(Header), SEEK_SET) == 0,
-              "cannot seek " + path);
 
   LoadedDistances out;
   if (h.has_perm != 0) {
     out.perm.resize(static_cast<std::size_t>(n));
-    GAPSP_CHECK(std::fread(out.perm.data(), sizeof(vidx_t), out.perm.size(),
-                           f.get()) == out.perm.size(),
-                "truncated permutation in " + path);
+    f.pread_exact(out.perm.data(), perm_bytes, sizeof(Header));
     std::vector<std::uint8_t> seen(static_cast<std::size_t>(n), 0);
     for (vidx_t p : out.perm) {
       GAPSP_CHECK(p >= 0 && p < n && !seen[p],
@@ -109,10 +87,10 @@ LoadedDistances load_distances(const std::string& path) {
   }
   out.store = make_ram_store(n);
   std::vector<dist_t> row(static_cast<std::size_t>(n));
+  std::uint64_t offset = sizeof(Header) + perm_bytes;
   for (vidx_t r = 0; r < n; ++r) {
-    GAPSP_CHECK(std::fread(row.data(), sizeof(dist_t), row.size(), f.get()) ==
-                    row.size(),
-                "truncated matrix in " + path);
+    f.pread_exact(row.data(), row.size() * sizeof(dist_t), offset);
+    offset += row.size() * sizeof(dist_t);
     out.store->write_block(r, 0, 1, n, row.data(), row.size());
   }
   return out;

@@ -123,11 +123,9 @@ class FileStore final : public DistStore {
     const std::uint64_t expected = static_cast<std::uint64_t>(n) *
                                    static_cast<std::uint64_t>(n) *
                                    sizeof(dist_t);
-    try {
-      util::File existing(path, O_RDWR);
-      if (existing.size() == expected) return existing;
-    } catch (const IoError&) {
-      // missing or unreadable: create it below
+    if (auto existing = util::File::open_if_present(path, O_RDWR);
+        existing && existing->size() == expected) {
+      return std::move(*existing);
     }
     util::File file(path, O_RDWR | O_CREAT | O_TRUNC);
     try {

@@ -307,12 +307,12 @@ std::uint64_t incremental_fingerprint(const graph::CsrGraph& g,
                                       vidx_t tile, double damage_threshold) {
   std::uint64_t fp = graph_fingerprint(g);
   for (const EdgeUpdate& up : updates) {
-    fp = fnv1a(&up.u, sizeof(up.u), fp);
-    fp = fnv1a(&up.v, sizeof(up.v), fp);
-    fp = fnv1a(&up.w, sizeof(up.w), fp);
+    fp = util::fnv1a(&up.u, sizeof(up.u), fp);
+    fp = util::fnv1a(&up.v, sizeof(up.v), fp);
+    fp = util::fnv1a(&up.w, sizeof(up.w), fp);
   }
-  fp = fnv1a(&tile, sizeof(tile), fp);
-  fp = fnv1a(&damage_threshold, sizeof(damage_threshold), fp);
+  fp = util::fnv1a(&tile, sizeof(tile), fp);
+  fp = util::fnv1a(&damage_threshold, sizeof(damage_threshold), fp);
   return fp;
 }
 

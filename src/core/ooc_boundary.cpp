@@ -155,7 +155,7 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
     fp = graph_fingerprint(g);
     const std::int64_t shape[5] = {n, k, nb, dmax,
                                    static_cast<std::int64_t>(opts.seed)};
-    fp = fnv1a(shape, sizeof(shape), fp);
+    fp = util::fnv1a(shape, sizeof(shape), fp);
     if (opts.resume && read_checkpoint(opts.checkpoint_path, &ck_in) &&
         ck_in.algorithm == static_cast<std::uint32_t>(Algorithm::kBoundary) &&
         ck_in.fingerprint == fp && ck_in.n == n && ck_in.aux0 == k &&

@@ -56,7 +56,7 @@ ApspResult ooc_floyd_warshall(const graph::CsrGraph& g,
   if (use_ck) {
     fp = graph_fingerprint(g);
     const std::int64_t shape[3] = {n, b, nd};
-    fp = fnv1a(shape, sizeof(shape), fp);
+    fp = util::fnv1a(shape, sizeof(shape), fp);
     Checkpoint ck;
     if (opts.resume && read_checkpoint(opts.checkpoint_path, &ck) &&
         ck.algorithm ==

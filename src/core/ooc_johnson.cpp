@@ -251,7 +251,7 @@ ApspResult ooc_johnson(const graph::CsrGraph& g, const ApspOptions& opts,
     fp = graph_fingerprint(g);
     const std::int64_t shape[3] = {g.num_vertices(), runner.bat(),
                                    runner.num_batches()};
-    fp = fnv1a(shape, sizeof(shape), fp);
+    fp = util::fnv1a(shape, sizeof(shape), fp);
     Checkpoint ck;
     if (opts.resume && read_checkpoint(opts.checkpoint_path, &ck) &&
         ck.algorithm == static_cast<std::uint32_t>(Algorithm::kJohnson) &&

@@ -1,13 +1,13 @@
 #include "core/shard_store.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <optional>
 
-#include "core/checkpoint.h"  // fnv1a
 #include "core/compressed_store.h"
 #include "core/z1_codec.h"
+#include "util/file_io.h"
 #include "util/timer.h"
 
 namespace gapsp::core {
@@ -58,12 +58,12 @@ std::uint64_t checksum_file(const std::string& path, std::uint64_t& bytes_out) {
   const util::File file(path, O_RDONLY);
   const std::uint64_t total = file.size();
   std::vector<std::uint8_t> buf(1u << 20);
-  std::uint64_t sum = fnv1a(nullptr, 0);
+  std::uint64_t sum = util::fnv1a(nullptr, 0);
   for (std::uint64_t off = 0; off < total;) {
     const auto got = static_cast<std::size_t>(
         std::min<std::uint64_t>(buf.size(), total - off));
     file.pread_exact(buf.data(), got, off);
-    sum = fnv1a(buf.data(), got, sum);
+    sum = util::fnv1a(buf.data(), got, sum);
     off += got;
   }
   bytes_out = total;
@@ -95,42 +95,33 @@ std::vector<ShardRange> split_rows(vidx_t n, vidx_t tile, int num_shards) {
   return out;
 }
 
-/// Atomically replaces `path` with the fully-written tmp file.
-void commit_tmp(const std::string& tmp, const std::string& path) {
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw IoError("cannot rename " + tmp + " to " + path);
-  }
-}
-
 /// Writes one raw shard file: header + the source's byte range for rows
 /// [row_begin, row_end), copied through a bounded buffer.
 void write_raw_shard(const DistStore& src, const std::string& out_path,
                      vidx_t tile, const ShardRange& r) {
-  const std::string tmp = out_path + ".tmp";
-  util::File file(tmp, O_WRONLY | O_CREAT | O_TRUNC);
   ShardHeader h{};
   std::memcpy(h.magic, kShardMagic, sizeof(kShardMagic));
   h.n = src.n();
   h.tile = tile;
   h.row_begin = r.row_begin;
   h.row_end = r.row_end;
-  file.pwrite_exact(&h, sizeof(h), 0);
 
   const vidx_t n = src.n();
   const std::size_t row_bytes = static_cast<std::size_t>(n) * sizeof(dist_t);
   const vidx_t chunk_rows =
       std::max<vidx_t>(1, static_cast<vidx_t>((1u << 20) / row_bytes + 1));
   std::vector<dist_t> buf(static_cast<std::size_t>(chunk_rows) * n);
-  std::uint64_t cursor = sizeof(h);
-  for (vidx_t row = r.row_begin; row < r.row_end; row += chunk_rows) {
-    const vidx_t rows = std::min<vidx_t>(chunk_rows, r.row_end - row);
-    src.read_block(row, 0, rows, n, buf.data(), static_cast<std::size_t>(n));
-    file.pwrite_exact(buf.data(), static_cast<std::size_t>(rows) * row_bytes,
-                      cursor);
-    cursor += static_cast<std::uint64_t>(rows) * row_bytes;
-  }
-  commit_tmp(tmp, out_path);
+  util::atomic_replace(out_path, [&](util::File& file) {
+    file.pwrite_exact(&h, sizeof(h), 0);
+    std::uint64_t cursor = sizeof(h);
+    for (vidx_t row = r.row_begin; row < r.row_end; row += chunk_rows) {
+      const vidx_t rows = std::min<vidx_t>(chunk_rows, r.row_end - row);
+      src.read_block(row, 0, rows, n, buf.data(), static_cast<std::size_t>(n));
+      file.pwrite_exact(buf.data(), static_cast<std::size_t>(rows) * row_bytes,
+                        cursor);
+      cursor += static_cast<std::uint64_t>(rows) * row_bytes;
+    }
+  });
 }
 
 /// Writes one GAPSPZ1-sliced shard file: the source directory rows for the
@@ -153,8 +144,6 @@ void write_z1_shard(const util::File& src, const CompressedDirectory& dir,
     cursor += source[i].bytes;
   }
 
-  const std::string tmp = out_path + ".tmp";
-  util::File file(tmp, O_WRONLY | O_CREAT | O_TRUNC);
   ShardHeader h{};
   std::memcpy(h.magic, kShardMagic, sizeof(kShardMagic));
   h.n = dir.n;
@@ -162,19 +151,19 @@ void write_z1_shard(const util::File& src, const CompressedDirectory& dir,
   h.row_begin = r.row_begin;
   h.row_end = r.row_end;
   h.flags = kFlagCompressed;
-  h.dir_checksum = fnv1a(slice.data(), entries * sizeof(SliceDirEntry));
-  file.pwrite_exact(&h, sizeof(h), 0);
-  file.pwrite_exact(slice.data(), entries * sizeof(SliceDirEntry),
-                    sizeof(h));
-
-  std::vector<std::uint8_t> frame;
-  for (std::size_t i = 0; i < entries; ++i) {
-    if (source[i].bytes == 0) continue;
-    frame.resize(static_cast<std::size_t>(source[i].bytes));
-    src.pread_exact(frame.data(), frame.size(), source[i].offset);
-    file.pwrite_exact(frame.data(), frame.size(), slice[i].offset);
-  }
-  commit_tmp(tmp, out_path);
+  h.dir_checksum = util::fnv1a(slice.data(), entries * sizeof(SliceDirEntry));
+  util::atomic_replace(out_path, [&](util::File& file) {
+    file.pwrite_exact(&h, sizeof(h), 0);
+    file.pwrite_exact(slice.data(), entries * sizeof(SliceDirEntry),
+                      sizeof(h));
+    std::vector<std::uint8_t> frame;
+    for (std::size_t i = 0; i < entries; ++i) {
+      if (source[i].bytes == 0) continue;
+      frame.resize(static_cast<std::size_t>(source[i].bytes));
+      src.pread_exact(frame.data(), frame.size(), source[i].offset);
+      file.pwrite_exact(frame.data(), frame.size(), slice[i].offset);
+    }
+  });
 }
 
 void save_manifest(const std::string& path, const ShardManifest& m) {
@@ -191,14 +180,13 @@ void save_manifest(const std::string& path, const ShardManifest& m) {
   h.tile = m.tile;
   h.num_shards = m.num_shards();
   h.flags = m.compressed ? kFlagCompressed : 0;
-  h.dir_checksum = fnv1a(entries.data(), entries.size() * sizeof(ManifestEntry));
-
-  const std::string tmp = path + ".tmp";
-  util::File file(tmp, O_WRONLY | O_CREAT | O_TRUNC);
-  file.pwrite_exact(&h, sizeof(h), 0);
-  file.pwrite_exact(entries.data(), entries.size() * sizeof(ManifestEntry),
-                    sizeof(h));
-  commit_tmp(tmp, path);
+  h.dir_checksum =
+      util::fnv1a(entries.data(), entries.size() * sizeof(ManifestEntry));
+  util::atomic_replace(path, [&](util::File& file) {
+    file.pwrite_exact(&h, sizeof(h), 0);
+    file.pwrite_exact(entries.data(), entries.size() * sizeof(ManifestEntry),
+                      sizeof(h));
+  });
 }
 
 /// Read-only DistStore over one shard file. Full dimension n; rows outside
@@ -373,13 +361,10 @@ ShardManifest shard_store_file(const std::string& store_path, int num_shards,
 }
 
 bool load_shard_manifest(const std::string& path, ShardManifest& out) {
-  std::optional<util::File> file;
-  try {
-    file.emplace(path, O_RDONLY);
-  } catch (const IoError&) {
-    return false;  // no manifest: the store is not sharded
-  }
-  if (file->size() < sizeof(ManifestHeader)) {
+  const auto file = util::File::open_if_present(path);
+  if (!file) return false;  // no manifest: the store is not sharded
+  const std::uint64_t size = file->size();
+  if (size < sizeof(ManifestHeader)) {
     throw CorruptError(path + ": short read of GAPSPSH1 header");
   }
   ManifestHeader h{};
@@ -387,14 +372,18 @@ bool load_shard_manifest(const std::string& path, ShardManifest& out) {
   if (std::memcmp(h.magic, kManifestMagic, sizeof(kManifestMagic)) != 0) {
     throw CorruptError(path + ": not a GAPSPSH1 shard manifest");
   }
-  if (h.n <= 0 || h.tile <= 0 || h.tile > h.n || h.num_shards < 1 ||
-      h.num_shards > (h.n + h.tile - 1) / h.tile) {
+  // The entry count is bounded by the bytes present before it is allocated.
+  if (h.n <= 0 || h.n > std::numeric_limits<vidx_t>::max() || h.tile <= 0 ||
+      h.tile > h.n || h.num_shards < 1 ||
+      h.num_shards > (h.n + h.tile - 1) / h.tile ||
+      static_cast<std::uint64_t>(h.num_shards) >
+          (size - sizeof(h)) / sizeof(ManifestEntry)) {
     throw CorruptError(path + ": implausible shard manifest geometry");
   }
   std::vector<ManifestEntry> entries(static_cast<std::size_t>(h.num_shards));
   file->pread_exact(entries.data(), entries.size() * sizeof(ManifestEntry),
                     sizeof(h));
-  if (fnv1a(entries.data(), entries.size() * sizeof(ManifestEntry)) !=
+  if (util::fnv1a(entries.data(), entries.size() * sizeof(ManifestEntry)) !=
       h.dir_checksum) {
     throw CorruptError(path + ": shard manifest checksum mismatch");
   }
@@ -465,21 +454,10 @@ std::unique_ptr<DistStore> open_shard_slice(const std::string& store_path,
     const std::int64_t tps = (h.n + h.tile - 1) / h.tile;
     const std::int64_t row_blocks =
         (h.row_end + h.tile - 1) / h.tile - h.row_begin / h.tile;
-    dir.resize(static_cast<std::size_t>(row_blocks * tps));
-    file.pread_exact(dir.data(), dir.size() * sizeof(SliceDirEntry),
-                     sizeof(h));
-    if (fnv1a(dir.data(), dir.size() * sizeof(SliceDirEntry)) !=
-        h.dir_checksum) {
-      throw CorruptError(path + ": shard directory checksum mismatch");
-    }
-    const std::uint64_t data_start =
-        sizeof(ShardHeader) + dir.size() * sizeof(SliceDirEntry);
-    for (const SliceDirEntry& e : dir) {
-      if (e.bytes == 0) continue;
-      if (e.offset < data_start || e.offset + e.bytes > file_bytes) {
-        throw CorruptError(path + ": shard directory entry out of bounds");
-      }
-    }
+    dir = read_tile_directory(file, "GAPSPSD1",
+                              static_cast<std::uint64_t>(row_blocks),
+                              static_cast<std::uint64_t>(tps),
+                              sizeof(ShardHeader), h.dir_checksum);
   } else {
     const std::uint64_t want =
         sizeof(ShardHeader) +

@@ -87,9 +87,9 @@ struct ShardingStats {
 /// Slices the kept store at `store_path` (raw or GAPSPZ1, auto-detected)
 /// into `num_shards` row-range shard files plus a manifest, all next to the
 /// store. Row ranges are balanced in whole tile rows with the remainder
-/// spread over the leading shards (the last shard may be ragged). Atomic
-/// per file (tmp + rename). Throws Error when num_shards exceeds the tile
-/// row count (an empty shard could never serve a query), IoError/
+/// spread over the leading shards (the last shard may be ragged). Each file
+/// lands by util::atomic_replace. Throws Error when num_shards exceeds the
+/// tile row count (an empty shard could never serve a query), IoError/
 /// CorruptError on store damage. Returns the written manifest.
 ShardManifest shard_store_file(const std::string& store_path, int num_shards,
                                vidx_t tile = 256, ShardingStats* stats = nullptr);

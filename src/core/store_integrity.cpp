@@ -1,10 +1,10 @@
 #include "core/store_integrity.h"
 
-#include <cstdio>
 #include <cstring>
+#include <limits>
 
-#include "core/checkpoint.h"
 #include "core/dist_store.h"
+#include "util/file_io.h"
 
 namespace gapsp::core {
 
@@ -12,13 +12,6 @@ namespace {
 
 constexpr char kMagic[8] = {'G', 'A', 'P', 'S', 'P', 'S', 'M', '1'};
 constexpr std::size_t kHeaderBytes = 64;
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 void put_i64(std::uint8_t* dst, std::int64_t v) {
   for (int i = 0; i < 8; ++i)
@@ -34,7 +27,7 @@ std::int64_t get_i64(const std::uint8_t* src) {
 }  // namespace
 
 std::uint64_t tile_checksum(const dist_t* data, std::size_t elems) {
-  return fnv1a(data, elems * sizeof(dist_t));
+  return util::fnv1a(data, elems * sizeof(dist_t));
 }
 
 std::string checksum_sidecar_path(const std::string& store_path) {
@@ -68,40 +61,29 @@ StoreChecksums compute_store_checksums(DistStore& store, vidx_t tile) {
 void write_store_checksums(const StoreChecksums& sums,
                            const std::string& path) {
   GAPSP_CHECK(sums.present(), "cannot write an absent checksum sidecar");
-  const std::string tmp = path + ".tmp";
-  {
-    FilePtr f(std::fopen(tmp.c_str(), "wb"));
-    if (!f) throw IoError("cannot create checksum sidecar " + tmp);
-
-    std::uint8_t header[kHeaderBytes] = {};
-    std::memcpy(header, kMagic, sizeof(kMagic));
-    put_i64(header + 8, sums.n);
-    put_i64(header + 16, sums.tile);
-    put_i64(header + 24, sums.tiles_per_side);
-    put_i64(header + 32,
-            static_cast<std::int64_t>(fnv1a(
-                sums.sums.data(), sums.sums.size() * sizeof(std::uint64_t))));
-    if (std::fwrite(header, 1, kHeaderBytes, f.get()) != kHeaderBytes ||
-        std::fwrite(sums.sums.data(), sizeof(std::uint64_t), sums.sums.size(),
-                    f.get()) != sums.sums.size() ||
-        std::fflush(f.get()) != 0) {
-      std::remove(tmp.c_str());
-      throw IoError("short write to checksum sidecar " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw IoError("cannot rename checksum sidecar into place: " + path);
-  }
+  const std::size_t sums_bytes = sums.sums.size() * sizeof(std::uint64_t);
+  std::uint8_t header[kHeaderBytes] = {};
+  std::memcpy(header, kMagic, sizeof(kMagic));
+  put_i64(header + 8, sums.n);
+  put_i64(header + 16, sums.tile);
+  put_i64(header + 24, sums.tiles_per_side);
+  put_i64(header + 32, static_cast<std::int64_t>(
+                           util::fnv1a(sums.sums.data(), sums_bytes)));
+  util::atomic_replace(path, [&](util::File& f) {
+    f.pwrite_exact(header, kHeaderBytes, 0);
+    f.pwrite_exact(sums.sums.data(), sums_bytes, kHeaderBytes);
+  });
 }
 
 bool load_store_checksums(const std::string& path, StoreChecksums& out) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
+  const auto f = util::File::open_if_present(path);
   if (!f) return false;  // absent sidecar: verification is simply off
 
-  std::uint8_t header[kHeaderBytes];
-  if (std::fread(header, 1, kHeaderBytes, f.get()) != kHeaderBytes)
+  const std::uint64_t size = f->size();
+  if (size < kHeaderBytes)
     throw CorruptError("checksum sidecar too short: " + path);
+  std::uint8_t header[kHeaderBytes];
+  f->pread_exact(header, kHeaderBytes, 0);
   if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0)
     throw CorruptError("bad checksum sidecar magic: " + path);
 
@@ -110,16 +92,24 @@ bool load_store_checksums(const std::string& path, StoreChecksums& out) {
   const std::int64_t tile = get_i64(header + 16);
   const std::int64_t tps = get_i64(header + 24);
   const std::uint64_t self_sum = static_cast<std::uint64_t>(get_i64(header + 32));
-  if (n < 0 || tile <= 0 || tps != (n + tile - 1) / tile)
+  constexpr std::int64_t kMaxSide = std::numeric_limits<vidx_t>::max();
+  if (n < 0 || n > kMaxSide || tile <= 0 || tile > kMaxSide ||
+      tps != (n + tile - 1) / tile)
     throw CorruptError("inconsistent checksum sidecar geometry: " + path);
+  // tps < 2^31, so tps² cannot overflow: bound it by the bytes present
+  // before allocating the grid.
+  const auto entries =
+      static_cast<std::uint64_t>(tps) * static_cast<std::uint64_t>(tps);
+  if (entries > (size - kHeaderBytes) / sizeof(std::uint64_t))
+    throw CorruptError("checksum sidecar shorter than its tile grid: " + path);
   s.n = static_cast<vidx_t>(n);
   s.tile = static_cast<vidx_t>(tile);
   s.tiles_per_side = static_cast<vidx_t>(tps);
-  s.sums.resize(static_cast<std::size_t>(tps) * tps);
-  if (std::fread(s.sums.data(), sizeof(std::uint64_t), s.sums.size(),
-                 f.get()) != s.sums.size())
-    throw IoError("short read from checksum sidecar " + path);
-  if (fnv1a(s.sums.data(), s.sums.size() * sizeof(std::uint64_t)) != self_sum)
+  s.sums.resize(static_cast<std::size_t>(entries));
+  f->pread_exact(s.sums.data(), s.sums.size() * sizeof(std::uint64_t),
+                 kHeaderBytes);
+  if (util::fnv1a(s.sums.data(), s.sums.size() * sizeof(std::uint64_t)) !=
+      self_sum)
     throw CorruptError("checksum sidecar failed its self-check: " + path);
 
   out = std::move(s);

@@ -52,7 +52,8 @@ std::string checksum_sidecar_path(const std::string& store_path);
 /// Reads every tile of `store` and computes the full checksum grid.
 StoreChecksums compute_store_checksums(DistStore& store, vidx_t tile = 256);
 
-/// Atomically writes the sidecar (tmp + rename). Throws IoError on failure.
+/// Writes the sidecar, landed by util::atomic_replace. Throws IoError on
+/// failure.
 void write_store_checksums(const StoreChecksums& sums, const std::string& path);
 
 /// Loads a sidecar. Returns false (leaving `out` absent) when the file is

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "core/checkpoint.h"  // fnv1a
 #include "util/common.h"
 
 namespace gapsp::core {
@@ -117,7 +116,7 @@ void z1_compress(const void* src_v, std::size_t len,
   out.reserve(kFrameHeaderBytes + len / 4 + 64);
   GAPSP_CHECK(len < (1ull << 32) - 2, "z1 input too large");
   put_u64(out, len);
-  put_u64(out, fnv1a(src, len));
+  put_u64(out, util::fnv1a(src, len));
   if (len == 0) return;
 
   if (!z1_probe_compressible(src, len)) {
@@ -187,7 +186,13 @@ std::vector<std::uint8_t> z1_compress(const void* src, std::size_t len) {
 
 std::uint64_t z1_raw_size(const std::uint8_t* frame, std::size_t frame_len) {
   if (frame_len < kFrameHeaderBytes) bad_frame("truncated header");
-  return get_u64(frame);
+  // No sequence byte decodes to more than 255 bytes (one match-length
+  // continuation), so a larger raw_len is forged.
+  const std::uint64_t raw_len = get_u64(frame);
+  if (raw_len / 255 > frame_len - kFrameHeaderBytes) {
+    bad_frame("raw length exceeds what the frame can decode to");
+  }
+  return raw_len;
 }
 
 void z1_decompress(const std::uint8_t* frame, std::size_t frame_len,
@@ -245,7 +250,9 @@ void z1_decompress(const std::uint8_t* frame, std::size_t frame_len,
     op += match_len;
   }
   if (op != raw_len) bad_frame("short output");
-  if (fnv1a(dst, dst_len) != want_sum) bad_frame("content checksum mismatch");
+  if (util::fnv1a(dst, dst_len) != want_sum) {
+    bad_frame("content checksum mismatch");
+  }
 }
 
 }  // namespace gapsp::core

@@ -50,8 +50,10 @@ std::vector<std::uint8_t> z1_compress(const void* src, std::size_t len);
 /// must be able to hold.
 std::size_t z1_max_compressed_size(std::size_t len);
 
-/// Decompressed size recorded in a frame header. Throws CorruptError when
-/// the frame is too short to carry a header.
+/// Decompressed size recorded in a frame header, safe to size a buffer
+/// from. Throws CorruptError when the frame is too short to carry a header,
+/// or when the size exceeds the 255 bytes per sequence byte that any frame
+/// of this length can decode to.
 std::uint64_t z1_raw_size(const std::uint8_t* frame, std::size_t frame_len);
 
 /// Decompresses a frame into `dst` (`dst_len` must equal z1_raw_size).

@@ -1,6 +1,7 @@
 // Common scalar types and checked helpers shared by every gapsp module.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <source_location>
@@ -64,6 +65,14 @@ namespace detail {
 [[noreturn]] void fail_check(const char* expr, const std::string& msg,
                              const std::source_location& loc);
 }  // namespace detail
+
+namespace util {
+/// FNV-1a over a byte range: the checksum of every on-disk format and of
+/// the solve fingerprints. Pass the previous hash as `seed` to fold more
+/// bytes into it.
+std::uint64_t fnv1a(const void* data, std::size_t bytes,
+                    std::uint64_t seed = 0xcbf29ce484222325ULL);
+}  // namespace util
 
 /// Contract check that stays enabled in release builds. Use for conditions
 /// that depend on user input or on resource limits.

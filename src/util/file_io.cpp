@@ -1,6 +1,7 @@
 #include "util/file_io.h"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -32,13 +33,27 @@ off_t to_off(std::uint64_t offset, std::size_t bytes, const std::string& path) {
   return static_cast<off_t>(offset);
 }
 
+int open_fd(const std::string& path, int flags, mode_t mode) {
+  int fd = -1;
+  do {
+    fd = ::open(path.c_str(), flags | O_CLOEXEC, mode);
+  } while (fd < 0 && errno == EINTR);
+  return fd;
+}
+
 }  // namespace
 
 File::File(std::string path, int flags, mode_t mode) : path_(std::move(path)) {
-  do {
-    fd_ = ::open(path_.c_str(), flags | O_CLOEXEC, mode);
-  } while (fd_ < 0 && errno == EINTR);
+  fd_ = open_fd(path_, flags, mode);
   if (fd_ < 0) fail("cannot open", path_);
+}
+
+std::optional<File> File::open_if_present(std::string path, int flags) {
+  File file(std::move(path));
+  file.fd_ = open_fd(file.path_, flags, 0);
+  if (file.fd_ >= 0) return file;
+  if (errno == ENOENT) return std::nullopt;
+  fail("cannot open", file.path_);
 }
 
 File::~File() {
@@ -89,6 +104,27 @@ void File::pwrite_exact(const void* src, std::size_t bytes,
     off += put;
     bytes -= static_cast<std::size_t>(put);
   }
+}
+
+void commit_rename(const std::string& tmp, const std::string& path) {
+  if (std::rename(tmp.c_str(), path.c_str()) == 0) return;
+  const int err = errno;  // std::remove below may overwrite it
+  std::remove(tmp.c_str());
+  throw IoError("cannot rename " + tmp + " to " + path + ": " +
+                std::strerror(err));
+}
+
+void atomic_replace(const std::string& path,
+                    const std::function<void(File&)>& write_fn) {
+  const std::string tmp = path + ".tmp";
+  try {
+    File file(tmp, O_WRONLY | O_CREAT | O_TRUNC);
+    write_fn(file);
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
+  commit_rename(tmp, path);
 }
 
 }  // namespace gapsp::util

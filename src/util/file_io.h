@@ -1,16 +1,28 @@
-// Positional file I/O: the one place the on-disk formats touch a file
-// descriptor.
+// Positional file I/O and the landing protocol: the one place the on-disk
+// formats touch a file descriptor, and the one place a file is renamed.
 //
 // Every transfer names its own 64-bit offset (pread/pwrite), so an open
 // File carries no seek position and no userspace buffer. Concurrent readers
 // of one File therefore need no lock, and a completed pwrite_exact is
-// already in the kernel's page cache: there is nothing left to flush
-// (durability against power loss would still need an fsync).
+// already in the kernel's page cache: there is nothing left to flush.
+//
+// Landing protocol. Every file that replaces an earlier version of itself
+// (checkpoints, sidecars, compacted stores, shard files and manifests)
+// lands through atomic_replace: the new bytes go to `path + ".tmp"`,
+// commit_rename renames the finished tmp over `path`, and a throw or a
+// failed rename removes the tmp. A reader sees the previous file or the new
+// one, and a failed write leaves the previous file intact with no tmp
+// behind. This survives a killed process, not power loss: nothing calls
+// fsync yet, and commit_rename is where it goes (fsync the tmp, rename,
+// then fsync the directory).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include <fcntl.h>
 
@@ -24,6 +36,12 @@ class File {
   /// O_CREAT creates the file. Throws IoError when the open fails.
   File(std::string path, int flags, mode_t mode = 0644);
   ~File();
+
+  /// Like the constructor, but a path that does not exist yields nothing
+  /// instead of throwing: the probe for optional files (sidecars,
+  /// checkpoints). Any other open failure still throws IoError.
+  static std::optional<File> open_if_present(std::string path,
+                                             int flags = O_RDONLY);
 
   File(File&& other) noexcept;
   File& operator=(File&&) = delete;
@@ -44,8 +62,19 @@ class File {
   void pwrite_exact(const void* src, std::size_t bytes, std::uint64_t offset);
 
  private:
+  explicit File(std::string path) : path_(std::move(path)) {}
+
   int fd_ = -1;
   std::string path_;
 };
+
+/// Renames the finished `tmp` over `path`; a failure removes `tmp` and
+/// throws IoError. `apsp_cli update` lands its long-lived copy with it.
+void commit_rename(const std::string& tmp, const std::string& path);
+
+/// Lands `path` by the protocol above: `write_fn` writes the whole new
+/// content into a fresh, empty `path + ".tmp"`.
+void atomic_replace(const std::string& path,
+                    const std::function<void(File&)>& write_fn);
 
 }  // namespace gapsp::util

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <set>
@@ -341,6 +342,73 @@ TEST(FileIo, RoundTripPastTwoGiBOnSparseFile) {
   EXPECT_EQ(tail[0], 0);  // inside the hole
   EXPECT_EQ(tail[1], last);
   std::remove(path.c_str());
+}
+
+std::string read_all(const std::string& path) {
+  const util::File f(path, O_RDONLY);
+  std::string bytes(static_cast<std::size_t>(f.size()), '\0');
+  f.pread_exact(bytes.data(), bytes.size(), 0);
+  return bytes;
+}
+
+bool exists(const std::string& path) {
+  return util::File::open_if_present(path).has_value();
+}
+
+void write_text(util::File& f, const std::string& text) {
+  f.pwrite_exact(text.data(), text.size(), 0);
+}
+
+TEST(FileIo, OpenIfPresentIsEmptyOnlyForAMissingPath) {
+  const std::string path = ::testing::TempDir() + "gapsp_file_io_present.bin";
+  std::remove(path.c_str());
+  EXPECT_FALSE(util::File::open_if_present(path).has_value());
+  util::atomic_replace(path, [](util::File& f) { write_text(f, "abc"); });
+  const auto f = util::File::open_if_present(path);
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->size(), 3u);
+  EXPECT_EQ(f->path(), path);
+  // A path through a regular file exists in no sense, but is not "missing"
+  // either: ENOTDIR is an error, not an absent sidecar.
+  expect_io_error_naming([&] { util::File::open_if_present(path + "/x"); },
+                         path + "/x");
+  std::remove(path.c_str());
+}
+
+TEST(FileIo, AtomicReplaceLandsWholeFilesAndCleansUpOnThrow) {
+  const std::string path = ::testing::TempDir() + "gapsp_file_io_atomic.bin";
+  util::atomic_replace(path, [](util::File& f) { write_text(f, "first"); });
+  EXPECT_EQ(read_all(path), "first");
+  util::atomic_replace(path, [](util::File& f) { write_text(f, "second!"); });
+  EXPECT_EQ(read_all(path), "second!");
+
+  // A writer that fails part-way: the previous file survives byte for
+  // byte, the exception reaches the caller, and no tmp is left behind.
+  EXPECT_THROW(util::atomic_replace(path,
+                                    [](util::File& f) {
+                                      write_text(f, "torn");
+                                      throw IoError("disk full");
+                                    }),
+               IoError);
+  EXPECT_EQ(read_all(path), "second!");
+  EXPECT_FALSE(exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST(FileIo, FailedCommitRenameRemovesTheTmp) {
+  const std::string dir = ::testing::TempDir() + "gapsp_file_io_commit_dir";
+  const std::string tmp = dir + ".tmp";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/occupied");
+  {
+    util::File f(tmp, O_WRONLY | O_CREAT | O_TRUNC);
+    write_text(f, "x");
+  }
+  // rename(2) cannot put a file over a non-empty directory.
+  expect_io_error_naming([&] { util::commit_rename(tmp, dir); }, tmp);
+  EXPECT_FALSE(exists(tmp));
+  EXPECT_TRUE(std::filesystem::is_directory(dir + "/occupied"));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -224,6 +224,7 @@
 #include "service/shard_router.h"
 #include "service/shard_worker.h"
 #include "util/args.h"
+#include "util/file_io.h"
 
 namespace {
 
@@ -782,26 +783,19 @@ int run_compact(const Args& args) {
   return 0;
 }
 
-/// Bytes of the file at `path`, or 0 when missing/unreadable.
+/// Bytes of the file at `path`, or 0 when it does not exist.
 std::uint64_t file_size_bytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return 0;
-  std::uint64_t bytes = 0;
-  if (std::fseek(f, 0, SEEK_END) == 0) {
-    const long long end = std::ftell(f);
-    if (end > 0) bytes = static_cast<std::uint64_t>(end);
-  }
-  std::fclose(f);
-  return bytes;
+  const auto f = util::File::open_if_present(path);
+  return f ? f->size() : 0;
 }
 
 /// First `len` bytes of `path` (shorter when the file is), for magic sniffs.
 std::string file_magic(const std::string& path, std::size_t len) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  std::string magic(len, '\0');
-  magic.resize(std::fread(magic.data(), 1, len, f));
-  std::fclose(f);
+  const auto f = util::File::open_if_present(path);
+  if (!f) return {};
+  std::string magic(
+      static_cast<std::size_t>(std::min<std::uint64_t>(len, f->size())), '\0');
+  f->pread_exact(magic.data(), magic.size(), 0);
   return magic;
 }
 
@@ -905,13 +899,12 @@ int run_update(const Args& args) {
   target.reset();
   pristine.reset();
   if (compressed) {
-    core::compact_store(tmp, path, opt.tile);  // atomic tmp+rename inside
+    core::compact_store(tmp, path, opt.tile);  // lands via atomic_replace
     std::remove(tmp.c_str());
     // GAPSPZ1 frames are self-checksummed; a raw-era sidecar would go stale.
     std::remove(core::checksum_sidecar_path(path).c_str());
   } else {
-    GAPSP_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-                "cannot rename " + tmp + " over " + path);
+    util::commit_rename(tmp, path);
     // Refresh the checksum sidecar when the store carries one.
     core::StoreChecksums sums;
     if (core::load_store_checksums(core::checksum_sidecar_path(path), sums)) {
