@@ -288,7 +288,8 @@ StoreCompactionStats write_compressed_store(const DistStore& src,
           ++stats.inf_tiles;
           continue;  // zero-length entry: the directory is the payload
         }
-        z1_compress(buf.data(), elems * sizeof(dist_t), frame);
+        z1_compress(buf.data(), elems * sizeof(dist_t), frame,
+                    static_cast<std::size_t>(cols));
         e.offset = offset;
         e.bytes = frame.size();
         file.pwrite_exact(frame.data(), frame.size(), offset);

@@ -3,7 +3,8 @@
 //
 // The out-of-core drivers are transfer-bound — the O(n_d·n²) movement term
 // is what the PR-1 overlap engine can only hide, never shrink — while the
-// tiles they ship raw every round compress 11.3×/3.0× at rest (GAPSPZ1).
+// tiles they ship raw every round compress 60×/5.4× at rest (GAPSPZ1, the
+// kInf-heavy road and R-MAT families of bench_store_compression).
 // This layer moves the compression onto the wire: each staged tile is
 // z1-encoded on the host into a pinned wire buffer, charged on the link at
 // its *wire* size, and materialized on device by a modeled decode kernel
@@ -11,19 +12,21 @@
 // on device and decode on the host side of the staging buffer. Transfer
 // time becomes a function of tile entropy instead of n².
 //
-// Slices: a staged tile travels as independent ordinary z1 frames, one per
-// kTransferSliceBytes (64 KiB) of raw payload, the last one ragged. Slices
-// are what let the host codec run in parallel: they encode, decode and
-// verify across ThreadPool::global() with the fan-out capped at
-// Device::kernel_threads() (1 = the calling thread only), instead of one
-// whole-tile frame on the solve thread. 64 KiB is the independent-chunk
-// size GPU LZ decoders are built around (nvCOMP's batched LZ4 defaults to
-// it), and it equals z1's u16 match window, so on the wire slicing costs
-// only a 16-byte header and a cold match window per slice. The cold
-// windows make one thread encode about 30 % slower than one frame per
-// tile, which a pool of four threads more than repays. The wire size, the
-// fallback test and last_wire_bytes() are sums over the slice frames, and
-// none of them depends on the thread count.
+// Slices: a staged tile travels as independent ordinary z1 frames
+// (u64 raw_len word | u64 word_hash(raw) | sequences, z1_codec.h), one per
+// kTransferSliceBytes (64 KiB) of raw payload, the last one ragged. A
+// slice carries no row width, so it is coded as byte planes without the
+// row delta. Slices are what let the host codec run in parallel: they
+// encode, decode and verify across ThreadPool::global() with the fan-out
+// capped at Device::kernel_threads() (1 = the calling thread only),
+// instead of one whole-tile frame on the solve thread. 64 KiB is the
+// independent-chunk size GPU LZ decoders are built around (nvCOMP's
+// batched LZ4 defaults to it), and it equals z1's u16 match window, so on
+// the wire slicing costs only a 16-byte header and a cold match window
+// per slice. The cold windows make one thread encode about 30 % slower
+// than one frame per tile, which a pool of four threads more than repays.
+// The wire size, the fallback test and last_wire_bytes() are sums over
+// the slice frames, and none of them depends on the thread count.
 //
 // Raw fallback: a tile only rides the compressed path when its frames beat
 // the raw transfer under the device's own rates — the threshold

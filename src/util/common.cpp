@@ -1,5 +1,7 @@
 #include "util/common.h"
 
+#include <bit>
+#include <cstring>
 #include <sstream>
 
 namespace gapsp::util {
@@ -12,6 +14,37 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t seed) {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+std::uint64_t word_hash(const void* data, std::size_t bytes) {
+  constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ULL;
+  constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
+  constexpr std::uint64_t kP3 = 0x165667b19e3779f9ULL;
+  const auto load = [](const std::uint8_t* q) {
+    std::uint64_t v;
+    std::memcpy(&v, q, sizeof(v));
+    return v;
+  };
+  const auto round = [&](std::uint64_t acc, std::uint64_t word) {
+    return std::rotl(acc + word * kP2, 31) * kP1;
+  };
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  std::size_t left = bytes;
+  std::uint64_t lane[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+  for (; left >= 32; p += 32, left -= 32) {
+    for (int k = 0; k < 4; ++k) lane[k] = round(lane[k], load(p + 8 * k));
+  }
+  std::uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
+                    std::rotl(lane[2], 12) + std::rotl(lane[3], 18) + bytes;
+  for (; left >= 8; p += 8, left -= 8) {
+    h = std::rotl(h ^ round(0, load(p)), 27) * kP1 + kP3;
+  }
+  for (; left > 0; ++p, --left) h = std::rotl(h ^ (*p * kP3), 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  return h ^ (h >> 32);
 }
 
 }  // namespace gapsp::util

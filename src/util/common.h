@@ -72,6 +72,14 @@ namespace util {
 /// bytes into it.
 std::uint64_t fnv1a(const void* data, std::size_t bytes,
                     std::uint64_t seed = 0xcbf29ce484222325ULL);
+
+/// 64-bit hash that reads a range as native-order 64-bit words in four
+/// independent lanes (32 bytes per step), then folds the lanes, the tail
+/// and the length through a final avalanche. The content checksum of tagged
+/// z1 frames (core/z1_codec.h): an order of magnitude faster than the
+/// byte-serial fnv1a on a distance tile. On-disk checksums depend on it, so
+/// util_test pins known answers.
+std::uint64_t word_hash(const void* data, std::size_t bytes);
 }  // namespace util
 
 /// Contract check that stays enabled in release builds. Use for conditions

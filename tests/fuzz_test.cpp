@@ -4,6 +4,7 @@
 // tests with breadth across the configuration space.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -188,10 +189,11 @@ TEST_P(FaultFuzz, RandomFaultScheduleRecoversOrFailsTyped) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultFuzz, ::testing::Range(0, 24));
 
 // ---------------------------------------------------------------------------
-// z1 codec fuzzer (compressed_store.h). Two invariants: (a) any input —
-// random noise, adversarially repetitive, all-kInf, or mixed — round-trips
-// bit-exactly; (b) any damaged frame (truncation, byte flips, bit flips)
-// either round-trips to checksum-valid output or throws IoError. It must
+// z1 codec fuzzer (z1_codec.h). Three invariants: (a) any input — random
+// noise, adversarially repetitive, all-kInf, or mixed — round-trips
+// bit-exactly under any row width; (b) any damaged frame (truncation, byte
+// flips, bit flips) either round-trips to checksum-valid output or throws
+// IoError; (c) a header that breaks a tag rule throws CorruptError. It must
 // never read or write out of bounds — the CI chaos job runs this suite
 // under ASan/UBSan, which turns an over-read into a hard failure.
 // ---------------------------------------------------------------------------
@@ -262,10 +264,50 @@ std::vector<std::uint8_t> random_z1_input(Rng& rng) {
 
 class Z1Fuzz : public ::testing::TestWithParam<int> {};
 
+/// A row width for `elems` 4-byte elements: 0 (no row delta), 1, a divisor,
+/// a non-divisor, or one at least the element count (no row delta either).
+std::size_t random_row_width(Rng& rng, std::size_t elems) {
+  switch (rng.next_below(5)) {
+    case 0:
+      return 0;
+    case 1:
+      return 1;
+    case 2: {
+      std::vector<std::size_t> divisors;
+      for (std::size_t d = 1; d <= elems; ++d) {
+        if (elems % d == 0) divisors.push_back(d);
+      }
+      return divisors.empty() ? 0 : divisors[rng.next_below(divisors.size())];
+    }
+    case 3: {
+      for (std::size_t d = elems / 2 + 1; d >= 2; --d) {
+        if (elems % d != 0) return d;
+      }
+      return 2;
+    }
+    default:
+      return elems + rng.next_below(3);
+  }
+}
+
+/// Overwrites a frame's raw_len word: bits 0–31 length, 32–33 tag, 34–63
+/// row width (z1_codec.h).
+void forge_header(std::vector<std::uint8_t>& frame, std::uint64_t raw_len,
+                  std::uint64_t tag, std::uint64_t row) {
+  const std::uint64_t word = raw_len | tag << 32 | row << 34;
+  for (int i = 0; i < 8; ++i) {
+    frame[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(word >> (8 * i));
+  }
+}
+
 TEST_P(Z1Fuzz, RoundTripsExactlyAndRejectsDamageTyped) {
   Rng rng(0x21F0 + static_cast<std::uint64_t>(GetParam()) * 6151);
   const auto raw = random_z1_input(rng);
-  const auto frame = z1_compress(raw.data(), raw.size());
+  const std::size_t elems = raw.size() / 4;
+  const std::size_t row =
+      raw.size() % 4 == 0 ? random_row_width(rng, elems) : 0;
+  const auto frame = z1_compress(raw.data(), raw.size(), row);
 
   ASSERT_EQ(z1_raw_size(frame.data(), frame.size()), raw.size());
   std::vector<std::uint8_t> back(raw.size());
@@ -298,6 +340,32 @@ TEST_P(Z1Fuzz, RoundTripsExactlyAndRejectsDamageTyped) {
     } catch (const IoError&) {
       // typed rejection is the expected outcome
     }
+  }
+
+  // Headers the encoder never writes: a row delta without a row inside the
+  // element count, planes of a length that is not a multiple of 4, a row
+  // width beside any other tag (on an untagged frame: nonzero high bits).
+  const std::uint64_t len = raw.size();
+  const std::uint64_t ragged = len % 4 != 0 ? len : len + 1 + rng.next_below(3);
+  const std::vector<std::array<std::uint64_t, 3>> forged = {
+      {len, 3, 0},
+      {len, 3, elems},
+      {len, 3, elems + 1 + rng.next_below(1000)},
+      {ragged, 2, 0},
+      {ragged, 3, 1},
+      {len, 0, 1 + rng.next_below((1u << 30) - 1)},
+      {len, 1, 1 + rng.next_below((1u << 30) - 1)},
+      {len, 2, 1 + rng.next_below((1u << 30) - 1)},
+  };
+  for (const auto& [claimed, tag, width] : forged) {
+    auto bad = frame;
+    forge_header(bad, claimed, tag, width);
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(claimed));
+    EXPECT_THROW(z1_raw_size(bad.data(), bad.size()), CorruptError)
+        << "tag " << tag << " row " << width << " len " << claimed;
+    EXPECT_THROW(z1_decompress(bad.data(), bad.size(), out.data(), out.size()),
+                 CorruptError)
+        << "tag " << tag << " row " << width << " len " << claimed;
   }
 }
 

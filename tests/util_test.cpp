@@ -54,6 +54,52 @@ TEST(Common, CheckThrowsWithContext) {
   }
 }
 
+/// `n` bytes of a fixed pattern for the hash known-answer vectors.
+std::vector<std::uint8_t> pattern_bytes(std::size_t n) {
+  std::vector<std::uint8_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  return v;
+}
+
+TEST(Common, WordHashKnownAnswers) {
+  // word_hash is the checksum of every tagged z1 frame on disk, so these
+  // values are part of the file formats: an edit that changes one would
+  // make every stored frame fail its check. The lengths cover no words,
+  // one lane round short, exactly one, and one past.
+  EXPECT_EQ(util::word_hash(nullptr, 0), 0x9090306c6e91ed59ULL);
+  const std::pair<std::size_t, std::uint64_t> cases[] = {
+      {1, 0x3b7c0914a80d8f0cULL},
+      {31, 0x499f90be46326c72ULL},
+      {32, 0x36758651506b8a80ULL},
+      {33, 0xeab76ab4820ad2f5ULL}};
+  for (const auto& [n, want] : cases) {
+    const auto bytes = pattern_bytes(n);
+    EXPECT_EQ(util::word_hash(bytes.data(), n), want) << n << " bytes";
+  }
+  // A 256×256 distance tile (256 KiB): small distances and kInf runs.
+  std::vector<dist_t> tile(256 * 256);
+  for (std::size_t i = 0; i < tile.size(); ++i) {
+    tile[i] = i % 7 == 0 ? kInf : static_cast<dist_t>(i % 1000);
+  }
+  EXPECT_EQ(util::word_hash(tile.data(), tile.size() * sizeof(dist_t)),
+            0x203720680bb172e2ULL);
+}
+
+TEST(Common, WordHashSeesEveryBit) {
+  // One flipped bit anywhere in a 33-byte range (four lanes plus a tail
+  // byte) changes the hash.
+  const auto bytes = pattern_bytes(33);
+  const std::uint64_t base = util::word_hash(bytes.data(), bytes.size());
+  for (std::size_t i = 0; i < bytes.size() * 8; ++i) {
+    auto flipped = bytes;
+    flipped[i / 8] ^= static_cast<std::uint8_t>(1u << (i % 8));
+    EXPECT_NE(util::word_hash(flipped.data(), flipped.size()), base)
+        << "bit " << i;
+  }
+}
+
 TEST(Rng, DeterministicForSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
