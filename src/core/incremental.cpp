@@ -237,37 +237,21 @@ std::vector<EdgeUpdate> read_edge_updates(const std::string& path) {
     const auto first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
     std::istringstream ls(line);
-    long long u = 0, v = 0;
-    std::string w_tok;
-    if (!(ls >> u >> v >> w_tok)) {
+    std::string u_tok, v_tok, w_tok;
+    if (!(ls >> u_tok >> v_tok >> w_tok)) {
       throw Error("malformed update line " + std::to_string(lineno) + ": " +
                   line);
     }
-    constexpr long long kMaxId = std::numeric_limits<vidx_t>::max();
-    if (u < 0 || u > kMaxId || v < 0 || v > kMaxId) {
-      throw Error("update vertex id out of range [0, 2^31) on line " +
-                  std::to_string(lineno) + ": " + line);
-    }
+    const std::string where = " on update line " + std::to_string(lineno);
+    constexpr vidx_t kMaxId = std::numeric_limits<vidx_t>::max();
     EdgeUpdate up;
-    up.u = static_cast<vidx_t>(u);
-    up.v = static_cast<vidx_t>(v);
-    if (w_tok == "inf" || w_tok == "x" || w_tok == "-1") {
-      up.w = kInf;
-    } else {
-      std::size_t pos = 0;
-      long long w = 0;
-      try {
-        w = std::stoll(w_tok, &pos);
-      } catch (const std::exception&) {
-        pos = 0;
-      }
-      if (pos != w_tok.size() || w < 0 || w >= kInf) {
-        throw Error("bad update weight on line " + std::to_string(lineno) +
-                    " (want 0 <= w < " + std::to_string(kInf) +
-                    ", or inf/x/-1 to delete): " + w_tok);
-      }
-      up.w = static_cast<dist_t>(w);
-    }
+    up.u = static_cast<vidx_t>(util::parse_int(u_tok, "u" + where, 0, kMaxId));
+    up.v = static_cast<vidx_t>(util::parse_int(v_tok, "v" + where, 0, kMaxId));
+    up.w = w_tok == "inf" || w_tok == "x" || w_tok == "-1"
+               ? kInf
+               : static_cast<dist_t>(util::parse_int(
+                     w_tok, "weight (or inf/x/-1 to delete)" + where, 0,
+                     kInf - 1));
     updates.push_back(up);
   }
   return updates;

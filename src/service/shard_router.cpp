@@ -223,6 +223,35 @@ class ProcessShardBackend final : public ShardBackend {
   long long degraded_ = 0;
 };
 
+/// Forks a worker wired to two fresh pipes (`pipe_flags` as for pipe2):
+/// the child closes the router's ends and runs `child(request_read_fd,
+/// reply_write_fd)`, which must not return; the router gets the pid and
+/// its own two ends, or pid -1 when a pipe or the fork fails.
+template <typename Child>
+WorkerProcess fork_worker(int pipe_flags, const Child& child) {
+  int req[2];  // router writes → worker reads
+  int rep[2];  // worker writes → router reads
+  if (::pipe2(req, pipe_flags) != 0) return {};
+  if (::pipe2(rep, pipe_flags) != 0) {
+    ::close(req[0]);
+    ::close(req[1]);
+    return {};
+  }
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    for (const int fd : {req[0], req[1], rep[0], rep[1]}) ::close(fd);
+    return {};
+  }
+  if (pid == 0) {
+    ::close(req[1]);
+    ::close(rep[0]);
+    child(req[0], rep[1]);
+  }
+  ::close(req[0]);
+  ::close(rep[1]);
+  return {pid, req[1], rep[0]};
+}
+
 }  // namespace
 
 std::unique_ptr<ShardBackend> make_local_backend(
@@ -257,70 +286,32 @@ WorkerSpawner make_fork_worker_spawner(std::string store_path,
   auto spawned = std::make_shared<std::vector<int>>();
   return [store_path = std::move(store_path), opt,
           spawned](int shard) -> WorkerProcess {
-    int req[2];   // router writes → worker reads
-    int rep[2];   // worker writes → router reads
-    if (::pipe(req) != 0) return {};
-    if (::pipe(rep) != 0) {
-      ::close(req[0]);
-      ::close(req[1]);
-      return {};
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      for (const int fd : {req[0], req[1], rep[0], rep[1]}) ::close(fd);
-      return {};
-    }
-    if (pid == 0) {
-      ::close(req[1]);
-      ::close(rep[0]);
+    const WorkerProcess w = fork_worker(0, [&](int in, int out) {
       for (const int fd : *spawned) ::close(fd);
-      _exit(run_shard_worker(store_path, shard, opt, req[0], rep[1]));
+      _exit(run_shard_worker(store_path, shard, opt, in, out));
+    });
+    if (w.pid > 0) {
+      spawned->push_back(w.request_fd);
+      spawned->push_back(w.reply_fd);
     }
-    ::close(req[0]);
-    ::close(rep[1]);
-    spawned->push_back(req[1]);
-    spawned->push_back(rep[0]);
-    return {pid, req[1], rep[0]};
+    return w;
   };
 }
 
-WorkerSpawner make_cli_worker_spawner(std::string exe, std::string store_path,
-                                      std::vector<std::string> extra) {
-  return [exe = std::move(exe), store_path = std::move(store_path),
-          extra = std::move(extra)](int shard) -> WorkerProcess {
+WorkerSpawner make_cli_worker_spawner(std::vector<std::string> argv) {
+  return [argv = std::move(argv)](int /*shard*/) mutable -> WorkerProcess {
+    // Built before fork: the child only dup2s and execs.
+    std::vector<char*> cargv;
+    for (std::string& s : argv) cargv.push_back(s.data());
+    cargv.push_back(nullptr);
     // O_CLOEXEC on every end: the exec'd child keeps only the two ends
     // dup2'd onto its stdin/stdout, so no worker holds a sibling's pipes.
-    int req[2];
-    int rep[2];
-    if (::pipe2(req, O_CLOEXEC) != 0) return {};
-    if (::pipe2(rep, O_CLOEXEC) != 0) {
-      ::close(req[0]);
-      ::close(req[1]);
-      return {};
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      for (const int fd : {req[0], req[1], rep[0], rep[1]}) ::close(fd);
-      return {};
-    }
-    if (pid == 0) {
-      if (::dup2(req[0], STDIN_FILENO) < 0 ||
-          ::dup2(rep[1], STDOUT_FILENO) < 0) {
-        _exit(127);
+    return fork_worker(O_CLOEXEC, [&](int in, int out) {
+      if (::dup2(in, STDIN_FILENO) >= 0 && ::dup2(out, STDOUT_FILENO) >= 0) {
+        ::execv(cargv[0], cargv.data());
       }
-      std::vector<std::string> argv_s = {exe, "serve", "--store-path",
-                                         store_path, "--shard",
-                                         std::to_string(shard)};
-      argv_s.insert(argv_s.end(), extra.begin(), extra.end());
-      std::vector<char*> argv;
-      for (std::string& s : argv_s) argv.push_back(s.data());
-      argv.push_back(nullptr);
-      ::execv(exe.c_str(), argv.data());
       _exit(127);
-    }
-    ::close(req[0]);
-    ::close(rep[1]);
-    return {pid, req[1], rep[0]};
+    });
   };
 }
 

@@ -77,11 +77,10 @@ using WorkerSpawner = std::function<WorkerProcess(int shard)>;
 WorkerSpawner make_fork_worker_spawner(std::string store_path,
                                        ShardWorkerOptions opt);
 
-/// fork+exec spawner: `exe serve --store-path=<store> --shard=K <extra>`
-/// with the wire protocol on the child's stdin/stdout. `extra` carries
-/// per-worker serving flags (--cache-mb, --exit-after, ...).
-WorkerSpawner make_cli_worker_spawner(std::string exe, std::string store_path,
-                                      std::vector<std::string> extra);
+/// fork+exec spawner: execs `argv` (argv[0] is the executable; the rest is
+/// the worker's whole command line, its shard included) with the wire
+/// protocol on the child's stdin/stdout.
+WorkerSpawner make_cli_worker_spawner(std::vector<std::string> argv);
 
 struct ProcessBackendOptions {
   /// Resend attempts after a dead or timed-out worker (each preceded by a

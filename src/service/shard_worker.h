@@ -1,7 +1,7 @@
 // One shard's serving loop: a QueryEngine over a shard slice behind the
 // wire protocol (wire.h). The router (shard_router.h) runs one worker per
 // shard — in-process for tests, or as a child process spawned by
-// `apsp_cli serve --shard=K` — so a crash, a corrupt slice, or a kill -9
+// the `apsp_cli serve` command — so a crash, a corrupt slice, or a kill -9
 // takes down one row range's worker, not the batch.
 #pragma once
 

@@ -38,22 +38,12 @@ std::string Args::get_or(const std::string& flag,
 
 long long Args::get_int_or(const std::string& flag, long long dflt) const {
   const auto v = get(flag);
-  if (!v.has_value()) return dflt;
-  try {
-    return std::stoll(*v);
-  } catch (const std::exception&) {
-    throw Error("flag --" + flag + " expects an integer, got '" + *v + "'");
-  }
+  return v ? util::parse_int(*v, "--" + flag) : dflt;
 }
 
 double Args::get_double_or(const std::string& flag, double dflt) const {
   const auto v = get(flag);
-  if (!v.has_value()) return dflt;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
-    throw Error("flag --" + flag + " expects a number, got '" + *v + "'");
-  }
+  return v ? util::parse_double(*v, "--" + flag) : dflt;
 }
 
 std::vector<std::string> Args::unknown(

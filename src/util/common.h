@@ -7,6 +7,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace gapsp {
 
@@ -80,6 +81,19 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes,
 /// byte-serial fnv1a on a distance tile. On-disk checksums depend on it, so
 /// util_test pins known answers.
 std::uint64_t word_hash(const void* data, std::size_t bytes);
+
+/// The one place outside text becomes a number. The whole of `text` must be
+/// a base-10 integer: an optional '-' and digits, with no '+', spaces, radix
+/// prefix or trailing junk. A value outside [lo, hi], or past long long,
+/// throws gapsp::Error naming `what` (a flag, a file line) and the range.
+long long parse_int(std::string_view text, std::string_view what,
+                    long long lo = std::numeric_limits<long long>::min(),
+                    long long hi = std::numeric_limits<long long>::max());
+
+/// parse_int for a finite decimal number ("0.25", "4", "1e-3"), in [lo, hi].
+double parse_double(std::string_view text, std::string_view what,
+                    double lo = std::numeric_limits<double>::lowest(),
+                    double hi = std::numeric_limits<double>::max());
 }  // namespace util
 
 /// Contract check that stays enabled in release builds. Use for conditions

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <string>
+#include <string_view>
+
+#include "util/common.h"
 
 namespace gapsp {
 namespace {
@@ -124,21 +125,16 @@ void ThreadPool::parallel_for(std::size_t count,
 
 std::size_t ThreadPool::threads_from_env(const char* value) {
   if (value == nullptr) return 0;
-  std::string s(value);
+  const std::string_view s(value);
   const auto begin = s.find_first_not_of(" \t");
-  if (begin == std::string::npos) return 0;  // all whitespace
+  if (begin == std::string_view::npos) return 0;  // all whitespace
   const auto end = s.find_last_not_of(" \t");
-  s = s.substr(begin, end - begin + 1);
-  // Digits only: strtol would accept "4x16" as 4 and "-2" as a huge size_t
-  // after the cast — both must fall back loudly, not half-parse.
-  for (const char c : s) {
-    if (c < '0' || c > '9') return 0;
+  try {
+    return static_cast<std::size_t>(util::parse_int(
+        s.substr(begin, end - begin + 1), "GAPSP_THREADS", 1));
+  } catch (const Error&) {
+    return 0;
   }
-  errno = 0;
-  char* parse_end = nullptr;
-  const long v = std::strtol(s.c_str(), &parse_end, 10);
-  if (errno != 0 || parse_end != s.c_str() + s.size() || v <= 0) return 0;
-  return static_cast<std::size_t>(v);
 }
 
 ThreadPool& ThreadPool::global() {

@@ -47,8 +47,8 @@ class ThreadPool {
   /// must be a positive decimal integer (surrounding whitespace allowed).
   /// Returns 0 — "fall back to hardware concurrency" — for nullptr and for
   /// anything else ("4x", "-2", "0", "", "1e3"): a typo'd override silently
-  /// parsing as its numeric prefix (strtol semantics) once pinned a run to
-  /// the wrong width. global() warns once to stderr on the fallback.
+  /// parsing as its numeric prefix once pinned a run to the wrong width.
+  /// util::parse_int decides; global() warns once to stderr on the fallback.
   static std::size_t threads_from_env(const char* value);
 
  private:

@@ -81,5 +81,59 @@ TEST(Args, NegativeNumberAsValue) {
   EXPECT_EQ(a.get_int_or("offset", 0), -5);
 }
 
+TEST(DeclaredFlags, TextFlagsAndSwitches) {
+  const Flag store("store-path", "P", "distance store", "d.bin");
+  const Flag verify("verify", "", "check the result");
+  EXPECT_EQ(store.help, "distance store (default d.bin)");
+  EXPECT_EQ(store.flag(), "--store-path");
+  EXPECT_EQ(store.arg("x y.bin"), "--store-path=x y.bin");
+  EXPECT_EQ(store(parse({})), "d.bin");
+  EXPECT_EQ(store(parse({"--store-path", "e.bin"})), "e.bin");
+  EXPECT_TRUE(verify.has(parse({"--verify"})));
+  EXPECT_EQ(store.with_help("kept store").help, "kept store (default d.bin)");
+}
+
+TEST(DeclaredFlags, NumericFlagsStateAndCheckTheirRange) {
+  const IntFlag cache("cache-mb", "M", "cache MiB", 64, 0, 1024);
+  const IntFlag threads("threads", "T", "threads", 0, 0);
+  const IntFlag shard("shard", "K", "slice", std::nullopt, 0);
+  const RealFlag p("fault-h2d", "P", "fault", 0.0, 0.0, 1.0);
+  EXPECT_EQ(cache.help, "cache MiB (default 64, in [0, 1024])");
+  EXPECT_EQ(threads.help, "threads (default 0, >= 0)");
+  EXPECT_EQ(shard.help, "slice (>= 0)");
+  EXPECT_EQ(p.help, "fault (default 0, in [0, 1])");
+  EXPECT_EQ(cache(parse({})), 64);
+  EXPECT_EQ(cache(parse({"--cache-mb", "0"})), 0);
+  EXPECT_EQ(shard(parse({"--shard", "3"})), 3);
+  EXPECT_DOUBLE_EQ(p(parse({"--fault-h2d", "0.25"})), 0.25);
+  EXPECT_THROW(cache(parse({"--cache-mb", "-1"})), Error);
+  EXPECT_THROW(cache(parse({"--cache-mb", "8x"})), Error);
+  EXPECT_THROW(threads(parse({"--threads", "2147483648"})), Error);
+  EXPECT_THROW(p(parse({"--fault-h2d=-0.5"})), Error);
+  EXPECT_EQ(cache.arg(8), "--cache-mb=8");
+  const IntFlag count = cache.with(2, "count");
+  EXPECT_EQ(count.name, "cache-mb");
+  EXPECT_EQ(count(parse({})), 2);
+  EXPECT_EQ(count.help, "count (default 2, in [0, 1024])");
+}
+
+TEST(DeclaredFlags, ChoiceFlagsNameTheirChoices) {
+  enum class Route { kNone, kLocal };
+  const ChoiceFlag<Route> route("route", "topology",
+                                {{"none", Route::kNone},
+                                 {"local", Route::kLocal}});
+  EXPECT_EQ(route.value, "none|local");
+  EXPECT_EQ(route.help, "topology (default none)");
+  EXPECT_EQ(route(parse({})), Route::kNone);
+  EXPECT_EQ(route(parse({"--route", "local"})), Route::kLocal);
+  EXPECT_EQ(route.label(Route::kLocal), "local");
+  try {
+    route(parse({"--route", "remote"}));
+    ADD_FAILURE() << "accepted";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "unknown --route: remote (none | local)");
+  }
+}
+
 }  // namespace
 }  // namespace gapsp

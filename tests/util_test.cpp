@@ -100,6 +100,65 @@ TEST(Common, WordHashSeesEveryBit) {
   }
 }
 
+TEST(Common, ParseIntKnownAnswers) {
+  EXPECT_EQ(util::parse_int("0", "n"), 0);
+  EXPECT_EQ(util::parse_int("007", "n"), 7);
+  EXPECT_EQ(util::parse_int("-5", "n"), -5);
+  EXPECT_EQ(util::parse_int("9223372036854775807", "n"),
+            std::numeric_limits<long long>::max());
+  EXPECT_EQ(util::parse_int("-9223372036854775808", "n"),
+            std::numeric_limits<long long>::min());
+  EXPECT_EQ(util::parse_int("2147483647", "n", 0, 2147483647), 2147483647);
+  EXPECT_EQ(util::parse_int("1", "n", 1, 1), 1);
+}
+
+TEST(Common, ParseIntRejectsPartialAndOutOfRangeText) {
+  // Each of these was once read as a number by a hand-rolled parser: a
+  // numeric prefix, a wrapped overflow, or a sign the caller never wanted.
+  for (const char* bad :
+       {"", " ", "8x", "x8", "0x10", "+4", " 4", "4 ", "4 2", "1e3", "3.5",
+        "-", "--1", "99999999999999999999", "-99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(util::parse_int(bad, "--n"), Error);
+  }
+  EXPECT_THROW(util::parse_int("4294967296", "id", 0, 2147483647), Error);
+  EXPECT_THROW(util::parse_int("-1", "--cache-mb", 0), Error);
+  EXPECT_THROW(util::parse_int("0", "GAPSP_THREADS", 1), Error);
+  try {
+    util::parse_int("-1", "--cache-mb", 0, 1024);
+    ADD_FAILURE() << "accepted";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "--cache-mb expects an integer in [0, 1024], got '-1'");
+  }
+  try {
+    util::parse_int("8x", "line 3", 1);
+    ADD_FAILURE() << "accepted";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "line 3 expects an integer >= 1, got '8x'");
+  }
+}
+
+TEST(Common, ParseDoubleKnownAnswers) {
+  EXPECT_DOUBLE_EQ(util::parse_double("0.25", "p"), 0.25);
+  EXPECT_DOUBLE_EQ(util::parse_double("4", "p"), 4.0);
+  EXPECT_DOUBLE_EQ(util::parse_double("1e-3", "p"), 1e-3);
+  EXPECT_DOUBLE_EQ(util::parse_double("-0.5", "p"), -0.5);
+  EXPECT_DOUBLE_EQ(util::parse_double("1", "p", 0.0, 1.0), 1.0);
+  for (const char* bad :
+       {"", "0.5x", "+1", " 1", "nan", "inf", "-inf", "1e400", "0x1p3"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(util::parse_double(bad, "--p"), Error);
+  }
+  try {
+    util::parse_double("-0.5", "--fault-h2d", 0.0, 1.0);
+    ADD_FAILURE() << "accepted";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "--fault-h2d expects a number in [0, 1], got '-0.5'");
+  }
+}
+
 TEST(Rng, DeterministicForSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());

@@ -1,204 +1,17 @@
-// apsp_cli — the command-line front end of the gapsp library.
-//
-// Solve APSP on a Matrix Market file or a generated graph, with the paper's
-// selector or an explicit algorithm, on a simulated V100 or K80:
-//
-//   apsp_cli --input graph.mtx
-//   apsp_cli --generate road:40x40 --query 0,812 --path 0,812
-//   apsp_cli --generate rmat:11:14000 --algorithm johnson --device k80
-//   apsp_cli --generate mesh:1200:30 --store file --store-path dist.bin --keep-store
-//   apsp_cli --generate road:36x36 --trace timeline.json   (chrome://tracing)
-//
-// Flags:
-//   --input FILE            Matrix Market input
-//   --generate SPEC         road:RxC | mesh:N:DEG | rmat:SCALE:EDGES |
-//                           er:N:M[:0 = leave disconnected] | dense:N:PCT
-//   --seed S                generator seed (default 1)
-//   --algorithm A           auto | fw | johnson | boundary   (default auto)
-//   --device D              v100 | k80                        (default v100)
-//   --memory-mb M           device memory in MiB              (default 8 / 6)
-//   --components K          boundary algorithm component count (0 = sqrt(n)/4)
-//   --no-batching           disable boundary transfer batching
-//   --no-overlap            disable compute/transfer overlap (all algorithms)
-//   --transfer-compression M  auto | on | off: z1-compress staged tiles into
-//                           the pinned lanes, decode on device (DESIGN.md
-//                           §14). auto engages when the device's decode rate
-//                           beats its host link; results are bit-identical
-//                           in every mode (unknown names are an error)
-//   --no-dp                 disable Johnson dynamic parallelism
-//   --sparse-threshold P    selector sparse density band, percent (default 0.8)
-//   --dense-threshold P     selector dense density band, percent  (default 4)
-//   --store S               ram | file                        (default ram)
-//   --store-path P          file-store path (default ./apsp_dist.bin)
-//   --keep-store            keep the file store after exit; on completion it
-//                           is compacted into a GAPSPZ1 block-compressed
-//                           store (DESIGN.md §11) and a calibration sidecar
-//                           (<store-path>.cal) is saved next to it
-//   --no-compress-store     keep the raw file instead of compacting
-//   --store-ratio R         expected compression ratio of the store sink;
-//                           scales the n² output term of the cost models
-//                           (selector sees cheaper I/O)   (default 1 = raw)
-//   --sssp-kernel K         near-far | delta-stepping | bellman-ford
-//   --partitioner P         kway | rb (recursive bisection)
-//   --devices N             run the multi-GPU boundary algorithm on N devices
-//   --verify                spot-check the result against Dijkstra rows
-//   --per-component         decompose into connected components first
-//   --save FILE             serialize the distance matrix (GAPSPDM1 format)
-//   --query U,V             print dist(U,V)  (several: "U,V;U2,V2")
-//   --path U,V              print one shortest path U -> V
-//   --trace FILE            write a chrome://tracing JSON timeline
-//   --stats                 print graph statistics and exit
-//
-// Kernel engine (see DESIGN.md §9):
-//   --kernel-variant V      auto | naive | simd   min-plus microkernel (auto
-//                           = simd, or naive on a CPU without AVX2; naive
-//                           rules the vector kernel out of a wrong answer;
-//                           unknown names are an error)
-//   --kernel-threads N      host threads for grid-parallel kernels and the
-//                           transfer codec's slice frames (0 = whole pool,
-//                           1 = serial; negative is an error); never changes
-//                           results or simulated time, only wall-clock
-//
-// Fault injection & recovery (see DESIGN.md §8):
-//   --fault-seed S          fault schedule seed (default 1)
-//   --fault-h2d P           probability an H2D transfer faults (transient)
-//   --fault-d2h P           probability a D2H transfer faults (transient)
-//   --fault-kernel P        probability a kernel launch faults (transient)
-//   --fault-alloc P         probability an allocation faults (→ degrade)
-//   --fault-decode P        probability an on-device z1 decode/encode faults
-//                           (transient; the whole tile retries)
-//   --kill-device D:N       device D dies at its N-th operation
-//   --retries N             max retries per transient fault (default 3)
-//   --checkpoint FILE       write a round-level checkpoint sidecar; requires
-//                           --store file (the store holds the completed
-//                           rounds, so it must outlive the process; the
-//                           store file is kept across runs automatically)
-//   --resume                resume from --checkpoint if compatible:
-//
-//   apsp_cli --generate road:20x20 --algorithm fw --store file \
-//            --store-path d.bin --checkpoint fw.ck [--kill-device 0:40]
-//   apsp_cli --generate road:20x20 --algorithm fw --store file \
-//            --store-path d.bin --checkpoint fw.ck --resume
-//
-// Query service (see DESIGN.md §10): `apsp_cli query` opens a kept store —
-// raw or GAPSPZ1 compressed, auto-detected — from a previous solve and
-// serves point/row/batch queries through the block-cached query engine,
-// printing cache and latency metrics:
-//
-//   apsp_cli --generate road:24x24 --store file --store-path d.bin --keep-store
-//   apsp_cli query --store-path d.bin --point 0,100 --row 5
-//   apsp_cli query --store-path d.bin --batch queries.txt --cache-mb 32
-//
-// Store compaction (see DESIGN.md §11): `apsp_cli compact` converts a raw
-// kept store into a GAPSPZ1 block-compressed store (in place by default):
-//
-//   apsp_cli compact --store-path d.bin [--out d.z.bin] [--block 256]
-//
-// Query flags:
-//   --store-path P          kept store file from `--keep-store` (required)
-//   --point U,V             point queries (several: "U,V;U2,V2")
-//   --row U                 row queries (several: "U;U2")
-//   --batch FILE            one query per line: "U V" / "U,V" (point) or
-//                           "row U"; '#' starts a comment
-//   --cache-mb M            block cache capacity in MiB       (default 64)
-//   --block B               cache tile side, elements         (default 256)
-//   --shards S              cache shard count                 (default 8)
-//   --threads T             batch fan-out threads (0 = whole pool)
-//   --repeat N              run the batch N times (N >= 2 shows the
-//                           warm-cache steady state; metrics per run)
-//
-// Serving-tier fault tolerance (see DESIGN.md §13): raw kept stores carry a
-// GAPSPSM1 checksum sidecar (<store>.sum, written at --keep-store/scrub
-// time) and every cache-miss read is verified against it; GAPSPZ1 stores
-// verify their own frame checksums. Transient read faults retry with
-// backoff; persistent damage quarantines the tile and degrades exactly the
-// queries that touch it (typed per-query status) — or, with
-// --repair recompute, the tile is re-derived from the graph on the spot.
-//
-//   --retries N             retry budget per transient read fault (default 3)
-//   --max-queue N           admission bound per batch; overflow is shed with
-//                           a typed status (0 = unbounded)
-//   --no-verify-sums        skip sidecar verification on reads
-//   --repair recompute      re-derive damaged tiles by SSSP over the input
-//                           graph (give the same --generate/--input/--seed
-//                           as the solve; identity-permutation solves only)
-//   --fault-store-read P    inject transient store-read faults (chaos)
-//   --fault-seed S          fault schedule seed (default 1)
-//
-// Sharded serving (see DESIGN.md §15): `apsp_cli shard` splits a kept store
-// (raw or GAPSPZ1) into row-range shard files plus a GAPSPSH1 manifest;
-// `query --route` serves all shards behind one batch surface, either with
-// in-process engines (local) or one worker process per shard (process, the
-// workers being `apsp_cli serve --shard K` children speaking a
-// length-prefixed protocol on stdin/stdout). A dead or corrupt shard
-// degrades exactly its row range to typed kQuarantined results:
-//
-//   apsp_cli shard --store-path d.bin --shards 4
-//   apsp_cli query --store-path d.bin --route process --point 0,100 --row 5
-//   apsp_cli query --store-path d.bin --shard 1 --row 300   (single slice)
-//
-//   --route M               none | local | process        (default none)
-//   --shard K               serve one shard slice directly; every query must
-//                           route inside its row range (contradiction = exit 1)
-//   --worker-retries N      resend+respawn budget per dead worker (default 1)
-//   --worker-timeout-ms T   per-reply wait before a worker counts as dead
-//   --kill-worker K:N       chaos: worker K _exits on its N-th batch
-//   --no-verify-shard       skip the whole-file shard checksum at open
-//
-// Scrub & repair (offline): `apsp_cli scrub` walks every tile of a kept
-// store, reports corruption, optionally repairs it in place, and exits 3
-// when unrepaired damage remains:
-//
-//   apsp_cli scrub --store-path d.bin
-//   apsp_cli scrub --store-path d.bin --repair recompute --generate road:24x24
-//   apsp_cli scrub --store-path d.bin --write-sums    (create/refresh sidecar)
-//
-// Dynamic updates (see DESIGN.md §16): `apsp_cli update` repairs a kept
-// store in place after a batch of edge-weight updates, instead of
-// re-solving. Decrease-only batches run a bounded min-plus panel repair;
-// increases/deletes probe for damaged rows and recompute them by SSSP,
-// falling back to a full re-solve past --update-threshold. The repair
-// writes into a sibling tmp copy and atomically replaces the store, with a
-// GAPSPCK1 delta sidecar (<store>.updck) making a killed update resumable
-// bit-identically. Stale sidecars are fixed up: .sum refreshed, .cal and
-// .shards removed. Pass the solve's exact --generate/--input/--seed
-// (identity-permutation solves only, like --repair recompute):
-//
-//   apsp_cli update --store-path d.bin --updates batch.txt \
-//            --generate road:24x24 [--update-threshold 0.5] [--resume]
-//
-//   --updates FILE          one `u v w` arc per line ('#' comments;
-//                           w = inf | x | -1 deletes the arc; arcs absent
-//                           from the graph are inserted; last update of an
-//                           arc wins). Undirected graphs need both arcs.
-//   --update-threshold F    fall back to a full re-solve when more than
-//                           F*n rows are damaged by increases (default 1 =
-//                           never: row repair is output-sensitive, so the
-//                           damaged-row fraction does not predict its cost;
-//                           0 = always re-solve)
-//   --checkpoint FILE       delta sidecar path (default <store>.updck)
-//   --checkpoint-every N    tiles between checkpoint rewrites (default 64)
-//   --resume                continue a killed update (same store + batch)
-//   --block B               repair tile side for raw stores (default 256;
-//                           GAPSPZ1 stores always use their own tiling)
-//   --save-graph FILE       write the post-update graph as Matrix Market,
-//                           so a from-scratch `--input FILE` solve can
-//                           cross-check the repaired store byte-for-byte
-//
-// `apsp_cli info` prints a kept store's format facts (raw / GAPSPZ1 /
-// GAPSPSD1 shard slice, n, tile, compression ratio) and the health of every
-// sidecar next to it (.sum / .cal / .shards / .updck):
-//
-//   apsp_cli info --store-path d.bin
-//
-// Query-mode vertex ids address the store's own layout; solves that permute
-// (the boundary algorithm) should query through the API with ApspResult::
-// perm, or save via --save which records the permutation.
+// apsp_cli — the command-line front end of the gapsp library: solve APSP on
+// a simulated V100 or K80, then serve, shard, scrub, update and inspect the
+// kept distance store. `apsp_cli --help` lists the commands and exit codes,
+// `apsp_cli <command> --help` a command's flags. Both are generated from the
+// command table at the end of this file, which also validates every flag.
+#include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
+#include <tuple>
 
 #include <unistd.h>
 
@@ -230,71 +43,296 @@ namespace {
 
 using namespace gapsp;
 
+constexpr long long kMaxVertex = std::numeric_limits<vidx_t>::max();
+
+/// A probability flag: default 0, in [0, 1].
+RealFlag probability(std::string name, std::string help) {
+  return {std::move(name), "P", std::move(help), 0.0, 0.0, 1.0};
+}
+
+const Flag kHelp("help", "", "print this help and exit");
+const Flag kStorePath("store-path", "P", "distance store", "apsp_dist.bin");
+
+// The graph a solve reads, and a repair or update re-derives (the solve's).
+const Flag kInput("input", "FILE", "Matrix Market input");
+const Flag kGenerate("generate", "SPEC",
+                     "road:RxC | mesh:N:DEG | rmat:SCALE:EDGES | er:N:M[:0 "
+                     "= leave disconnected] | dense:N:PCT",
+                     "road:40x40");
+const IntFlag kSeed("seed", "S", "generator seed", 1, 0, LLONG_MAX);
+
+// The query engine's cache and retry budget.
+const IntFlag kCacheMb("cache-mb", "M", "block cache MiB", 64, 0, 1LL << 30);
+const IntFlag kBlock("block", "B", "tile side (GAPSPZ1 keeps its)", 256, 1);
+const IntFlag kShards("shards", "S", "cache shards", 8, 1, 1 << 16);
+const IntFlag kThreads("threads", "T", "batch threads (0 = pool)", 0, 0);
+const IntFlag kRetries("retries", "N", "retries per transient fault", 3, 0);
+
+// Store-read chaos; the solve's device faults share the seed.
+const IntFlag kFaultSeed("fault-seed", "S", "fault schedule seed", 1, 0,
+                         LLONG_MAX);
+const RealFlag kFaultStoreRead = probability("fault-store-read", "read fault");
+
+// The solve (DESIGN.md §8 faults, §9 kernels, §11 stores, §14 transfers).
+const ChoiceFlag<core::Algorithm> kAlgorithm(
+    "algorithm", "auto runs the paper's selector",
+    {{"auto", core::Algorithm::kAuto},
+     {"fw", core::Algorithm::kBlockedFloydWarshall},
+     {"johnson", core::Algorithm::kJohnson},
+     {"boundary", core::Algorithm::kBoundary}});
+struct Device {
+  sim::DeviceSpec (*spec)(std::size_t memory);
+  long long memory_mb;
+};
+const ChoiceFlag<Device> kDevice("device", "simulated GPU",
+                                 {{"v100", {&sim::DeviceSpec::v100_scaled, 8}},
+                                  {"k80", {&sim::DeviceSpec::k80_scaled, 6}}});
+const IntFlag kMemoryMb("memory-mb", "M", "device MiB (8 on v100, 6 on k80)",
+                        std::nullopt, 1, 1 << 20);
+const IntFlag kComponents("components", "K", "boundary parts (0 = sqrt(n)/4)",
+                          0, 0);
+const IntFlag kDevices("devices", "N", "GPUs (> 1: multi-GPU)", 1, 1, 1024);
+const Flag kNoBatching("no-batching", "", "no boundary transfer batching");
+const Flag kNoOverlap("no-overlap", "", "no compute/transfer overlap");
+const Flag kNoDp("no-dp", "", "no Johnson dynamic parallelism");
+const Flag kTransferCompression("transfer-compression", "auto|on|off",
+                                "z1 over the host link", "auto");
+const RealFlag kSparseThreshold("sparse-threshold", "P",
+                                "selector sparse band, %", 0.8, 0, 100);
+const RealFlag kDenseThreshold("dense-threshold", "P", "selector dense band, %",
+                               4, 0, 100);
+const ChoiceFlag<core::SsspKernel> kSsspKernel(
+    "sssp-kernel", "Johnson's SSSP kernel",
+    {{"near-far", core::SsspKernel::kNearFar},
+     {"delta-stepping", core::SsspKernel::kDeltaStepping},
+     {"bellman-ford", core::SsspKernel::kBellmanFord}});
+const ChoiceFlag<part::Method> kPartitioner(
+    "partitioner", "rb = recursive bisection",
+    {{"kway", part::Method::kMultilevelKway},
+     {"rb", part::Method::kRecursiveBisection}});
+const Flag kKernelVariant("kernel-variant", "auto|naive|simd",
+                          "min-plus microkernel", "auto");
+const IntFlag kKernelThreads("kernel-threads", "N", "kernel threads (0 = pool)",
+                             0, 0);
+const ChoiceFlag<bool> kStore("store", "distance store",
+                              {{"ram", false}, {"file", true}});
+const Flag kKeepStore("keep-store", "", "keep the file store, compacted");
+const Flag kNoCompressStore("no-compress-store", "", "keep it raw, with .sum");
+const RealFlag kStoreRatio("store-ratio", "R", "expected store compression",
+                           1, 1);
+const Flag kVerify("verify", "", "spot-check 8 rows against Dijkstra");
+const Flag kPerComponent("per-component", "", "solve each component apart");
+const Flag kSave("save", "FILE", "write the distances (GAPSPDM1)");
+const Flag kQuery("query", "U,V", "print dist(U,V) (\"U,V;U2,V2\")");
+const Flag kPath("path", "U,V", "print one shortest path U -> V");
+const Flag kTrace("trace", "FILE", "write a chrome://tracing timeline");
+const Flag kStats("stats", "", "print graph statistics and exit");
+const RealFlag kFaultH2d = probability("fault-h2d", "H2D transfer fault");
+const RealFlag kFaultD2h = probability("fault-d2h", "D2H transfer fault");
+const RealFlag kFaultKernel = probability("fault-kernel", "kernel fault");
+const RealFlag kFaultAlloc = probability("fault-alloc", "allocation fault");
+const RealFlag kFaultDecode = probability("fault-decode", "z1 decode fault");
+const Flag kKillDevice("kill-device", "D:N", "device D dies at op N >= 1");
+const Flag kCheckpoint("checkpoint", "FILE", "round checkpoint (file store)");
+const Flag kResume("resume", "", "resume from the checkpoint");
+
+// Serving (DESIGN.md §10 engine, §13 fault ladder, §15 shards).
+const Flag kPoint("point", "U,V", "point queries (\"U,V;U2,V2\")");
+const Flag kRow("row", "U", "row queries (\"U;U2\")");
+const Flag kBatch("batch", "FILE", "\"U V\" | \"U,V\" | \"row U\" lines");
+const IntFlag kRepeat("repeat", "N", "batch runs (2+: warm cache)", 1, 1);
+const IntFlag kMaxQueue("max-queue", "N", "admission bound (0 = none)", 0, 0);
+const Flag kNoVerifySums("no-verify-sums", "", "skip .sum verification");
+const ChoiceFlag<bool> kRepair("repair", "re-derive damaged tiles by SSSP",
+                               {{"off", false}, {"recompute", true}});
+enum class Route { kNone, kLocal, kProcess };
+const ChoiceFlag<Route> kRoute("route", "serve all shards, in process or not",
+                               {{"none", Route::kNone},
+                                {"local", Route::kLocal},
+                                {"process", Route::kProcess}});
+const IntFlag kShard("shard", "K", "serve one shard slice", std::nullopt, 0);
+const Flag kNoVerifyShard("no-verify-shard", "", "skip the shard checksum");
+const IntFlag kWorkerRetries("worker-retries", "N", "respawns per dead worker",
+                             1, 0);
+const IntFlag kWorkerTimeoutMs("worker-timeout-ms", "T",
+                               "reply wait (0 = forever)", 30000, 0);
+const Flag kKillWorker("kill-worker", "K:N", "worker K exits at batch N >= 1");
+const IntFlag kExitAfter("exit-after", "N", "exit after batch N (0 = never)",
+                         0, 0);
+
+// Store maintenance (DESIGN.md §13 scrub, §15 shards, §16 updates).
+const IntFlag kShardCount = kShards.with(2, "row-range shards");
+const Flag kWriteSums("write-sums", "", "write or refresh <P>.sum");
+const Flag kOut("out", "FILE", "compacted store (default: in place)");
+const Flag kUpdates("updates", "FILE", "\"u v w\" lines; w = inf|x|-1 deletes");
+const RealFlag kUpdateThreshold("update-threshold", "F",
+                                "re-solve past F*n damaged rows",
+                                core::IncrementalOptions{}.damage_threshold, 0);
+const Flag kUpdateCheckpoint =
+    kCheckpoint.with_help("delta checkpoint (default <P>.updck)");
+const IntFlag kCheckpointEvery(
+    "checkpoint-every", "N", "tiles per checkpoint",
+    core::IncrementalOptions{}.checkpoint_every_tiles, 1);
+const Flag kUpdateResume = kResume.with_help("continue a killed update");
+const Flag kSaveGraph("save-graph", "FILE", "write the updated graph");
+
+const std::string kServe = "serve";  // the command the process router execs
+
+std::vector<std::string> split(const std::string& s, char sep) {
+  std::vector<std::string> out;
+  std::istringstream ss(s);
+  for (std::string item; std::getline(ss, item, sep);) out.push_back(item);
+  return out;
+}
+
+/// An integer in [0, hi] from one list item; spaces around it are allowed,
+/// as in "0, 1; 2,3".
+long long item(std::string s, const std::string& what, long long hi) {
+  s.erase(0, s.find_first_not_of(" \t"));
+  s.erase(s.find_last_not_of(" \t") + 1);
+  return util::parse_int(s, what, 0, hi);
+}
+
+/// "A<sep>B" as two integers in [0, hi]; `shape` names the flag in errors.
+std::pair<long long, long long> int_pair(const std::string& s, char sep,
+                                         const std::string& shape,
+                                         long long hi) {
+  const auto at = s.find(sep);
+  GAPSP_CHECK(at != std::string::npos, "expected " + shape + " but got " + s);
+  return {item(s.substr(0, at), shape, hi), item(s.substr(at + 1), shape, hi)};
+}
+
+vidx_t vertex(const std::string& s, const std::string& what) {
+  return static_cast<vidx_t>(item(s, what, kMaxVertex));
+}
+
+std::pair<vidx_t, vidx_t> vertex_pair(const std::string& s,
+                                      const std::string& what) {
+  const auto [u, v] = int_pair(s, ',', what + " U,V", kMaxVertex);
+  return {static_cast<vidx_t>(u), static_cast<vidx_t>(v)};
+}
+
 graph::CsrGraph make_graph(const Args& args) {
-  if (const auto input = args.get("input"); input.has_value()) {
+  if (const auto input = kInput.get(args)) {
     return graph::read_matrix_market_file(*input);
   }
-  const std::string spec = args.get_or("generate", "road:40x40");
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
-  std::istringstream ss(spec);
-  std::string kind;
-  GAPSP_CHECK(static_cast<bool>(std::getline(ss, kind, ':')),
-              "bad --generate spec: " + spec);
-  auto next_num = [&](char sep) {
-    std::string tok;
-    GAPSP_CHECK(static_cast<bool>(std::getline(ss, tok, sep)),
-                "bad --generate spec: " + spec);
-    return std::stoll(tok);
-  };
-  if (kind == "road") {
-    const auto rows = next_num('x');
-    const auto cols = next_num(':');
-    return graph::make_road(static_cast<vidx_t>(rows),
-                            static_cast<vidx_t>(cols), seed);
+  const std::string spec = kGenerate(args);
+  const auto seed = static_cast<std::uint64_t>(kSeed(args));
+  auto f = split(spec, ':');  // kind:A:B[:C], road's RxC being two fields
+  if (f.size() == 2 && f[0] == "road" && f[1].find('x') != std::string::npos) {
+    const auto x = f[1].find('x');
+    f = {f[0], f[1].substr(0, x), f[1].substr(x + 1)};
   }
-  if (kind == "mesh") {
-    const auto n = next_num(':');
-    const auto deg = next_num(':');
-    return graph::make_mesh(static_cast<vidx_t>(n), static_cast<int>(deg),
+  const std::string kind = f.empty() ? "" : f[0];
+  GAPSP_CHECK(f.size() == 3 || (kind == "er" && f.size() == 4),
+              "bad " + kGenerate.flag() + " spec: " + spec);
+  const std::string what = kGenerate.flag() + " " + spec;
+  const auto field = [&](std::size_t i, long long hi) {
+    return util::parse_int(f[i], what, 0, hi);
+  };
+  const auto n = [&] { return static_cast<vidx_t>(field(1, kMaxVertex)); };
+  if (kind == "road") {
+    return graph::make_road(n(), static_cast<vidx_t>(field(2, kMaxVertex)),
                             seed);
   }
+  if (kind == "mesh") {
+    return graph::make_mesh(n(), static_cast<int>(field(2, INT_MAX)), seed);
+  }
   if (kind == "rmat") {
-    const auto scale = next_num(':');
-    const auto edges = next_num(':');
-    return graph::make_rmat(static_cast<int>(scale), edges, seed);
+    return graph::make_rmat(static_cast<int>(field(1, INT_MAX)),
+                            field(2, LLONG_MAX), seed);
   }
   if (kind == "er") {
-    const auto n = next_num(':');
-    const auto m = next_num(':');
-    // Optional 4th field: er:N:M:0 skips the connecting spanning walk, so a
-    // sub-critical M leaves many components (a kInf-dominated store).
-    std::string tok;
-    const bool connect =
-        !std::getline(ss, tok, ':') || std::stoll(tok) != 0;
-    return graph::make_erdos_renyi(static_cast<vidx_t>(n), m, seed, connect);
+    // er:N:M:0 skips the connecting spanning walk, so a sub-critical M
+    // leaves many components (a kInf-dominated store).
+    return graph::make_erdos_renyi(n(), field(2, LLONG_MAX), seed,
+                                   f.size() == 3 || field(3, 1) != 0);
   }
   if (kind == "dense") {
-    const auto n = next_num(':');
-    const auto pct = next_num(':');
-    return graph::make_dense(static_cast<vidx_t>(n),
-                             static_cast<double>(pct), seed);
+    return graph::make_dense(n(), util::parse_double(f[2], what, 0.0, 100.0),
+                             seed);
   }
   throw Error("unknown generator kind: " + kind);
 }
 
-core::Algorithm parse_algorithm(const std::string& name) {
-  if (name == "auto") return core::Algorithm::kAuto;
-  if (name == "fw") return core::Algorithm::kBlockedFloydWarshall;
-  if (name == "johnson") return core::Algorithm::kJohnson;
-  if (name == "boundary") return core::Algorithm::kBoundary;
-  throw Error("unknown --algorithm: " + name);
+/// The SSSP repair source of a recompute repair: the solve's graph, made
+/// again from its source. Identity permutation only (fw/johnson solves);
+/// the shared_ptr keeps the graph alive inside the fn.
+core::TileRepairFn make_repair_source(const Args& args) {
+  if (!kRepair(args)) return {};
+  GAPSP_CHECK(kGenerate.has(args) || kInput.has(args),
+              kRepair.flag() + " recompute re-derives tiles from the input "
+              "graph: pass the solve's " + kGenerate.flag() + "/" +
+                  kInput.flag() + " (and " + kSeed.flag() + ")");
+  auto g = std::make_shared<graph::CsrGraph>(make_graph(args));
+  core::TileRepairFn fn = core::make_sssp_repair(*g);
+  return [g, fn](vidx_t row0, vidx_t col0, vidx_t rows, vidx_t cols) {
+    return fn(row0, col0, rows, cols);
+  };
 }
 
-std::pair<vidx_t, vidx_t> parse_pair(const std::string& s) {
-  const auto comma = s.find(',');
-  GAPSP_CHECK(comma != std::string::npos, "expected U,V but got " + s);
-  return {static_cast<vidx_t>(std::stoll(s.substr(0, comma))),
-          static_cast<vidx_t>(std::stoll(s.substr(comma + 1)))};
+sim::FaultPlan read_chaos(const Args& args) {
+  sim::FaultPlan chaos;
+  chaos.seed = static_cast<std::uint64_t>(kFaultSeed(args));
+  chaos.p_store_read = kFaultStoreRead(args);
+  return chaos;
+}
+
+service::QueryEngineOptions engine_options(const Args& args) {
+  service::QueryEngineOptions qopt;
+  qopt.cache_bytes = static_cast<std::size_t>(kCacheMb(args)) << 20;
+  qopt.block_size = static_cast<vidx_t>(kBlock(args));
+  qopt.cache_shards = static_cast<int>(kShards(args));
+  qopt.max_threads = static_cast<int>(kThreads(args));
+  qopt.retry.max_retries = static_cast<int>(kRetries(args));
+  qopt.max_queue = static_cast<std::size_t>(kMaxQueue(args));
+  qopt.verify_checksums = !kNoVerifySums.has(args);
+  return qopt;
+}
+
+struct ParsedQueries {
+  std::vector<service::Query> queries;
+  std::size_t inline_queries = 0;  // point and row flags: echo each result
+};
+
+ParsedQueries parse_queries(const Args& args) {
+  ParsedQueries out;
+  auto& queries = out.queries;
+  for (const auto& item : split(kPoint(args), ';')) {
+    const auto [u, v] = vertex_pair(item, kPoint.flag());
+    queries.push_back({service::QueryKind::kPoint, u, v});
+  }
+  for (const auto& item : split(kRow(args), ';')) {
+    queries.push_back({service::QueryKind::kRow, vertex(item, kRow.flag()), 0});
+  }
+  out.inline_queries = queries.size();
+  if (const auto batch = kBatch.get(args)) {
+    std::ifstream in(*batch);
+    GAPSP_CHECK(in.good(), "cannot open batch file " + *batch);
+    std::string line;
+    for (long long lineno = 1; std::getline(in, line); ++lineno) {
+      std::istringstream ls(line);
+      std::vector<std::string> tok;
+      for (std::string t; ls >> t;) tok.push_back(t);
+      if (tok.empty() || tok[0][0] == '#') continue;
+      const std::string what =
+          kBatch.flag() + " line " + std::to_string(lineno);
+      if (tok[0] == "row" && tok.size() > 1) {
+        queries.push_back({service::QueryKind::kRow, vertex(tok[1], what), 0});
+      } else if (tok[0].find(',') != std::string::npos) {
+        const auto [u, v] = vertex_pair(tok[0], what);
+        queries.push_back({service::QueryKind::kPoint, u, v});
+      } else {
+        GAPSP_CHECK(tok.size() > 1, "bad batch line: " + line);
+        queries.push_back({service::QueryKind::kPoint, vertex(tok[0], what),
+                           vertex(tok[1], what)});
+      }
+    }
+  }
+  GAPSP_CHECK(!queries.empty(), "nothing to serve: give " + kPoint.flag() +
+                                    ", " + kRow.flag() + ", or " +
+                                    kBatch.flag());
+  return out;
 }
 
 std::string us(double seconds) {
@@ -303,115 +341,23 @@ std::string us(double seconds) {
   return os.str();
 }
 
-/// Builds the SSSP repair source for --repair recompute: the same graph the
-/// solve ran on, re-made from --generate/--input/--seed. Identity
-/// permutation only (fw/johnson solves); the kept graph outlives the fn via
-/// the shared_ptr capture.
-core::TileRepairFn make_repair_source(const Args& args) {
-  const std::string mode = args.get_or("repair", "off");
-  if (mode == "off") return {};
-  GAPSP_CHECK(mode == "recompute", "unknown --repair mode: " + mode);
-  GAPSP_CHECK(args.has("generate") || args.has("input"),
-              "--repair recompute re-derives tiles from the input graph: "
-              "pass the solve's --generate/--input (and --seed)");
-  auto g = std::make_shared<graph::CsrGraph>(make_graph(args));
-  core::TileRepairFn fn = core::make_sssp_repair(*g);
-  return [g, fn](vidx_t row0, vidx_t col0, vidx_t rows, vidx_t cols) {
-    return fn(row0, col0, rows, cols);
-  };
-}
-
-service::QueryEngineOptions engine_options_from_flags(const Args& args) {
-  service::QueryEngineOptions qopt;
-  qopt.cache_bytes =
-      static_cast<std::size_t>(args.get_int_or("cache-mb", 64)) << 20;
-  qopt.block_size = static_cast<vidx_t>(args.get_int_or("block", 256));
-  qopt.cache_shards = static_cast<int>(args.get_int_or("shards", 8));
-  qopt.max_threads = static_cast<int>(args.get_int_or("threads", 0));
-  qopt.retry.max_retries = static_cast<int>(args.get_int_or("retries", 3));
-  qopt.max_queue = static_cast<std::size_t>(args.get_int_or("max-queue", 0));
-  qopt.verify_checksums = !args.has("no-verify-sums");
-  return qopt;
-}
-
-struct ParsedQueries {
-  std::vector<service::Query> queries;
-  std::size_t inline_queries = 0;  // from --point/--row: echo each result
-};
-
-ParsedQueries parse_queries(const Args& args) {
-  ParsedQueries out;
-  auto& queries = out.queries;
-  if (const auto p = args.get("point"); p.has_value()) {
-    std::istringstream ss(*p);
-    std::string item;
-    while (std::getline(ss, item, ';')) {
-      const auto [u, v] = parse_pair(item);
-      queries.push_back({service::QueryKind::kPoint, u, v});
-    }
-    out.inline_queries = queries.size();
-  }
-  if (const auto rws = args.get("row"); rws.has_value()) {
-    std::istringstream ss(*rws);
-    std::string item;
-    while (std::getline(ss, item, ';')) {
-      queries.push_back({service::QueryKind::kRow,
-                         static_cast<vidx_t>(std::stoll(item)), 0});
-    }
-    out.inline_queries = queries.size();
-  }
-  if (const auto batch = args.get("batch"); batch.has_value()) {
-    std::ifstream in(*batch);
-    GAPSP_CHECK(in.good(), "cannot open batch file " + *batch);
-    std::string line;
-    while (std::getline(in, line)) {
-      const auto first = line.find_first_not_of(" \t");
-      if (first == std::string::npos || line[first] == '#') continue;
-      std::istringstream ls(line.substr(first));
-      std::string tok;
-      ls >> tok;
-      if (tok == "row") {
-        long long u = 0;
-        GAPSP_CHECK(static_cast<bool>(ls >> u), "bad batch line: " + line);
-        queries.push_back(
-            {service::QueryKind::kRow, static_cast<vidx_t>(u), 0});
-      } else if (tok.find(',') != std::string::npos) {
-        const auto [u, v] = parse_pair(tok);
-        queries.push_back({service::QueryKind::kPoint, u, v});
-      } else {
-        long long v = 0;
-        GAPSP_CHECK(static_cast<bool>(ls >> v), "bad batch line: " + line);
-        queries.push_back({service::QueryKind::kPoint,
-                           static_cast<vidx_t>(std::stoll(tok)),
-                           static_cast<vidx_t>(v)});
-      }
-    }
-  }
-  GAPSP_CHECK(!queries.empty(),
-              "nothing to serve: give --point, --row, or --batch");
-  return out;
+std::string dist_text(dist_t d) {
+  return d >= kInf ? "unreachable" : std::to_string(d);
 }
 
 void print_inline_results(const service::BatchReport& report,
                           std::size_t inline_queries, vidx_t n) {
   for (std::size_t i = 0; i < inline_queries; ++i) {
     const auto& r = report.results[i];
-    if (r.status != service::QueryStatus::kOk) {
-      std::cout << (r.query.kind == service::QueryKind::kPoint
-                        ? "dist(" + std::to_string(r.query.u) + ", " +
+    const bool point = r.query.kind == service::QueryKind::kPoint;
+    std::cout << (point ? "dist(" + std::to_string(r.query.u) + ", " +
                               std::to_string(r.query.v) + ")"
-                        : "row " + std::to_string(r.query.u))
-                << " = <" << service::query_status_name(r.status) << ": "
+                        : "row " + std::to_string(r.query.u));
+    if (r.status != service::QueryStatus::kOk) {
+      std::cout << " = <" << service::query_status_name(r.status) << ": "
                 << r.error << ">\n";
-      continue;
-    }
-    if (r.query.kind == service::QueryKind::kPoint) {
-      std::cout << "dist(" << r.query.u << ", " << r.query.v << ") = ";
-      if (r.dist >= kInf) {
-        std::cout << "unreachable\n";
-      } else {
-        std::cout << r.dist << "\n";
-      }
+    } else if (point) {
+      std::cout << " = " << dist_text(r.dist) << "\n";
     } else {
       vidx_t reachable = 0;
       dist_t far = 0;
@@ -421,8 +367,8 @@ void print_inline_results(const service::BatchReport& report,
           far = std::max(far, d);
         }
       }
-      std::cout << "row " << r.query.u << ": " << reachable << "/" << n
-                << " reachable, eccentricity " << far << "\n";
+      std::cout << ": " << reachable << "/" << n << " reachable, eccentricity "
+                << far << "\n";
     }
   }
 }
@@ -449,122 +395,123 @@ void print_batch_summary(const service::BatchReport& report) {
             << " quarantined\n";
 }
 
+/// Runs the batch as often as the repeat flag says on an engine or a router
+/// (cache counters accumulate, so 2+ shows the warm steady state) and
+/// prints the last run. Degradation is visible but not fatal: every query
+/// got a typed answer.
+template <typename Server>
+int serve_batch(Server& server, const Args& args, const ParsedQueries& pq,
+                vidx_t n) {
+  auto report = server.run_batch(pq.queries);
+  for (long long rep = 1; rep < kRepeat(args); ++rep) {
+    report = server.run_batch(pq.queries);
+  }
+  print_inline_results(report, pq.inline_queries, n);
+  print_batch_summary(report);
+  return 0;
+}
+
+/// compact_store, then drop `out`'s checksum sidecar: GAPSPZ1 frames are
+/// self-checksummed, so a raw-era sidecar would go stale.
+core::StoreCompactionStats compact(const std::string& in,
+                                   const std::string& out, vidx_t tile) {
+  const auto cs = core::compact_store(in, out, tile);
+  std::remove(core::checksum_sidecar_path(out).c_str());
+  return cs;
+}
+
+void print_compaction(const core::StoreCompactionStats& cs) {
+  std::cout << "store compressed: " << (cs.raw_bytes >> 10) << " KiB -> "
+            << (cs.compressed_bytes >> 10) << " KiB (" << cs.ratio() << "x, "
+            << cs.inf_tiles << "/" << cs.tiles << " all-kInf tiles) in "
+            << cs.seconds * 1e3 << " ms\n";
+}
+
 core::ShardManifest require_manifest(const std::string& path) {
   core::ShardManifest manifest;
   if (!core::load_shard_manifest(core::shard_manifest_path(path), manifest)) {
     throw Error("no shard manifest next to " + path +
-                " — run `apsp_cli shard --store-path " + path +
-                " --shards N` first");
+                " — run `apsp_cli shard " + kStorePath.flag() + " " + path +
+                " " + kShardCount.flag() + " N` first");
   }
   return manifest;
 }
 
-std::string self_exe_path() {
-  char buf[4096];
-  const ssize_t len = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  GAPSP_CHECK(len > 0, "cannot resolve /proc/self/exe");
-  return std::string(buf, static_cast<std::size_t>(len));
-}
-
-/// `query --shard K`: serve one shard slice directly (no router). Queries
-/// routing outside the shard's rows are a usage error — the slice cannot
-/// answer them, and silently returning kInf would look like "unreachable".
-int run_query_shard_slice(const Args& args, const std::string& path) {
+/// Serves one shard slice directly (no router).
+int run_query_shard_slice(const Args& args, const std::string& path,
+                          const ParsedQueries& pq) {
   const auto manifest = require_manifest(path);
-  const int k = static_cast<int>(args.get_int_or("shard", 0));
-  GAPSP_CHECK(k >= 0 && k < manifest.num_shards(),
-              "--shard " + std::to_string(k) + " out of range [0, " +
+  const int k = static_cast<int>(kShard(args));
+  GAPSP_CHECK(k < manifest.num_shards(),
+              kShard.flag() + " " + std::to_string(k) + " out of range [0, " +
                   std::to_string(manifest.num_shards()) + ")");
   const auto& range = manifest.shards[static_cast<std::size_t>(k)];
   const auto slice = core::open_shard_slice(path, manifest, k);
-  const auto qopt = engine_options_from_flags(args);
-  const service::QueryEngine engine(*slice, qopt);
+  const service::QueryEngine engine(*slice, engine_options(args));
 
   std::cout << "store: " << path << " shard " << k << "/"
             << manifest.num_shards() << " (rows [" << range.row_begin << ", "
             << range.row_end << ") of n=" << manifest.n << ", "
             << (manifest.compressed ? "GAPSPZ1" : "raw") << " slice, tile "
             << manifest.tile << ")\n";
-
-  auto pq = parse_queries(args);
   for (const auto& q : pq.queries) {
-    // Typed exit-1 path: a query this slice cannot own is a flag
-    // contradiction, not an "unreachable" answer.
+    // A query this slice cannot own is a flag contradiction (exit 1), not
+    // an "unreachable" answer.
     GAPSP_CHECK(
         q.u >= range.row_begin && q.u < range.row_end,
-        (q.kind == service::QueryKind::kPoint ? "--point " : "--row ") +
-            std::to_string(q.u) + " routes outside --shard " +
+        (q.kind == service::QueryKind::kPoint ? kPoint : kRow).flag() + " " +
+            std::to_string(q.u) + " routes outside " + kShard.flag() + " " +
             std::to_string(k) + " rows [" + std::to_string(range.row_begin) +
-            ", " + std::to_string(range.row_end) +
-            "); drop --shard or use --route local/process");
+            ", " + std::to_string(range.row_end) + "); drop " +
+            kShard.flag() + " or use " + kRoute.flag() + " local/process");
   }
-
-  const auto repeat = std::max<long long>(1, args.get_int_or("repeat", 1));
-  auto report = engine.run_batch(pq.queries);
-  for (long long rep = 1; rep < repeat; ++rep) {
-    report = engine.run_batch(pq.queries);
-  }
-  print_inline_results(report, pq.inline_queries, manifest.n);
-  print_batch_summary(report);
-  return 0;
+  return serve_batch(engine, args, pq, manifest.n);
 }
 
-/// `query --route local|process`: a ShardRouter over every shard, either
-/// in-process engines or one worker process per shard.
-int run_query_routed(const Args& args, const std::string& path,
-                     const std::string& route) {
+/// Serves through a ShardRouter over every shard, either in-process engines
+/// or one `serve` worker process per shard.
+int run_query_routed(const Args& args, const std::string& path, Route route,
+                     const ParsedQueries& pq) {
   const auto manifest = require_manifest(path);
   const int shards = manifest.num_shards();
-
   // One logical cache budget, split across the shard engines like the
   // single-engine path would spend it (floor 1 MiB per shard).
-  const auto cache_mb =
-      std::max<long long>(1, args.get_int_or("cache-mb", 64));
+  const auto cache_mb = std::max<long long>(1, kCacheMb(args));
   const auto per_shard_mb = std::max<long long>(1, cache_mb / shards);
-
   service::ShardRouterOptions ropt;
-  ropt.max_queue = static_cast<std::size_t>(args.get_int_or("max-queue", 0));
+  ropt.max_queue = static_cast<std::size_t>(kMaxQueue(args));
+  service::ProcessBackendOptions popt;
+  popt.retries = static_cast<int>(kWorkerRetries(args));
+  popt.timeout_ms = static_cast<int>(kWorkerTimeoutMs(args));
 
-  int kill_shard = -1;
+  long long kill_shard = -1;
   long long kill_at = 0;
-  if (const auto kill = args.get("kill-worker"); kill.has_value()) {
-    const auto colon = kill->find(':');
-    GAPSP_CHECK(colon != std::string::npos,
-                "expected --kill-worker SHARD:NTHBATCH but got " + *kill);
-    kill_shard = static_cast<int>(std::stoll(kill->substr(0, colon)));
-    kill_at = std::stoll(kill->substr(colon + 1));
-    GAPSP_CHECK(kill_shard >= 0 && kill_shard < shards,
-                "--kill-worker shard " + std::to_string(kill_shard) +
+  if (const auto kill = kKillWorker.get(args)) {
+    std::tie(kill_shard, kill_at) =
+        int_pair(*kill, ':', kKillWorker.flag() + " SHARD:NTHBATCH", INT_MAX);
+    GAPSP_CHECK(kill_shard < shards,
+                kKillWorker.flag() + " shard " + std::to_string(kill_shard) +
                     " out of range [0, " + std::to_string(shards) + ")");
-    GAPSP_CHECK(kill_at >= 1, "--kill-worker batch index must be >= 1");
+    GAPSP_CHECK(kill_at >= 1, kKillWorker.flag() + " batch index must be >= 1");
   }
 
   std::vector<std::unique_ptr<service::ShardBackend>> backends;
-  if (route == "local") {
-    auto qopt = engine_options_from_flags(args);
-    qopt.cache_bytes =
-        static_cast<std::size_t>(per_shard_mb) << 20;
+  if (route == Route::kLocal) {
+    auto qopt = engine_options(args);
+    qopt.cache_bytes = static_cast<std::size_t>(per_shard_mb) << 20;
     qopt.max_queue = 0;  // the router sheds; engines see bounded sub-batches
     backends = service::make_local_backends(path, manifest, qopt);
   } else {
-    service::ProcessBackendOptions popt;
-    popt.retries = static_cast<int>(args.get_int_or("worker-retries", 1));
-    popt.timeout_ms =
-        static_cast<int>(args.get_int_or("worker-timeout-ms", 30000));
-    const std::string exe = self_exe_path();
     for (int k = 0; k < shards; ++k) {
-      std::vector<std::string> extra = {
-          "--cache-mb", std::to_string(per_shard_mb),
-          "--shards", std::to_string(args.get_int_or("shards", 8)),
-          "--retries", std::to_string(args.get_int_or("retries", 3))};
-      if (args.has("no-verify-shard")) extra.push_back("--no-verify-shard");
-      if (k == kill_shard) {
-        extra.push_back("--exit-after");
-        extra.push_back(std::to_string(kill_at));
-      }
+      std::vector<std::string> argv = {
+          "/proc/self/exe", kServe, kStorePath.arg(path), kShard.arg(k),
+          kCacheMb.arg(per_shard_mb), kShards.arg(kShards(args)),
+          kRetries.arg(kRetries(args))};
+      if (kNoVerifyShard.has(args)) argv.push_back(kNoVerifyShard.flag());
+      if (k == kill_shard) argv.push_back(kExitAfter.arg(kill_at));
       backends.push_back(service::make_process_backend(
-          service::make_cli_worker_spawner(exe, path, std::move(extra)), k,
-          manifest, popt));
+          service::make_cli_worker_spawner(std::move(argv)), k, manifest,
+          popt));
     }
   }
   service::ShardRouter router(manifest, std::move(backends), ropt);
@@ -572,61 +519,48 @@ int run_query_routed(const Args& args, const std::string& path,
   std::cout << "store: " << path << " (n=" << manifest.n << ", " << shards
             << " shards, tile " << manifest.tile << ", "
             << (manifest.compressed ? "GAPSPZ1" : "raw") << " slices)\n"
-            << "route: " << route << ", cache " << cache_mb
+            << "route: " << kRoute.label(route) << ", cache " << cache_mb
             << " MiB split as " << per_shard_mb << " MiB/shard";
-  if (route == "process") {
-    std::cout << ", worker retries " << args.get_int_or("worker-retries", 1)
-              << ", timeout " << args.get_int_or("worker-timeout-ms", 30000)
-              << " ms";
+  if (route == Route::kProcess) {
+    std::cout << ", worker retries " << popt.retries << ", timeout "
+              << popt.timeout_ms << " ms";
   }
   if (ropt.max_queue > 0) std::cout << ", max-queue " << ropt.max_queue;
   if (kill_shard >= 0) {
     std::cout << ", killing worker " << kill_shard << " at batch " << kill_at;
   }
   std::cout << "\n";
-
-  auto pq = parse_queries(args);
-  const auto repeat = std::max<long long>(1, args.get_int_or("repeat", 1));
-  auto report = router.run_batch(pq.queries);
-  for (long long rep = 1; rep < repeat; ++rep) {
-    report = router.run_batch(pq.queries);
-  }
-  print_inline_results(report, pq.inline_queries, manifest.n);
-  print_batch_summary(report);
-  return 0;
+  return serve_batch(router, args, pq, manifest.n);
 }
 
 int run_query(const Args& args) {
-  const std::string path = args.get_or("store-path", "apsp_dist.bin");
-
-  // Serving-topology flags first — contradictions are typed usage errors
-  // (exit 1), caught before any store is opened.
-  const std::string route = args.get_or("route", "none");
-  GAPSP_CHECK(route == "none" || route == "local" || route == "process",
-              "unknown --route: " + route + " (none | local | process)");
-  const bool routed = route != "none";
-  GAPSP_CHECK(!(args.has("shard") && routed),
-              "--shard serves a single slice; it contradicts --route " +
-                  route + " (the router already reaches every shard)");
-  GAPSP_CHECK(!args.has("kill-worker") || route == "process",
-              "--kill-worker kills a worker process; it needs --route "
-              "process");
-  GAPSP_CHECK(!(routed && args.get_or("repair", "off") != "off"),
-              "--repair recompute cannot cross the worker boundary; serve "
-              "unrouted or repair offline with `apsp_cli scrub`");
-  GAPSP_CHECK(!(routed && args.get_double_or("fault-store-read", 0.0) > 0.0),
-              "--fault-store-read injects into a single engine; chaos for "
-              "routed serving is --kill-worker");
-  GAPSP_CHECK(!args.has("no-verify-shard") || routed || args.has("shard"),
-              "--no-verify-shard only applies to shard serving (--shard or "
-              "--route)");
-
-  if (routed) return run_query_routed(args, path, route);
-  if (args.has("shard")) return run_query_shard_slice(args, path);
+  const std::string path = kStorePath(args);
+  // Serving-topology contradictions are typed usage errors (exit 1), caught
+  // before any store is opened.
+  const Route route = kRoute(args);
+  const bool routed = route != Route::kNone;
+  GAPSP_CHECK(!(kShard.has(args) && routed),
+              kShard.flag() + " serves a single slice; it contradicts " +
+                  kRoute.flag() + " " + kRoute.label(route) +
+                  " (the router already reaches every shard)");
+  GAPSP_CHECK(!kKillWorker.has(args) || route == Route::kProcess,
+              kKillWorker.flag() + " kills a worker process; it needs " +
+                  kRoute.flag() + " " + kRoute.label(Route::kProcess));
+  GAPSP_CHECK(!(routed && kRepair(args)),
+              kRepair.flag() + " recompute cannot cross the worker boundary; "
+              "serve unrouted or repair offline with `apsp_cli scrub`");
+  GAPSP_CHECK(!(routed && kFaultStoreRead(args) > 0.0),
+              kFaultStoreRead.flag() + " injects into a single engine; chaos "
+              "for routed serving is " + kKillWorker.flag());
+  GAPSP_CHECK(!kNoVerifyShard.has(args) || routed || kShard.has(args),
+              kNoVerifyShard.flag() + " only applies to shard serving (" +
+                  kShard.flag() + " or " + kRoute.flag() + ")");
+  const ParsedQueries pq = parse_queries(args);
+  if (routed) return run_query_routed(args, path, route, pq);
+  if (kShard.has(args)) return run_query_shard_slice(args, path, pq);
 
   const auto store = core::open_store(path);  // raw or GAPSPZ1, auto-detected
-
-  auto qopt = engine_options_from_flags(args);
+  auto qopt = engine_options(args);
   // Raw stores verify against the GAPSPSM1 sidecar when one sits next to
   // the store; GAPSPZ1 frames are self-checksummed.
   if (store->tile_size() == 0) {
@@ -634,10 +568,7 @@ int run_query(const Args& args) {
                                qopt.checksums);
   }
   qopt.repair = make_repair_source(args);
-
-  sim::FaultPlan chaos;
-  chaos.seed = static_cast<std::uint64_t>(args.get_int_or("fault-seed", 1));
-  chaos.p_store_read = args.get_double_or("fault-store-read", 0.0);
+  const sim::FaultPlan chaos = read_chaos(args);
   sim::FaultInjector chaos_injector(chaos);
   if (chaos.p_store_read > 0.0) qopt.faults = &chaos_injector;
 
@@ -670,27 +601,15 @@ int run_query(const Args& args) {
     std::cout << ", injecting store-read faults p=" << chaos.p_store_read;
   }
   std::cout << "\n";
-
-  auto pq = parse_queries(args);
-  const auto repeat = std::max<long long>(1, args.get_int_or("repeat", 1));
-  auto report = engine.run_batch(pq.queries);
-  for (long long rep = 1; rep < repeat; ++rep) {
-    report = engine.run_batch(pq.queries);  // cache counters accumulate
-  }
-  print_inline_results(report, pq.inline_queries, store->n());
-  print_batch_summary(report);
-  // Degradation is visible but non-fatal: every query got a typed answer.
-  return 0;
+  return serve_batch(engine, args, pq, store->n());
 }
 
-/// `apsp_cli shard`: slice a kept store into row-range shard files plus the
-/// GAPSPSH1 manifest, next to the store.
 int run_shard(const Args& args) {
-  const std::string path = args.get_or("store-path", "apsp_dist.bin");
-  const int num = static_cast<int>(args.get_int_or("shards", 2));
-  const auto tile = static_cast<vidx_t>(args.get_int_or("block", 256));
+  const std::string path = kStorePath(args);
   core::ShardingStats stats;
-  const auto m = core::shard_store_file(path, num, tile, &stats);
+  const auto m = core::shard_store_file(
+      path, static_cast<int>(kShardCount(args)),
+      static_cast<vidx_t>(kBlock(args)), &stats);
   std::cout << "sharded: " << path << " -> " << m.num_shards() << " shards ("
             << (m.compressed ? "GAPSPZ1" : "raw") << ", n=" << m.n
             << ", tile " << m.tile << ", " << (stats.bytes_written >> 10)
@@ -702,40 +621,37 @@ int run_shard(const Args& args) {
               << core::shard_file_path(path, k) << "\n";
   }
   std::cout << "manifest: " << core::shard_manifest_path(path) << "\n"
-            << "serve it with: apsp_cli query --store-path " << path
-            << " --route process ...\n";
+            << "serve it with: apsp_cli query " << kStorePath.flag() << " "
+            << path << " " << kRoute.flag() << " process ...\n";
   return 0;
 }
 
-/// `apsp_cli serve --shard K`: one shard worker speaking the wire protocol
-/// on stdin/stdout (spawned by the router; logs go to stderr).
+/// One shard worker speaking the wire protocol on stdin/stdout (the router
+/// spawns it; logs go to stderr).
 int run_serve(const Args& args) {
-  GAPSP_CHECK(args.has("shard"),
-              "serve needs --shard K — it serves exactly one shard slice "
-              "behind the wire protocol (the router spawns one per shard)");
-  const std::string path = args.get_or("store-path", "apsp_dist.bin");
-  const int shard = static_cast<int>(args.get_int_or("shard", 0));
+  GAPSP_CHECK(kShard.has(args),
+              kServe + " needs " + kShard.flag() +
+                  " K — it serves exactly one shard slice behind the wire "
+                  "protocol (the router spawns one per shard)");
   service::ShardWorkerOptions wopt;
-  wopt.engine = engine_options_from_flags(args);
+  wopt.engine = engine_options(args);
   wopt.engine.max_queue = 0;  // the router is the single admission point
-  wopt.verify_shard = !args.has("no-verify-shard");
-  wopt.exit_after = static_cast<int>(args.get_int_or("exit-after", 0));
-  return service::run_shard_worker(path, shard, wopt, STDIN_FILENO,
-                                   STDOUT_FILENO);
+  wopt.verify_shard = !kNoVerifyShard.has(args);
+  wopt.exit_after = static_cast<int>(kExitAfter(args));
+  return service::run_shard_worker(kStorePath(args),
+                                   static_cast<int>(kShard(args)), wopt,
+                                   STDIN_FILENO, STDOUT_FILENO);
 }
 
 int run_scrub(const Args& args) {
-  const std::string path = args.get_or("store-path", "apsp_dist.bin");
+  const std::string path = kStorePath(args);
   core::ScrubOptions sopt;
-  sopt.retry.max_retries = static_cast<int>(args.get_int_or("retries", 3));
-  sopt.write_sums = args.has("write-sums");
-  sopt.tile = static_cast<vidx_t>(args.get_int_or("block", 256));
+  sopt.retry.max_retries = static_cast<int>(kRetries(args));
+  sopt.write_sums = kWriteSums.has(args);
+  sopt.tile = static_cast<vidx_t>(kBlock(args));
   sopt.repair_fn = make_repair_source(args);
   sopt.repair = static_cast<bool>(sopt.repair_fn);
-
-  sim::FaultPlan chaos;
-  chaos.seed = static_cast<std::uint64_t>(args.get_int_or("fault-seed", 1));
-  chaos.p_store_read = args.get_double_or("fault-store-read", 0.0);
+  const sim::FaultPlan chaos = read_chaos(args);
   sim::FaultInjector chaos_injector(chaos);
   if (chaos.p_store_read > 0.0) sopt.faults = &chaos_injector;
 
@@ -749,7 +665,8 @@ int run_scrub(const Args& args) {
               << (report.sums_written   ? "written"
                   : report.sums_present ? "present"
                                         : "absent (checks limited to "
-                                          "readability; --write-sums to add)")
+                                          "readability; " +
+                                              kWriteSums.flag() + " to add)")
               << "\n";
   }
   std::cout << "damage: " << report.corrupt << " corrupt, " << report.repaired
@@ -763,23 +680,19 @@ int run_scrub(const Args& args) {
     return 0;
   }
   std::cout << "result: DAMAGED (serve at your own risk, or repair with "
-               "--repair recompute --generate/--input ...)\n";
+            << kRepair.flag() << " recompute " << kGenerate.flag() << "/"
+            << kInput.flag() << " ...)\n";
   return 3;
 }
 
 int run_compact(const Args& args) {
-  const std::string in = args.get_or("store-path", "apsp_dist.bin");
-  const std::string out = args.get_or("out", in);
-  const auto tile = static_cast<vidx_t>(args.get_int_or("block", 256));
-  const auto cs = core::compact_store(in, out, tile);
-  // GAPSPZ1 frames are self-checksummed; a raw-era sidecar would go stale.
-  std::remove(core::checksum_sidecar_path(out).c_str());
-  std::cout << "compacted: " << in << " -> " << out << "\n"
-            << "store compressed: " << (cs.raw_bytes >> 10) << " KiB -> "
-            << (cs.compressed_bytes >> 10) << " KiB (" << cs.ratio() << "x, "
-            << cs.inf_tiles << "/" << cs.tiles << " all-kInf tiles) in "
-            << cs.seconds * 1e3 << " ms\n"
-            << "serve it with: apsp_cli query --store-path " << out << "\n";
+  const std::string in = kStorePath(args);
+  const std::string out = kOut.get(args).value_or(in);
+  const auto cs = compact(in, out, static_cast<vidx_t>(kBlock(args)));
+  std::cout << "compacted: " << in << " -> " << out << "\n";
+  print_compaction(cs);
+  std::cout << "serve it with: apsp_cli query " << kStorePath.flag() << " "
+            << out << "\n";
   return 0;
 }
 
@@ -811,39 +724,39 @@ void remove_shard_sidecars(const std::string& path) {
   std::remove(manifest.c_str());
 }
 
-/// `apsp_cli update`: delta-repair a kept store after a batch of edge-weight
-/// updates instead of re-solving (DESIGN.md §16). The repair writes into a
-/// sibling tmp copy and atomically replaces the store only when complete, so
-/// a kill mid-update leaves the pristine matrix plus a GAPSPCK1 delta
-/// sidecar that --resume continues bit-identically. Sidecars derived from
-/// the old bytes (.cal, .shards) are invalidated; a .sum sidecar is
-/// refreshed in place.
+/// Delta-repairs a kept store after a batch of edge-weight updates instead
+/// of re-solving (DESIGN.md §16). The repair writes into a sibling tmp copy
+/// and atomically replaces the store only when complete, so a kill leaves
+/// the pristine matrix plus a GAPSPCK1 delta sidecar that a resume continues
+/// bit-identically. Sidecars derived from the old bytes (.cal, .shards) are
+/// invalidated; a .sum sidecar is refreshed in place.
 int run_update(const Args& args) {
-  const std::string path = args.get_or("store-path", "apsp_dist.bin");
-  const auto upath = args.get("updates");
+  const std::string path = kStorePath(args);
+  const auto upath = kUpdates.get(args);
+  const std::string source =
+      kGenerate.flag() + "/" + kInput.flag() + "/" + kSeed.flag();
   GAPSP_CHECK(upath.has_value(),
-              "update needs --updates FILE (one `u v w` arc per line; w = "
-              "inf/x/-1 deletes) plus the solve's --generate/--input/--seed");
+              "update needs " + kUpdates.flag() +
+                  " FILE (one `u v w` arc per line; w = inf/x/-1 deletes) "
+                  "plus the solve's " + source);
   const graph::CsrGraph g = make_graph(args);
   const auto updates = core::read_edge_updates(*upath);
 
   auto pristine = core::open_store(path);  // raw or GAPSPZ1, auto-detected
   const vidx_t n = pristine->n();
-  GAPSP_CHECK(
-      n == g.num_vertices(),
-      "store " + path + " holds n=" + std::to_string(n) +
-          " but the graph has n=" + std::to_string(g.num_vertices()) +
-          " — pass the exact --generate/--input/--seed the solve used");
+  GAPSP_CHECK(n == g.num_vertices(),
+              "store " + path + " holds n=" + std::to_string(n) +
+                  " but the graph has n=" + std::to_string(g.num_vertices()) +
+                  " — pass the exact " + source + " the solve used");
   const bool compressed = pristine->tile_size() > 0;
 
   core::IncrementalOptions opt;
-  opt.damage_threshold = args.get_double_or(
-      "update-threshold", core::IncrementalOptions{}.damage_threshold);
+  opt.damage_threshold = kUpdateThreshold(args);
   opt.tile = compressed ? pristine->tile_size()
-                        : static_cast<vidx_t>(args.get_int_or("block", 256));
-  opt.checkpoint_path = args.get_or("checkpoint", path + ".updck");
-  opt.resume = args.has("resume");
-  opt.checkpoint_every_tiles = args.get_int_or("checkpoint-every", 64);
+                        : static_cast<vidx_t>(kBlock(args));
+  opt.checkpoint_path = kUpdateCheckpoint.get(args).value_or(path + ".updck");
+  opt.resume = kUpdateResume.has(args);
+  opt.checkpoint_every_tiles = kCheckpointEvery(args);
 
   // The repair lands in a raw sibling copy; the pristine store — which a
   // resumed run must re-read byte-identically — is replaced only by the
@@ -880,7 +793,6 @@ int run_update(const Args& args) {
     std::cout << "resume: continuing into " << tmp << " from "
               << opt.checkpoint_path << "\n";
   }
-
   // Checkpoint durability boundary: each run is pwritten to the tmp copy
   // before any checkpoint claims it, which already survives SIGKILL.
   // flush() is a no-op today; it is where the fsync for power loss goes.
@@ -899,10 +811,8 @@ int run_update(const Args& args) {
   target.reset();
   pristine.reset();
   if (compressed) {
-    core::compact_store(tmp, path, opt.tile);  // lands via atomic_replace
+    compact(tmp, path, opt.tile);  // lands via atomic_replace
     std::remove(tmp.c_str());
-    // GAPSPZ1 frames are self-checksummed; a raw-era sidecar would go stale.
-    std::remove(core::checksum_sidecar_path(path).c_str());
   } else {
     util::commit_rename(tmp, path);
     // Refresh the checksum sidecar when the store carries one.
@@ -933,8 +843,8 @@ int run_update(const Args& args) {
             << " noops\n";
   if (out.full_solve) {
     std::cout << "mode: full re-solve (" << out.damaged_rows << "/" << n
-              << " rows damaged > threshold "
-              << opt.damage_threshold << ")\n";
+              << " rows damaged > threshold " << opt.damage_threshold
+              << ")\n";
   } else {
     std::cout << "mode: delta repair (" << out.damaged_rows
               << " damaged rows, " << out.sources << " seed sources, AR "
@@ -955,21 +865,20 @@ int run_update(const Args& args) {
             << out.modeled_full_seconds /
                    std::max(out.modeled_repair_seconds, 1e-12)
             << "x)\n";
-  if (const auto gpath = args.get("save-graph")) {
+  if (const auto gpath = kSaveGraph.get(args)) {
     graph::write_matrix_market_file(engine.updated_graph(), *gpath);
     std::cout << "graph: wrote updated graph to " << *gpath
-              << " (solve it fresh via --input to cross-check the repair)\n";
+              << " (solve it fresh via " << kInput.flag()
+              << " to cross-check the repair)\n";
   }
   return 0;
 }
 
-/// `apsp_cli info`: describe a kept store and the health of its sidecars
-/// without serving or mutating anything.
+/// Describes a kept store and the health of its sidecars without serving
+/// or mutating anything.
 int run_info(const Args& args) {
-  const std::string path = args.get_or("store-path", "apsp_dist.bin");
-  if (file_size_bytes(path) == 0) {
-    throw IoError("no store at " + path);
-  }
+  const std::string path = kStorePath(args);
+  if (file_size_bytes(path) == 0) throw IoError("no store at " + path);
   std::cout << "store: " << path << " (" << (file_size_bytes(path) >> 10)
             << " KiB)\n";
   vidx_t n = 0;
@@ -995,74 +904,65 @@ int run_info(const Args& args) {
     std::cout << "format: raw row-major dist_t matrix\nn: " << n << "\n";
   }
 
-  // ---- sidecar health ---------------------------------------------------
-  const std::string sum_path = core::checksum_sidecar_path(path);
-  if (file_size_bytes(sum_path) == 0) {
-    std::cout << "checksums: absent (" << sum_path << ")\n";
-  } else {
-    try {
-      core::StoreChecksums sums;
-      core::load_store_checksums(sum_path, sums);
-      std::cout << "checksums: present (" << sum_path << ", tile "
-                << sums.tile << ", " << sums.sums.size() << " tiles"
-                << (sums.n == n ? "" : ", STALE: n mismatch") << ")\n";
-    } catch (const Error& e) {
-      std::cout << "checksums: INVALID (" << sum_path << ": " << e.what()
-                << ")\n";
+  // Each sidecar reads absent, INVALID when it fails to load, or its facts.
+  const auto sidecar = [](const std::string& label, const std::string& file,
+                          const std::function<std::string()>& describe) {
+    std::string text = "absent (" + file + ")";
+    if (file_size_bytes(file) > 0) {
+      try {
+        text = describe();
+      } catch (const Error& e) {
+        text = "INVALID (" + file + ": " + e.what() + ")";
+      }
     }
-  }
+    std::cout << label << ": " << text << "\n";
+  };
+  const std::string sums_path = core::checksum_sidecar_path(path);
+  sidecar("checksums", sums_path, [&] {
+    core::StoreChecksums sums;
+    core::load_store_checksums(sums_path, sums);
+    return "present (" + sums_path + ", tile " + std::to_string(sums.tile) +
+           ", " + std::to_string(sums.sums.size()) + " tiles" +
+           (sums.n == n ? "" : ", STALE: n mismatch") + ")";
+  });
   const std::string cal_path = path + ".cal";
-  if (file_size_bytes(cal_path) == 0) {
-    std::cout << "calibration: absent (" << cal_path << ")\n";
-  } else {
-    std::cout << "calibration: "
-              << (file_magic(cal_path, 9) == "GAPSPCAL1" ? "present"
-                                                         : "INVALID (bad "
-                                                           "magic)")
-              << " (" << cal_path << ")\n";
-  }
+  sidecar("calibration", cal_path, [&] {
+    return std::string(file_magic(cal_path, 9) == "GAPSPCAL1"
+                           ? "present"
+                           : "INVALID (bad magic)") +
+           " (" + cal_path + ")";
+  });
   const std::string manifest_path = core::shard_manifest_path(path);
-  if (file_size_bytes(manifest_path) == 0) {
-    std::cout << "shards: absent (" << manifest_path << ")\n";
-  } else {
-    try {
-      core::ShardManifest m;
-      core::load_shard_manifest(manifest_path, m);
-      int missing = 0;
-      for (int k = 0; k < m.num_shards(); ++k) {
-        if (file_size_bytes(core::shard_file_path(path, k)) !=
-            m.shards[static_cast<std::size_t>(k)].bytes) {
-          ++missing;
-        }
-      }
-      std::cout << "shards: " << m.num_shards() << " ("
-                << (m.compressed ? "GAPSPZ1" : "raw") << " payloads, tile "
-                << m.tile << ")";
-      if (missing > 0) {
-        std::cout << " — " << missing << " shard file(s) missing or resized";
-      }
-      std::cout << "\n";
-    } catch (const Error& e) {
-      std::cout << "shards: INVALID (" << manifest_path << ": " << e.what()
-                << ")\n";
+  sidecar("shards", manifest_path, [&] {
+    core::ShardManifest m;
+    core::load_shard_manifest(manifest_path, m);
+    int missing = 0;
+    for (int k = 0; k < m.num_shards(); ++k) {
+      missing += file_size_bytes(core::shard_file_path(path, k)) !=
+                 m.shards[static_cast<std::size_t>(k)].bytes;
     }
-  }
+    return std::to_string(m.num_shards()) + " (" +
+           (m.compressed ? "GAPSPZ1" : "raw") + " payloads, tile " +
+           std::to_string(m.tile) + ")" +
+           (missing > 0 ? " — " + std::to_string(missing) +
+                              " shard file(s) missing or resized"
+                        : "");
+  });
   core::Checkpoint ck;
   if (core::read_checkpoint(path + ".updck", &ck)) {
     std::cout << "delta checkpoint: present (" << path << ".updck, "
               << ck.progress
               << " tiles done — an `apsp_cli update` died mid-repair; rerun "
-              << "it with --resume)\n";
+              << "it with " << kUpdateResume.flag() << ")\n";
   }
   return 0;
 }
 
-int run(const Args& args) {
+int run_solve(const Args& args) {
   const graph::CsrGraph g = make_graph(args);
   std::cout << "graph: n=" << g.num_vertices() << " m=" << g.num_edges()
             << " density=" << g.density_percent() << "%\n";
-
-  if (args.has("stats")) {
+  if (kStats.has(args)) {
     const auto deg = graph::degree_stats(g);
     std::cout << "degree: min=" << deg.min << " max=" << deg.max
               << " mean=" << deg.mean << "\n"
@@ -1075,98 +975,69 @@ int run(const Args& args) {
   }
 
   core::ApspOptions opts;
-  const std::string device = args.get_or("device", "v100");
-  if (device == "v100") {
-    opts.device = sim::DeviceSpec::v100_scaled(
-        static_cast<std::size_t>(args.get_int_or("memory-mb", 8)) << 20);
-  } else if (device == "k80") {
-    opts.device = sim::DeviceSpec::k80_scaled(
-        static_cast<std::size_t>(args.get_int_or("memory-mb", 6)) << 20);
-  } else {
-    throw Error("unknown --device: " + device);
-  }
-  opts.algorithm = parse_algorithm(args.get_or("algorithm", "auto"));
-  opts.num_components =
-      static_cast<int>(args.get_int_or("components", 0));
-  opts.batch_transfers = !args.has("no-batching");
-  opts.overlap_transfers = !args.has("no-overlap");
-  opts.transfer_compression = core::parse_transfer_compression(
-      args.get_or("transfer-compression", "auto"));
-  opts.dynamic_parallelism = !args.has("no-dp");
-  opts.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
-  const std::string kernel = args.get_or("sssp-kernel", "near-far");
-  if (kernel == "near-far") {
-    opts.sssp_kernel = core::SsspKernel::kNearFar;
-  } else if (kernel == "delta-stepping") {
-    opts.sssp_kernel = core::SsspKernel::kDeltaStepping;
-  } else if (kernel == "bellman-ford") {
-    opts.sssp_kernel = core::SsspKernel::kBellmanFord;
-  } else {
-    throw Error("unknown --sssp-kernel: " + kernel);
-  }
-  const std::string partitioner = args.get_or("partitioner", "kway");
-  if (partitioner == "kway") {
-    opts.partition_method = part::Method::kMultilevelKway;
-  } else if (partitioner == "rb") {
-    opts.partition_method = part::Method::kRecursiveBisection;
-  } else {
-    throw Error("unknown --partitioner: " + partitioner);
-  }
-
+  const Device device = kDevice(args);
+  opts.device = device.spec(
+      static_cast<std::size_t>(kMemoryMb(args, device.memory_mb)) << 20);
+  opts.algorithm = kAlgorithm(args);
+  opts.num_components = static_cast<int>(kComponents(args));
+  opts.batch_transfers = !kNoBatching.has(args);
+  opts.overlap_transfers = !kNoOverlap.has(args);
+  opts.transfer_compression =
+      core::parse_transfer_compression(kTransferCompression(args));
+  opts.dynamic_parallelism = !kNoDp.has(args);
+  opts.seed = static_cast<std::uint64_t>(kSeed(args));
+  opts.sssp_kernel = kSsspKernel(args);
+  opts.partition_method = kPartitioner(args);
   sim::TraceRecorder trace;
-  if (args.has("trace")) opts.trace = &trace;
+  if (kTrace.has(args)) opts.trace = &trace;
 
   sim::FaultPlan faults;
-  faults.seed = static_cast<std::uint64_t>(args.get_int_or("fault-seed", 1));
-  faults.p_h2d = args.get_double_or("fault-h2d", 0.0);
-  faults.p_d2h = args.get_double_or("fault-d2h", 0.0);
-  faults.p_kernel = args.get_double_or("fault-kernel", 0.0);
-  faults.p_alloc = args.get_double_or("fault-alloc", 0.0);
-  faults.p_decode = args.get_double_or("fault-decode", 0.0);
-  if (const auto kill = args.get("kill-device"); kill.has_value()) {
-    const auto colon = kill->find(':');
-    GAPSP_CHECK(colon != std::string::npos,
-                "expected --kill-device D:NTHOP but got " + *kill);
-    faults.kill_device = static_cast<int>(std::stoll(kill->substr(0, colon)));
-    faults.kill_at_op = std::stoll(kill->substr(colon + 1));
+  faults.seed = static_cast<std::uint64_t>(kFaultSeed(args));
+  faults.p_h2d = kFaultH2d(args);
+  faults.p_d2h = kFaultD2h(args);
+  faults.p_kernel = kFaultKernel(args);
+  faults.p_alloc = kFaultAlloc(args);
+  faults.p_decode = kFaultDecode(args);
+  if (const auto kill = kKillDevice.get(args)) {
+    const auto [d, at] =
+        int_pair(*kill, ':', kKillDevice.flag() + " D:NTHOP", INT_MAX);
+    GAPSP_CHECK(at >= 1, kKillDevice.flag() + " operation index must be >= 1");
+    faults.kill_device = static_cast<int>(d);
+    faults.kill_at_op = at;
   }
-  const bool any_faults = faults.p_h2d > 0 || faults.p_d2h > 0 ||
-                          faults.p_kernel > 0 || faults.p_alloc > 0 ||
-                          faults.p_decode > 0 || faults.kill_device >= 0;
-  if (any_faults) opts.faults = &faults;
-  opts.retry.max_retries = static_cast<int>(args.get_int_or("retries", 3));
-  opts.kernel_variant =
-      core::parse_kernel_variant(args.get_or("kernel-variant", "auto"));
-  opts.kernel_threads =
-      static_cast<int>(args.get_int_or("kernel-threads", 0));
-  opts.checkpoint_path = args.get_or("checkpoint", "");
-  opts.resume = args.has("resume");
-  const double store_ratio = args.get_double_or("store-ratio", 1.0);
-  GAPSP_CHECK(store_ratio >= 1.0, "--store-ratio must be >= 1");
-  opts.store_bytes_per_element = sizeof(dist_t) / store_ratio;
-
+  if (faults.p_h2d > 0 || faults.p_d2h > 0 || faults.p_kernel > 0 ||
+      faults.p_alloc > 0 || faults.p_decode > 0 || faults.kill_device >= 0) {
+    opts.faults = &faults;
+  }
+  opts.retry.max_retries = static_cast<int>(kRetries(args));
+  opts.kernel_variant = core::parse_kernel_variant(kKernelVariant(args));
+  opts.kernel_threads = static_cast<int>(kKernelThreads(args));
+  opts.checkpoint_path = kCheckpoint(args);
+  opts.resume = kResume.has(args);
+  opts.store_bytes_per_element = sizeof(dist_t) / kStoreRatio(args);
   core::SelectorOptions sel;
-  sel.sparse_percent = args.get_double_or("sparse-threshold", 0.8);
-  sel.dense_percent = args.get_double_or("dense-threshold", 4.0);
+  sel.sparse_percent = kSparseThreshold(args);
+  sel.dense_percent = kDenseThreshold(args);
 
   // A checkpoint sidecar only records *progress*; the completed rounds live
   // in the distance store. Across processes that store must be durable — a
   // RAM store dies with the killed run, and resuming against a fresh one
   // would silently continue from an uninitialized matrix.
-  GAPSP_CHECK(opts.checkpoint_path.empty() ||
-                  args.get_or("store", "ram") == "file",
-              "--checkpoint/--resume need a durable store: add "
-              "--store file --store-path P (the file is kept across runs)");
-  const std::string store_path = args.get_or("store-path", "apsp_dist.bin");
+  const bool file_store = kStore(args);
+  GAPSP_CHECK(opts.checkpoint_path.empty() || file_store,
+              kCheckpoint.flag() + "/" + kResume.flag() +
+                  " need a durable store: add " + kStore.flag() + " " +
+                  kStore.label(true) + " " + kStorePath.flag() +
+                  " P (the file is kept across runs)");
+  const std::string store_path = kStorePath(args);
   std::unique_ptr<core::DistStore> store;
-  if (args.get_or("store", "ram") == "file") {
+  if (file_store) {
     // With a checkpoint in play the store must survive both the interrupted
     // run (exception unwinds this unique_ptr) and the resume run.
-    const bool keep = args.has("keep-store") || !opts.checkpoint_path.empty();
+    const bool keep = kKeepStore.has(args) || !opts.checkpoint_path.empty();
     store = core::make_file_store(g.num_vertices(), store_path, keep);
-    // A serving/resuming setup keeps state next to the store: reuse the
-    // calibration sidecar a previous run saved so the selector's warm-up
-    // solves are skipped.
+    // Reuse the calibration sidecar a previous run saved next to the store,
+    // so the selector's warm-up solves are skipped.
     if (core::load_calibration(opts, store_path + ".cal")) {
       std::cout << "calibration: reused " << store_path << ".cal\n";
     }
@@ -1176,7 +1047,7 @@ int run(const Args& args) {
 
   core::SelectorReport report;
   core::ApspResult r;
-  const int devices = static_cast<int>(args.get_int_or("devices", 1));
+  const int devices = static_cast<int>(kDevices(args));
   if (devices > 1) {
     // Multi-GPU path (boundary algorithm only).
     auto multi = core::ooc_boundary_multi(g, opts, devices, *store);
@@ -1192,7 +1063,7 @@ int run(const Args& args) {
                 << multi.multi.failover_cost_s * 1e3 << " ms)\n";
     }
     r = std::move(multi.result);
-  } else if (args.has("per-component")) {
+  } else if (kPerComponent.has(args)) {
     auto comp = core::solve_apsp_per_component(g, opts, *store, sel);
     std::cout << "per-component: " << comp.num_components
               << " components, largest " << comp.largest_component << "\n";
@@ -1201,108 +1072,92 @@ int run(const Args& args) {
     r = core::solve_apsp(g, opts, *store, &report, sel);
   }
 
+  const auto& m = r.metrics;
   std::cout << "algorithm: " << core::algorithm_name(r.used);
   if (opts.algorithm == core::Algorithm::kAuto && devices == 1 &&
-      !args.has("per-component")) {
+      !kPerComponent.has(args)) {
     std::cout << " (selected; density " << report.density_percent << "%)";
   }
-  std::cout << "\nsimulated time: " << r.metrics.sim_seconds * 1e3
-            << " ms (kernels " << r.metrics.kernel_seconds * 1e3
-            << " ms, transfers " << r.metrics.transfer_seconds * 1e3
-            << " ms)\ntransfer overlap: "
-            << r.metrics.hidden_transfer_seconds * 1e3 << " ms hidden, "
-            << r.metrics.exposed_transfer_seconds * 1e3 << " ms exposed\n";
-  const std::size_t wire_raw =
-      r.metrics.bytes_h2d_raw + r.metrics.bytes_d2h_raw;
-  const std::size_t wire = r.metrics.bytes_h2d_wire + r.metrics.bytes_d2h_wire;
+  std::cout << "\nsimulated time: " << m.sim_seconds * 1e3 << " ms (kernels "
+            << m.kernel_seconds * 1e3 << " ms, transfers "
+            << m.transfer_seconds * 1e3 << " ms)\ntransfer overlap: "
+            << m.hidden_transfer_seconds * 1e3 << " ms hidden, "
+            << m.exposed_transfer_seconds * 1e3 << " ms exposed\n";
+  const std::size_t wire_raw = m.bytes_h2d_raw + m.bytes_d2h_raw;
+  const std::size_t wire = m.bytes_h2d_wire + m.bytes_d2h_wire;
   if (wire > 0) {
     std::cout << "transfer compression: " << (wire_raw >> 10) << " KiB -> "
               << (wire >> 10) << " KiB on the wire ("
               << static_cast<double>(wire_raw) / static_cast<double>(wire)
-              << "x), decode busy " << r.metrics.decode_seconds * 1e3
-              << " ms in " << r.metrics.decodes << " kernels\n";
+              << "x), decode busy " << m.decode_seconds * 1e3 << " ms in "
+              << m.decodes << " kernels\n";
   }
-  std::cout << "device traffic: "
-            << (r.metrics.bytes_h2d >> 10) << " KiB h2d in "
-            << r.metrics.transfers_h2d << " transfers, "
-            << (r.metrics.bytes_d2h >> 10) << " KiB d2h in "
-            << r.metrics.transfers_d2h << " transfers\n"
-            << "device peak memory: " << (r.metrics.device_peak_bytes >> 10)
+  std::cout << "device traffic: " << (m.bytes_h2d >> 10) << " KiB h2d in "
+            << m.transfers_h2d << " transfers, " << (m.bytes_d2h >> 10)
+            << " KiB d2h in " << m.transfers_d2h << " transfers\n"
+            << "device peak memory: " << (m.device_peak_bytes >> 10)
             << " KiB of " << (opts.device.memory_bytes >> 10) << " KiB";
-  if (r.metrics.pinned_peak_bytes > 0) {
-    std::cout << " (+" << (r.metrics.pinned_peak_bytes >> 10)
+  if (m.pinned_peak_bytes > 0) {
+    std::cout << " (+" << (m.pinned_peak_bytes >> 10)
               << " KiB pinned staging)";
   }
   std::cout << "\n";
-  if (!r.metrics.kernel_variant.empty()) {
-    std::cout << "kernel engine: " << r.metrics.kernel_variant
-              << " microkernel, "
-              << (opts.kernel_threads == 1
-                      ? std::string("serial")
-                      : opts.kernel_threads == 0
-                            ? std::string("pooled")
-                            : std::to_string(opts.kernel_threads) +
-                                  "-thread")
+  if (!m.kernel_variant.empty()) {
+    std::cout << "kernel engine: " << m.kernel_variant << " microkernel, "
+              << (opts.kernel_threads == 1   ? std::string("serial")
+                  : opts.kernel_threads == 0 ? std::string("pooled")
+                                             : std::to_string(
+                                                   opts.kernel_threads) +
+                                                   "-thread")
               << " grid execution (" << core::simd_lane_isa() << " lanes, "
               << std::fixed << std::setprecision(2)
               << core::kernel_variant_rel_speed(
-                     core::parse_kernel_variant(r.metrics.kernel_variant))
+                     core::parse_kernel_variant(m.kernel_variant))
               << "x vs naive)\n";
     std::cout.unsetf(std::ios::fixed);
   }
-  if (r.metrics.johnson_batch_size > 0) {
-    std::cout << "johnson: bat=" << r.metrics.johnson_batch_size << ", "
-              << r.metrics.johnson_num_batches << " batches, "
-              << r.metrics.child_kernels << " child kernels\n";
+  if (m.johnson_batch_size > 0) {
+    std::cout << "johnson: bat=" << m.johnson_batch_size << ", "
+              << m.johnson_num_batches << " batches, " << m.child_kernels
+              << " child kernels\n";
   }
-  if (r.metrics.boundary_k > 0) {
-    std::cout << "boundary: k=" << r.metrics.boundary_k << ", "
-              << r.metrics.boundary_nodes << " boundary vertices\n";
+  if (m.boundary_k > 0) {
+    std::cout << "boundary: k=" << m.boundary_k << ", " << m.boundary_nodes
+              << " boundary vertices\n";
   }
-  if (r.metrics.faults_injected > 0 || r.metrics.degradations > 0) {
-    std::cout << "recovery: " << r.metrics.faults_injected
-              << " faults injected, " << r.metrics.transfer_retries
-              << " transfer retries, " << r.metrics.kernel_retries
-              << " kernel retries, " << r.metrics.decode_retries
-              << " decode retries ("
-              << r.metrics.retry_backoff_seconds * 1e3 << " ms backoff), "
-              << r.metrics.degradations << " degradations\n";
+  if (m.faults_injected > 0 || m.degradations > 0) {
+    std::cout << "recovery: " << m.faults_injected << " faults injected, "
+              << m.transfer_retries << " transfer retries, "
+              << m.kernel_retries << " kernel retries, " << m.decode_retries
+              << " decode retries (" << m.retry_backoff_seconds * 1e3
+              << " ms backoff), " << m.degradations << " degradations\n";
   }
-  if (r.metrics.checkpoints_written > 0 || r.metrics.resumed_progress > 0) {
-    std::cout << "checkpoint: " << r.metrics.checkpoints_written
-              << " written, resumed past " << r.metrics.resumed_progress
+  if (m.checkpoints_written > 0 || m.resumed_progress > 0) {
+    std::cout << "checkpoint: " << m.checkpoints_written
+              << " written, resumed past " << m.resumed_progress
               << " completed units\n";
   }
 
-  if (const auto q = args.get("query"); q.has_value()) {
-    std::istringstream qs(*q);
-    std::string item;
-    while (std::getline(qs, item, ';')) {
-      const auto [u, v] = parse_pair(item);
-      const dist_t d = store->at(r.stored_id(u), r.stored_id(v));
-      std::cout << "dist(" << u << ", " << v << ") = ";
-      if (d >= kInf) {
-        std::cout << "unreachable\n";
-      } else {
-        std::cout << d << "\n";
-      }
-    }
+  for (const auto& item : split(kQuery(args), ';')) {
+    const auto [u, v] = vertex_pair(item, kQuery.flag());
+    std::cout << "dist(" << u << ", " << v << ") = "
+              << dist_text(store->at(r.stored_id(u), r.stored_id(v))) << "\n";
   }
-  if (const auto p = args.get("path"); p.has_value()) {
-    const auto [u, v] = parse_pair(*p);
+  if (const auto p = kPath.get(args)) {
+    const auto [u, v] = vertex_pair(*p, kPath.flag());
     const core::PathExtractor extractor(g, *store, r);
     const auto path = extractor.path(u, v);
     std::cout << "path(" << u << " -> " << v << "): ";
+    for (std::size_t i = 0; i < path.size(); ++i) {
+      std::cout << (i == 0 ? "" : " -> ") << path[i];
+    }
     if (path.empty()) {
       std::cout << "unreachable\n";
     } else {
-      for (std::size_t i = 0; i < path.size(); ++i) {
-        std::cout << (i == 0 ? "" : " -> ") << path[i];
-      }
       std::cout << "  (length " << extractor.walk_length(path) << ")\n";
     }
   }
-  if (args.has("verify")) {
+  if (kVerify.has(args)) {
     const auto rep = core::verify_result(g, *store, r, 8, opts.seed);
     std::cout << "verify: " << (rep.ok ? "OK" : "FAILED") << " ("
               << rep.rows_checked << " rows, " << rep.entries_checked
@@ -1312,39 +1167,27 @@ int run(const Args& args) {
       return 3;
     }
   }
-  if (const auto save = args.get("save"); save.has_value()) {
+  if (const auto save = kSave.get(args)) {
     core::save_distances(*store, r, *save);
     const double mib = static_cast<double>(g.num_vertices()) *
                        g.num_vertices() * sizeof(dist_t) / (1 << 20);
     std::cout << "distances: " << mib << " MiB -> " << *save << "\n";
   }
-  if (args.has("keep-store") && args.get_or("store", "ram") == "file") {
+  if (kKeepStore.has(args) && file_store) {
     if (core::save_calibration(opts, store_path + ".cal")) {
       std::cout << "calibration: saved " << store_path << ".cal\n";
     }
-    if (!args.has("no-compress-store")) {
+    store.reset();  // flush buffered writes before the file is re-read
+    if (!kNoCompressStore.has(args)) {
       // The solve loop always writes the raw store (blocked FW rewrites
       // every tile O(n_d) times); compression happens here, at the sink,
-      // once the matrix is final. Close the raw store first so buffered
-      // writes are flushed before compaction re-reads the file.
-      store.reset();
-      const auto cs = core::compact_store(store_path, store_path);
-      std::remove(core::checksum_sidecar_path(store_path).c_str());
-      r.metrics.store_raw_bytes = static_cast<std::size_t>(cs.raw_bytes);
-      r.metrics.store_compressed_bytes =
-          static_cast<std::size_t>(cs.compressed_bytes);
-      r.metrics.store_tiles = cs.tiles;
-      r.metrics.store_inf_tiles = cs.inf_tiles;
-      r.metrics.store_compact_seconds = cs.seconds;
-      std::cout << "store compressed: " << (cs.raw_bytes >> 10) << " KiB -> "
-                << (cs.compressed_bytes >> 10) << " KiB (" << cs.ratio()
-                << "x, " << cs.inf_tiles << "/" << cs.tiles
-                << " all-kInf tiles) in " << cs.seconds * 1e3 << " ms\n";
+      // once the matrix is final, with `compact`'s default tile.
+      print_compaction(compact(store_path, store_path,
+                               static_cast<vidx_t>(*kBlock.dflt)));
     } else {
       // The raw kept store has no framing to catch bit rot: write the
       // GAPSPSM1 checksum sidecar so the serving tier can verify every
-      // cache-miss read (DESIGN.md §13). Close first to flush writes.
-      store.reset();
+      // cache-miss read (DESIGN.md §13).
       const auto ro = core::open_file_store(store_path);
       const auto sums = core::compute_store_checksums(*ro);
       core::write_store_checksums(sums,
@@ -1352,10 +1195,10 @@ int run(const Args& args) {
       std::cout << "store checksums: " << sums.sums.size() << " tile sums -> "
                 << core::checksum_sidecar_path(store_path) << "\n";
     }
-    std::cout << "store kept: " << store_path
-              << " (serve it with: apsp_cli query --store-path ...)\n";
+    std::cout << "store kept: " << store_path << " (serve it with: apsp_cli "
+              << "query " << kStorePath.flag() << " ...)\n";
   }
-  if (const auto tpath = args.get("trace"); tpath.has_value()) {
+  if (const auto tpath = kTrace.get(args)) {
     std::ofstream out(*tpath);
     GAPSP_CHECK(out.good(), "cannot open " + *tpath);
     trace.write_chrome_trace(out);
@@ -1365,124 +1208,158 @@ int run(const Args& args) {
   return 0;
 }
 
+// ---- the command table ----------------------------------------------------
+
+using Flags = std::vector<const Flag*>;
+Flags operator+(Flags a, const Flags& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+const Flags kGraphSource = {&kInput, &kGenerate, &kSeed};
+const Flags kCache = {&kCacheMb, &kBlock, &kShards, &kThreads, &kRetries};
+const Flags kReadChaos = {&kFaultSeed, &kFaultStoreRead};
+
+struct Command {
+  std::string name;  ///< empty for the solve
+  std::string summary;
+  Flags flags;
+  int (*run)(const Args&);
+};
+
+const std::vector<Command> kCommands = {
+    {"", "solve APSP on a simulated GPU",
+     kGraphSource +
+         Flags{&kAlgorithm, &kDevice, &kMemoryMb, &kComponents, &kDevices,
+               &kNoBatching, &kNoOverlap, &kNoDp, &kTransferCompression,
+               &kSparseThreshold, &kDenseThreshold, &kSsspKernel,
+               &kPartitioner, &kKernelVariant, &kKernelThreads, &kStore,
+               &kStorePath, &kKeepStore, &kNoCompressStore, &kStoreRatio,
+               &kVerify, &kPerComponent, &kSave, &kQuery, &kPath, &kTrace,
+               &kStats, &kFaultSeed, &kFaultH2d, &kFaultD2h, &kFaultKernel,
+               &kFaultAlloc, &kFaultDecode, &kKillDevice, &kRetries,
+               &kCheckpoint, &kResume},
+     run_solve},
+    {"query", "serve point, row and batch queries from a kept store",
+     Flags{&kStorePath, &kPoint, &kRow, &kBatch, &kRepeat, &kMaxQueue,
+           &kNoVerifySums, &kRepair, &kRoute, &kShard, &kNoVerifyShard,
+           &kWorkerRetries, &kWorkerTimeoutMs, &kKillWorker} +
+         kCache + kGraphSource + kReadChaos,
+     run_query},
+    {"shard", "cut a kept store into row-range shards plus a manifest",
+     {&kStorePath, &kShardCount, &kBlock}, run_shard},
+    {kServe, "serve one shard on stdin/stdout (the router spawns these)",
+     Flags{&kStorePath, &kShard, &kNoVerifyShard, &kExitAfter} + kCache,
+     run_serve},
+    {"scrub", "check every tile of a kept store, and repair it",
+     Flags{&kStorePath, &kRepair, &kWriteSums, &kRetries, &kBlock} +
+         kGraphSource + kReadChaos,
+     run_scrub},
+    {"update", "repair a kept store after edge-weight updates, resumably",
+     Flags{&kStorePath, &kUpdates, &kUpdateThreshold, &kUpdateCheckpoint,
+           &kCheckpointEvery, &kUpdateResume, &kBlock, &kSaveGraph} +
+         kGraphSource,
+     run_update},
+    {"info", "print a kept store's format and its sidecars' health",
+     {&kStorePath}, run_info},
+    {"compact", "convert a raw kept store to GAPSPZ1",
+     {&kStorePath, &kOut, &kBlock}, run_compact},
+};
+
+void print_help(const Command& cmd) {
+  std::cout << "usage: apsp_cli " << (cmd.name.empty() ? "[COMMAND]" : cmd.name)
+            << " [--flag value ...]\n\n";
+  if (cmd.name.empty()) {
+    std::cout << "commands (`apsp_cli COMMAND " << kHelp.flag()
+              << "` lists a command's flags):\n";
+    for (const Command& c : kCommands) {
+      const std::string name = c.name.empty() ? "(none)" : c.name;
+      std::cout << "  " << name << std::string(10 - name.size(), ' ')
+                << c.summary << "\n";
+    }
+    std::cout << "\nexit codes: 0 ok, 1 typed or usage error, 2 unknown "
+              << "command or flag,\n  3 unrepaired damage or failed "
+              << kVerify.flag() << ", 4 I/O or corruption\n\n";
+  }
+  std::cout << cmd.summary << "; flags:\n";
+  for (const Flag* f : cmd.flags + Flags{&kHelp}) {
+    // The help text starts at column 28, on a line of its own after a long
+    // flag, and wraps at 80.
+    std::string out =
+        "  " + f->flag() + (f->value.empty() ? "" : " " + f->value);
+    std::size_t col = out.size();
+    if (col > 26) {
+      out += "\n" + std::string(27, ' ');
+      col = 27;
+    }
+    std::istringstream words(f->help);
+    for (std::string w; words >> w; col += 1 + w.size()) {
+      if (col < 27 || col + 1 + w.size() > 80) {
+        out += col < 27 ? std::string(27 - col, ' ')
+                        : "\n" + std::string(27, ' ');
+        col = 27;
+      }
+      out += " " + w;
+    }
+    std::cout << out << "\n";
+  }
+}
+
+/// Looks the command up and rejects stray words and the flags it does not
+/// list (exit 2), then prints its help or runs it.
+int dispatch(const Args& args) {
+  const auto& words = args.positional();
+  const std::string name = words.empty() ? "" : words.front();
+  const auto cmd =
+      std::find_if(kCommands.begin(), kCommands.end(),
+                   [&](const Command& c) { return c.name == name; });
+  if (cmd == kCommands.end()) {
+    std::cerr << "unknown command: " << name << " (see apsp_cli "
+              << kHelp.flag() << ")\n";
+    return 2;
+  }
+  std::vector<std::string> known;
+  std::vector<std::string> stray(words.begin() + (name.empty() ? 0 : 1),
+                                 words.end());
+  for (const Flag* f : cmd->flags + Flags{&kHelp}) {
+    known.push_back(f->name);
+    // A switch given a value has swallowed a stray word.
+    if (f->value.empty() && !(*f)(args).empty()) stray.push_back((*f)(args));
+  }
+  if (!stray.empty()) {
+    std::cerr << "stray word: " << stray.front() << " (see apsp_cli "
+              << (name.empty() ? "" : name + " ") << kHelp.flag() << ")\n";
+    return 2;
+  }
+  if (const auto unknown = args.unknown(known); !unknown.empty()) {
+    std::cerr << "unknown " << (name.empty() ? "" : name + " ") << "flag(s):";
+    for (const auto& f : unknown) std::cerr << " --" << f;
+    std::cerr << "\n";
+    return 2;
+  }
+  if (kHelp.has(args)) {
+    print_help(*cmd);
+    return 0;
+  }
+  return cmd->run(args);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    const Args args(argc, argv);
-    if (!args.positional().empty() && args.positional().front() == "query") {
-      const auto unknown = args.unknown(
-          {"store-path", "point", "row", "batch", "cache-mb", "block",
-           "shards", "threads", "repeat", "retries", "max-queue",
-           "no-verify-sums", "repair", "generate", "input", "seed",
-           "fault-store-read", "fault-seed", "route", "shard",
-           "no-verify-shard", "worker-retries", "worker-timeout-ms",
-           "kill-worker"});
-      if (!unknown.empty()) {
-        std::cerr << "unknown query flag(s):";
-        for (const auto& f : unknown) std::cerr << " --" << f;
-        std::cerr << "\n";
-        return 2;
-      }
-      return run_query(args);
-    }
-    if (!args.positional().empty() && args.positional().front() == "shard") {
-      const auto unknown = args.unknown({"store-path", "shards", "block"});
-      if (!unknown.empty()) {
-        std::cerr << "unknown shard flag(s):";
-        for (const auto& f : unknown) std::cerr << " --" << f;
-        std::cerr << "\n";
-        return 2;
-      }
-      return run_shard(args);
-    }
-    if (!args.positional().empty() && args.positional().front() == "serve") {
-      const auto unknown = args.unknown(
-          {"store-path", "shard", "cache-mb", "block", "shards", "threads",
-           "retries", "no-verify-shard", "exit-after"});
-      if (!unknown.empty()) {
-        std::cerr << "unknown serve flag(s):";
-        for (const auto& f : unknown) std::cerr << " --" << f;
-        std::cerr << "\n";
-        return 2;
-      }
-      return run_serve(args);
-    }
-    if (!args.positional().empty() && args.positional().front() == "scrub") {
-      const auto unknown = args.unknown(
-          {"store-path", "repair", "generate", "input", "seed", "retries",
-           "write-sums", "block", "fault-store-read", "fault-seed"});
-      if (!unknown.empty()) {
-        std::cerr << "unknown scrub flag(s):";
-        for (const auto& f : unknown) std::cerr << " --" << f;
-        std::cerr << "\n";
-        return 2;
-      }
-      return run_scrub(args);
-    }
-    if (!args.positional().empty() && args.positional().front() == "update") {
-      const auto unknown = args.unknown(
-          {"store-path", "updates", "update-threshold", "checkpoint",
-           "checkpoint-every", "resume", "block", "generate", "input",
-           "seed", "save-graph"});
-      if (!unknown.empty()) {
-        std::cerr << "unknown update flag(s):";
-        for (const auto& f : unknown) std::cerr << " --" << f;
-        std::cerr << "\n";
-        return 2;
-      }
-      return run_update(args);
-    }
-    if (!args.positional().empty() && args.positional().front() == "info") {
-      const auto unknown = args.unknown({"store-path"});
-      if (!unknown.empty()) {
-        std::cerr << "unknown info flag(s):";
-        for (const auto& f : unknown) std::cerr << " --" << f;
-        std::cerr << "\n";
-        return 2;
-      }
-      return run_info(args);
-    }
-    if (!args.positional().empty() &&
-        args.positional().front() == "compact") {
-      const auto unknown = args.unknown({"store-path", "out", "block"});
-      if (!unknown.empty()) {
-        std::cerr << "unknown compact flag(s):";
-        for (const auto& f : unknown) std::cerr << " --" << f;
-        std::cerr << "\n";
-        return 2;
-      }
-      return run_compact(args);
-    }
-    const auto unknown = args.unknown(
-        {"input", "generate", "seed", "algorithm", "device", "memory-mb",
-         "components", "no-batching", "no-overlap", "no-dp",
-         "sparse-threshold", "dense-threshold", "store", "store-path",
-         "keep-store", "no-compress-store", "store-ratio", "query", "path",
-         "trace", "stats", "sssp-kernel", "partitioner", "devices",
-         "per-component", "save", "verify", "fault-seed", "fault-h2d",
-         "fault-d2h", "fault-kernel", "fault-alloc", "fault-decode",
-         "kill-device", "retries", "checkpoint", "resume", "kernel-variant",
-         "kernel-threads", "transfer-compression"});
-    if (!unknown.empty()) {
-      std::cerr << "unknown flag(s):";
-      for (const auto& f : unknown) std::cerr << " --" << f;
-      std::cerr << "\n";
-      return 2;
-    }
-    return run(args);
+    return dispatch(Args(argc, argv));
   } catch (const gapsp::CorruptError& e) {
     // Data failed an integrity check — retrying is useless; scrub instead.
-    std::cerr << "corrupt store: " << e.what()
-              << " (run `apsp_cli scrub --store-path ...` to locate and "
-                 "repair the damage)\n";
+    std::cerr << "corrupt store: " << e.what() << " (run `apsp_cli scrub "
+              << kStorePath.flag()
+              << " ...` to locate and repair the damage)\n";
     return 4;
   } catch (const gapsp::IoError& e) {
     // Host I/O failure (missing/truncated file, sick disk) — distinct exit
     // code so serving wrappers can tell an infrastructure fault from a
     // usage error.
-    std::cerr << "io error: " << e.what()
-              << " (check --store-path and that the file is readable)\n";
+    std::cerr << "io error: " << e.what() << " (check " << kStorePath.flag()
+              << " and that the file is readable)\n";
     return 4;
   } catch (const gapsp::Error& e) {
     std::cerr << "error: " << e.what() << "\n";
