@@ -58,6 +58,11 @@ ApspResult solve_apsp(const graph::CsrGraph& g, const ApspOptions& opts,
                       DistStore& store, SelectorReport* report,
                       const SelectorOptions& sel) {
   GAPSP_CHECK(g.num_vertices() > 0, "empty graph");
+  // A charge-only run leaves the store without distances; only the cost
+  // model's probes ask for one, and they call the drivers directly.
+  GAPSP_CHECK(!opts.charge_only,
+              "solve_apsp computes distances; charge-only runs are for "
+              "calibration probes");
   Algorithm algo = opts.algorithm;
   if (algo == Algorithm::kAuto) {
     const SelectorReport r = select_algorithm(g, opts, sel);

@@ -40,8 +40,11 @@ void configure_kernels(sim::Device& dev, const ApspOptions& opts) {
   GAPSP_CHECK(opts.kernel_threads >= 0,
               "kernel threads must be >= 0 (0 = whole pool), got " +
                   std::to_string(opts.kernel_threads));
-  set_kernel_variant(opts.kernel_variant);
+  // A charge-only run executes no kernel, so it leaves the process-wide
+  // variant to the runs that do.
+  if (!opts.charge_only) set_kernel_variant(opts.kernel_variant);
   dev.set_kernel_threads(opts.kernel_threads);
+  dev.set_charge_only(opts.charge_only);
   dev.note_kernel_variant(kernel_variant_name(resolved_kernel_variant()));
 }
 

@@ -52,9 +52,9 @@ void weight_block(const graph::CsrGraph& g, vidx_t row0, vidx_t col0,
                   vidx_t rows, vidx_t cols, dist_t* dst, std::size_t ld);
 
 /// Applies the kernel-engine options to the process-wide engine variant and
-/// to `dev` (grid-execution thread count), and records the resolved variant
-/// name in the device metrics. Throws Error on a negative thread count.
-/// Call once per Device, right after creation.
+/// to `dev` (grid-execution thread count, charge-only mode), and records
+/// the resolved variant name in the device metrics. Throws Error on a
+/// negative thread count. Call once per Device, right after creation.
 void configure_kernels(sim::Device& dev, const ApspOptions& opts);
 
 /// Copies the device metrics counters into an ApspMetrics (the algorithm-

@@ -112,6 +112,13 @@ struct ApspOptions {
   /// knob; results and the simulated timeline are identical for every
   /// setting.
   int kernel_threads = 0;
+  /// Runs the drivers' devices charge-only (sim::Device::set_charge_only):
+  /// the modeled timeline and metrics of a real run, but no kernel, copy or
+  /// codec work, so the store receives no distances. For the cost model's
+  /// calibration probes, whose FW and boundary charges depend only on
+  /// shapes. Johnson's MSSP and an engaged transfer codec throw under it,
+  /// and solve_apsp rejects it.
+  bool charge_only = false;
 
   // ---- fault injection & recovery ----
   /// Fault schedule injected into the simulated device(s); nullptr disables

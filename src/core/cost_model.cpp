@@ -114,13 +114,26 @@ namespace {
 
 constexpr int kNumBuckets = 6;
 
-Calibration run_calibration(const ApspOptions& base) {
+/// The probes' options, built from the fields of calibration_cache_key
+/// alone so that one key always names one table: the device, overlap,
+/// batching and the FW sub-tile. Everything else stays at its default (no
+/// faults, no checkpoint, no trace, the default seed, k and partitioner).
+/// The probes keep only modeled kernel seconds, which depend only on block
+/// shapes, so they run charge-only with the codec off.
+ApspOptions probe_options(const ApspOptions& key_opts) {
+  ApspOptions opts;
+  opts.device = key_opts.device;
+  opts.overlap_transfers = key_opts.overlap_transfers;
+  opts.batch_transfers = key_opts.batch_transfers;
+  opts.fw_tile = key_opts.fw_tile;
+  opts.transfer_compression = TransferCompression::kOff;
+  opts.charge_only = true;
+  return opts;
+}
+
+Calibration run_calibration(const ApspOptions& key_opts) {
   Calibration cal;
-  ApspOptions opts = base;
-  opts.algorithm = Algorithm::kAuto;
-  // Internal probe runs: keep them out of the user's timeline (they would
-  // dominate the event count and skew the overlap summary).
-  opts.trace = nullptr;
+  const ApspOptions opts = probe_options(key_opts);
 
   // --- FW reference runs: random graphs, the FW cost only depends on n.
   // Two sizes give the power-law fit (paper: single point, exponent 3 —
@@ -251,12 +264,15 @@ constexpr char kCalMagic[8] = {'G', 'A', 'P', 'S', 'C', 'A', 'L', '1'};
 }  // namespace
 
 std::string calibration_cache_key(const ApspOptions& opts) {
-  // The probe runs execute real (simulated) solves, so every option that
-  // changes their cost must be part of the key — keying on the device alone
-  // would let two configs on the same device silently share stale
-  // calibrations (e.g. overlap on/off changes block sizes and hidden
-  // transfer time). The kernel variant is not part of it: the probes record
-  // modeled kernel seconds, which no variant changes.
+  // The probes run on options built from this key's fields alone
+  // (probe_options), so one key names one table — keying on the device
+  // alone would let two configs on the same device share one table (e.g.
+  // overlap on/off changes block sizes). The queue factor and the codec
+  // mode reach no probe: the probes run codec-off, so their tables are
+  // identical in every mode, and both stay in the key only so that
+  // existing `.cal` sidecars keep matching. The kernel variant is not part
+  // of it: the probes record modeled kernel seconds, which no variant
+  // changes.
   return opts.device.name + "/" + std::to_string(opts.device.memory_bytes) +
          "/ov" + std::to_string(opts.overlap_transfers ? 1 : 0) + "/bt" +
          std::to_string(opts.batch_transfers ? 1 : 0) + "/qf" +
@@ -441,9 +457,13 @@ CostBreakdown estimate_johnson(const graph::CsrGraph& g,
       }
     }
   }
-  // Sampling is an internal probe — keep it out of the user's timeline.
+  // Sampling is an internal probe: keep it out of the user's timeline, and
+  // run it fault-free like the calibration probes, so the estimate (and
+  // the pick) does not depend on the fault plan the solve then meets.
   ApspOptions sample_opts = opts;
   sample_opts.trace = nullptr;
+  sample_opts.faults = nullptr;
+  sample_opts.fault_injector = nullptr;
   const JohnsonSample sample = johnson_sample_batches(g, sample_opts, chosen);
   CostBreakdown cost;
   cost.compute_s = sample.kernel_seconds * static_cast<double>(nb) /

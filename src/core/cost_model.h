@@ -83,12 +83,16 @@ struct Calibration {
   std::vector<double> c_unit;
 };
 
-/// Runs the calibration workloads (cached per device name+memory, so the
-/// cost is paid once per process per configuration).
+/// Runs the calibration workloads (cached per calibration_cache_key, so the
+/// cost is paid once per process per configuration). The probes are FW and
+/// boundary runs on charge-only devices (ApspOptions::charge_only), on
+/// options built from the key's fields alone: graph generation and
+/// partitioning, but no kernel, copy or codec work.
 const Calibration& calibrate(const ApspOptions& opts);
 
-/// The in-process cache key for `opts`: every option that changes what the
-/// probe runs measure. Also the key a persisted table is matched against.
+/// The in-process cache key for `opts`: every option the probe runs read,
+/// plus the queue factor and codec mode that older sidecars carry. Also
+/// the key a persisted table is matched against.
 std::string calibration_cache_key(const ApspOptions& opts);
 
 /// Serializes the cached calibration for `opts` to `path` (a "GAPSPCAL1"

@@ -75,6 +75,19 @@ double dev_minplus(sim::Device& dev, sim::StreamId stream, dist_t* c,
       profile);
 }
 
+double dev_fill_inf(sim::Device& dev, sim::StreamId stream, const char* name,
+                    dist_t* dst, std::size_t count, int blocks) {
+  return dev.launch_grid(
+      stream, name, 1, [&](int) { std::fill_n(dst, count, kInf); },
+      [&] {
+        sim::KernelProfile p;
+        p.bytes = static_cast<double>(count) * sizeof(dist_t);
+        p.ops = static_cast<double>(count);
+        p.blocks = blocks;
+        return p;
+      });
+}
+
 double dev_blocked_fw(sim::Device& dev, sim::StreamId stream, dist_t* m,
                       std::size_t ld, vidx_t n, int tile) {
   if (n == 0) return 0.0;
@@ -90,14 +103,16 @@ double dev_blocked_fw(sim::Device& dev, sim::StreamId stream, dist_t* m,
     // Maps a dense block index in [0, nt-1) to a tile index skipping kk.
     auto other = [&](vidx_t t) { return t >= kk ? t + 1 : t; };
     // Phase 1: diagonal tile, classic FW, one thread block.
-    total += dev.launch(stream, "fw_diag", [&](sim::LaunchCtx&) {
-      fw_inplace(at(kk, kk), ld, dk);
-      sim::KernelProfile p;
-      p.ops = minplus_ops(dk, dk, dk);
-      p.bytes = 2.0 * sizeof(dist_t) * dk * dk;  // resident in shared memory
-      p.blocks = 1;
-      return p;
-    });
+    total += dev.launch_grid(
+        stream, "fw_diag", 1, [&](int) { fw_inplace(at(kk, kk), ld, dk); },
+        [&] {
+          sim::KernelProfile p;
+          p.ops = minplus_ops(dk, dk, dk);
+          // Resident in shared memory.
+          p.bytes = 2.0 * sizeof(dist_t) * dk * dk;
+          p.blocks = 1;
+          return p;
+        });
     if (nt == 1) break;
     // Phase 2: row panel A(kk, j) and column panel A(i, kk), one launch,
     // one block per panel tile. Each block owns one off-diagonal tile and

@@ -25,6 +25,12 @@ double dev_minplus(sim::Device& dev, sim::StreamId stream, dist_t* c,
                    const dist_t* b, std::size_t ldb, vidx_t nr, vidx_t nk,
                    vidx_t nc, int tile = kDeviceTile);
 
+/// Fills `count` elements at device pointer `dst` with kInf as one kernel
+/// of `blocks` thread blocks, charged as `count` element writes. Returns
+/// the simulated kernel duration.
+double dev_fill_inf(sim::Device& dev, sim::StreamId stream, const char* name,
+                    dist_t* dst, std::size_t count, int blocks);
+
 /// In-core blocked Floyd–Warshall over an n×n on-device matrix: per round,
 /// a single-block diagonal kernel, one grid launch for the 2(nt-1) row and
 /// column panels, and one grid launch for the (nt-1)² remaining-tile min-plus

@@ -367,14 +367,9 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
       }
       st.dev->memcpy_h2d(s0, st.c2b.data(), hbuf.data(),
                          static_cast<std::size_t>(ni) * bi * sizeof(dist_t));
-      st.dev->launch(s0, "fill_tmp", [&](sim::LaunchCtx&) {
-        std::fill_n(st.tmp.data(), static_cast<std::size_t>(ni) * nb, kInf);
-        sim::KernelProfile p;
-        p.bytes = static_cast<double>(ni) * nb * sizeof(dist_t);
-        p.ops = static_cast<double>(ni) * nb;
-        p.blocks = std::max(1, static_cast<int>(ni * nb / 4096));
-        return p;
-      });
+      dev_fill_inf(*st.dev, s0, "fill_tmp", st.tmp.data(),
+                   static_cast<std::size_t>(ni) * nb,
+                   std::max(1, static_cast<int>(ni * nb / 4096)));
       dev_minplus(*st.dev, s0, st.tmp.data(), nb, st.c2b.data(), bi,
                   st.bound.data() +
                       static_cast<std::size_t>(layout.boundary_offset[i]) * nb,
@@ -390,14 +385,9 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
     if (st.staged_rows == 0) st.staged_row0 = off;
     dist_t* row_base =
         st.staging.data() + static_cast<std::size_t>(st.staged_rows) * n;
-    st.dev->launch(s0, "init_block_row", [&](sim::LaunchCtx&) {
-      std::fill_n(row_base, static_cast<std::size_t>(ni) * n, kInf);
-      sim::KernelProfile p;
-      p.bytes = static_cast<double>(ni) * n * sizeof(dist_t);
-      p.ops = static_cast<double>(ni) * n;
-      p.blocks = std::max(1, static_cast<int>(ni * (n / 4096)));
-      return p;
-    });
+    dev_fill_inf(*st.dev, s0, "init_block_row", row_base,
+                 static_cast<std::size_t>(ni) * n,
+                 std::max(1, static_cast<int>(ni * (n / 4096))));
     for (vidx_t r = 0; r < ni; ++r) {
       std::copy_n(dist2[i].data() + static_cast<std::size_t>(r) * ni, ni,
                   row_base + static_cast<std::size_t>(r) * n + off);

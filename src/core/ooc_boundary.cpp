@@ -364,14 +364,9 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
       dev.memcpy_h2d(compute, c2b_buf.data(), hbuf.data(),
                      static_cast<std::size_t>(ni) * bi * sizeof(dist_t));
       // tmp = C2B[i] ⊗ bound(i, :)  (b_i × NB view of dist3), one launch.
-      dev.launch(compute, "fill_tmp", [&](sim::LaunchCtx&) {
-        std::fill_n(tmp_buf.data(), static_cast<std::size_t>(ni) * nb, kInf);
-        sim::KernelProfile p;
-        p.bytes = static_cast<double>(ni) * nb * sizeof(dist_t);
-        p.ops = static_cast<double>(ni) * nb;
-        p.blocks = std::max(1, static_cast<int>(ni * nb / 4096));
-        return p;
-      });
+      dev_fill_inf(dev, compute, "fill_tmp", tmp_buf.data(),
+                   static_cast<std::size_t>(ni) * nb,
+                   std::max(1, static_cast<int>(ni * nb / 4096)));
       dev_minplus(dev, compute, tmp_buf.data(), nb, c2b_buf.data(), bi,
                   bound_buf.data() + static_cast<std::size_t>(
                                          layout.boundary_offset[i]) * nb,
@@ -388,14 +383,9 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
       dist_t* row_base = staging->device_ptr(active) +
                          static_cast<std::size_t>(staged_rows) * n;
       // Initialize the block-row: kInf everywhere, dist2 on the diagonal.
-      dev.launch(compute, "init_block_row", [&](sim::LaunchCtx&) {
-        std::fill_n(row_base, static_cast<std::size_t>(ni) * n, kInf);
-        sim::KernelProfile p;
-        p.bytes = static_cast<double>(ni) * n * sizeof(dist_t);
-        p.ops = static_cast<double>(ni) * n;
-        p.blocks = std::max(1, static_cast<int>(ni * (n / 4096)));
-        return p;
-      });
+      dev_fill_inf(dev, compute, "init_block_row", row_base,
+                   static_cast<std::size_t>(ni) * n,
+                   std::max(1, static_cast<int>(ni * (n / 4096))));
       for (vidx_t r = 0; r < ni; ++r) {
         std::copy_n(dist2[i].data() + static_cast<std::size_t>(r) * ni, ni,
                     row_base + static_cast<std::size_t>(r) * n + off);
@@ -447,19 +437,23 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
       for (int j = 0; j < k; ++j) {
         const vidx_t nj = layout.comp_size(j);
         const vidx_t bj = layout.comp_boundary[j];
-        dev.launch(compute, "init_tile", [&](sim::LaunchCtx&) {
-          if (i == j) {
-            std::copy_n(dist2[i].data(), static_cast<std::size_t>(ni) * ni,
-                        out_buf.data());
-          } else {
-            std::fill_n(out_buf.data(), static_cast<std::size_t>(ni) * nj,
-                        kInf);
-          }
-          sim::KernelProfile p;
-          p.bytes = static_cast<double>(ni) * nj * sizeof(dist_t);
-          p.ops = static_cast<double>(ni) * nj;
-          return p;
-        });
+        dev.launch_grid(
+            compute, "init_tile", 1,
+            [&](int) {
+              if (i == j) {
+                std::copy_n(dist2[i].data(),
+                            static_cast<std::size_t>(ni) * ni, out_buf.data());
+              } else {
+                std::fill_n(out_buf.data(), static_cast<std::size_t>(ni) * nj,
+                            kInf);
+              }
+            },
+            [&] {
+              sim::KernelProfile p;
+              p.bytes = static_cast<double>(ni) * nj * sizeof(dist_t);
+              p.ops = static_cast<double>(ni) * nj;
+              return p;
+            });
         if (bi > 0 && bj > 0) {
           dev_minplus(dev, compute, out_buf.data(), nj,
                       tmp_buf.data() + layout.boundary_offset[j], nb,

@@ -31,7 +31,8 @@ constexpr double kChildEfficiency = 0.48;
 class JohnsonRunner {
  public:
   JohnsonRunner(const graph::CsrGraph& g, const ApspOptions& opts)
-      : g_(g), opts_(opts), dev_(opts.device), faults_(dev_, opts),
+      : g_(g), opts_(opts), delta_(sssp::resolve_delta(g, opts.delta)),
+        dev_(opts.device), faults_(dev_, opts),
         pipe_(dev_, opts.overlap_transfers),
         codec_(dev_, opts.transfer_compression) {
     dev_.set_trace(opts.trace);
@@ -81,7 +82,7 @@ class JohnsonRunner {
     dist_t* dist_rows = rows_->device_ptr(slot);
 
     sssp::NearFarConfig nf;
-    nf.delta = opts_.delta;
+    nf.delta = delta_;
     nf.heavy_degree_threshold =
         opts_.dynamic_parallelism ? opts_.heavy_degree_threshold : 0;
 
@@ -110,7 +111,7 @@ class JohnsonRunner {
                     break;
                   }
                   case SsspKernel::kDeltaStepping: {
-                    const auto r = sssp::delta_stepping(g_, src, opts_.delta);
+                    const auto r = sssp::delta_stepping(g_, src, delta_);
                     std::copy(r.dist.begin(), r.dist.end(), row.begin());
                     // Full delta-stepping: same relaxation work, but every
                     // bucket processed costs device-wide reorganization
@@ -200,6 +201,8 @@ class JohnsonRunner {
  private:
   const graph::CsrGraph& g_;
   ApspOptions opts_;
+  // Resolved once: the mean-weight fallback is an O(m) pass per call.
+  dist_t delta_;
   sim::Device dev_;
   // Attached before upload_graph in the ctor body so even the CSR upload is
   // subject to the fault schedule.

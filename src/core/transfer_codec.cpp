@@ -131,7 +131,13 @@ void decode_slices(const SlicedFrames& in, void* dst, std::size_t bytes,
 }
 
 TransferCodec::TransferCodec(sim::Device& dev, TransferCompression mode)
-    : dev_(&dev), policy_(wire_policy(dev.spec(), mode)) {}
+    : dev_(&dev), policy_(wire_policy(dev.spec(), mode)) {
+  // The wire size is the encoded size of the payload, which a charge-only
+  // device never writes.
+  GAPSP_CHECK(!(policy_.enabled && dev.charge_only()),
+              "compressed transfers on a charge-only device: wire sizes "
+              "would come from unwritten buffers");
+}
 
 TransferCodec::~TransferCodec() {
   if (pinned_noted_ > 0) dev_->note_pinned_release(pinned_noted_);

@@ -99,6 +99,8 @@ void decode_slices(const SlicedFrames& in, void* dst, std::size_t bytes,
 
 class TransferCodec {
  public:
+  /// Throws Error when `mode` engages the compressed path on a charge-only
+  /// device (sim::Device::set_charge_only).
   TransferCodec(sim::Device& dev, TransferCompression mode);
   ~TransferCodec();
   TransferCodec(const TransferCodec&) = delete;

@@ -217,22 +217,37 @@ void lz_compress(const std::uint8_t* src, std::size_t len,
   emit_sequence(out, src + lit_start, len - lit_start, 0, 0);
 }
 
-/// Copies a `len`-byte match from `offset` bytes back, a word at a time
-/// where the offset allows. The caller has checked that the source lies in
-/// produced output and the destination inside the buffer.
-void copy_match(std::uint8_t* d, std::size_t offset, std::size_t len) {
+/// Copies a `len`-byte match from `offset` bytes back, with `room` bytes
+/// of output from `d` on. The caller has checked that the source lies in
+/// produced output and that `len` <= `room`.
+void copy_match(std::uint8_t* d, std::size_t offset, std::size_t len,
+                std::size_t room) {
+  if (offset == 1) {
+    // A byte run: the zero planes of a transfer slice.
+    std::memset(d, d[-1], len);
+    return;
+  }
+  std::uint8_t* const end = d + len;
+  // Word stores run past the end of the match by up to 7 bytes when the
+  // output has room for them: the sequences after this one rewrite those
+  // bytes, as they do after the 16-byte literal copy. Otherwise they stop
+  // at the last whole word and the tail goes byte by byte.
+  std::uint8_t* const stop =
+      room - len >= 7 ? end : end - std::min<std::size_t>(len, 7);
   if (offset >= 8) {
     // Each 8-byte load ends at or before the store it feeds begins.
-    for (; len >= 8; d += 8, len -= 8) {
-      std::memcpy(d, d - offset, 8);
-    }
-  } else if (offset == 4) {
-    // The 4-byte period of kInf runs and zero planes, replicated.
-    const std::uint64_t word = load32(d - 4) * 0x100000001ULL;
-    for (; len >= 8; d += 8, len -= 8) std::memcpy(d, &word, 8);
+    for (; d < stop; d += 8) std::memcpy(d, d - offset, 8);
+  } else {
+    // Offsets 2–7 repeat one 8-byte pattern, stored every `step` bytes —
+    // the largest multiple of the offset that fits a word — so each store
+    // starts in phase (offset 4 is the period of kInf runs).
+    const std::uint8_t* const src = d - offset;
+    std::uint8_t pattern[8];
+    for (std::size_t i = 0; i < 8; ++i) pattern[i] = src[i % offset];
+    const std::size_t step = 8 - 8 % offset;
+    for (; d < stop; d += step) std::memcpy(d, pattern, 8);
   }
-  // Short offsets copy the run they are producing, byte by byte.
-  for (; len > 0; ++d, --len) *d = *(d - offset);
+  for (; d < end; ++d) *d = *(d - offset);
 }
 
 /// Decodes the sequences in [ip, end) into exactly `dst_len` bytes.
@@ -284,7 +299,7 @@ void lz_decompress(const std::uint8_t* ip, const std::uint8_t* const end,
     std::size_t match_len = (token & 0x0f) + kMinMatch;
     if ((token & 0x0f) == 15) match_len = read_extension(match_len);
     if (match_len > dst_len - op) bad_frame("match overruns output");
-    copy_match(dst + op, offset, match_len);
+    copy_match(dst + op, offset, match_len, dst_len - op);
     op += match_len;
   }
   if (op != dst_len) bad_frame("short output");

@@ -37,9 +37,10 @@
 //
 // Matches are greedy hash-probed with a fast path for 4-byte-periodic runs
 // (kInf blocks and zero planes match themselves at offset 4 without hashing
-// every position). Decoding copies matches a word at a time where the
-// offset allows and is strictly bounds-checked per sequence: truncated or
-// corrupt frames throw CorruptError and never read or write out of bounds.
+// every position). Decoding copies matches a word at a time (offset 1 as
+// a memset, offsets 2–7 from one repeated 8-byte pattern) and is strictly
+// bounds-checked per sequence: truncated or corrupt frames throw
+// CorruptError and never read or write out of bounds.
 // The checksum covers the raw output, so it also checks the inverse
 // transform.
 //

@@ -115,7 +115,7 @@ void Device::do_copy(StreamId s, void* dst, const void* src, std::size_t bytes,
               "bad stream id");
   fault_gate(to_device ? FaultOp::kH2D : FaultOp::kD2H, s,
              to_device ? "memcpy_h2d" : "memcpy_d2h");
-  if (bytes > 0) std::memcpy(dst, src, bytes);
+  if (bytes > 0 && !charge_only_) std::memcpy(dst, src, bytes);
   const double dur = transfer_time(bytes, pinned);
   const double start = std::max(stream_ready_[s], host_time_);
   stream_ready_[s] = start + dur;
@@ -237,13 +237,48 @@ double Device::launch(StreamId s, const std::string& name,
                       const std::function<KernelProfile(LaunchCtx&)>& body) {
   GAPSP_CHECK(s >= 0 && s < static_cast<StreamId>(stream_ready_.size()),
               "bad stream id: " + name);
+  GAPSP_CHECK(!charge_only_,
+              "kernel " + name +
+                  " learns its profile by running; a charge-only device "
+                  "cannot launch it");
   // The gate runs before the body: a failed launch has no side effects, so
   // a retry simply re-executes the (idempotent, min-plus monotone) kernel.
   fault_gate(FaultOp::kKernel, s, name.c_str());
   LaunchCtx ctx(*this);
   const KernelProfile profile = body(ctx);  // real work happens here
+  return charge_kernel(s, name, profile, ctx.child_seconds(), ctx.children_);
+}
+
+double Device::launch_grid(StreamId s, const std::string& name, int grid,
+                           const std::function<void(int)>& block_body,
+                           const std::function<KernelProfile()>& profile) {
+  GAPSP_CHECK(s >= 0 && s < static_cast<StreamId>(stream_ready_.size()),
+              "bad stream id: " + name);
+  // Same gate, retry replay, tracing and charge as launch(): a grid launch
+  // is indistinguishable from a serial launch on the simulated timeline.
+  fault_gate(FaultOp::kKernel, s, name.c_str());
+  // A charge-only device runs no block: the profile is declared apart from
+  // the work.
+  const int blocks = charge_only_ ? 0 : grid;
+  if (blocks <= 1 || kernel_threads_ == 1) {
+    for (int b = 0; b < blocks; ++b) block_body(b);
+  } else {
+    ThreadPool::global().parallel_for(
+        static_cast<std::size_t>(blocks),
+        [&](std::size_t b) { block_body(static_cast<int>(b)); },
+        /*grain=*/1,
+        /*max_threads=*/kernel_threads_ <= 0
+            ? 0
+            : static_cast<std::size_t>(kernel_threads_));
+  }
+  return charge_kernel(s, name, profile(), 0.0, 0);
+}
+
+double Device::charge_kernel(StreamId s, const std::string& name,
+                             const KernelProfile& profile,
+                             double child_seconds, long long children) {
   const double dur =
-      spec_.kernel_launch_s + kernel_time(profile) + ctx.child_seconds();
+      spec_.kernel_launch_s + kernel_time(profile) + child_seconds;
   const double start = std::max(stream_ready_[s], host_time_);
   stream_ready_[s] = start + dur;
   stream_busy_[s] += dur;
@@ -251,7 +286,7 @@ double Device::launch(StreamId s, const std::string& name,
   metrics_.kernel_seconds += dur;
   metrics_.total_ops += profile.ops;
   ++metrics_.kernels;
-  metrics_.child_kernels += ctx.children_;
+  metrics_.child_kernels += children;
   if (trace_ != nullptr) {
     TraceEvent e;
     e.name = name;
@@ -261,32 +296,10 @@ double Device::launch(StreamId s, const std::string& name,
     e.end_s = start + dur;
     e.ops = profile.ops;
     e.bytes = profile.bytes;
-    e.child_kernels = static_cast<int>(ctx.children_);
+    e.child_kernels = static_cast<int>(children);
     trace_->record(std::move(e));
   }
   return dur;
-}
-
-double Device::launch_grid(StreamId s, const std::string& name, int grid,
-                           const std::function<void(int)>& block_body,
-                           const std::function<KernelProfile()>& profile) {
-  // Rides the plain launch path so fault gating, retry replay, tracing, and
-  // the timeline charge are shared: a grid launch is indistinguishable from
-  // a serial launch on the simulated timeline.
-  return launch(s, name, [&](LaunchCtx&) {
-    if (grid <= 1 || kernel_threads_ == 1) {
-      for (int b = 0; b < grid; ++b) block_body(b);
-    } else {
-      ThreadPool::global().parallel_for(
-          static_cast<std::size_t>(grid),
-          [&](std::size_t b) { block_body(static_cast<int>(b)); },
-          /*grain=*/1,
-          /*max_threads=*/kernel_threads_ <= 0
-              ? 0
-              : static_cast<std::size_t>(kernel_threads_));
-    }
-    return profile();
-  });
 }
 
 void Device::reserve_bytes(std::size_t bytes, const char* what) {

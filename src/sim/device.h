@@ -9,6 +9,14 @@
 // operations join the host clock to the stream, and `synchronize()` is the
 // makespan over all streams. See DESIGN.md §2 for why this substitution
 // preserves the paper's behaviour.
+//
+// A charge-only device (set_charge_only) keeps the timeline and skips the
+// work: grid launches charge their declared profile without running a
+// block, and copies charge without moving bytes. Fault gates, stream
+// clocks, busy intervals, allocations and every DeviceMetrics counter
+// behave exactly as in an executing run, so a driver whose charges depend
+// only on shapes produces the same metrics either way. The cost model's
+// calibration probes run in this mode (DESIGN.md §2).
 #pragma once
 
 #include <cstring>
@@ -195,8 +203,9 @@ class Device {
   // ---- transfers ----
 
   /// Host-to-device copy of `bytes` from `src` to `dst` (real memcpy plus a
-  /// timeline charge). `async` follows cudaMemcpyAsync semantics; `pinned`
-  /// selects full link bandwidth vs the pageable penalty.
+  /// timeline charge; the charge alone on a charge-only device). `async`
+  /// follows cudaMemcpyAsync semantics; `pinned` selects full link
+  /// bandwidth vs the pageable penalty.
   void memcpy_h2d(StreamId s, void* dst, const void* src, std::size_t bytes,
                   bool async = false, bool pinned = false);
   void memcpy_d2h(StreamId s, void* dst, const void* src, std::size_t bytes,
@@ -223,24 +232,35 @@ class Device {
 
   // ---- kernels ----
 
-  /// Launches a kernel on stream `s`. The body executes immediately (it must
-  /// perform the real computation) and returns its KernelProfile; the
-  /// timeline charge is derived from that profile plus any dynamic-
-  /// parallelism children launched through the ctx. Returns the simulated
-  /// kernel duration in seconds.
+  /// Launches a kernel on stream `s` whose cost is only known from its work
+  /// (Johnson's MSSP). The body executes immediately (it must perform the
+  /// real computation) and returns its KernelProfile; the timeline charge
+  /// is derived from that profile plus any dynamic-parallelism children
+  /// launched through the ctx. Returns the simulated kernel duration in
+  /// seconds. Throws Error on a charge-only device, which cannot learn the
+  /// profile without running the body.
   double launch(StreamId s, const std::string& name,
                 const std::function<KernelProfile(LaunchCtx&)>& body);
 
-  /// Grid-parallel launch form: `block_body(b)` performs the real work of
-  /// thread block b in [0, grid). Blocks must own disjoint outputs, so
-  /// serial and parallel execution are bit-identical — the thread pool only
-  /// changes host wall-clock, never results. `profile` is evaluated once on
-  /// the calling thread after every block finished (deterministic ops/bytes
-  /// accounting), and the timeline charge is exactly that of an equivalent
-  /// serial launch(). Honors set_kernel_threads().
+  /// Grid launch form for kernels whose cost follows from their shape:
+  /// `block_body(b)` performs the real work of thread block b in [0, grid),
+  /// and `profile` declares the charge apart from that work. Blocks must
+  /// own disjoint outputs, so serial and parallel execution are
+  /// bit-identical — the thread pool only changes host wall-clock, never
+  /// results. `profile` is evaluated once on the calling thread after every
+  /// block finished (deterministic ops/bytes accounting), and the timeline
+  /// charge is exactly that of an equivalent serial launch(). A charge-only
+  /// device runs no block and charges the same profile. Honors
+  /// set_kernel_threads().
   double launch_grid(StreamId s, const std::string& name, int grid,
                      const std::function<void(int)>& block_body,
                      const std::function<KernelProfile()>& profile);
+
+  /// Charge-only mode (see the header comment): launch_grid and the memcpy
+  /// forms charge without running blocks or moving bytes, and launch()
+  /// throws. Set it before the first launch or copy.
+  void set_charge_only(bool on) { charge_only_ = on; }
+  bool charge_only() const { return charge_only_; }
 
   /// Host threads used to execute a launch_grid's blocks and the slice
   /// frames of a TransferCodec on this device: 0 = the whole global pool,
@@ -285,6 +305,12 @@ class Device {
   void release_bytes(std::size_t bytes);
   void do_copy(StreamId s, void* dst, const void* src, std::size_t bytes,
                bool async, bool pinned, bool to_device);
+  /// Charges one kernel of `profile` plus `child_seconds` of dynamic-
+  /// parallelism children on stream `s`; the shared tail of launch() and
+  /// launch_grid().
+  double charge_kernel(StreamId s, const std::string& name,
+                       const KernelProfile& profile, double child_seconds,
+                       long long children);
 
   /// Consults the fault injector before an operation on stream `s`. Retries
   /// transient faults under retry_ (charging backoff to the stream clock and
@@ -316,6 +342,7 @@ class Device {
   FaultInjector* injector_ = nullptr;
   RetryPolicy retry_;
   int kernel_threads_ = 0;
+  bool charge_only_ = false;
 };
 
 template <typename T>

@@ -5,13 +5,16 @@
 
 namespace gapsp::sssp {
 
+dist_t resolve_delta(const graph::CsrGraph& g, dist_t delta) {
+  if (delta > 0) return delta;
+  return std::max<dist_t>(1, static_cast<dist_t>(std::lround(g.mean_weight())));
+}
+
 DeltaSteppingResult delta_stepping(const graph::CsrGraph& g, vidx_t source,
                                    dist_t delta) {
   const vidx_t n = g.num_vertices();
   GAPSP_CHECK(source >= 0 && source < n, "source out of range");
-  if (delta <= 0) {
-    delta = std::max<dist_t>(1, static_cast<dist_t>(std::lround(g.mean_weight())));
-  }
+  delta = resolve_delta(g, delta);
   DeltaSteppingResult r;
   r.dist.assign(static_cast<std::size_t>(n), kInf);
   r.dist[source] = 0;

@@ -15,8 +15,14 @@ struct DeltaSteppingResult {
   long long relaxations = 0;
 };
 
-/// Bucketed SSSP. `delta` <= 0 selects a heuristic bucket width (mean edge
-/// weight), matching common practice.
+/// The bucket width Δ of a bucketed SSSP over `g`: `delta` when positive,
+/// else the mean edge weight rounded, at least 1 (common practice). The
+/// mean is an O(m) pass, so a caller running many sources resolves Δ once
+/// and passes it on.
+dist_t resolve_delta(const graph::CsrGraph& g, dist_t delta);
+
+/// Bucketed SSSP. `delta` <= 0 selects the heuristic bucket width of
+/// resolve_delta.
 DeltaSteppingResult delta_stepping(const graph::CsrGraph& g, vidx_t source,
                                    dist_t delta = 0);
 

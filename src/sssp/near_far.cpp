@@ -1,7 +1,8 @@
 #include "sssp/near_far.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "sssp/delta_stepping.h"
 
 namespace gapsp::sssp {
 
@@ -12,10 +13,7 @@ NearFarStats near_far_sssp(const graph::CsrGraph& g, vidx_t source,
   GAPSP_CHECK(source >= 0 && source < n, "source out of range");
   GAPSP_CHECK(dist_out.size() == static_cast<std::size_t>(n),
               "output span has wrong length");
-  dist_t delta = cfg.delta;
-  if (delta <= 0) {
-    delta = std::max<dist_t>(1, static_cast<dist_t>(std::lround(g.mean_weight())));
-  }
+  const dist_t delta = resolve_delta(g, cfg.delta);
 
   std::fill(dist_out.begin(), dist_out.end(), kInf);
   dist_out[source] = 0;

@@ -24,7 +24,9 @@ struct NearFarStats {
 };
 
 struct NearFarConfig {
-  /// Bucket width Δ; <= 0 picks mean edge weight (common heuristic).
+  /// Bucket width Δ; <= 0 picks the mean edge weight (resolve_delta in
+  /// sssp/delta_stepping.h), an O(m) pass per call — a caller running many
+  /// sources resolves it once.
   dist_t delta = 0;
   /// Vertices with out-degree >= this are counted as "heavy" for the
   /// dynamic-parallelism optimization; <= 0 disables the split.

@@ -246,6 +246,32 @@ TEST_F(CliFlags, OutOfRangeValuesAreTypedErrors) {
             0);
 }
 
+TEST(CliResume, AutoResumesTheCheckpointOfAKilledFwRun) {
+  // Regression: under the default --algorithm auto the selector's FW
+  // calibration probe ran with the caller's --checkpoint path, rewrote the
+  // killed run's sidecar and removed it, so the resume restarted from round
+  // 0 ("resumed past 0 completed units").
+  const std::string cli = cli_path();
+  if (cli.empty()) GTEST_SKIP() << "apsp_cli path unavailable (set GAPSP_CLI)";
+  const std::string store = ::testing::TempDir() + "gapsp_cli_resume.bin";
+  const std::string ck = ::testing::TempDir() + "gapsp_cli_resume.ck";
+  const std::string solve = "--generate dense:700:8 --store file "
+                            "--store-path " + store + " --checkpoint " + ck;
+  // Two FW rounds (b = 631); op 60 falls in the second.
+  ASSERT_EQ(run_cli(cli, solve + " --algorithm fw --kill-device 0:60"), 1);
+  ASSERT_TRUE(std::ifstream(ck).good());
+  std::string out;
+  EXPECT_EQ(run_cli(cli, solve + " --resume --verify", &out), 0) << out;
+  const std::string tag = "resumed past ";
+  const auto at = out.find(tag);
+  ASSERT_NE(at, std::string::npos) << out;
+  EXPECT_GE(std::atoi(out.c_str() + at + tag.size()), 1) << out;
+  EXPECT_NE(out.find("verify: OK"), std::string::npos) << out;
+  for (const std::string& f : {store, ck, store + ".sum", store + ".cal"}) {
+    std::remove(f.c_str());
+  }
+}
+
 TEST_F(CliFlags, MistypedCommandsAndStrayWordsExitTwo) {
   // Each used to run the default road:40x40 solve, or ignore the word.
   EXPECT_EQ(run_cli(cli, "infoo --store-path " + store), 2);

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "core/cost_model.h"
 #include "core/kernel_engine.h"
@@ -11,6 +13,7 @@
 #include "core/ooc_johnson.h"
 #include "graph/generators.h"
 #include "test_util.h"
+#include "util/file_io.h"
 
 namespace gapsp::core {
 namespace {
@@ -110,6 +113,83 @@ TEST(Calibration, KeyedOnCostRelevantOptions) {
   // Same cost-relevant options still share one entry.
   auto same = base;
   EXPECT_EQ(&calibrate(same), &a);
+}
+
+void expect_same_table(const Calibration& got, const Calibration& want,
+                       const char* what) {
+  EXPECT_EQ(got.fw_t0, want.fw_t0) << what;
+  EXPECT_EQ(got.fw_n0, want.fw_n0) << what;
+  EXPECT_EQ(got.fw_exponent, want.fw_exponent) << what;
+  EXPECT_EQ(got.bnd_t0, want.bnd_t0) << what;
+  EXPECT_EQ(got.bnd_n0, want.bnd_n0) << what;
+  EXPECT_EQ(got.bnd_exponent, want.bnd_exponent) << what;
+  EXPECT_EQ(got.c_unit, want.c_unit) << what;
+}
+
+TEST(Calibration, TableDependsOnlyOnTheKey) {
+  // Regression: the probes ran on the caller's options, so a seed, k or
+  // partitioner the key does not carry changed the table (bnd_t0 moved by
+  // up to 13 %), and the cache and the .cal sidecars then served whichever
+  // table came first. The caller's fault plan and checkpoint reached the
+  // probes too: a probe fault failed the calibration, and the FW probe
+  // rewrote and removed the caller's checkpoint.
+  const ApspOptions base;
+  clear_calibration_cache();
+  const Calibration want = calibrate(base);
+
+  const std::string ck = ::testing::TempDir() + "gapsp_cal_probe.ck";
+  const sim::FaultPlan plan = [] {
+    sim::FaultPlan p;
+    p.p_kernel = 0.2;
+    p.p_h2d = 0.05;
+    return p;
+  }();
+  const std::pair<const char*, std::function<void(ApspOptions&)>> variants[] =
+      {
+          {"seed 2", [](ApspOptions& o) { o.seed = 2; }},
+          {"4 components", [](ApspOptions& o) { o.num_components = 4; }},
+          {"recursive bisection",
+           [](ApspOptions& o) {
+             o.partition_method = part::Method::kRecursiveBisection;
+           }},
+          {"fault plan, no retries",
+           [&plan](ApspOptions& o) {
+             o.faults = &plan;
+             o.retry.max_retries = 0;
+           }},
+          {"checkpoint", [&ck](ApspOptions& o) { o.checkpoint_path = ck; }},
+      };
+  for (const auto& [what, apply] : variants) {
+    ApspOptions opts = base;
+    apply(opts);
+    ASSERT_EQ(calibration_cache_key(opts), calibration_cache_key(base))
+        << what;
+    clear_calibration_cache();
+    expect_same_table(calibrate(opts), want, what);
+  }
+  EXPECT_FALSE(util::File::open_if_present(ck));
+
+  // The codec mode stays in the key so existing sidecars keep matching,
+  // but the probes run codec-off: every mode gets the same table.
+  for (const auto mode :
+       {TransferCompression::kOn, TransferCompression::kOff}) {
+    ApspOptions opts = base;
+    opts.transfer_compression = mode;
+    clear_calibration_cache();
+    expect_same_table(calibrate(opts), want, transfer_compression_name(mode));
+  }
+}
+
+TEST(Calibration, ChargeOnlyProbesChargeWhatExecutingProbesCharged) {
+  // The default table's two reference times, as the probes charged them
+  // when they still executed every kernel, copy and codec frame (hex
+  // floats: the charge is exact). Charge-only probes must not move them.
+  clear_calibration_cache();
+  const Calibration& cal = calibrate(ApspOptions{});
+  EXPECT_EQ(cal.fw_t0, 0x1.05a112094d64cp-10);
+  EXPECT_EQ(cal.bnd_t0, 0x1.be36a01ed2cep-10);
+  EXPECT_EQ(cal.fw_n0, 768);
+  EXPECT_EQ(cal.bnd_n0, 1296);
 }
 
 TEST(TransferModels, CompressedSinkScalesOnlyTheOutputTerm) {

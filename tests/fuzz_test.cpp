@@ -4,6 +4,7 @@
 // tests with breadth across the configuration space.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstring>
@@ -366,6 +367,76 @@ TEST_P(Z1Fuzz, RoundTripsExactlyAndRejectsDamageTyped) {
     EXPECT_THROW(z1_decompress(bad.data(), bad.size(), out.data(), out.size()),
                  CorruptError)
         << "tag " << tag << " row " << width << " len " << claimed;
+  }
+}
+
+/// Appends a z1 sequence's 255-continuation length extension.
+void put_extension(std::vector<std::uint8_t>& out, std::size_t rem) {
+  for (; rem >= 255; rem -= 255) out.push_back(255);
+  out.push_back(static_cast<std::uint8_t>(rem));
+}
+
+/// A hand-built plain-tagged frame (z1_codec.h layout) of two sequences:
+/// the literals `lit` with a match of `len` bytes from `offset` back, then
+/// the final literals `tail`. `want` receives the bytes it decodes to.
+std::vector<std::uint8_t> match_frame(const std::vector<std::uint8_t>& lit,
+                                      std::size_t offset, std::size_t len,
+                                      const std::vector<std::uint8_t>& tail,
+                                      std::vector<std::uint8_t>& want) {
+  want = lit;
+  for (std::size_t i = 0; i < len; ++i) {
+    want.push_back(want[want.size() - offset]);
+  }
+  want.insert(want.end(), tail.begin(), tail.end());
+
+  std::vector<std::uint8_t> frame(16);
+  const std::uint64_t word = want.size() | std::uint64_t{1} << 32;
+  const std::uint64_t sum = util::word_hash(want.data(), want.size());
+  for (int i = 0; i < 8; ++i) {
+    frame[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(word >> (8 * i));
+    frame[static_cast<std::size_t>(8 + i)] =
+        static_cast<std::uint8_t>(sum >> (8 * i));
+  }
+  const std::size_t lit_nib = std::min<std::size_t>(lit.size(), 15);
+  const std::size_t match_nib = std::min<std::size_t>(len - 4, 15);
+  frame.push_back(static_cast<std::uint8_t>(lit_nib << 4 | match_nib));
+  if (lit_nib == 15) put_extension(frame, lit.size() - 15);
+  frame.insert(frame.end(), lit.begin(), lit.end());
+  frame.push_back(static_cast<std::uint8_t>(offset & 0xff));
+  frame.push_back(static_cast<std::uint8_t>(offset >> 8));
+  if (match_nib == 15) put_extension(frame, len - 4 - 15);
+  const std::size_t tail_nib = std::min<std::size_t>(tail.size(), 15);
+  frame.push_back(static_cast<std::uint8_t>(tail_nib << 4));
+  if (tail_nib == 15) put_extension(frame, tail.size() - 15);
+  frame.insert(frame.end(), tail.begin(), tail.end());
+  return frame;
+}
+
+TEST_P(Z1Fuzz, MatchCopiesDecodeKnownAnswers) {
+  // Every offset 1–16 (the byte-run memset, the repeated 8-byte pattern of
+  // offsets 2–7, whole words from 8 on), lengths 4–40, and matches ending
+  // 0–15 bytes before the end of the output — where word stores may or may
+  // not run past the match — against a byte-by-byte reference.
+  Rng rng(0x5A0F + static_cast<std::uint64_t>(GetParam()) * 7919);
+  const auto random_bytes = [&rng](std::size_t n) {
+    std::vector<std::uint8_t> v(n);
+    for (auto& b : v) b = static_cast<std::uint8_t>(rng.next_u64());
+    return v;
+  };
+  std::vector<std::uint8_t> want, out;
+  for (std::size_t offset = 1; offset <= 16; ++offset) {
+    for (std::size_t len = 4; len <= 40; ++len) {
+      for (std::size_t tail = 0; tail <= 15; ++tail) {
+        const auto lit = random_bytes(offset + rng.next_below(20));
+        const auto frame =
+            match_frame(lit, offset, len, random_bytes(tail), want);
+        out.assign(want.size(), 0);
+        z1_decompress(frame.data(), frame.size(), out.data(), out.size());
+        ASSERT_EQ(out, want) << "offset " << offset << " length " << len
+                             << " tail " << tail;
+      }
+    }
   }
 }
 

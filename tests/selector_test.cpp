@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "core/apsp.h"
+#include "core/cost_model.h"
 #include "core/selector.h"
 #include "graph/generators.h"
 #include "test_util.h"
@@ -61,6 +62,39 @@ TEST(Selector, ChoosesBoundaryForSmallSeparatorGraph) {
   opts.device = sim::DeviceSpec::v100_scaled();  // 8 MiB
   const auto report = select_algorithm(g, opts, scaled_thresholds());
   EXPECT_EQ(report.chosen, Algorithm::kBoundary);
+}
+
+TEST(Selector, PickIgnoresTheFaultPlan) {
+  // Regression: the calibration probes and Johnson's sampled batches ran
+  // under the caller's fault plan, so with no retries a probe fault marked
+  // a candidate infeasible and moved the pick (road 32×32: boundary became
+  // johnson, which then exited 0 where --algorithm boundary exited 1). The
+  // solve meets the plan; the estimates must not.
+  sim::FaultPlan plan;
+  plan.p_kernel = 0.2;
+  ApspOptions faulty;  // the scaled V100 apsp_cli runs on
+  faulty.faults = &plan;
+  faulty.retry.max_retries = 0;
+  const graph::CsrGraph graphs[] = {graph::make_road(32, 32, 1),
+                                    graph::make_mesh(1500, 8, 99, 0.1)};
+  for (const auto& g : graphs) {
+    clear_calibration_cache();  // the faulted selection calibrates first
+    const auto with = select_algorithm(g, faulty, scaled_thresholds());
+    const auto without =
+        select_algorithm(g, ApspOptions{}, scaled_thresholds());
+    EXPECT_EQ(with.chosen, without.chosen) << g.num_vertices();
+    ASSERT_EQ(with.estimates.size(), without.estimates.size());
+    for (std::size_t i = 0; i < with.estimates.size(); ++i) {
+      const auto& a = with.estimates[i];
+      const auto& b = without.estimates[i];
+      EXPECT_EQ(a.algo, b.algo);
+      EXPECT_EQ(a.considered, b.considered);
+      EXPECT_EQ(a.cost.feasible, b.cost.feasible) << algorithm_name(a.algo);
+      EXPECT_EQ(a.cost.compute_s, b.cost.compute_s) << algorithm_name(a.algo);
+      EXPECT_EQ(a.cost.transfer_s, b.cost.transfer_s)
+          << algorithm_name(a.algo);
+    }
+  }
 }
 
 TEST(Selector, ChosenMatchesArgminOfEstimates) {

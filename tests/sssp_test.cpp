@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <tuple>
 #include <vector>
 
@@ -105,6 +107,32 @@ TEST(NearFar, HeavySplitDoesNotChangeResults) {
   EXPECT_EQ(s1.heavy_relaxations, 0);
   EXPECT_GT(s2.heavy_relaxations, 0);
   EXPECT_LE(s2.heavy_relaxations, s2.relaxations);
+}
+
+TEST(NearFar, ResolvedDeltaMatchesTheFallback) {
+  // Johnson resolves Δ once per solve and passes it on; the distances and
+  // the work counts must equal those of the per-call mean-weight fallback.
+  const auto g = graph::make_mesh(400, 8, 31);
+  const dist_t delta = resolve_delta(g, 0);
+  EXPECT_EQ(delta, std::max<dist_t>(1, static_cast<dist_t>(
+                                          std::lround(g.mean_weight()))));
+  EXPECT_EQ(resolve_delta(g, 17), 17);
+  std::vector<dist_t> fallback(g.num_vertices()), resolved(g.num_vertices());
+  NearFarConfig cfg;
+  cfg.heavy_degree_threshold = 8;
+  const auto a = near_far_sssp(g, 5, fallback, cfg);
+  cfg.delta = delta;
+  const auto b = near_far_sssp(g, 5, resolved, cfg);
+  EXPECT_EQ(resolved, fallback);
+  EXPECT_EQ(b.relaxations, a.relaxations);
+  EXPECT_EQ(b.heavy_relaxations, a.heavy_relaxations);
+  EXPECT_EQ(b.vertices_processed, a.vertices_processed);
+  EXPECT_EQ(b.phases, a.phases);
+  const auto ds = delta_stepping(g, 5, delta);
+  const auto ds0 = delta_stepping(g, 5);
+  EXPECT_EQ(ds.dist, ds0.dist);
+  EXPECT_EQ(ds.relaxations, ds0.relaxations);
+  EXPECT_EQ(ds.buckets_processed, ds0.buckets_processed);
 }
 
 TEST(NearFar, StatsAreConsistent) {
