@@ -107,8 +107,9 @@ struct ApspOptions {
   /// the simulated timeline.
   KernelVariant kernel_variant = KernelVariant::kAuto;
   /// Host threads executing the blocks of a grid launch (Device::
-  /// launch_grid) and the transfer codec's slice frames: 0 = the whole
-  /// global pool, 1 = serial; negative is an error. Purely a wall-clock
+  /// launch_grid), the SSSP instances of Johnson's MSSP launch and the
+  /// transfer codec's slice frames: 0 = the whole global pool, 1 = serial
+  /// on the calling thread; negative is an error. Purely a wall-clock
   /// knob; results and the simulated timeline are identical for every
   /// setting.
   int kernel_threads = 0;

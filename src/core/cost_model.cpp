@@ -267,18 +267,16 @@ std::string calibration_cache_key(const ApspOptions& opts) {
   // The probes run on options built from this key's fields alone
   // (probe_options), so one key names one table — keying on the device
   // alone would let two configs on the same device share one table (e.g.
-  // overlap on/off changes block sizes). The queue factor and the codec
-  // mode reach no probe: the probes run codec-off, so their tables are
-  // identical in every mode, and both stay in the key only so that
-  // existing `.cal` sidecars keep matching. The kernel variant is not part
-  // of it: the probes record modeled kernel seconds, which no variant
-  // changes.
+  // overlap on/off changes block sizes). Nothing else reaches a probe: the
+  // Johnson queue factor, the codec mode (the probes run codec-off) and the
+  // kernel variant (the probes record modeled kernel seconds, which no
+  // variant changes) share one table. Keys that still named the queue
+  // factor ("/qf") and the codec mode ("/tc") match no key built here, so a
+  // sidecar written under one is ignored and the probes re-run once.
   return opts.device.name + "/" + std::to_string(opts.device.memory_bytes) +
          "/ov" + std::to_string(opts.overlap_transfers ? 1 : 0) + "/bt" +
-         std::to_string(opts.batch_transfers ? 1 : 0) + "/qf" +
-         std::to_string(opts.johnson_queue_factor) + "/ft" +
-         std::to_string(opts.fw_tile) + "/tc" +
-         std::to_string(static_cast<int>(opts.transfer_compression));
+         std::to_string(opts.batch_transfers ? 1 : 0) + "/ft" +
+         std::to_string(opts.fw_tile);
 }
 
 const Calibration& calibrate(const ApspOptions& opts) {

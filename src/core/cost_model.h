@@ -90,8 +90,8 @@ struct Calibration {
 /// partitioning, but no kernel, copy or codec work.
 const Calibration& calibrate(const ApspOptions& opts);
 
-/// The in-process cache key for `opts`: every option the probe runs read,
-/// plus the queue factor and codec mode that older sidecars carry. Also
+/// The in-process cache key for `opts`: the options the probe runs read
+/// (device, overlap, transfer batching, FW sub-tile) and nothing else. Also
 /// the key a persisted table is matched against.
 std::string calibration_cache_key(const ApspOptions& opts);
 

@@ -62,16 +62,13 @@ class JohnsonRunner {
     dev_.synchronize();
   }
 
-  struct BatchTimes {
-    double kernel_s = 0.0;
-    double transfer_s = 0.0;
-  };
-
   /// Runs batch `bi` (sources [bi·bat, ...)); returns simulated seconds of
-  /// the MSSP kernel and the result transfer. Rows land in `store` if
-  /// non-null. With overlap_transfers the previous batch's rows drain on the
-  /// D2H lane while this batch's MSSP kernel runs.
-  BatchTimes run_batch(int bi, DistStore* store) {
+  /// the MSSP kernel. Rows drain to the host and land in `store` if
+  /// non-null; with no store (the selector's sampled batches) nothing is
+  /// staged out, since no D2H wait changes the kernel's charge. With
+  /// overlap_transfers the previous batch's rows drain on the D2H lane while
+  /// this batch's MSSP kernel runs.
+  double run_batch(int bi, DistStore* store) {
     const vidx_t n = g_.num_vertices();
     const vidx_t s0 = static_cast<vidx_t>(bi) * bat_;
     const vidx_t cnt = std::min<vidx_t>(bat_, n - s0);
@@ -96,7 +93,9 @@ class JohnsonRunner {
     const SsspKernel kernel = opts_.sssp_kernel;
     const double kernel_s = dev_.launch(
         pipe_.compute_stream(), "MSSP", [&](sim::LaunchCtx& ctx) {
-          // One SSSP instance per thread block (Algorithm 2's MSSP kernel).
+          // One SSSP instance per thread block (Algorithm 2's MSSP kernel),
+          // on at most kernel_threads host threads (0 = the whole pool).
+          const int threads = dev_.kernel_threads();
           ThreadPool::global().parallel_for(
               static_cast<std::size_t>(cnt), [&](std::size_t i) {
                 std::span<dist_t> row(
@@ -131,7 +130,10 @@ class JohnsonRunner {
                     break;
                   }
                 }
-              });
+              },
+              /*grain=*/1,
+              /*max_threads=*/threads <= 0 ? 0
+                                           : static_cast<std::size_t>(threads));
           long long relax = 0, heavy = 0, processed = 0;
           for (const auto& st : stats) {
             relax += st.relax;
@@ -179,23 +181,19 @@ class JohnsonRunner {
           return p;
         });
 
+    if (store == nullptr) {
+      rows_->release(slot, pipe_.computed());
+      return kernel_s;
+    }
     const std::size_t bytes =
         static_cast<std::size_t>(cnt) * static_cast<std::size_t>(n) *
         sizeof(dist_t);
     const sim::Event drained = codec_.stage_out(
         pipe_, rows_->host_ptr(slot), dist_rows, bytes, pipe_.computed());
-    if (store != nullptr) {
-      store->write_block(s0, 0, cnt, n, rows_->host_ptr(slot),
-                         static_cast<std::size_t>(n));
-    }
+    store->write_block(s0, 0, cnt, n, rows_->host_ptr(slot),
+                       static_cast<std::size_t>(n));
     rows_->release(slot, drained);
-    // Report what the timeline was actually charged: the wire bytes of the
-    // frame plus the on-device encode when the batch compressed, so sampled
-    // estimates see the compressed regime (DESIGN.md §14).
-    double transfer_s =
-        dev_.transfer_time(codec_.last_wire_bytes(), /*pinned=*/true);
-    if (codec_.last_wire_bytes() != bytes) transfer_s += dev_.decode_time(bytes);
-    return BatchTimes{kernel_s, transfer_s};
+    return kernel_s;
   }
 
  private:
@@ -300,9 +298,7 @@ JohnsonSample johnson_sample_batches(const graph::CsrGraph& g,
   sample.num_batches = runner.num_batches();
   for (int bi : batches) {
     GAPSP_CHECK(bi >= 0 && bi < runner.num_batches(), "batch index range");
-    const auto times = runner.run_batch(bi, nullptr);
-    sample.kernel_seconds += times.kernel_s;
-    sample.transfer_seconds += times.transfer_s;
+    sample.kernel_seconds += runner.run_batch(bi, nullptr);
     ++sample.sampled;
   }
   runner.finish();

@@ -32,8 +32,7 @@ ApspResult ooc_johnson(const graph::CsrGraph& g, const ApspOptions& opts,
 
 /// Outcome of sampling a few batches (Sec. IV-B2 cost model).
 struct JohnsonSample {
-  double kernel_seconds = 0.0;    ///< summed simulated MSSP kernel time
-  double transfer_seconds = 0.0;  ///< summed simulated result-transfer time
+  double kernel_seconds = 0.0;  ///< summed simulated MSSP kernel time
   int bat = 0;
   int num_batches = 0;
   int sampled = 0;
@@ -41,7 +40,8 @@ struct JohnsonSample {
 
 /// Runs only the batches whose indices are listed in `batches` — the
 /// sampling primitive of the Sec. IV-B2 cost model ("randomly choose k
-/// batches to run").
+/// batches to run"). Only the MSSP kernels run: the sampled rows are never
+/// staged out, and the cost model prices the result transfer by formula.
 JohnsonSample johnson_sample_batches(const graph::CsrGraph& g,
                                      const ApspOptions& opts,
                                      std::span<const int> batches);

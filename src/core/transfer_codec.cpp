@@ -144,7 +144,6 @@ TransferCodec::~TransferCodec() {
 }
 
 bool TransferCodec::encode_wins(const void* src, std::size_t bytes) {
-  last_wire_bytes_ = bytes;
   if (!policy_.enabled) return false;
   const bool wins = encode_slices(src, bytes, policy_.max_wire_frac,
                                   dev_->kernel_threads(), wire_);
@@ -156,7 +155,6 @@ bool TransferCodec::encode_wins(const void* src, std::size_t bytes) {
     dev_->note_pinned_alloc(wire_.wire_bytes - pinned_noted_);
     pinned_noted_ = wire_.wire_bytes;
   }
-  if (wins) last_wire_bytes_ = wire_.wire_bytes;
   return wins;
 }
 

@@ -25,8 +25,8 @@
 // the wire slicing costs only a 16-byte header and a cold match window
 // per slice. The cold windows make one thread encode about 30 % slower
 // than one frame per tile, which a pool of four threads more than repays.
-// The wire size, the fallback test and last_wire_bytes() are sums over
-// the slice frames, and none of them depends on the thread count.
+// The wire size and the fallback test are sums over the slice frames, and
+// neither depends on the thread count.
 //
 // Raw fallback: a tile only rides the compressed path when its frames beat
 // the raw transfer under the device's own rates — the threshold
@@ -109,12 +109,6 @@ class TransferCodec {
   /// True when tiles are considered for the compressed path at all.
   bool enabled() const { return policy_.enabled; }
 
-  /// Bytes charged on the link by the most recent transfer through this
-  /// codec (the summed slice frames when it compressed, the raw size on
-  /// fallback). Lets samplers report the compressed rate to the cost
-  /// estimators.
-  std::size_t last_wire_bytes() const { return last_wire_bytes_; }
-
   // ---- staged (async pinned-lane) transfers ----
 
   /// Stage `bytes` of pinned host `src` into device `dst` through `pipe`'s
@@ -147,7 +141,6 @@ class TransferCodec {
   WirePolicy policy_;
   SlicedFrames wire_;  ///< pinned wire staging (accounted)
   std::size_t pinned_noted_ = 0;
-  std::size_t last_wire_bytes_ = 0;
 };
 
 }  // namespace gapsp::core

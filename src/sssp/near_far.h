@@ -5,6 +5,19 @@
 //
 // This is the *functional* form shared by the device kernel (one instance
 // per simulated thread block inside the MSSP launch) and by host-side tests.
+// Its work counters are the MSSP kernel's modeled work: ooc_johnson charges
+// the simulated timeline from them, so the visiting order they count is
+// part of the contract, not an implementation detail.
+//
+// Host cost: the Near, next-Near and Far worklists are per-thread buffers
+// reused across sources and grown once per vertex to hold its degree, so
+// the edge loop neither allocates nor checks capacity. An improved vertex
+// is written at both the next-Near and the Far tail and one tail advances,
+// so binning takes no branch. The counters advance once per vertex (by its
+// out-degree), not once per edge. The edge loop adds without saturating:
+// weights are below kInf (CsrGraph::from_edges rejects the rest) and a
+// processed vertex's distance is below kInf, so a sum stays below 2·kInf,
+// inside a dist_t, and a sum at or past kInf never improves a distance.
 #pragma once
 
 #include <span>

@@ -97,8 +97,8 @@ TEST(Calibration, CachedPerDeviceConfig) {
 
 TEST(Calibration, KeyedOnCostRelevantOptions) {
   // Regression: the cache key was device name + memory only, so flipping
-  // overlap_transfers or the Johnson queue factor returned a calibration
-  // measured under the *other* configuration.
+  // overlap_transfers returned a calibration measured under the *other*
+  // configuration.
   const auto base = model_opts();
   const Calibration& a = calibrate(base);
 
@@ -106,13 +106,102 @@ TEST(Calibration, KeyedOnCostRelevantOptions) {
   overlap.overlap_transfers = !base.overlap_transfers;
   EXPECT_NE(&calibrate(overlap), &a);
 
+  // The Johnson queue factor reaches no probe, so it shares the entry.
   auto qf = base;
   qf.johnson_queue_factor = base.johnson_queue_factor * 2.0;
-  EXPECT_NE(&calibrate(qf), &a);
+  EXPECT_EQ(&calibrate(qf), &a);
 
   // Same cost-relevant options still share one entry.
   auto same = base;
   EXPECT_EQ(&calibrate(same), &a);
+}
+
+TEST(Calibration, QueueFactorAndCodecModeShareOneEntry) {
+  // Regression: the key carried the queue factor and the codec mode, which
+  // no probe reads, so each of these configurations re-ran the probes to
+  // an identical table and could not share a `.cal` sidecar.
+  auto base = model_opts();
+  base.device.name = "cal-shared-entry-test";
+  const long long runs = calibration_runs();
+  const Calibration& a = calibrate(base);
+  auto qf = base;
+  qf.johnson_queue_factor = base.johnson_queue_factor * 2.0;
+  EXPECT_EQ(&calibrate(qf), &a);
+  for (const auto mode : {TransferCompression::kAuto, TransferCompression::kOn,
+                          TransferCompression::kOff}) {
+    auto opts = base;
+    opts.transfer_compression = mode;
+    EXPECT_EQ(&calibrate(opts), &a) << transfer_compression_name(mode);
+    EXPECT_EQ(calibration_cache_key(opts), calibration_cache_key(base));
+  }
+  EXPECT_EQ(calibration_runs(), runs + 1);
+}
+
+/// A GAPSPCAL1 sidecar built byte by byte: the magic "GAPSCAL1", the key,
+/// the table, and the FNV-1a of everything before the sum.
+std::vector<std::uint8_t> cal_sidecar(const std::string& key,
+                                      const Calibration& cal) {
+  std::vector<std::uint8_t> buf;
+  const auto put = [&buf](const void* p, std::size_t bytes) {
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    buf.insert(buf.end(), b, b + bytes);
+  };
+  put("GAPSCAL1", 8);
+  const std::uint64_t key_len = key.size();
+  put(&key_len, sizeof(key_len));
+  put(key.data(), key.size());
+  const std::int64_t fw_n0 = cal.fw_n0, bnd_n0 = cal.bnd_n0;
+  put(&cal.fw_t0, sizeof(cal.fw_t0));
+  put(&fw_n0, sizeof(fw_n0));
+  put(&cal.fw_exponent, sizeof(cal.fw_exponent));
+  put(&cal.bnd_t0, sizeof(cal.bnd_t0));
+  put(&bnd_n0, sizeof(bnd_n0));
+  put(&cal.bnd_exponent, sizeof(cal.bnd_exponent));
+  const std::uint64_t buckets = cal.c_unit.size();
+  put(&buckets, sizeof(buckets));
+  put(cal.c_unit.data(), cal.c_unit.size() * sizeof(double));
+  const std::uint64_t sum = util::fnv1a(buf.data(), buf.size());
+  put(&sum, sizeof(sum));
+  return buf;
+}
+
+TEST(Calibration, SidecarUnderTheOldKeyFormatIsIgnored) {
+  // Keys used to end in "/qf<queue factor>/ft<tile>/tc<codec mode>". A
+  // sidecar written under such a key matches no key built now: the load
+  // fails and the probes re-run once, never a table under the wrong key.
+  auto opts = model_opts();
+  opts.device.name = "cal-old-key-test";
+  const Calibration table = calibrate(opts);
+  const std::string old_key =
+      opts.device.name + "/" + std::to_string(opts.device.memory_bytes) +
+      "/ov" + std::to_string(opts.overlap_transfers ? 1 : 0) + "/bt" +
+      std::to_string(opts.batch_transfers ? 1 : 0) + "/qf" +
+      std::to_string(opts.johnson_queue_factor) + "/ft" +
+      std::to_string(opts.fw_tile) + "/tc" +
+      std::to_string(static_cast<int>(opts.transfer_compression));
+  ASSERT_NE(old_key, calibration_cache_key(opts));
+
+  const std::string path = ::testing::TempDir() + "gapsp_cal_old_key.cal";
+  const auto write = [&path](const std::vector<std::uint8_t>& bytes) {
+    util::atomic_replace(path, [&bytes](util::File& f) {
+      f.pwrite_exact(bytes.data(), bytes.size(), 0);
+    });
+  };
+  clear_calibration_cache();
+  write(cal_sidecar(old_key, table));
+  EXPECT_FALSE(load_calibration(opts, path));
+  const long long runs = calibration_runs();
+  calibrate(opts);
+  EXPECT_EQ(calibration_runs(), runs + 1);
+
+  // The same bytes under the current key load: only the key kept the old
+  // sidecar out.
+  clear_calibration_cache();
+  write(cal_sidecar(calibration_cache_key(opts), table));
+  EXPECT_TRUE(load_calibration(opts, path));
+  EXPECT_EQ(calibrate(opts).fw_t0, table.fw_t0);
+  EXPECT_EQ(calibration_runs(), runs + 1);
+  std::remove(path.c_str());
 }
 
 void expect_same_table(const Calibration& got, const Calibration& want,
@@ -169,8 +258,7 @@ TEST(Calibration, TableDependsOnlyOnTheKey) {
   }
   EXPECT_FALSE(util::File::open_if_present(ck));
 
-  // The codec mode stays in the key so existing sidecars keep matching,
-  // but the probes run codec-off: every mode gets the same table.
+  // The probes run codec-off: every mode gets the same table.
   for (const auto mode :
        {TransferCompression::kOn, TransferCompression::kOff}) {
     ApspOptions opts = base;
@@ -363,6 +451,23 @@ TEST(Estimates, JohnsonPredictsActualWithinFactor) {
   const auto actual = ooc_johnson(g, opts, *store);
   EXPECT_GT(est.total(), actual.metrics.sim_seconds / 2.0);
   EXPECT_LT(est.total(), actual.metrics.sim_seconds * 2.0);
+}
+
+TEST(Estimates, JohnsonSampledComputeIsPinned) {
+  // The sampled batches' MSSP charge on the benchmark's Johnson graphs
+  // (seed 1, default options), as charged when every sampled batch still
+  // staged its rows out through the codec and Near-Far counted its work
+  // per edge (hex floats: the charge is exact). Neither how the host runs
+  // the SSSP instances nor what the sampler skips may move it.
+  const std::pair<graph::CsrGraph, double> cases[] = {
+      {graph::make_road(48, 48, 1), 0x1.227753bf89dfp-7},
+      {graph::make_mesh(2000, 10, 1), 0x1.1834264f3efefp-5},
+      {graph::make_dense(1500, 8.0, 1), 0x1.187b7df12153p-2},
+  };
+  for (const auto& [g, compute_s] : cases) {
+    EXPECT_EQ(estimate_johnson(g, ApspOptions{}, 5).compute_s, compute_s)
+        << "n = " << g.num_vertices();
+  }
 }
 
 TEST(Estimates, BoundaryPredictsActualOnSmallSeparator) {

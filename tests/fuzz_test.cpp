@@ -10,6 +10,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/apsp.h"
@@ -17,7 +18,9 @@
 #include "core/kernel_engine.h"
 #include "core/store_integrity.h"
 #include "graph/generators.h"
+#include "near_far_reference.h"
 #include "service/query_engine.h"
+#include "sssp/delta_stepping.h"
 #include "test_util.h"
 
 namespace gapsp::core {
@@ -502,6 +505,91 @@ TEST_P(SimdFuzz, VectorKernelsMatchScalarOracleAtAnyAlignment) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimdFuzz, ::testing::Range(0, 24));
+
+// ---------------------------------------------------------------------------
+// Near-Far fuzzer (sssp/near_far.h): random graphs — the families above,
+// random weight ranges from all-zero to just below kInf, and raw random
+// arc lists — under a random Δ and heavy-degree threshold, checked source
+// by source against the reference loop in near_far_reference.h: equal rows
+// and equal work counters (the MSSP's modeled charge). The library writes
+// every improved vertex at both worklist tails before it knows the bin, so
+// under ASan a tail without room is a hard failure; under UBSan an
+// unsaturated sum that overflowed would be one too.
+// ---------------------------------------------------------------------------
+
+class NearFarFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(NearFarFuzz, RandomGraphsMatchTheReferenceLoop) {
+  Rng rng(0x4EA4 + static_cast<std::uint64_t>(GetParam()) * 6151);
+  for (int trial = 0; trial < 6; ++trial) {
+    graph::CsrGraph g;
+    switch (rng.next_below(3)) {
+      case 0:
+        g = random_graph(rng);
+        break;
+      case 1: {
+        // Weight range from zero-only up to a top just below kInf.
+        const dist_t hi = rng.next_bool(0.3)
+                              ? static_cast<dist_t>(kInf - 1)
+                              : static_cast<dist_t>(rng.next_in(0, 5000));
+        const dist_t lo = static_cast<dist_t>(rng.next_in(0, hi));
+        g = graph::make_erdos_renyi(
+            static_cast<vidx_t>(rng.next_in(2, 200)), rng.next_in(0, 800),
+            rng.next_u64(), /*connect=*/rng.next_bool(0.5), {lo, hi});
+        break;
+      }
+      default: {
+        // Directed arc list: parallel arcs, self loops and hubs of any
+        // degree, weights anywhere in [0, kInf).
+        const auto n = static_cast<vidx_t>(rng.next_in(1, 120));
+        const vidx_t hubs = std::min<vidx_t>(3, n);
+        std::vector<graph::Edge> edges(
+            static_cast<std::size_t>(rng.next_in(0, 1500)));
+        const dist_t top = rng.next_bool(0.5)
+                               ? static_cast<dist_t>(kInf - 1)
+                               : static_cast<dist_t>(rng.next_in(0, 300));
+        for (auto& e : edges) {
+          e.src = static_cast<vidx_t>(
+              rng.next_below(rng.next_bool(0.2) ? hubs : n));
+          e.dst = static_cast<vidx_t>(rng.next_below(n));
+          e.weight = static_cast<dist_t>(rng.next_in(0, top));
+        }
+        g = graph::CsrGraph::from_edges(n, std::move(edges),
+                                        /*symmetrize=*/rng.next_bool(0.5));
+        break;
+      }
+    }
+    sssp::NearFarConfig cfg;
+    const dist_t resolved = sssp::resolve_delta(g, 0);
+    switch (rng.next_below(4)) {
+      case 0: cfg.delta = 0; break;  // the mean-weight fallback
+      case 1: cfg.delta = 1; break;
+      case 2: cfg.delta = resolved; break;
+      default:
+        cfg.delta = static_cast<dist_t>(std::min<std::int64_t>(
+            kInf, rng.next_in(1, 3 * static_cast<std::int64_t>(resolved))));
+    }
+    cfg.heavy_degree_threshold =
+        rng.next_bool(0.3) ? 0 : static_cast<int>(rng.next_in(1, 24));
+    const vidx_t n = g.num_vertices();
+    std::vector<vidx_t> sources = {0, n - 1};
+    for (int i = 0; i < 10; ++i) {
+      sources.push_back(static_cast<vidx_t>(rng.next_below(n)));
+    }
+    for (const vidx_t src : sources) {
+      // Each source runs on a fresh thread, whose worklists start empty and
+      // then grow to exactly the room asked for: a write past a tail's room
+      // lands past the end of its buffer, where ASan sees it.
+      std::thread([&] {
+        test::expect_near_far_matches_reference(g, src, cfg);
+      }).join();
+      ASSERT_FALSE(HasFatalFailure())
+          << "trial " << trial << " n=" << n << " m=" << g.num_edges();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NearFarFuzz, ::testing::Range(0, 32));
 
 // ---------------------------------------------------------------------------
 // Raw kept-store damage fuzzer (DESIGN.md §13): random truncations of the

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <thread>
 #include <vector>
 
 #include "core/ooc_johnson.h"
 #include "graph/generators.h"
+#include "sim/trace.h"
 #include "test_util.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace gapsp::core {
 namespace {
@@ -173,8 +177,70 @@ TEST(OocJohnson, SampleBatchesSubsetTiming) {
   const JohnsonSample s = johnson_sample_batches(g, opts, pick);
   EXPECT_EQ(s.sampled, 2);
   EXPECT_GT(s.kernel_seconds, 0.0);
-  EXPECT_GT(s.transfer_seconds, 0.0);
   EXPECT_GT(s.num_batches, 2);
+}
+
+TEST(OocJohnson, SampledBatchesStageNothingOut) {
+  // The cost model reads only the sampled kernel seconds and prices the
+  // result transfer by formula, so a sampled batch's rows never leave the
+  // device. Its kernel charge is the launch's own duration: the same
+  // batches charge the same MSSP seconds inside a full solve, where every
+  // batch's rows drain.
+  const auto g = graph::make_erdos_renyi(300, 1200, 51);
+  for (const bool overlap : {true, false}) {
+    auto opts = tiny_opts(96u << 10);
+    opts.overlap_transfers = overlap;
+    sim::TraceRecorder sampled;
+    opts.trace = &sampled;
+    const std::vector<int> pick{1, 3};
+    const JohnsonSample s = johnson_sample_batches(g, opts, pick);
+    EXPECT_EQ(sampled.total(sim::TraceEvent::Kind::kD2H), 0.0);
+    EXPECT_EQ(sampled.total(sim::TraceEvent::Kind::kDecode), 0.0);
+
+    sim::TraceRecorder full;
+    opts.trace = &full;
+    auto store = make_ram_store(g.num_vertices());
+    ooc_johnson(g, opts, *store);
+    std::vector<double> mssp;
+    for (const auto& e : full.events()) {
+      if (e.kind == sim::TraceEvent::Kind::kKernel && e.name == "MSSP") {
+        mssp.push_back(e.duration_s());
+      }
+    }
+    ASSERT_GT(mssp.size(), 3u);
+    EXPECT_GT(full.total(sim::TraceEvent::Kind::kD2H), 0.0);
+    EXPECT_NEAR(s.kernel_seconds, mssp[1] + mssp[3], s.kernel_seconds * 1e-9)
+        << "overlap " << overlap;
+  }
+}
+
+double cpu_seconds(int who) {
+  rusage ru{};
+  getrusage(who, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         1e-6 * static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+}
+
+TEST(OocJohnson, OneKernelThreadRunsTheMsspOnTheCallingThread) {
+  // Regression: the MSSP launch spread its SSSP instances over the whole
+  // pool whatever kernel_threads said, so `--kernel-threads 1` was not
+  // serial on Johnson. With one kernel thread nearly all of the solve's
+  // CPU time is the calling thread's.
+  if (std::thread::hardware_concurrency() == 1) {
+    GTEST_SKIP() << "one hardware thread: the pool cannot differ";
+  }
+  const auto g = graph::make_mesh(2000, 10, 1);
+  ApspOptions opts;
+  opts.kernel_threads = 1;
+  auto store = make_ram_store(g.num_vertices());
+  ThreadPool::global();  // the workers exist before the clocks start
+  const double process0 = cpu_seconds(RUSAGE_SELF);
+  const double thread0 = cpu_seconds(RUSAGE_THREAD);
+  ooc_johnson(g, opts, *store);
+  const double process = cpu_seconds(RUSAGE_SELF) - process0;
+  const double thread = cpu_seconds(RUSAGE_THREAD) - thread0;
+  EXPECT_GE(thread, 0.9 * process)
+      << "calling thread " << thread << " s of " << process << " s";
 }
 
 TEST(OocJohnson, SampleRejectsBadIndex) {

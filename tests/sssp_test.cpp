@@ -10,6 +10,8 @@
 #include "sssp/delta_stepping.h"
 #include "sssp/dijkstra.h"
 #include "sssp/near_far.h"
+#include "near_far_reference.h"
+#include "util/common.h"
 
 namespace gapsp::sssp {
 namespace {
@@ -144,6 +146,64 @@ TEST(NearFar, StatsAreConsistent) {
   EXPECT_GT(st.phases, 0);  // a road graph needs several threshold bumps
 }
 
+// ---- Near-Far equivalence: the MSSP's modeled work is pinned ----
+
+struct NearFarAnswer {
+  vidx_t source;
+  long long relaxations;
+  long long heavy_relaxations;
+  long long vertices_processed;
+  int phases;
+  std::uint64_t row_hash;  ///< util::word_hash of the distance row
+};
+
+// The benchmark's Johnson graphs (seed 1) under the Johnson configuration:
+// Δ from resolve_delta and the default heavy-degree threshold of 16. The
+// counters are what ooc_johnson charges the simulated timeline with, so a
+// change to the host loop must leave every one of them where it is.
+TEST(NearFar, KnownAnswersOnTheBenchmarkGraphs) {
+  struct Case {
+    const char* name;
+    graph::CsrGraph graph;
+    std::vector<NearFarAnswer> answers;
+  };
+  const Case cases[] = {
+      {"mesh2000",
+       graph::make_mesh(2000, 10, 1),
+       {{0, 44707, 884, 4529, 3, 0x53e58103333337deULL},
+        {1000, 46254, 791, 4687, 2, 0x0f6842d098adc910ULL},
+        {1999, 45662, 662, 4629, 3, 0xa01dbb1fe9724874ULL}}},
+      {"road48",
+       graph::make_road(48, 48, 1),
+       {{0, 10050, 0, 2921, 52, 0x9544284f1af358deULL},
+        {1152, 10298, 0, 2989, 45, 0xea78d4326aa1283dULL},
+        {2303, 10180, 0, 2952, 51, 0x0da5ce836d8a626cULL}}},
+      {"dense1500",
+       graph::make_dense(1500, 8.0, 1),
+       {{0, 1135119, 1135119, 9685, 1, 0x69db35d9f736ac33ULL},
+        {750, 1111181, 1111181, 9475, 1, 0x368ecba271f4fbbcULL},
+        {1499, 1131376, 1131376, 9672, 1, 0x1200200deb5fc705ULL}}},
+  };
+  for (const auto& c : cases) {
+    NearFarConfig cfg;
+    cfg.delta = resolve_delta(c.graph, 0);
+    cfg.heavy_degree_threshold = 16;
+    std::vector<dist_t> row(static_cast<std::size_t>(c.graph.num_vertices()));
+    for (const auto& want : c.answers) {
+      const auto st = near_far_sssp(c.graph, want.source, row, cfg);
+      EXPECT_EQ(st.relaxations, want.relaxations) << c.name << " " << want.source;
+      EXPECT_EQ(st.heavy_relaxations, want.heavy_relaxations)
+          << c.name << " " << want.source;
+      EXPECT_EQ(st.vertices_processed, want.vertices_processed)
+          << c.name << " " << want.source;
+      EXPECT_EQ(st.phases, want.phases) << c.name << " " << want.source;
+      EXPECT_EQ(util::word_hash(row.data(), row.size() * sizeof(dist_t)),
+                want.row_hash)
+          << c.name << " " << want.source;
+    }
+  }
+}
+
 // ---- cross-algorithm agreement sweep (the SSSP family property) ----
 
 struct SsspCase {
@@ -185,6 +245,70 @@ INSTANTIATE_TEST_SUITE_P(Families, SsspAgreement,
                          [](const auto& info) {
                            return sssp_cases()[info.param].name;
                          });
+
+// ---- Near-Far against the reference loop (tests/near_far_reference.h) ----
+
+// Weights near kInf/2: two hops reach just below kInf, and every longer sum
+// passes kInf, which must leave the vertex unreachable as sat_add does —
+// including across the shortcut 0 -> 4.
+constexpr dist_t kBig = kInf / 2 - 1;
+
+graph::CsrGraph near_inf_graph() {
+  return graph::CsrGraph::from_edges(
+      6,
+      {{0, 1, kBig}, {1, 2, kBig}, {2, 3, kBig}, {3, 4, 1}, {0, 4, kBig},
+       {4, 5, kBig}, {5, 0, 3}},
+      /*symmetrize=*/false);
+}
+
+std::vector<SsspCase> oracle_cases() {
+  auto cases = sssp_cases();
+  cases.push_back({"zeroweights",
+                   graph::make_erdos_renyi(180, 700, 27, true, {0, 2})});
+  cases.push_back({"single", graph::CsrGraph::from_edges(1, {}, false)});
+  cases.push_back({"nearinf", near_inf_graph()});
+  return cases;
+}
+
+class NearFarOracle : public ::testing::TestWithParam<int> {};
+
+// Every source, Δ ∈ {1, resolved, 10 × resolved} and heavy threshold ∈ {0,
+// 8}: the library's rows and all four counters equal the reference loop's.
+TEST_P(NearFarOracle, EverySourceMatchesTheReferenceLoop) {
+  const auto cases = oracle_cases();
+  const auto& tc = cases[GetParam()];
+  const auto& g = tc.graph;
+  const dist_t resolved = resolve_delta(g, 0);
+  const dist_t wide = static_cast<dist_t>(
+      std::min<std::int64_t>(10 * static_cast<std::int64_t>(resolved), kInf));
+  for (const dist_t delta : {dist_t{1}, resolved, wide}) {
+    for (const int heavy : {0, 8}) {
+      NearFarConfig cfg;
+      cfg.delta = delta;
+      cfg.heavy_degree_threshold = heavy;
+      for (vidx_t src = 0; src < g.num_vertices(); ++src) {
+        ASSERT_NO_FATAL_FAILURE(
+            test::expect_near_far_matches_reference(g, src, cfg))
+            << tc.name;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, NearFarOracle,
+                         ::testing::Range(0, 9),
+                         [](const auto& info) {
+                           return oracle_cases()[info.param].name;
+                         });
+
+TEST(NearFar, SumsPastInfinityStayUnreachable) {
+  const auto g = near_inf_graph();
+  std::vector<dist_t> row(6);
+  near_far_sssp(g, 0, row, {});
+  EXPECT_EQ(row,
+            (std::vector<dist_t>{0, kBig, 2 * kBig, kInf, kBig, 2 * kBig}));
+  EXPECT_EQ(row, dijkstra(g, 0));
+}
 
 }  // namespace
 }  // namespace gapsp::sssp

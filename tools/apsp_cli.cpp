@@ -112,8 +112,8 @@ const ChoiceFlag<part::Method> kPartitioner(
      {"rb", part::Method::kRecursiveBisection}});
 const Flag kKernelVariant("kernel-variant", "auto|naive|simd",
                           "min-plus microkernel", "auto");
-const IntFlag kKernelThreads("kernel-threads", "N", "kernel threads (0 = pool)",
-                             0, 0);
+const IntFlag kKernelThreads("kernel-threads", "N",
+                             "kernel+codec threads (0 = pool)", 0, 0);
 const ChoiceFlag<bool> kStore("store", "distance store",
                               {{"ram", false}, {"file", true}});
 const Flag kKeepStore("keep-store", "", "keep the file store, compacted");
