@@ -334,6 +334,14 @@ bool save_calibration(const ApspOptions& opts, const std::string& path) {
   return true;
 }
 
+bool is_calibration_sidecar(const std::string& path) {
+  const auto f = util::File::open_if_present(path);
+  char magic[sizeof(kCalMagic)] = {};
+  if (!f || f->size() < sizeof(magic)) return false;
+  f->pread_exact(magic, sizeof(magic), 0);
+  return std::memcmp(magic, kCalMagic, sizeof(kCalMagic)) == 0;
+}
+
 bool load_calibration(const ApspOptions& opts, const std::string& path) {
   std::vector<std::uint8_t> buf;
   {

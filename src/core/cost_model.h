@@ -95,7 +95,7 @@ const Calibration& calibrate(const ApspOptions& opts);
 /// the key a persisted table is matched against.
 std::string calibration_cache_key(const ApspOptions& opts);
 
-/// Serializes the cached calibration for `opts` to `path` (a "GAPSPCAL1"
+/// Serializes the cached calibration for `opts` to `path` (a "GAPSCAL1"
 /// sidecar, landed by util::atomic_replace). Returns false without touching
 /// the file when calibrate() has not run for this configuration yet. The
 /// CLI drops one next to a kept store so a serving process skips the
@@ -107,6 +107,12 @@ bool save_calibration(const ApspOptions& opts, const std::string& path);
 /// configuration; true means the next calibrate() is a cache hit. Throws
 /// IoError when the file exists but cannot be read.
 bool load_calibration(const ApspOptions& opts, const std::string& path);
+
+/// True when the file at `path` starts with the "GAPSCAL1" magic that
+/// save_calibration writes (the file may still be keyed for another
+/// configuration, or fail its checksum on load). Throws IoError when the
+/// file exists but cannot be read.
+bool is_calibration_sidecar(const std::string& path);
 
 /// Drops every cached calibration (test hook for the persistence path).
 void clear_calibration_cache();

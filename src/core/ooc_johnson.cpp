@@ -48,8 +48,10 @@ class JohnsonRunner {
     const auto queue_elems = static_cast<std::size_t>(
         opts.johnson_queue_factor * static_cast<double>(g.num_edges()) * bat_);
     // The worklists are scratch of the running batch only — the writeback
-    // never touches them, so they stay single-buffered.
-    worklists_ = dev_.alloc<dist_t>(queue_elems, "near/far worklists");
+    // never touches them, so they stay single-buffered — and the host
+    // Near-Far keeps its own queues, so they are a charge, not a buffer.
+    worklists_ =
+        dev_.reserve(queue_elems * sizeof(dist_t), "near/far worklists");
   }
 
   int bat() const { return bat_; }
@@ -210,7 +212,7 @@ class JohnsonRunner {
   DeviceGraph dg_;
   // Deferred because its size depends on bat_, computed in the ctor body.
   std::optional<sim::PingPong<dist_t>> rows_;
-  sim::DeviceBuffer<dist_t> worklists_;
+  sim::DeviceReservation worklists_;
   int bat_ = 0;
   int nb_ = 0;
 };

@@ -5,6 +5,10 @@
 #include <cmath>
 #include <cstring>
 
+#if defined(__x86_64__) || defined(_M_X64)
+#include <emmintrin.h>
+#endif
+
 #include "util/common.h"
 
 namespace gapsp::core {
@@ -140,26 +144,127 @@ void split_planes(const std::uint8_t* src, std::size_t elems,
   }
 }
 
-/// Inverse of split_planes, into `dst`: the first row, then each row from
-/// the complete row above it.
-void join_planes(const std::uint8_t* planes, std::size_t elems,
-                 std::size_t row, std::uint8_t* dst) {
-  const auto word = [planes, elems](std::size_t i) {
-    return static_cast<std::uint32_t>(planes[i]) |
-           static_cast<std::uint32_t>(planes[elems + i]) << 8 |
-           static_cast<std::uint32_t>(planes[2 * elems + i]) << 16 |
-           static_cast<std::uint32_t>(planes[3 * elems + i]) << 24;
-  };
+/// util::word_hash split open so the decoder can feed it words as it
+/// produces them: the same constants, lanes, tail, length fold and
+/// avalanche, so finish() returns util::word_hash of the same bytes bit
+/// for bit (frames on disk carry it; fuzz_test decodes against a reference
+/// that calls util::word_hash itself).
+class WordHashLanes {
+ public:
+  /// One 32-byte step over the four native-order 8-byte words `w`.
+  void step(std::uint64_t w0, std::uint64_t w1, std::uint64_t w2,
+            std::uint64_t w3) {
+    lane_[0] = round(lane_[0], w0);
+    lane_[1] = round(lane_[1], w1);
+    lane_[2] = round(lane_[2], w2);
+    lane_[3] = round(lane_[3], w3);
+  }
+  void step(const std::uint8_t* p) {
+    step(load64(p), load64(p + 8), load64(p + 16), load64(p + 24));
+  }
+
+  /// Hashes the `left` bytes at `p` that follow the stepped ones and
+  /// returns the hash of all `bytes`.
+  std::uint64_t finish(const std::uint8_t* p, std::size_t left,
+                       std::size_t bytes) {
+    for (; left >= 32; p += 32, left -= 32) step(p);
+    std::uint64_t h = std::rotl(lane_[0], 1) + std::rotl(lane_[1], 7) +
+                      std::rotl(lane_[2], 12) + std::rotl(lane_[3], 18) + bytes;
+    for (; left >= 8; p += 8, left -= 8) {
+      h = std::rotl(h ^ round(0, load64(p)), 27) * kP1 + kP3;
+    }
+    for (; left > 0; ++p, --left) h = std::rotl(h ^ (*p * kP3), 11) * kP1;
+    h ^= h >> 33;
+    h *= kP2;
+    h ^= h >> 29;
+    h *= kP3;
+    return h ^ (h >> 32);
+  }
+
+ private:
+  static constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ULL;
+  static constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
+  static constexpr std::uint64_t kP3 = 0x165667b19e3779f9ULL;
+  static std::uint64_t round(std::uint64_t acc, std::uint64_t word) {
+    return std::rotl(acc + word * kP2, 31) * kP1;
+  }
+  std::uint64_t lane_[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+};
+
+/// Inverse of split_planes, into `dst`, fused with the checksum: returns
+/// util::word_hash(dst, 4 * elems). Each group of 16 words is gathered from
+/// the planes, un-zigzagged and added to the row above (from the second row
+/// on), stored, and fed to the hash lanes; the words after the last whole
+/// group, and the hash's tail, go as in util::word_hash.
+std::uint64_t join_planes_hashed(const std::uint8_t* planes,
+                                 std::size_t elems, std::size_t row,
+                                 std::uint8_t* dst) {
+  const std::uint8_t* const p1 = planes + elems;
+  const std::uint8_t* const p2 = p1 + elems;
+  const std::uint8_t* const p3 = p2 + elems;
   const std::size_t head = row == 0 ? elems : row;
-#pragma omp simd
-  for (std::size_t i = 0; i < head; ++i) store32(dst + 4 * i, word(i));
-  for (std::size_t r0 = head; r0 < elems; r0 += row) {
-    const std::size_t r1 = std::min(elems, r0 + row);
-#pragma omp simd
-    for (std::size_t i = r0; i < r1; ++i) {
-      store32(dst + 4 * i, unzigzag(word(i)) + load32(dst + 4 * (i - row)));
+  const std::size_t groups_end = elems - elems % 16;
+  WordHashLanes hash;
+  std::size_t i = 0;
+#if defined(__x86_64__) || defined(_M_X64)
+  // SSE2, the x86-64 baseline, joins four words per vector and hashes them
+  // from the register. Each vector lies wholly in the head row or wholly
+  // below it (row % 4 == 0), and reads the row above from earlier groups
+  // only (row >= 16).
+  if (row == 0 || (row >= 16 && row % 4 == 0)) {
+    const auto load = [](const std::uint8_t* p) {
+      return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    };
+    const auto lo = [](__m128i v) {
+      return static_cast<std::uint64_t>(_mm_cvtsi128_si64(v));
+    };
+    const auto hi = [lo](__m128i v) { return lo(_mm_unpackhi_epi64(v, v)); };
+    const __m128i one = _mm_set1_epi32(1);
+    for (; i < groups_end; i += 16) {
+      const __m128i b0 = load(planes + i);
+      const __m128i b1 = load(p1 + i);
+      const __m128i b2 = load(p2 + i);
+      const __m128i b3 = load(p3 + i);
+      const __m128i lo01 = _mm_unpacklo_epi8(b0, b1);
+      const __m128i hi01 = _mm_unpackhi_epi8(b0, b1);
+      const __m128i lo23 = _mm_unpacklo_epi8(b2, b3);
+      const __m128i hi23 = _mm_unpackhi_epi8(b2, b3);
+      __m128i w[4] = {
+          _mm_unpacklo_epi16(lo01, lo23), _mm_unpackhi_epi16(lo01, lo23),
+          _mm_unpacklo_epi16(hi01, hi23), _mm_unpackhi_epi16(hi01, hi23)};
+      for (std::size_t k = 0; k < 4; ++k) {
+        std::uint8_t* const out = dst + 4 * (i + 4 * k);
+        if (i + 4 * k >= head) {
+          const __m128i z = w[k];
+          const __m128i d = _mm_xor_si128(
+              _mm_srli_epi32(z, 1),
+              _mm_sub_epi32(_mm_setzero_si128(), _mm_and_si128(z, one)));
+          w[k] = _mm_add_epi32(d, load(out - 4 * row));
+        }
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(out), w[k]);
+      }
+      hash.step(lo(w[0]), hi(w[0]), lo(w[1]), hi(w[1]));
+      hash.step(lo(w[2]), hi(w[2]), lo(w[3]), hi(w[3]));
     }
   }
+#endif
+  // The plain scalar body: any other row width, and every other target.
+  const auto join_word = [&](std::size_t j) {
+    std::uint32_t v = static_cast<std::uint32_t>(planes[j]) |
+                      static_cast<std::uint32_t>(p1[j]) << 8 |
+                      static_cast<std::uint32_t>(p2[j]) << 16 |
+                      static_cast<std::uint32_t>(p3[j]) << 24;
+    if (j >= head) v = unzigzag(v) + load32(dst + 4 * (j - row));
+    store32(dst + 4 * j, v);
+  };
+  for (; i < groups_end; i += 16) {
+    for (std::size_t j = i; j < i + 16; ++j) join_word(j);
+    hash.step(dst + 4 * i);
+    hash.step(dst + 4 * i + 32);
+  }
+  for (; i < elems; ++i) join_word(i);
+  return hash.finish(dst + 4 * groups_end, 4 * (elems - groups_end),
+                     4 * elems);
 }
 
 /// Greedy LZ over `len` bytes at `src`, appended to `out` as sequences.
@@ -227,25 +332,48 @@ void copy_match(std::uint8_t* d, std::size_t offset, std::size_t len,
     std::memset(d, d[-1], len);
     return;
   }
+  // Each load below ends at or before the store it feeds begins, so a
+  // chunk never reads bytes it is about to write. Stores run past the end
+  // of the match when the output has room for them: the sequences after
+  // this one rewrite those bytes, as they do after the 16-byte literal
+  // copy (or the frame ends short and is rejected). Otherwise they stop at
+  // the last whole chunk and the tail goes byte by byte.
   std::uint8_t* const end = d + len;
-  // Word stores run past the end of the match by up to 7 bytes when the
-  // output has room for them: the sequences after this one rewrite those
-  // bytes, as they do after the 16-byte literal copy. Otherwise they stop
-  // at the last whole word and the tail goes byte by byte.
-  std::uint8_t* const stop =
-      room - len >= 7 ? end : end - std::min<std::size_t>(len, 7);
-  if (offset >= 8) {
-    // Each 8-byte load ends at or before the store it feeds begins.
-    for (; d < stop; d += 8) std::memcpy(d, d - offset, 8);
+  const auto stop = [end, len, room](std::size_t chunk) {
+    if (room - len >= chunk - 1) return end;
+    return end - std::min<std::size_t>(len, chunk - 1);
+  };
+  if (offset >= 16) {
+    if (len <= 32 && room >= 32) {
+      // Most matches of a distance tile's planes: two fixed copies.
+      std::memcpy(d, d - offset, 16);
+      std::memcpy(d + 16, d + 16 - offset, 16);
+      return;
+    }
+    for (std::uint8_t* const s = stop(16); d < s; d += 16) {
+      std::memcpy(d, d - offset, 16);
+    }
+  } else if (offset >= 8) {
+    for (std::uint8_t* const s = stop(8); d < s; d += 8) {
+      std::memcpy(d, d - offset, 8);
+    }
   } else {
-    // Offsets 2–7 repeat one 8-byte pattern, stored every `step` bytes —
-    // the largest multiple of the offset that fits a word — so each store
-    // starts in phase (offset 4 is the period of kInf runs).
+    // Offsets 2–7 repeat one 8-byte pattern, built by doubling the period
+    // and stored every `step` bytes — the largest multiple of the offset
+    // that fits a word — so each store starts in phase (offset 4 is the
+    // period of kInf runs).
+    static constexpr std::uint8_t kStep[8] = {0, 0, 8, 6, 8, 5, 6, 7};
+    std::uint8_t pattern[16] = {};
     const std::uint8_t* const src = d - offset;
-    std::uint8_t pattern[8];
-    for (std::size_t i = 0; i < 8; ++i) pattern[i] = src[i % offset];
-    const std::size_t step = 8 - 8 % offset;
-    for (; d < stop; d += step) std::memcpy(d, pattern, 8);
+    for (std::size_t i = 0; i < offset; ++i) pattern[i] = src[i];
+    for (std::size_t have = offset; have < 8; have *= 2) {
+      const std::uint64_t period = load64(pattern);
+      std::memcpy(pattern + have, &period, 8);
+    }
+    const std::size_t step = kStep[offset];
+    for (std::uint8_t* const s = stop(8); d < s; d += step) {
+      std::memcpy(d, pattern, 8);
+    }
   }
   for (; d < end; ++d) *d = *(d - offset);
 }
@@ -417,17 +545,18 @@ void z1_decompress(const std::uint8_t* frame, std::size_t frame_len,
   auto* dst = static_cast<std::uint8_t*>(dst_v);
   const std::uint8_t* body = frame + kFrameHeaderBytes;
   const std::uint8_t* end = frame + frame_len;
+  // The checksum covers the raw output, so it checks the inverse transform
+  // as well as the sequences.
+  std::uint64_t sum = 0;
   if (h.tag == kPlanes || h.tag == kRowDelta) {
     tls_planes.resize(dst_len);
     lz_decompress(body, end, tls_planes.data(), dst_len);
-    join_planes(tls_planes.data(), dst_len / 4, h.row, dst);
+    sum = join_planes_hashed(tls_planes.data(), dst_len / 4, h.row, dst);
   } else {
     lz_decompress(body, end, dst, dst_len);
+    sum = h.tag == kUntagged ? util::fnv1a(dst, dst_len)
+                             : util::word_hash(dst, dst_len);
   }
-  // The checksum covers the raw output, so it checks the inverse transform
-  // as well as the sequences.
-  const std::uint64_t sum = h.tag == kUntagged ? util::fnv1a(dst, dst_len)
-                                               : util::word_hash(dst, dst_len);
   if (sum != h.checksum) bad_frame("content checksum mismatch");
 }
 

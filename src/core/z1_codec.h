@@ -37,9 +37,18 @@
 //
 // Matches are greedy hash-probed with a fast path for 4-byte-periodic runs
 // (kInf blocks and zero planes match themselves at offset 4 without hashing
-// every position). Decoding copies matches a word at a time (offset 1 as
-// a memset, offsets 2–7 from one repeated 8-byte pattern) and is strictly
-// bounds-checked per sequence: truncated or corrupt frames throw
+// every position). Decoding copies matches without dividing: offset 1 as a
+// memset, offsets 2–7 from one 8-byte pattern built by doubling the period
+// and stored at a step from a table, 8-byte words from offset 8, and
+// 16-byte chunks from offset 16 (a match of up to 32 bytes with 32 bytes
+// of room is two fixed copies). Under tags 2 and 3, one pass then joins
+// the planes, undoes the row delta, stores the words and feeds the word
+// hash 16 words at a time, so the output is produced and checksummed
+// together. The group body uses SSE2 (the x86-64 baseline) when the row
+// width is 0, or at least 16 and a multiple of 4, so no 4-word vector
+// straddles the head row or reads itself; any other width, and every
+// other target, runs the same loop with a plain scalar body. Decoding is
+// strictly bounds-checked per sequence: truncated or corrupt frames throw
 // CorruptError and never read or write out of bounds.
 // The checksum covers the raw output, so it also checks the inverse
 // transform.

@@ -1,6 +1,7 @@
 #include "sim/device.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/thread_pool.h"
 
@@ -317,6 +318,22 @@ void Device::reserve_bytes(std::size_t bytes, const char* what) {
 void Device::release_bytes(std::size_t bytes) {
   GAPSP_CHECK(bytes <= used_bytes_, "device allocator underflow");
   used_bytes_ -= bytes;
+}
+
+DeviceReservation& DeviceReservation::operator=(
+    DeviceReservation&& other) noexcept {
+  if (this != &other) {
+    release();
+    dev_ = std::exchange(other.dev_, nullptr);
+    bytes_ = std::exchange(other.bytes_, 0);
+  }
+  return *this;
+}
+
+void DeviceReservation::release() {
+  if (dev_ != nullptr) dev_->release_bytes(bytes_);
+  dev_ = nullptr;
+  bytes_ = 0;
 }
 
 void Device::note_pinned_alloc(std::size_t bytes) {

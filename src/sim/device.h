@@ -153,6 +153,31 @@ class DeviceBuffer {
   std::vector<T> storage_;
 };
 
+/// A capacity charge with no memory behind it: counts its bytes against
+/// DeviceSpec::memory_bytes, exactly as a DeviceBuffer of that size would,
+/// until released or destroyed. For device scratch that the simulator never
+/// reads or writes on the host (Johnson's Near/Far worklists).
+class DeviceReservation {
+ public:
+  DeviceReservation() = default;
+  DeviceReservation(DeviceReservation&& other) noexcept {
+    *this = std::move(other);
+  }
+  DeviceReservation& operator=(DeviceReservation&& other) noexcept;
+  DeviceReservation(const DeviceReservation&) = delete;
+  DeviceReservation& operator=(const DeviceReservation&) = delete;
+  ~DeviceReservation() { release(); }
+
+  void release();
+
+ private:
+  friend class Device;
+  DeviceReservation(Device* dev, std::size_t bytes)
+      : dev_(dev), bytes_(bytes) {}
+  Device* dev_ = nullptr;
+  std::size_t bytes_ = 0;
+};
+
 class Device {
  public:
   explicit Device(DeviceSpec spec) : spec_(std::move(spec)) {}
@@ -169,6 +194,13 @@ class Device {
   DeviceBuffer<T> alloc(std::size_t count, const char* what = "buffer") {
     reserve_bytes(count * sizeof(T), what);
     return DeviceBuffer<T>(this, count);
+  }
+
+  /// Charges `bytes` of device memory without allocating any: the same
+  /// allocation fault gate, capacity check (OomError) and peak as alloc.
+  DeviceReservation reserve(std::size_t bytes, const char* what) {
+    reserve_bytes(bytes, what);
+    return DeviceReservation(this, bytes);
   }
 
   std::size_t used_bytes() const { return used_bytes_; }
@@ -300,6 +332,7 @@ class Device {
  private:
   template <typename T>
   friend class DeviceBuffer;
+  friend class DeviceReservation;
 
   void reserve_bytes(std::size_t bytes, const char* what);
   void release_bytes(std::size_t bytes);

@@ -176,6 +176,15 @@ TEST_F(CliFlags, RoutedQueryWithoutManifestExitsOne) {
   std::remove((bare + ".cal").c_str());
 }
 
+TEST_F(CliFlags, InfoFindsTheCalibrationAnAutoSolveSaved) {
+  // The fixture's --keep-store solve runs under auto selection, so it saves
+  // the selector's calibration next to the store; info reads it back by
+  // the library's own magic.
+  std::string out;
+  ASSERT_EQ(run_cli(cli, "info --store-path " + store, &out), 0) << out;
+  EXPECT_NE(out.find("calibration: present"), std::string::npos) << out;
+}
+
 TEST_F(CliFlags, KilledWorkerStillExitsZeroWithTypedDegradation) {
   // Degradation is visible but non-fatal: the batch completes and the
   // process exits 0 even when a worker was killed mid-request.

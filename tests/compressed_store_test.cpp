@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -17,6 +18,8 @@
 #include "core/compressed_store.h"
 #include "graph/generators.h"
 #include "test_util.h"
+#include "util/common.h"
+#include "z1_reference.h"
 #include "util/rng.h"
 
 namespace gapsp::core {
@@ -268,6 +271,55 @@ TEST(Z1Codec, ContentChecksumCatchesPayloadCorruption) {
   bad[bad.size() / 2] ^= 0x01;
   EXPECT_THROW(z1_decompress(bad.data(), bad.size(), dst.data(), dst.size()),
                IoError);
+}
+
+TEST(Z1Codec, Road64TilesDecodeToKnownAnswers) {
+  // A compacted road:64x64 (seed 1) Johnson store, as the serve-miss
+  // benchmark keeps it: 16×16 tiles of 256×256, each a row-delta frame
+  // whose row width takes the vector join. Every tile decodes like the
+  // reference decoder (z1_reference.h), and the word_hash of every decoded
+  // tile, folded per tile row, is pinned.
+  const auto g = graph::make_road(64, 64, 1);
+  ApspOptions o;
+  o.device = test::tiny_device(64u << 20);
+  o.algorithm = Algorithm::kJohnson;
+  auto ram = make_ram_store(g.num_vertices());
+  solve_apsp(g, o, *ram);
+  const std::string zpath = tmp_path("road64");
+  write_compressed_store(*ram, zpath);
+  const auto dir = read_compressed_directory(zpath);
+  const auto file = read_file(zpath);
+  std::remove(zpath.c_str());
+  ASSERT_EQ(dir.tiles_per_side, 16);
+
+  const std::array<std::uint64_t, 16> want = {
+      0xe9ad774bca3d56c0ULL, 0x8229cf79100c0bc9ULL, 0xf23f457245d699b0ULL,
+      0x89949d1bfeaec505ULL, 0x01eedb8ac7341dc0ULL, 0x63272cbd9729c32aULL,
+      0x56a725ae06afb0dfULL, 0x04512b5ea93c0c82ULL, 0x64d4c332ae860fd8ULL,
+      0x32ae412145957431ULL, 0x1c7cad1688de1ab4ULL, 0x216e2bfcacf7bbc9ULL,
+      0x4b6fb9299ba79d99ULL, 0x49ec098eb8df4480ULL, 0x68c00269870c0107ULL,
+      0x96c575805c27c298ULL};
+  std::array<std::uint64_t, 16> folded{};
+  std::vector<std::uint8_t> got(256 * 256 * sizeof(dist_t));
+  std::vector<std::uint8_t> ref(got.size());
+  for (std::size_t bi = 0; bi < 16; ++bi) {
+    std::array<std::uint64_t, 16> sums{};
+    for (std::size_t bj = 0; bj < 16; ++bj) {
+      const auto& e = dir.entries[bi * 16 + bj];
+      ASSERT_GT(e.bytes, 0u) << "tile " << bi << "," << bj;
+      const std::uint8_t* frame = file.data() + e.offset;
+      const auto bytes = static_cast<std::size_t>(e.bytes);
+      z1_decompress(frame, bytes, got.data(), got.size());
+      test::z1_reference::decompress(frame, bytes, ref.data(), ref.size());
+      ASSERT_EQ(got, ref) << "tile " << bi << "," << bj;
+      sums[bj] = util::word_hash(got.data(), got.size());
+    }
+    folded[bi] = util::word_hash(sums.data(), sizeof(sums));
+  }
+  for (std::size_t bi = 0; bi < 16; ++bi) {
+    EXPECT_EQ(folded[bi], want[bi])
+        << "tile row " << bi << ": 0x" << std::hex << folded[bi] << "ULL";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ TEST(Calibration, QueueFactorAndCodecModeShareOneEntry) {
   EXPECT_EQ(calibration_runs(), runs + 1);
 }
 
-/// A GAPSPCAL1 sidecar built byte by byte: the magic "GAPSCAL1", the key,
+/// A GAPSCAL1 sidecar built byte by byte: the magic "GAPSCAL1", the key,
 /// the table, and the FNV-1a of everything before the sum.
 std::vector<std::uint8_t> cal_sidecar(const std::string& key,
                                       const Calibration& cal) {

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "service/query_engine.h"
 #include "sssp/delta_stepping.h"
 #include "test_util.h"
+#include "z1_reference.h"
 
 namespace gapsp::core {
 namespace {
@@ -417,10 +419,12 @@ std::vector<std::uint8_t> match_frame(const std::vector<std::uint8_t>& lit,
 }
 
 TEST_P(Z1Fuzz, MatchCopiesDecodeKnownAnswers) {
-  // Every offset 1–16 (the byte-run memset, the repeated 8-byte pattern of
-  // offsets 2–7, whole words from 8 on), lengths 4–40, and matches ending
-  // 0–15 bytes before the end of the output — where word stores may or may
-  // not run past the match — against a byte-by-byte reference.
+  // Every offset 1–48 (the byte-run memset, the repeated 8-byte pattern of
+  // offsets 2–7, 8-byte words from 8 on, 16-byte chunks from 16 on),
+  // lengths 4–72, and matches ending 0–40 bytes before the end of the
+  // output — where chunk stores may or may not run past the match (room
+  // 14–16 around the 16-byte loop, 31–33 around the two-copy form of
+  // matches up to 32 bytes) — against a byte-by-byte reference.
   Rng rng(0x5A0F + static_cast<std::uint64_t>(GetParam()) * 7919);
   const auto random_bytes = [&rng](std::size_t n) {
     std::vector<std::uint8_t> v(n);
@@ -428,9 +432,9 @@ TEST_P(Z1Fuzz, MatchCopiesDecodeKnownAnswers) {
     return v;
   };
   std::vector<std::uint8_t> want, out;
-  for (std::size_t offset = 1; offset <= 16; ++offset) {
-    for (std::size_t len = 4; len <= 40; ++len) {
-      for (std::size_t tail = 0; tail <= 15; ++tail) {
+  for (std::size_t offset = 1; offset <= 48; ++offset) {
+    for (std::size_t len = 4; len <= 72; ++len) {
+      for (std::size_t tail = 0; tail <= 40; ++tail) {
         const auto lit = random_bytes(offset + rng.next_below(20));
         const auto frame =
             match_frame(lit, offset, len, random_bytes(tail), want);
@@ -446,6 +450,87 @@ TEST_P(Z1Fuzz, MatchCopiesDecodeKnownAnswers) {
 // 36 seeds so the degenerate shapes (5: empty/1-byte, 6: u16-offset
 // boundary) each land several times per run.
 INSTANTIATE_TEST_SUITE_P(Seeds, Z1Fuzz, ::testing::Range(0, 36));
+
+// ---------------------------------------------------------------------------
+// z1 decoder oracle: the library's decoder against the reference decoder of
+// z1_reference.h. Inputs come from random_z1_input, at their own length and
+// at a multiple of 4 that is not one of 64 (a partial 16-word group and a
+// partial hash step), under every row width that picks a different join:
+// 0 and the vector widths (16, 20, 64, 256), the scalar ones (1, 3, 4, 15,
+// 17, 255), one below the element count, and one at or past it (no row
+// delta). Both decoders turn every intact frame into the same bytes; under
+// truncations and bit flips the library throws IoError exactly when the
+// reference throws, and otherwise produces the same bytes.
+// ---------------------------------------------------------------------------
+
+class Z1DecodeOracle : public ::testing::TestWithParam<int> {};
+
+using Z1Decoder = void (*)(const std::uint8_t*, std::size_t, void*,
+                           std::size_t);
+
+/// The `raw_len` bytes `decode` makes of the first `cut` bytes of `frame`,
+/// or nothing when it throws IoError.
+std::optional<std::vector<std::uint8_t>> decode_or_reject(
+    Z1Decoder decode, const std::vector<std::uint8_t>& frame, std::size_t cut,
+    std::size_t raw_len) {
+  std::vector<std::uint8_t> out(raw_len);
+  try {
+    decode(frame.data(), cut, out.data(), out.size());
+  } catch (const IoError&) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+TEST_P(Z1DecodeOracle, LibraryDecodesLikeTheReference) {
+  Rng rng(0xD0C0 + static_cast<std::uint64_t>(GetParam()) * 7907);
+  auto ragged = random_z1_input(rng);
+  const std::size_t len = ragged.size() / 64 * 64 +
+                          4 * static_cast<std::size_t>(rng.next_in(1, 15));
+  const std::size_t had = ragged.size();
+  ragged.resize(len);
+  for (std::size_t i = had; i < len; ++i) {
+    ragged[i] = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  for (const auto& raw : {random_z1_input(rng), ragged}) {
+    const std::size_t elems = raw.size() / 4;
+    std::vector<std::size_t> rows = {0,  1,  3,  4,   15,  16,
+                                     17, 20, 64, 255, 256, elems};
+    rows.back() += rng.next_below(3);
+    if (elems > 1) rows.push_back(elems - 1);
+    for (const std::size_t row : rows) {
+      SCOPED_TRACE("length " + std::to_string(raw.size()) + " row " +
+                   std::to_string(row));
+      const auto frame = z1_compress(raw.data(), raw.size(), row);
+      const auto got =
+          decode_or_reject(z1_decompress, frame, frame.size(), raw.size());
+      ASSERT_TRUE(got.has_value());
+      ASSERT_EQ(*got, raw);
+      ASSERT_EQ(decode_or_reject(test::z1_reference::decompress, frame,
+                                 frame.size(), raw.size()),
+                got);
+      for (int i = 0; i < 24; ++i) {
+        auto bad = frame;
+        std::size_t cut = bad.size();
+        if (i % 3 == 0) {
+          cut = static_cast<std::size_t>(rng.next_below(bad.size()));
+        } else {
+          for (int e = static_cast<int>(rng.next_in(1, 3)); e > 0; --e) {
+            const auto at =
+                static_cast<std::size_t>(rng.next_below(bad.size()));
+            bad[at] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+          }
+        }
+        EXPECT_EQ(decode_or_reject(z1_decompress, bad, cut, raw.size()),
+                  decode_or_reject(test::z1_reference::decompress, bad, cut,
+                                   raw.size()))
+            << "damage " << i << " cut " << cut;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, Z1DecodeOracle, ::testing::Range(0, 24));
 
 // ---------------------------------------------------------------------------
 // Vector microkernel fuzzer (kernel_engine.h kSimd): random tile

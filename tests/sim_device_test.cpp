@@ -136,6 +136,49 @@ TEST(Device, PeakBytesHighWaterMark) {
   EXPECT_EQ(dev.metrics().peak_bytes, 600000u);
 }
 
+TEST(Device, ReservationChargesCapacityWithoutMemory) {
+  // A reservation counts like alloc of the same size: over capacity throws
+  // OomError, release (explicit, by move-assign, or by destruction) returns
+  // the bytes, and the peak counts it.
+  Device dev(small_spec());
+  EXPECT_THROW(dev.reserve((1 << 20) + 1, "too much"), OomError);
+  EXPECT_EQ(dev.used_bytes(), 0u);
+  {
+    auto a = dev.reserve(600000, "worklists");
+    EXPECT_EQ(dev.used_bytes(), 600000u);
+    EXPECT_THROW(dev.alloc<dist_t>(150000), OomError);  // +600 KB > 1 MiB
+    auto b = dev.alloc<dist_t>(50000);                  // +200 KB fits
+    auto c = std::move(a);
+    EXPECT_EQ(dev.used_bytes(), 800000u);
+    c = dev.reserve(1000, "more");  // charged before c's 600 KB go back
+    EXPECT_EQ(dev.used_bytes(), 201000u);
+    c.release();
+    c.release();
+    EXPECT_EQ(dev.used_bytes(), 200000u);
+  }
+  EXPECT_EQ(dev.used_bytes(), 0u);
+  EXPECT_EQ(dev.metrics().peak_bytes, 801000u);
+}
+
+TEST(Device, ReservationPassesTheAllocFaultGate) {
+  // Reservations count as allocations for scripted Nth-alloc faults, as the
+  // buffer they replace did.
+  Device dev(small_spec());
+  FaultPlan scripted;
+  scripted.scripted.push_back({.op = FaultOp::kAlloc, .nth = 2});
+  FaultInjector inj(scripted);
+  dev.set_fault_injector(&inj);
+  auto a = dev.alloc<dist_t>(10);
+  try {
+    auto r = dev.reserve(1000, "worklists");
+    FAIL() << "expected FaultError";
+  } catch (const FaultError& e) {
+    EXPECT_EQ(e.op(), FaultOp::kAlloc);
+  }
+  dev.set_fault_injector(nullptr);
+  EXPECT_EQ(dev.used_bytes(), 40u);
+}
+
 TEST(Device, TransferTimeHasLatencyPlusBandwidth) {
   Device dev(small_spec());
   const auto& sp = dev.spec();

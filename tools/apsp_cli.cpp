@@ -927,7 +927,7 @@ int run_info(const Args& args) {
   });
   const std::string cal_path = path + ".cal";
   sidecar("calibration", cal_path, [&] {
-    return std::string(file_magic(cal_path, 9) == "GAPSPCAL1"
+    return std::string(core::is_calibration_sidecar(cal_path)
                            ? "present"
                            : "INVALID (bad magic)") +
            " (" + cal_path + ")";
