@@ -144,58 +144,12 @@ void split_planes(const std::uint8_t* src, std::size_t elems,
   }
 }
 
-/// util::word_hash split open so the decoder can feed it words as it
-/// produces them: the same constants, lanes, tail, length fold and
-/// avalanche, so finish() returns util::word_hash of the same bytes bit
-/// for bit (frames on disk carry it; fuzz_test decodes against a reference
-/// that calls util::word_hash itself).
-class WordHashLanes {
- public:
-  /// One 32-byte step over the four native-order 8-byte words `w`.
-  void step(std::uint64_t w0, std::uint64_t w1, std::uint64_t w2,
-            std::uint64_t w3) {
-    lane_[0] = round(lane_[0], w0);
-    lane_[1] = round(lane_[1], w1);
-    lane_[2] = round(lane_[2], w2);
-    lane_[3] = round(lane_[3], w3);
-  }
-  void step(const std::uint8_t* p) {
-    step(load64(p), load64(p + 8), load64(p + 16), load64(p + 24));
-  }
-
-  /// Hashes the `left` bytes at `p` that follow the stepped ones and
-  /// returns the hash of all `bytes`.
-  std::uint64_t finish(const std::uint8_t* p, std::size_t left,
-                       std::size_t bytes) {
-    for (; left >= 32; p += 32, left -= 32) step(p);
-    std::uint64_t h = std::rotl(lane_[0], 1) + std::rotl(lane_[1], 7) +
-                      std::rotl(lane_[2], 12) + std::rotl(lane_[3], 18) + bytes;
-    for (; left >= 8; p += 8, left -= 8) {
-      h = std::rotl(h ^ round(0, load64(p)), 27) * kP1 + kP3;
-    }
-    for (; left > 0; ++p, --left) h = std::rotl(h ^ (*p * kP3), 11) * kP1;
-    h ^= h >> 33;
-    h *= kP2;
-    h ^= h >> 29;
-    h *= kP3;
-    return h ^ (h >> 32);
-  }
-
- private:
-  static constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ULL;
-  static constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
-  static constexpr std::uint64_t kP3 = 0x165667b19e3779f9ULL;
-  static std::uint64_t round(std::uint64_t acc, std::uint64_t word) {
-    return std::rotl(acc + word * kP2, 31) * kP1;
-  }
-  std::uint64_t lane_[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
-};
-
 /// Inverse of split_planes, into `dst`, fused with the checksum: returns
-/// util::word_hash(dst, 4 * elems). Each group of 16 words is gathered from
-/// the planes, un-zigzagged and added to the row above (from the second row
-/// on), stored, and fed to the hash lanes; the words after the last whole
-/// group, and the hash's tail, go as in util::word_hash.
+/// util::word_hash(dst, 4 * elems). Each group of 16 words is joined from
+/// the planes (un-zigzagged and added to the row above from the second row
+/// on), stored, and fed to the hash lanes before the next group; the words
+/// after the last whole group, and the hash's tail, go as in
+/// util::word_hash.
 std::uint64_t join_planes_hashed(const std::uint8_t* planes,
                                  std::size_t elems, std::size_t row,
                                  std::uint8_t* dst) {
@@ -203,15 +157,41 @@ std::uint64_t join_planes_hashed(const std::uint8_t* planes,
   const std::uint8_t* const p2 = p1 + elems;
   const std::uint8_t* const p3 = p2 + elems;
   const std::size_t head = row == 0 ? elems : row;
-  const std::size_t groups_end = elems - elems % 16;
-  WordHashLanes hash;
-  std::size_t i = 0;
+  // Words [a, b) split into spans where no word reads another (the head
+  // row, then at most `row` words at a time), each joined in a vector loop.
+  const auto join_span = [&](std::size_t a, std::size_t b) {
+    const auto word = [&](std::size_t j) {
+      return static_cast<std::uint32_t>(planes[j]) |
+             static_cast<std::uint32_t>(p1[j]) << 8 |
+             static_cast<std::uint32_t>(p2[j]) << 16 |
+             static_cast<std::uint32_t>(p3[j]) << 24;
+    };
+    if (a < head) {
+      const std::size_t e = std::min(b, head);
+#pragma omp simd
+      for (std::size_t j = a; j < e; ++j) store32(dst + 4 * j, word(j));
+      a = e;
+    }
+    for (std::size_t e; a < b; a = e) {
+      e = std::min(b, a + row);
+#pragma omp simd
+      for (std::size_t j = a; j < e; ++j) {
+        store32(dst + 4 * j, unzigzag(word(j)) + load32(dst + 4 * (j - row)));
+      }
+    }
+  };
+  util::WordHashLanes hash;
+  const auto span_group = [&](std::size_t i) {
+    join_span(i, i + 16);
+    hash.step(dst + 4 * i);
+    hash.step(dst + 4 * i + 32);
+  };
 #if defined(__x86_64__) || defined(_M_X64)
-  // SSE2, the x86-64 baseline, joins four words per vector and hashes them
-  // from the register. Each vector lies wholly in the head row or wholly
-  // below it (row % 4 == 0), and reads the row above from earlier groups
-  // only (row >= 16).
-  if (row == 0 || (row >= 16 && row % 4 == 0)) {
+  // SSE2, the x86-64 baseline, joins a group wholly in the head row, or
+  // wholly below it with the row above in earlier groups, four words per
+  // vector, and hashes the words from the registers: 48–56 µs per road64
+  // tile against 81–117 µs for span_group alone (EXPERIMENTS.md).
+  const auto whole_group = [&](std::size_t i, bool below) {
     const auto load = [](const std::uint8_t* p) {
       return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
     };
@@ -219,50 +199,47 @@ std::uint64_t join_planes_hashed(const std::uint8_t* planes,
       return static_cast<std::uint64_t>(_mm_cvtsi128_si64(v));
     };
     const auto hi = [lo](__m128i v) { return lo(_mm_unpackhi_epi64(v, v)); };
-    const __m128i one = _mm_set1_epi32(1);
-    for (; i < groups_end; i += 16) {
-      const __m128i b0 = load(planes + i);
-      const __m128i b1 = load(p1 + i);
-      const __m128i b2 = load(p2 + i);
-      const __m128i b3 = load(p3 + i);
-      const __m128i lo01 = _mm_unpacklo_epi8(b0, b1);
-      const __m128i hi01 = _mm_unpackhi_epi8(b0, b1);
-      const __m128i lo23 = _mm_unpacklo_epi8(b2, b3);
-      const __m128i hi23 = _mm_unpackhi_epi8(b2, b3);
-      __m128i w[4] = {
-          _mm_unpacklo_epi16(lo01, lo23), _mm_unpackhi_epi16(lo01, lo23),
-          _mm_unpacklo_epi16(hi01, hi23), _mm_unpackhi_epi16(hi01, hi23)};
-      for (std::size_t k = 0; k < 4; ++k) {
-        std::uint8_t* const out = dst + 4 * (i + 4 * k);
-        if (i + 4 * k >= head) {
-          const __m128i z = w[k];
-          const __m128i d = _mm_xor_si128(
-              _mm_srli_epi32(z, 1),
-              _mm_sub_epi32(_mm_setzero_si128(), _mm_and_si128(z, one)));
-          w[k] = _mm_add_epi32(d, load(out - 4 * row));
-        }
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out), w[k]);
+    const __m128i b0 = load(planes + i);
+    const __m128i b1 = load(p1 + i);
+    const __m128i b2 = load(p2 + i);
+    const __m128i b3 = load(p3 + i);
+    const __m128i lo01 = _mm_unpacklo_epi8(b0, b1);
+    const __m128i hi01 = _mm_unpackhi_epi8(b0, b1);
+    const __m128i lo23 = _mm_unpacklo_epi8(b2, b3);
+    const __m128i hi23 = _mm_unpackhi_epi8(b2, b3);
+    __m128i w[4] = {
+        _mm_unpacklo_epi16(lo01, lo23), _mm_unpackhi_epi16(lo01, lo23),
+        _mm_unpacklo_epi16(hi01, hi23), _mm_unpackhi_epi16(hi01, hi23)};
+    for (std::size_t k = 0; k < 4; ++k) {
+      std::uint8_t* const out = dst + 4 * (i + 4 * k);
+      if (below) {
+        const __m128i z = w[k];
+        const __m128i d = _mm_xor_si128(
+            _mm_srli_epi32(z, 1),
+            _mm_sub_epi32(_mm_setzero_si128(),
+                          _mm_and_si128(z, _mm_set1_epi32(1))));
+        w[k] = _mm_add_epi32(d, load(out - 4 * row));
       }
-      hash.step(lo(w[0]), hi(w[0]), lo(w[1]), hi(w[1]));
-      hash.step(lo(w[2]), hi(w[2]), lo(w[3]), hi(w[3]));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out), w[k]);
     }
-  }
-#endif
-  // The plain scalar body: any other row width, and every other target.
-  const auto join_word = [&](std::size_t j) {
-    std::uint32_t v = static_cast<std::uint32_t>(planes[j]) |
-                      static_cast<std::uint32_t>(p1[j]) << 8 |
-                      static_cast<std::uint32_t>(p2[j]) << 16 |
-                      static_cast<std::uint32_t>(p3[j]) << 24;
-    if (j >= head) v = unzigzag(v) + load32(dst + 4 * (j - row));
-    store32(dst + 4 * j, v);
+    hash.step(lo(w[0]), hi(w[0]), lo(w[1]), hi(w[1]));
+    hash.step(lo(w[2]), hi(w[2]), lo(w[3]), hi(w[3]));
   };
-  for (; i < groups_end; i += 16) {
-    for (std::size_t j = i; j < i + 16; ++j) join_word(j);
-    hash.step(dst + 4 * i);
-    hash.step(dst + 4 * i + 32);
-  }
-  for (; i < elems; ++i) join_word(i);
+#else
+  const auto whole_group = [&](std::size_t i, bool) { span_group(i); };
+#endif
+  // The groups wholly in the head row; those up to the first one wholly
+  // below it (all of them when a row is narrower than a group, so that a
+  // group never reads itself); then the rest.
+  const std::size_t groups_end = elems - elems % 16;
+  const std::size_t head_end = std::min(groups_end, head - head % 16);
+  const std::size_t span_end =
+      row >= 16 ? std::min(groups_end, (head + 15) / 16 * 16) : groups_end;
+  std::size_t i = 0;
+  for (; i < head_end; i += 16) whole_group(i, false);
+  for (; i < span_end; i += 16) span_group(i);
+  for (; i < groups_end; i += 16) whole_group(i, true);
+  join_span(groups_end, elems);
   return hash.finish(dst + 4 * groups_end, 4 * (elems - groups_end),
                      4 * elems);
 }

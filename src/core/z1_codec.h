@@ -44,12 +44,14 @@
 // of room is two fixed copies). Under tags 2 and 3, one pass then joins
 // the planes, undoes the row delta, stores the words and feeds the word
 // hash 16 words at a time, so the output is produced and checksummed
-// together. The group body uses SSE2 (the x86-64 baseline) when the row
-// width is 0, or at least 16 and a multiple of 4, so no 4-word vector
-// straddles the head row or reads itself; any other width, and every
-// other target, runs the same loop with a plain scalar body. Decoding is
-// strictly bounds-checked per sequence: truncated or corrupt frames throw
-// CorruptError and never read or write out of bounds.
+// together. On x86-64 a group wholly in the head row, or wholly below it
+// with a row width of at least 16 (so it reads only earlier groups), is
+// joined with SSE2, the x86-64 baseline; the group that holds the head
+// row's end, every group of a row narrower than 16 words, and every group
+// on another target are joined in vector loops over row spans no word of
+// which reads another. Decoding is strictly bounds-checked per sequence:
+// truncated or corrupt frames throw CorruptError and never read or write
+// out of bounds.
 // The checksum covers the raw output, so it also checks the inverse
 // transform.
 //

@@ -303,7 +303,7 @@ double Device::charge_kernel(StreamId s, const std::string& name,
   return dur;
 }
 
-void Device::reserve_bytes(std::size_t bytes, const char* what) {
+DeviceReservation Device::reserve(std::size_t bytes, const char* what) {
   fault_gate(FaultOp::kAlloc, kDefaultStream, what);
   if (used_bytes_ + bytes > spec_.memory_bytes) {
     throw OomError(std::string("device out of memory allocating ") + what +
@@ -313,6 +313,7 @@ void Device::reserve_bytes(std::size_t bytes, const char* what) {
   }
   used_bytes_ += bytes;
   peak_bytes_ = std::max(peak_bytes_, used_bytes_);
+  return DeviceReservation(this, bytes);
 }
 
 void Device::release_bytes(std::size_t bytes) {

@@ -124,39 +124,11 @@ class LaunchCtx {
   long long children_ = 0;
 };
 
-/// Capacity-tracked device allocation. Holds real host memory (the simulator
-/// computes real results) but counts against DeviceSpec::memory_bytes.
-template <typename T>
-class DeviceBuffer {
- public:
-  DeviceBuffer() = default;
-  DeviceBuffer(DeviceBuffer&& other) noexcept { *this = std::move(other); }
-  DeviceBuffer& operator=(DeviceBuffer&& other) noexcept;
-  DeviceBuffer(const DeviceBuffer&) = delete;
-  DeviceBuffer& operator=(const DeviceBuffer&) = delete;
-  ~DeviceBuffer() { release(); }
-
-  T* data() { return storage_.data(); }
-  const T* data() const { return storage_.data(); }
-  std::size_t size() const { return storage_.size(); }
-  std::size_t bytes() const { return storage_.size() * sizeof(T); }
-  T& operator[](std::size_t i) { return storage_[i]; }
-  const T& operator[](std::size_t i) const { return storage_[i]; }
-
-  void release();
-
- private:
-  friend class Device;
-  DeviceBuffer(Device* dev, std::size_t count)
-      : dev_(dev), storage_(count) {}
-  Device* dev_ = nullptr;
-  std::vector<T> storage_;
-};
-
-/// A capacity charge with no memory behind it: counts its bytes against
-/// DeviceSpec::memory_bytes, exactly as a DeviceBuffer of that size would,
-/// until released or destroyed. For device scratch that the simulator never
-/// reads or writes on the host (Johnson's Near/Far worklists).
+/// A capacity charge: counts its bytes against DeviceSpec::memory_bytes
+/// until released or destroyed. Device::reserve hands out one with no
+/// memory behind it, for device scratch that the simulator never reads or
+/// writes on the host (Johnson's Near/Far worklists); every DeviceBuffer
+/// holds one for its own bytes.
 class DeviceReservation {
  public:
   DeviceReservation() = default;
@@ -178,6 +150,34 @@ class DeviceReservation {
   std::size_t bytes_ = 0;
 };
 
+/// Capacity-tracked device allocation. Holds real host memory (the simulator
+/// computes real results) but counts against DeviceSpec::memory_bytes.
+template <typename T>
+class DeviceBuffer {
+ public:
+  DeviceBuffer() = default;
+
+  T* data() { return storage_.data(); }
+  const T* data() const { return storage_.data(); }
+  std::size_t size() const { return storage_.size(); }
+  std::size_t bytes() const { return storage_.size() * sizeof(T); }
+  T& operator[](std::size_t i) { return storage_[i]; }
+  const T& operator[](std::size_t i) const { return storage_[i]; }
+
+  void release() {
+    reservation_.release();
+    storage_.clear();
+    storage_.shrink_to_fit();
+  }
+
+ private:
+  friend class Device;
+  DeviceBuffer(DeviceReservation reservation, std::size_t count)
+      : reservation_(std::move(reservation)), storage_(count) {}
+  DeviceReservation reservation_;
+  std::vector<T> storage_;
+};
+
 class Device {
  public:
   explicit Device(DeviceSpec spec) : spec_(std::move(spec)) {}
@@ -192,16 +192,12 @@ class Device {
   /// would exceed the device capacity.
   template <typename T>
   DeviceBuffer<T> alloc(std::size_t count, const char* what = "buffer") {
-    reserve_bytes(count * sizeof(T), what);
-    return DeviceBuffer<T>(this, count);
+    return DeviceBuffer<T>(reserve(count * sizeof(T), what), count);
   }
 
   /// Charges `bytes` of device memory without allocating any: the same
   /// allocation fault gate, capacity check (OomError) and peak as alloc.
-  DeviceReservation reserve(std::size_t bytes, const char* what) {
-    reserve_bytes(bytes, what);
-    return DeviceReservation(this, bytes);
-  }
+  DeviceReservation reserve(std::size_t bytes, const char* what);
 
   std::size_t used_bytes() const { return used_bytes_; }
   std::size_t free_bytes() const { return spec_.memory_bytes - used_bytes_; }
@@ -330,11 +326,8 @@ class Device {
   bool lost() const { return injector_ != nullptr && injector_->device_killed(); }
 
  private:
-  template <typename T>
-  friend class DeviceBuffer;
   friend class DeviceReservation;
 
-  void reserve_bytes(std::size_t bytes, const char* what);
   void release_bytes(std::size_t bytes);
   void do_copy(StreamId s, void* dst, const void* src, std::size_t bytes,
                bool async, bool pinned, bool to_device);
@@ -377,27 +370,5 @@ class Device {
   int kernel_threads_ = 0;
   bool charge_only_ = false;
 };
-
-template <typename T>
-DeviceBuffer<T>& DeviceBuffer<T>::operator=(DeviceBuffer&& other) noexcept {
-  if (this != &other) {
-    release();
-    dev_ = other.dev_;
-    storage_ = std::move(other.storage_);
-    other.dev_ = nullptr;
-    other.storage_.clear();
-  }
-  return *this;
-}
-
-template <typename T>
-void DeviceBuffer<T>::release() {
-  if (dev_ != nullptr) {
-    dev_->release_bytes(storage_.size() * sizeof(T));
-    dev_ = nullptr;
-  }
-  storage_.clear();
-  storage_.shrink_to_fit();
-}
 
 }  // namespace gapsp::sim

@@ -1,8 +1,10 @@
 // Common scalar types and checked helpers shared by every gapsp module.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <source_location>
 #include <stdexcept>
@@ -81,6 +83,57 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes,
 /// byte-serial fnv1a on a distance tile. On-disk checksums depend on it, so
 /// util_test pins known answers.
 std::uint64_t word_hash(const void* data, std::size_t bytes);
+
+/// word_hash split open, for a caller that hashes words as it produces
+/// them (the z1 decoder feeds it from its plane join): step() consumes the
+/// next 32 bytes, finish() the rest. word_hash(p, n) is
+/// WordHashLanes{}.finish(p, n, n).
+class WordHashLanes {
+ public:
+  /// One 32-byte step over four native-order 8-byte words.
+  void step(std::uint64_t w0, std::uint64_t w1, std::uint64_t w2,
+            std::uint64_t w3) {
+    lane_[0] = round(lane_[0], w0);
+    lane_[1] = round(lane_[1], w1);
+    lane_[2] = round(lane_[2], w2);
+    lane_[3] = round(lane_[3], w3);
+  }
+  void step(const std::uint8_t* p) {
+    step(load(p), load(p + 8), load(p + 16), load(p + 24));
+  }
+
+  /// Hashes the `left` bytes at `p` that follow the stepped ones and
+  /// returns the hash of all `bytes`.
+  std::uint64_t finish(const std::uint8_t* p, std::size_t left,
+                       std::size_t bytes) {
+    for (; left >= 32; p += 32, left -= 32) step(p);
+    std::uint64_t h = std::rotl(lane_[0], 1) + std::rotl(lane_[1], 7) +
+                      std::rotl(lane_[2], 12) + std::rotl(lane_[3], 18) + bytes;
+    for (; left >= 8; p += 8, left -= 8) {
+      h = std::rotl(h ^ round(0, load(p)), 27) * kP1 + kP3;
+    }
+    for (; left > 0; ++p, --left) h = std::rotl(h ^ (*p * kP3), 11) * kP1;
+    h ^= h >> 33;
+    h *= kP2;
+    h ^= h >> 29;
+    h *= kP3;
+    return h ^ (h >> 32);
+  }
+
+ private:
+  static constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ULL;
+  static constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
+  static constexpr std::uint64_t kP3 = 0x165667b19e3779f9ULL;
+  static std::uint64_t load(const std::uint8_t* p) {
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  }
+  static std::uint64_t round(std::uint64_t acc, std::uint64_t word) {
+    return std::rotl(acc + word * kP2, 31) * kP1;
+  }
+  std::uint64_t lane_[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+};
 
 /// The one place outside text becomes a number. The whole of `text` must be
 /// a base-10 integer: an optional '-' and digits, with no '+', spaces, radix

@@ -456,9 +456,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Z1Fuzz, ::testing::Range(0, 36));
 // z1_reference.h. Inputs come from random_z1_input, at their own length and
 // at a multiple of 4 that is not one of 64 (a partial 16-word group and a
 // partial hash step), under every row width that picks a different join:
-// 0 and the vector widths (16, 20, 64, 256), the scalar ones (1, 3, 4, 15,
-// 17, 255), one below the element count, and one at or past it (no row
-// delta). Both decoders turn every intact frame into the same bytes; under
+// 0 and the widths whose head row ends on a group (16, 64, 256: whole
+// groups only), those that end it inside one (17, 20, 255: one span
+// group), those narrower than a group (1, 3, 4, 15: span groups only), one
+// below the element count, and one at or past it (no row delta). Both
+// decoders turn every intact frame into the same bytes; under
 // truncations and bit flips the library throws IoError exactly when the
 // reference throws, and otherwise produces the same bytes.
 // ---------------------------------------------------------------------------
