@@ -9,8 +9,9 @@
 // ablation" and writes BENCH_kernels.json. `--assert-min-speedup=R`
 // additionally exits non-zero unless the best simd blocked-FW row is at
 // least R× naive-serial, and `--assert-simd-speedup=R` requires serial simd
-// to beat serial naive by R× on blocked FW — the CI perf-smoke guards
-// against microkernel regressions.
+// to beat serial naive by R× on blocked FW and on the OOC FW stage-3 grid
+// (`fw_stage3`: 64-wide tiles of a 631 block, 55-wide edge included) — the
+// CI perf-smoke guards against microkernel regressions.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -189,8 +190,9 @@ double best_of(int reps, const std::function<double()>& run) {
 }
 
 /// Kernel-engine ablation: microkernel alone (n=64, the device tile blocked
-/// FW launches, and n=256) and the full blocked-FW launch path (n=512) for
-/// each variant × thread setting. Returns the rows and prints the table.
+/// FW launches, and n=256), the serial OOC FW stage-3 grid (n=631), and the
+/// full blocked-FW launch path (n=512) for each variant × thread setting.
+/// Returns the rows and prints the table.
 std::vector<AblationRow> run_ablation() {
   using clock = std::chrono::steady_clock;
   std::vector<AblationRow> rows;
@@ -215,6 +217,34 @@ std::vector<AblationRow> run_ablation() {
                calls;
       });
       rows.push_back({"minplus", core::kernel_variant_name(v), 1, n, s,
+                      2.0 * n * n * n / s / 1e9});
+    }
+  }
+
+  // ---- OOC FW stage 3, serial: one 631-wide block of dense1500's default
+  // scaled-V100 plan, cut into 64-wide grid tiles as dev_minplus cuts it
+  // (nine full tiles and a 55-wide edge per side), k = 631 ----
+  {
+    const vidx_t n = 631;
+    const int tile = core::kDeviceTile;
+    auto a = random_tile(n, 6), b = random_tile(n, 7), c0 = random_tile(n, 8);
+    for (const core::KernelVariant v : kVariants) {
+      auto c = c0;
+      const double s = best_of(5, [&] {
+        c = c0;
+        const auto t0 = clock::now();
+        for (vidx_t r0 = 0; r0 < n; r0 += tile) {
+          const std::size_t row = static_cast<std::size_t>(r0) * n;
+          for (vidx_t q0 = 0; q0 < n; q0 += tile) {
+            core::minplus_accum_variant(
+                v, c.data() + row + q0, n, a.data() + row, n, b.data() + q0,
+                n, std::min<vidx_t>(tile, n - r0), n,
+                std::min<vidx_t>(tile, n - q0));
+          }
+        }
+        return std::chrono::duration<double>(clock::now() - t0).count();
+      });
+      rows.push_back({"fw_stage3", core::kernel_variant_name(v), 1, n, s,
                       2.0 * n * n * n / s / 1e9});
     }
   }
@@ -260,11 +290,11 @@ std::vector<AblationRow> run_ablation() {
   return rows;
 }
 
-/// Serial blocked-FW seconds of `variant` among the rows.
-double serial_fw_seconds(const std::vector<AblationRow>& rows,
-                         const std::string& variant) {
+/// Serial seconds of `kernel` under `variant` among the rows.
+double serial_seconds(const std::vector<AblationRow>& rows,
+                      const std::string& kernel, const std::string& variant) {
   for (const auto& r : rows) {
-    if (r.kernel == "blocked_fw" && r.variant == variant && r.threads == 1) {
+    if (r.kernel == kernel && r.variant == variant && r.threads == 1) {
       return r.seconds;
     }
   }
@@ -315,7 +345,8 @@ int main(int argc, char** argv) {
           best_simd = std::min(best_simd, r.seconds);
         }
       }
-      const double speedup = serial_fw_seconds(rows, "naive") / best_simd;
+      const double speedup =
+          serial_seconds(rows, "blocked_fw", "naive") / best_simd;
       std::cout << "speedup (best simd vs naive serial): " << speedup
                 << "x (required >= " << min_speedup << "x)\n";
       if (speedup < min_speedup) {
@@ -325,15 +356,20 @@ int main(int argc, char** argv) {
     }
     if (simd_speedup > 0.0) {
       // Guard: the vector microkernel must beat the scalar oracle on the
-      // serial blocked-FW path, so a build that lost its vector backend
-      // fails here.
-      const double speedup =
-          serial_fw_seconds(rows, "naive") / serial_fw_seconds(rows, "simd");
-      std::cout << "speedup (simd vs naive, serial blocked FW): "
-                << speedup << "x (required >= " << simd_speedup << "x)\n";
-      if (speedup < simd_speedup) {
-        std::cerr << "FAILED: simd microkernel speedup below threshold\n";
-        return 1;
+      // serial blocked-FW path and on the OOC stage-3 grid, ragged edge
+      // included, so a build that lost its vector backend, or runs its
+      // edges scalar, fails here.
+      for (const char* kernel : {"blocked_fw", "fw_stage3"}) {
+        const double speedup = serial_seconds(rows, kernel, "naive") /
+                               serial_seconds(rows, kernel, "simd");
+        std::cout << "speedup (simd vs naive, serial " << kernel
+                  << "): " << speedup << "x (required >= " << simd_speedup
+                  << "x)\n";
+        if (speedup < simd_speedup) {
+          std::cerr << "FAILED: simd microkernel speedup below threshold on "
+                    << kernel << "\n";
+          return 1;
+        }
       }
     }
     return 0;

@@ -87,29 +87,6 @@ KernelTuning measure_kernels() {
 
 }  // namespace
 
-namespace detail {
-
-void minplus_scalar_block(dist_t* c, std::size_t ldc, const dist_t* a,
-                          std::size_t lda, const dist_t* b, std::size_t ldb,
-                          vidx_t r_lo, vidx_t r_hi, vidx_t nk, vidx_t c_lo,
-                          vidx_t c_hi) {
-  if (c_lo >= c_hi) return;
-  for (vidx_t r = r_lo; r < r_hi; ++r) {
-    dist_t* __restrict crow = c + static_cast<std::size_t>(r) * ldc;
-    const dist_t* __restrict arow = a + static_cast<std::size_t>(r) * lda;
-    for (vidx_t k = 0; k < nk; ++k) {
-      const dist_t aval = arow[k];
-      if (aval >= kInf) continue;
-      const dist_t* __restrict brow = b + static_cast<std::size_t>(k) * ldb;
-      for (vidx_t col = c_lo; col < c_hi; ++col) {
-        crow[col] = std::min(crow[col], aval + brow[col]);
-      }
-    }
-  }
-}
-
-}  // namespace detail
-
 const char* kernel_variant_name(KernelVariant v) {
   switch (v) {
     case KernelVariant::kAuto:

@@ -17,7 +17,7 @@ namespace gapsp::core {
 enum class KernelVariant {
   kAuto,   ///< kSimd, or kNaive when the CPU fails the vector TU's gate
   kNaive,  ///< scalar r-k-c triple loop (the reference oracle)
-  kSimd,   ///< 8×16 lane-vector register tile (AVX2/NEON/autovec)
+  kSimd,   ///< register-resident lane-vector tile (AVX2/NEON/autovec)
 };
 
 const char* kernel_variant_name(KernelVariant v);
@@ -53,6 +53,11 @@ double kernel_variant_rel_speed(KernelVariant v);
 /// and its lane width in dist_t elements.
 const char* simd_lane_isa();
 int simd_lane_width();
+/// The simd kernel's register tile, in output rows and columns (6×16 on
+/// AVX2 and NEON): sized so its accumulators, one k row of B and one
+/// broadcast fit the backend's vector registers.
+int simd_tile_rows();
+int simd_tile_cols();
 /// True when the simd TU was built with AVX2 code generation — the
 /// dispatcher then requires runtime AVX2 support (and falls back to the
 /// naive kernel, bit-identically, when the CPU lacks it).
@@ -73,13 +78,6 @@ void minplus_accum_variant(KernelVariant v, dist_t* c, std::size_t ldc,
                            std::size_t ldb, vidx_t nr, vidx_t nk, vidx_t nc);
 
 namespace detail {
-
-/// Naive triple loop over a sub-rectangle of rows × [c_lo, c_hi) — the
-/// remainder path of the vector kernel's ragged row and column tails.
-void minplus_scalar_block(dist_t* c, std::size_t ldc, const dist_t* a,
-                          std::size_t lda, const dist_t* b, std::size_t ldb,
-                          vidx_t r_lo, vidx_t r_hi, vidx_t nk, vidx_t c_lo,
-                          vidx_t c_hi);
 
 /// Backend entry point defined in kernel_engine_simd.cpp (possibly built
 /// with AVX2 codegen). Call only through minplus_accum_variant, which

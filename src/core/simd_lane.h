@@ -11,7 +11,9 @@
 //             OpenMP runtime); the compiler's auto-vectorizer does the rest.
 //
 // The API is the minimum the kernels need: unaligned load/store, scalar
-// broadcast, lane-wise add and signed min. There is deliberately no masked
+// broadcast, lane-wise add and signed min, plus kRegisters, the number of
+// VI32 values the backend's vector register file holds (the kernel sizes its
+// register tile from it). There is deliberately no masked
 // or saturating form — kInf = INT32_MAX/4 guarantees that the sum of two
 // in-range distances ([0, kInf]) cannot wrap, so an unreachable candidate
 // (either operand == kInf) lands at >= kInf and the subsequent min against
@@ -32,6 +34,7 @@ namespace gapsp::core::lanes {
 #if defined(__AVX2__)
 
 inline constexpr int kWidth = 8;
+inline constexpr int kRegisters = 16;  // ymm0–ymm15
 inline constexpr const char* kIsa = "avx2";
 
 using VI32 = __m256i;
@@ -49,6 +52,7 @@ inline VI32 vmin(VI32 a, VI32 b) { return _mm256_min_epi32(a, b); }
 #elif defined(__ARM_NEON)
 
 inline constexpr int kWidth = 4;
+inline constexpr int kRegisters = 32;  // v0–v31
 inline constexpr const char* kIsa = "neon";
 
 using VI32 = int32x4_t;
@@ -62,6 +66,8 @@ inline VI32 vmin(VI32 a, VI32 b) { return vminq_s32(a, b); }
 #else
 
 inline constexpr int kWidth = 8;
+// The portable floor: 16 128-bit registers hold 8 of these 8-lane structs.
+inline constexpr int kRegisters = 8;
 inline constexpr const char* kIsa = "autovec";
 
 struct VI32 {

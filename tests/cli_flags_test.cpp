@@ -281,6 +281,81 @@ TEST(CliResume, AutoResumesTheCheckpointOfAKilledFwRun) {
   }
 }
 
+/// The line of `out` that starts with `prefix` (without its newline), or
+/// "" when there is none.
+std::string line_of(const std::string& out, const std::string& prefix) {
+  const auto at = out.find(prefix);
+  if (at == std::string::npos) return {};
+  return out.substr(at, out.find('\n', at) - at);
+}
+
+TEST(CliOutput, KernelLineLeavesLaterNumbersAtFullPrecision) {
+  // The `kernel engine:` line used to leave std::setprecision(2) on stdout,
+  // so every double printed after it had two significant digits: a 140 ms
+  // compaction read "in 1.4e+02 ms", its 18.7× ratio "19x", and --save's
+  // 0.015625 MiB "0.016 MiB".
+  const std::string cli = cli_path();
+  if (cli.empty()) GTEST_SKIP() << "apsp_cli path unavailable (set GAPSP_CLI)";
+  const std::string store = ::testing::TempDir() + "gapsp_cli_precision.bin";
+  std::string out;
+  ASSERT_EQ(run_cli(cli, "--generate road:64x64 --store file --store-path " +
+                             store + " --keep-store",
+                    &out),
+            0)
+      << out;
+  const std::string line = line_of(out, "store compressed: ");
+  ASSERT_FALSE(line.empty()) << out;
+  const std::string time = line.substr(line.rfind(" in ") + 4);
+  EXPECT_EQ(time.find('e'), std::string::npos) << line;
+  const auto open = line.find('(');
+  const std::string ratio = line.substr(open + 1, line.find("x, ") - open - 1);
+  EXPECT_NE(ratio.find('.'), std::string::npos) << line;
+  for (const std::string& f : {store, store + ".sum", store + ".cal"}) {
+    std::remove(f.c_str());
+  }
+
+  const std::string saved = ::testing::TempDir() + "gapsp_cli_precision.dm";
+  out.clear();
+  ASSERT_EQ(run_cli(cli, "--generate road:8x8 --save " + saved, &out), 0)
+      << out;
+  EXPECT_NE(out.find("distances: 0.015625 MiB"), std::string::npos) << out;
+  std::remove(saved.c_str());
+}
+
+TEST(CliOutput, AutoSolvePrintsTheSelectorReport) {
+  // One line per candidate, from the SelectorReport solve_apsp fills: the
+  // density band's verdict, feasibility, the modeled compute and transfer
+  // estimate, and the pick. dense:300:8 (8.3 %) keeps FW and Johnson, and
+  // FW's estimate is the lower by about 8×.
+  const std::string cli = cli_path();
+  if (cli.empty()) GTEST_SKIP() << "apsp_cli path unavailable (set GAPSP_CLI)";
+  std::string out;
+  ASSERT_EQ(run_cli(cli, "--generate dense:300:8", &out), 0) << out;
+  EXPECT_NE(out.find("algorithm: blocked-floyd-warshall (selected"),
+            std::string::npos)
+      << out;
+  const std::string fw = line_of(out, "  candidate blocked-floyd-warshall: ");
+  const std::string johnson = line_of(out, "  candidate johnson: ");
+  const std::string boundary = line_of(out, "  candidate boundary: ");
+  for (const std::string& considered : {fw, johnson}) {
+    EXPECT_NE(considered.find(": in the density band, feasible, compute "),
+              std::string::npos)
+        << out;
+    EXPECT_NE(considered.find(" ms, transfer "), std::string::npos) << out;
+    EXPECT_NE(considered.find(" ms, estimate "), std::string::npos) << out;
+  }
+  EXPECT_TRUE(fw.ends_with(" ms (picked)")) << out;
+  EXPECT_TRUE(johnson.ends_with(" ms")) << out;
+  EXPECT_EQ(boundary, "  candidate boundary: outside the density band")
+      << out;
+
+  // An explicit algorithm runs no selector and prints no report.
+  out.clear();
+  ASSERT_EQ(run_cli(cli, "--generate dense:300:8 --algorithm fw", &out), 0)
+      << out;
+  EXPECT_EQ(out.find("candidate"), std::string::npos) << out;
+}
+
 TEST_F(CliFlags, MistypedCommandsAndStrayWordsExitTwo) {
   // Each used to run the default road:40x40 solve, or ignore the word.
   EXPECT_EQ(run_cli(cli, "infoo --store-path " + store), 2);

@@ -538,12 +538,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Z1DecodeOracle, ::testing::Range(0, 24));
 // Vector microkernel fuzzer (kernel_engine.h kSimd): random tile
 // shapes × random kInf density × random leading dimensions and base-pointer
 // offsets, checked elementwise against the scalar naive oracle. The shapes
-// deliberately straddle the 8×16 register tile, the lane width and the
-// 64-deep k tile so lane tails, strip-liveness edges and the branch-free
-// saturation path all get hit; the random offsets make the unaligned
-// load/store paths real (an aligned-only assumption would fault or corrupt
-// here). Comparing the *whole* padded buffer also proves the kernel never
-// writes outside the logical nr×nc window.
+// (1–90 rows and columns, depth 1–150) straddle the register tile
+// (simd_tile_rows() × simd_tile_cols(), 6×16 on AVX2), the lane width and
+// the 64-deep k tile, so row tails, the padded column tail, strip-liveness
+// edges and the branch-free saturation path all get hit; the random offsets
+// make the unaligned load/store paths real (an aligned-only assumption would
+// fault or corrupt here). Comparing the *whole* padded buffer also proves
+// the kernel never writes outside the logical nr×nc window.
 // ---------------------------------------------------------------------------
 
 class SimdFuzz : public ::testing::TestWithParam<int> {};

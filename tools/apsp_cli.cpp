@@ -427,6 +427,28 @@ void print_compaction(const core::StoreCompactionStats& cs) {
             << cs.seconds * 1e3 << " ms\n";
 }
 
+/// One line per selector candidate, from the report solve_apsp filled:
+/// whether the density band kept it, its feasibility and modeled cost, and
+/// the pick.
+void print_selector_report(const core::SelectorReport& report) {
+  for (const auto& e : report.estimates) {
+    std::cout << "\n  candidate " << core::algorithm_name(e.algo) << ": ";
+    if (!e.considered) {
+      std::cout << "outside the density band";
+      continue;
+    }
+    std::cout << "in the density band, ";
+    if (!e.cost.feasible) {
+      std::cout << "infeasible";
+    } else {
+      std::cout << "feasible, compute " << e.cost.compute_s * 1e3
+                << " ms, transfer " << e.cost.transfer_s * 1e3
+                << " ms, estimate " << e.cost.total() * 1e3 << " ms";
+    }
+    if (e.algo == report.chosen) std::cout << " (picked)";
+  }
+}
+
 core::ShardManifest require_manifest(const std::string& path) {
   core::ShardManifest manifest;
   if (!core::load_shard_manifest(core::shard_manifest_path(path), manifest)) {
@@ -1077,6 +1099,7 @@ int run_solve(const Args& args) {
   if (opts.algorithm == core::Algorithm::kAuto && devices == 1 &&
       !kPerComponent.has(args)) {
     std::cout << " (selected; density " << report.density_percent << "%)";
+    print_selector_report(report);
   }
   std::cout << "\nsimulated time: " << m.sim_seconds * 1e3 << " ms (kernels "
             << m.kernel_seconds * 1e3 << " ms, transfers "
@@ -1103,6 +1126,12 @@ int run_solve(const Args& args) {
   }
   std::cout << "\n";
   if (!m.kernel_variant.empty()) {
+    // Formatted on its own stream, so the fixed two-digit precision stays
+    // off every later line.
+    std::ostringstream rel;
+    rel << std::fixed << std::setprecision(2)
+        << core::kernel_variant_rel_speed(
+               core::parse_kernel_variant(m.kernel_variant));
     std::cout << "kernel engine: " << m.kernel_variant << " microkernel, "
               << (opts.kernel_threads == 1   ? std::string("serial")
                   : opts.kernel_threads == 0 ? std::string("pooled")
@@ -1110,11 +1139,7 @@ int run_solve(const Args& args) {
                                                    opts.kernel_threads) +
                                                    "-thread")
               << " grid execution (" << core::simd_lane_isa() << " lanes, "
-              << std::fixed << std::setprecision(2)
-              << core::kernel_variant_rel_speed(
-                     core::parse_kernel_variant(m.kernel_variant))
-              << "x vs naive)\n";
-    std::cout.unsetf(std::ios::fixed);
+              << rel.str() << "x vs naive)\n";
   }
   if (m.johnson_batch_size > 0) {
     std::cout << "johnson: bat=" << m.johnson_batch_size << ", "
