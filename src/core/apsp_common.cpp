@@ -81,6 +81,28 @@ ApspMetrics metrics_from_device(const sim::Device& dev, double wall_seconds) {
   return m;
 }
 
+void add_counters(ApspMetrics& total, const ApspMetrics& part) {
+  using M = ApspMetrics;
+  for (auto f : {&M::kernel_seconds, &M::transfer_seconds,
+                 &M::hidden_transfer_seconds, &M::exposed_transfer_seconds,
+                 &M::decode_seconds, &M::total_ops,
+                 &M::retry_backoff_seconds}) {
+    total.*f += part.*f;
+  }
+  for (auto f : {&M::bytes_h2d, &M::bytes_d2h, &M::bytes_h2d_raw,
+                 &M::bytes_h2d_wire, &M::bytes_d2h_raw, &M::bytes_d2h_wire}) {
+    total.*f += part.*f;
+  }
+  for (auto f : {&M::transfers_h2d, &M::transfers_d2h, &M::decodes,
+                 &M::kernels, &M::child_kernels, &M::faults_injected,
+                 &M::transfer_retries, &M::kernel_retries, &M::decode_retries,
+                 &M::checkpoints_written}) {
+    total.*f += part.*f;
+  }
+  total.degradations += part.degradations;
+  if (!part.kernel_variant.empty()) total.kernel_variant = part.kernel_variant;
+}
+
 DeviceGraph upload_graph(sim::Device& dev, sim::StreamId stream,
                          const graph::CsrGraph& g) {
   DeviceGraph dg;

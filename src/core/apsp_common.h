@@ -61,6 +61,14 @@ void configure_kernels(sim::Device& dev, const ApspOptions& opts);
 /// specific fields are left for the caller).
 ApspMetrics metrics_from_device(const sim::Device& dev, double wall_seconds);
 
+/// Adds every additive counter of `part` (busy and transfer seconds, the
+/// overlap split, bytes and transfer counts per lane, the codec's raw and
+/// wire bytes and decodes, kernels, ops, faults, retries, degradations and
+/// checkpoints) into `total`, and takes its kernel variant. sim_seconds,
+/// wall_seconds and the peaks are left to the caller, who knows whether the
+/// parts ran one after another or at once.
+void add_counters(ApspMetrics& total, const ApspMetrics& part);
+
 /// Uploaded CSR representation of the graph plus the h2d cost of shipping
 /// it (the `S` term of the Johnson batch formula lives in `bytes()`).
 struct DeviceGraph {

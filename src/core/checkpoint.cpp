@@ -1,5 +1,6 @@
 #include "core/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -124,6 +125,49 @@ bool read_checkpoint(const std::string& path, Checkpoint* ck) {
 
 void remove_checkpoint(const std::string& path) {
   std::remove(path.c_str());  // ENOENT is fine
+}
+
+CheckpointRun::CheckpointRun(const ApspOptions& opts, Algorithm algorithm,
+                             const graph::CsrGraph& g, std::int64_t aux0,
+                             std::int64_t aux1,
+                             std::initializer_list<std::int64_t> extra)
+    : path_(opts.checkpoint_path) {
+  if (!enabled()) return;
+  std::vector<std::int64_t> shape = {g.num_vertices(), aux0, aux1};
+  shape.insert(shape.end(), extra);
+  key_.algorithm = static_cast<std::uint32_t>(algorithm);
+  key_.fingerprint = util::fnv1a(shape.data(),
+                                 shape.size() * sizeof(std::int64_t),
+                                 graph_fingerprint(g));
+  key_.n = g.num_vertices();
+  key_.aux0 = aux0;
+  key_.aux1 = aux1;
+  have_loaded_ = opts.resume && read_checkpoint(path_, &loaded_) &&
+                 loaded_.algorithm == key_.algorithm &&
+                 loaded_.fingerprint == key_.fingerprint &&
+                 loaded_.n == key_.n && loaded_.aux0 == aux0 &&
+                 loaded_.aux1 == aux1;
+  if (!have_loaded_) loaded_ = Checkpoint{};
+}
+
+std::int64_t CheckpointRun::resumed(std::int64_t max_progress) const {
+  return have_loaded_ ? std::clamp<std::int64_t>(loaded_.progress, 0,
+                                                 max_progress)
+                      : 0;
+}
+
+void CheckpointRun::save(std::int64_t progress,
+                         std::vector<std::uint8_t> payload) {
+  if (!enabled()) return;
+  Checkpoint ck = key_;
+  ck.progress = progress;
+  ck.payload = std::move(payload);
+  write_checkpoint(path_, ck);
+  ++written_;
+}
+
+void CheckpointRun::finish() const {
+  if (enabled()) remove_checkpoint(path_);
 }
 
 }  // namespace gapsp::core

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -55,5 +56,38 @@ bool read_checkpoint(const std::string& path, Checkpoint* ck);
 
 /// Removes the sidecar (missing file is not an error).
 void remove_checkpoint(const std::string& path);
+
+/// The round-checkpoint protocol of one out-of-core run; the drivers keep
+/// only their progress points. The sidecar at opts.checkpoint_path (none
+/// when empty) is keyed by the algorithm and fnv1a over the int64 shape
+/// {n, aux0, aux1, extra...} seeded with graph_fingerprint(g): FW
+/// {n, b, n_d}, Johnson {n, bat, n_b}, boundary {n, k, NB, N_max, seed}.
+class CheckpointRun {
+ public:
+  /// Under opts.resume, loads the sidecar if it matches on the algorithm,
+  /// fingerprint, n, aux0 and aux1.
+  CheckpointRun(const ApspOptions& opts, Algorithm algorithm,
+                const graph::CsrGraph& g, std::int64_t aux0,
+                std::int64_t aux1,
+                std::initializer_list<std::int64_t> extra = {});
+
+  bool enabled() const { return !path_.empty(); }
+  /// The loaded progress clamped to [0, max_progress]; 0 when none loaded.
+  std::int64_t resumed(std::int64_t max_progress) const;
+  const std::vector<std::uint8_t>& payload() const { return loaded_.payload; }
+
+  /// Records `progress` completed units (a no-op without a sidecar).
+  void save(std::int64_t progress, std::vector<std::uint8_t> payload = {});
+  /// Removes the sidecar of a finished run.
+  void finish() const;
+  long long written() const { return written_; }
+
+ private:
+  std::string path_;
+  Checkpoint key_;     ///< algorithm, fingerprint, n, aux0 and aux1
+  Checkpoint loaded_;  ///< the matching sidecar, if one was loaded
+  bool have_loaded_ = false;
+  long long written_ = 0;
+};
 
 }  // namespace gapsp::core

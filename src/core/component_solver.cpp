@@ -4,6 +4,7 @@
 #include <numeric>
 #include <vector>
 
+#include "core/apsp_common.h"
 #include "graph/graph_stats.h"
 #include "util/timer.h"
 
@@ -140,21 +141,13 @@ ComponentResult solve_apsp_per_component(const graph::CsrGraph& g,
     }
     out.per_group.push_back(r.used);
     if (ng == out.largest_component) out.result.used = r.used;
+    // Groups run one after another: their times add, their peaks do not.
+    add_counters(agg, r.metrics);
     agg.sim_seconds += r.metrics.sim_seconds;
-    agg.kernel_seconds += r.metrics.kernel_seconds;
-    agg.transfer_seconds += r.metrics.transfer_seconds;
-    agg.bytes_h2d += r.metrics.bytes_h2d;
-    agg.bytes_d2h += r.metrics.bytes_d2h;
-    agg.transfers_h2d += r.metrics.transfers_h2d;
-    agg.transfers_d2h += r.metrics.transfers_d2h;
-    agg.kernels += r.metrics.kernels;
-    agg.child_kernels += r.metrics.child_kernels;
-    agg.total_ops += r.metrics.total_ops;
     agg.device_peak_bytes =
         std::max(agg.device_peak_bytes, r.metrics.device_peak_bytes);
-    if (!r.metrics.kernel_variant.empty()) {
-      agg.kernel_variant = r.metrics.kernel_variant;
-    }
+    agg.pinned_peak_bytes =
+        std::max(agg.pinned_peak_bytes, r.metrics.pinned_peak_bytes);
   }
   agg.wall_seconds = wall.seconds();
   return out;

@@ -58,15 +58,9 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
   const int k = plan.k;
   const vidx_t nb = plan.nb;
   const vidx_t dmax = plan.max_comp;
+  BoundarySteps steps(g, plan, opts.fw_tile);
+  std::vector<std::vector<dist_t>>& dist2 = steps.dist2;
 
-  const graph::CsrGraph gp = g.relabel(layout.perm);
-  std::vector<int> comp_of(static_cast<std::size_t>(n));
-  for (int c = 0; c < k; ++c) {
-    for (vidx_t v = layout.comp_offset[c]; v < layout.comp_offset[c + 1];
-         ++v) {
-      comp_of[v] = c;
-    }
-  }
   std::vector<int> all_comps(static_cast<std::size_t>(k));
   std::iota(all_comps.begin(), all_comps.end(), 0);
   std::vector<int> all_devices(static_cast<std::size_t>(num_devices));
@@ -80,10 +74,7 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
     std::unique_ptr<sim::FaultInjector> injector;
     std::unique_ptr<TransferCodec> codec;
     sim::DeviceBuffer<dist_t> diag;
-    sim::DeviceBuffer<dist_t> bound;
-    sim::DeviceBuffer<dist_t> c2b;
-    sim::DeviceBuffer<dist_t> b2c;
-    sim::DeviceBuffer<dist_t> tmp;
+    BoundaryBuffers buf;
     sim::DeviceBuffer<dist_t> staging;
     std::vector<dist_t> host_staging;
     vidx_t staging_rows = 0;
@@ -94,14 +85,6 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
     std::vector<int> staged_comps;
     bool alive = true;
   };
-  std::size_t bmax = 0, b2c_elems = 0;
-  std::vector<std::size_t> b2c_off(static_cast<std::size_t>(k));
-  for (int j = 0; j < k; ++j) {
-    bmax = std::max<std::size_t>(bmax, layout.comp_boundary[j]);
-    b2c_off[j] = b2c_elems;
-    b2c_elems += static_cast<std::size_t>(layout.comp_boundary[j]) *
-                 layout.comp_size(j);
-  }
   std::vector<DeviceState> devs(static_cast<std::size_t>(num_devices));
   for (auto& st : devs) {
     st.dev = std::make_unique<sim::Device>(opts.device);
@@ -111,14 +94,7 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
                                                opts.transfer_compression);
     st.diag = st.dev->alloc<dist_t>(static_cast<std::size_t>(dmax) * dmax,
                                     "diagonal block");
-    st.bound = st.dev->alloc<dist_t>(static_cast<std::size_t>(nb) * nb,
-                                     "boundary matrix");
-    st.c2b =
-        st.dev->alloc<dist_t>(static_cast<std::size_t>(dmax) * bmax, "C2B");
-    st.b2c =
-        st.dev->alloc<dist_t>(std::max<std::size_t>(b2c_elems, 1), "B2C");
-    st.tmp =
-        st.dev->alloc<dist_t>(static_cast<std::size_t>(dmax) * nb, "tmp1");
+    st.buf = steps.alloc_buffers(*st.dev);
     const std::size_t stage_elems =
         st.dev->free_bytes() / sizeof(dist_t) / 100 * 95;
     st.staging_rows =
@@ -140,9 +116,6 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
   }
 
   const sim::StreamId s0 = sim::kDefaultStream;
-  std::vector<std::vector<dist_t>> dist2(static_cast<std::size_t>(k));
-  std::vector<dist_t> hbuf(static_cast<std::size_t>(dmax) *
-                           std::max<vidx_t>(n, dmax));
 
   // ---- failover bookkeeping ----
   std::vector<int> failed_devices;
@@ -197,8 +170,8 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
         const double t0 = st.dev->record_event(s0).time;
         const vidx_t off = layout.comp_offset[i];
         const vidx_t ni = layout.comp_size(i);
-        weight_block(gp, off, off, ni, ni, hbuf.data(), ni);
-        st.codec->h2d(s0, st.diag.data(), hbuf.data(),
+        weight_block(steps.gp, off, off, ni, ni, steps.hbuf.data(), ni);
+        st.codec->h2d(s0, st.diag.data(), steps.hbuf.data(),
                       static_cast<std::size_t>(ni) * ni * sizeof(dist_t),
                       /*pinned=*/false);
         dev_blocked_fw(*st.dev, s0, st.diag.data(), ni, ni, opts.fw_tile);
@@ -227,37 +200,9 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
     if (st.alive) st.dev->advance_to(barrier2);
   }
 
-  // ---- Step 3: boundary graph on device 0, then broadcast ----
-  std::vector<dist_t> hbound(static_cast<std::size_t>(nb) * nb, kInf);
-  for (vidx_t b = 0; b < nb; ++b) {
-    hbound[static_cast<std::size_t>(b) * nb + b] = 0;
-  }
-  for (int i = 0; i < k; ++i) {
-    const vidx_t bi = layout.comp_boundary[i];
-    const vidx_t ni = layout.comp_size(i);
-    const vidx_t go = layout.boundary_offset[i];
-    for (vidx_t r = 0; r < bi; ++r) {
-      for (vidx_t c = 0; c < bi; ++c) {
-        dist_t& cell = hbound[static_cast<std::size_t>(go + r) * nb + go + c];
-        cell = std::min(cell, dist2[i][static_cast<std::size_t>(r) * ni + c]);
-      }
-    }
-  }
-  for (vidx_t u = 0; u < n; ++u) {
-    const int cu = comp_of[u];
-    const auto nbr = gp.neighbors(u);
-    const auto wts = gp.weights(u);
-    for (std::size_t e = 0; e < nbr.size(); ++e) {
-      const int cv = comp_of[nbr[e]];
-      if (cu == cv) continue;
-      const vidx_t gu =
-          layout.boundary_offset[cu] + (u - layout.comp_offset[cu]);
-      const vidx_t gv =
-          layout.boundary_offset[cv] + (nbr[e] - layout.comp_offset[cv]);
-      dist_t& cell = hbound[static_cast<std::size_t>(gu) * nb + gv];
-      cell = std::min(cell, wts[e]);
-    }
-  }
+  // ---- Step 3: boundary graph on the first surviving device, then
+  // broadcast ----
+  std::vector<dist_t> hbound = steps.boundary_graph();
   // The boundary FW runs on the first alive device; if that one dies too,
   // the next survivor retries from the host-side hbound copy. hbound is
   // only overwritten by the (synchronous, functional) d2h once FW finished,
@@ -272,11 +217,11 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
     }
     DeviceState& st = devs[survivors.front()];
     try {
-      st.codec->h2d(s0, st.bound.data(), hbound.data(),
+      st.codec->h2d(s0, st.buf.bound.data(), hbound.data(),
                     hbound.size() * sizeof(dist_t), /*pinned=*/false);
-      dev_blocked_fw(*st.dev, s0, st.bound.data(), nb, nb, opts.fw_tile);
+      dev_blocked_fw(*st.dev, s0, st.buf.bound.data(), nb, nb, opts.fw_tile);
       // Ship dist3 back so it can be broadcast to the other devices.
-      st.codec->d2h(s0, hbound.data(), st.bound.data(),
+      st.codec->d2h(s0, hbound.data(), st.buf.bound.data(),
                     hbound.size() * sizeof(dist_t), /*pinned=*/false);
       st.dev->synchronize();
       step3_dev = survivors.front();
@@ -296,7 +241,7 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
   for (int d = 0; d < num_devices; ++d) {
     if (!devs[d].alive || d == step3_dev) continue;
     try {
-      devs[d].codec->h2d(s0, devs[d].bound.data(), hbound.data(),
+      devs[d].codec->h2d(s0, devs[d].buf.bound.data(), hbound.data(),
                          hbound.size() * sizeof(dist_t), /*pinned=*/false);
     } catch (const sim::FaultError& e) {
       if (e.op() != sim::FaultOp::kDeviceLost) throw;
@@ -311,7 +256,8 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
         const vidx_t bj = layout.comp_boundary[j];
         const vidx_t nj = layout.comp_size(j);
         if (bj == 0) continue;
-        st.codec->h2d(s0, st.b2c.data() + b2c_off[j], dist2[j].data(),
+        st.codec->h2d(s0, st.buf.b2c.data() + plan.b2c.offset[j],
+                      dist2[j].data(),
                       static_cast<std::size_t>(bj) * nj * sizeof(dist_t),
                       /*pinned=*/false);
       }
@@ -358,24 +304,7 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
     DeviceState& st = devs[owner[i]];
     const vidx_t off = layout.comp_offset[i];
     const vidx_t ni = layout.comp_size(i);
-    const vidx_t bi = layout.comp_boundary[i];
-
-    if (bi > 0) {
-      for (vidx_t r = 0; r < ni; ++r) {
-        std::copy_n(dist2[i].data() + static_cast<std::size_t>(r) * ni, bi,
-                    hbuf.data() + static_cast<std::size_t>(r) * bi);
-      }
-      st.dev->memcpy_h2d(s0, st.c2b.data(), hbuf.data(),
-                         static_cast<std::size_t>(ni) * bi * sizeof(dist_t));
-      dev_fill_inf(*st.dev, s0, "fill_tmp", st.tmp.data(),
-                   static_cast<std::size_t>(ni) * nb,
-                   std::max(1, static_cast<int>(ni * nb / 4096)));
-      dev_minplus(*st.dev, s0, st.tmp.data(), nb, st.c2b.data(), bi,
-                  st.bound.data() +
-                      static_cast<std::size_t>(layout.boundary_offset[i]) * nb,
-                  nb, ni, bi, nb, opts.fw_tile);
-    }
-
+    steps.c2b_times_bound(*st.dev, s0, st.buf, i);
     // Block-rows of one device are contiguous only per component; flush per
     // staging fill, tracking the first staged row.
     if (st.staged_rows + ni > st.staging_rows ||
@@ -383,49 +312,9 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
       flush(st);
     }
     if (st.staged_rows == 0) st.staged_row0 = off;
-    dist_t* row_base =
-        st.staging.data() + static_cast<std::size_t>(st.staged_rows) * n;
-    dev_fill_inf(*st.dev, s0, "init_block_row", row_base,
-                 static_cast<std::size_t>(ni) * n,
-                 std::max(1, static_cast<int>(ni * (n / 4096))));
-    for (vidx_t r = 0; r < ni; ++r) {
-      std::copy_n(dist2[i].data() + static_cast<std::size_t>(r) * ni, ni,
-                  row_base + static_cast<std::size_t>(r) * n + off);
-    }
-    st.dev->memcpy_h2d(s0, hbuf.data(), dist2[i].data(),
-                       static_cast<std::size_t>(ni) * ni * sizeof(dist_t));
-    if (bi > 0) {
-      // Grid over destination components (disjoint column ranges of the
-      // block-row), same decomposition as the single-device path.
-      st.dev->launch_grid(
-          s0, "block_row_minplus", k,
-          [&](int j) {
-            const vidx_t bj = layout.comp_boundary[j];
-            const vidx_t nj = layout.comp_size(j);
-            if (bj == 0) return;
-            minplus_accum(row_base + layout.comp_offset[j], n,
-                          st.tmp.data() + layout.boundary_offset[j], nb,
-                          st.b2c.data() + b2c_off[j], nj, ni, bj, nj);
-          },
-          [&] {
-            double ops = 0.0, bytes = 0.0;
-            int blocks = 0;
-            for (int j = 0; j < k; ++j) {
-              const vidx_t bj = layout.comp_boundary[j];
-              const vidx_t nj = layout.comp_size(j);
-              if (bj == 0) continue;
-              ops += minplus_ops(ni, bj, nj);
-              bytes += minplus_bytes(ni, bj, nj, opts.fw_tile);
-              blocks += ((ni + opts.fw_tile - 1) / opts.fw_tile) *
-                        ((nj + opts.fw_tile - 1) / opts.fw_tile);
-            }
-            sim::KernelProfile p;
-            p.ops = ops;
-            p.bytes = bytes;
-            p.blocks = std::max(1, blocks);
-            return p;
-          });
-    }
+    steps.block_row(*st.dev, s0, st.buf, i,
+                    st.staging.data() +
+                        static_cast<std::size_t>(st.staged_rows) * n);
     st.staged_rows += ni;
     st.staged_comps.push_back(i);
   };
@@ -465,31 +354,11 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
     st.dev->synchronize();
     out.multi.device_seconds.push_back(st.dev->now());
     makespan = std::max(makespan, st.dev->now());
+    // Devices run at once: the run takes the makespan, and each device
+    // holds its own pinned staging.
     const ApspMetrics m = metrics_from_device(*st.dev, 0.0);
-    agg.kernel_seconds += m.kernel_seconds;
-    agg.transfer_seconds += m.transfer_seconds;
-    agg.hidden_transfer_seconds += m.hidden_transfer_seconds;
-    agg.exposed_transfer_seconds += m.exposed_transfer_seconds;
+    add_counters(agg, m);
     agg.pinned_peak_bytes += m.pinned_peak_bytes;
-    agg.bytes_h2d += m.bytes_h2d;
-    agg.bytes_d2h += m.bytes_d2h;
-    agg.transfers_h2d += m.transfers_h2d;
-    agg.transfers_d2h += m.transfers_d2h;
-    agg.bytes_h2d_raw += m.bytes_h2d_raw;
-    agg.bytes_h2d_wire += m.bytes_h2d_wire;
-    agg.bytes_d2h_raw += m.bytes_d2h_raw;
-    agg.bytes_d2h_wire += m.bytes_d2h_wire;
-    agg.decode_seconds += m.decode_seconds;
-    agg.decodes += m.decodes;
-    agg.kernels += m.kernels;
-    agg.child_kernels += m.child_kernels;
-    agg.total_ops += m.total_ops;
-    agg.faults_injected += m.faults_injected;
-    agg.transfer_retries += m.transfer_retries;
-    agg.kernel_retries += m.kernel_retries;
-    agg.decode_retries += m.decode_retries;
-    agg.retry_backoff_seconds += m.retry_backoff_seconds;
-    if (!m.kernel_variant.empty()) agg.kernel_variant = m.kernel_variant;
     agg.device_peak_bytes = std::max(agg.device_peak_bytes, m.device_peak_bytes);
   }
   agg.sim_seconds = makespan;

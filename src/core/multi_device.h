@@ -5,11 +5,15 @@
 // Work distribution: components are assigned to devices by longest-
 // processing-time (LPT) scheduling on component size. Each device runs
 // step 2 (per-component FW) for its components; after a barrier the boundary
-// graph is assembled on the host, closed on device 0 (step 3), and
-// broadcast; each device then computes and streams out the block-rows of
-// its own components (step 4). Simulated end-to-end time is the makespan
-// across devices; every device has its own memory capacity, streams and
-// transfer link.
+// graph is assembled on the host, closed on the first surviving device
+// (step 3), and broadcast; each device then computes and streams out the
+// block-rows of its own components (step 4). Simulated end-to-end time is
+// the makespan across devices; every device has its own memory capacity,
+// streams and transfer link.
+//
+// This driver is scheduling and failover only: the step code (Step 3's
+// input matrix, Step 4a and 4b, the buffers they use) is the single-device
+// driver's BoundarySteps (ooc_boundary.h), run on each device's stream.
 #pragma once
 
 #include "core/apsp_common.h"
@@ -38,9 +42,11 @@ struct MultiApspResult {
 };
 
 /// Runs the boundary algorithm across `num_devices` identical devices of
-/// opts.device. num_devices == 1 degrades to the single-device plan (but is
-/// still executed through this code path). Results land in `store` in the
-/// permuted order, like ooc_boundary.
+/// opts.device, always batched, with one staging buffer per device and no
+/// checkpoints. num_devices == 1 is the single-device plan with this
+/// driver's synchronous Step-2 and broadcast copies, not ooc_boundary's
+/// pipeline. Results land in `store` in the permuted order, like
+/// ooc_boundary.
 MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
                                    const ApspOptions& opts, int num_devices,
                                    DistStore& store);

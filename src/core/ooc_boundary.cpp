@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -24,32 +23,16 @@ int default_components(vidx_t n) {
 
 /// Fixed (non-staging) device working set of a plan, in bytes. With
 /// `overlap` the component block of Step 2 doubles up for its ping-pong.
-std::size_t fixed_bytes(const part::BoundaryLayout& layout, bool overlap) {
-  const int k = layout.k();
-  const std::size_t dmax = layout.max_comp_size();
-  const std::size_t nb = layout.num_boundary;
-  std::size_t bmax = 0;
-  std::size_t b2c_all = 0;
-  for (int j = 0; j < k; ++j) {
-    bmax = std::max<std::size_t>(bmax, layout.comp_boundary[j]);
-    b2c_all += static_cast<std::size_t>(layout.comp_boundary[j]) *
-               layout.comp_size(j);
-  }
+std::size_t fixed_bytes(const BoundaryPlan& plan, bool overlap) {
+  const std::size_t dmax = plan.max_comp;
+  const std::size_t nb = plan.nb;
   // component FW tile (ping-pong pair under overlap)
   const std::size_t diag = dmax * dmax * (overlap ? 2 : 1);
-  const std::size_t out = dmax * dmax;        // naive-mode output tile
-  const std::size_t bound = nb * nb;          // dist3 matrix
-  const std::size_t c2b = dmax * bmax;        // per-i upload
-  const std::size_t tmp = dmax * nb;          // C2B[i] ⊗ bound(i,:)
-  return (diag + out + bound + c2b + b2c_all + tmp) * sizeof(dist_t);
-}
-
-/// Global boundary index of a renumbered vertex, or -1 if interior.
-vidx_t global_boundary_index(const part::BoundaryLayout& layout, int comp,
-                             vidx_t new_id) {
-  const vidx_t local = new_id - layout.comp_offset[comp];
-  if (local >= layout.comp_boundary[comp]) return -1;
-  return layout.boundary_offset[comp] + local;
+  const std::size_t out = dmax * dmax;           // naive-mode output tile
+  const std::size_t bound = nb * nb;             // dist3 matrix
+  const std::size_t c2b = dmax * plan.b2c.bmax;  // per-i upload
+  const std::size_t tmp = dmax * nb;             // C2B[i] ⊗ bound(i,:)
+  return (diag + out + bound + c2b + plan.b2c.elems + tmp) * sizeof(dist_t);
 }
 
 }  // namespace
@@ -69,6 +52,14 @@ BoundaryPlan plan_boundary(const graph::CsrGraph& g, const ApspOptions& opts) {
     plan.k = k;
     plan.max_comp = plan.layout.max_comp_size();
     plan.nb = plan.layout.num_boundary;
+    plan.b2c.offset.resize(static_cast<std::size_t>(k));
+    for (int j = 0; j < k; ++j) {
+      const vidx_t bj = plan.layout.comp_boundary[j];
+      plan.b2c.bmax = std::max<std::size_t>(plan.b2c.bmax, bj);
+      plan.b2c.offset[j] = plan.b2c.elems;
+      plan.b2c.elems +=
+          static_cast<std::size_t>(bj) * plan.layout.comp_size(j);
+    }
     const std::size_t one_row =
         static_cast<std::size_t>(n) * sizeof(dist_t);
     // Batched mode needs at least one component block-row of staging (twice
@@ -82,20 +73,16 @@ BoundaryPlan plan_boundary(const graph::CsrGraph& g, const ApspOptions& opts) {
     // but degrade to a single buffer at the same k before halving k — the
     // second buffer is an optimization, not a feasibility requirement.
     plan.pipeline_comp = opts.overlap_transfers;
-    std::size_t fixed = fixed_bytes(plan.layout, plan.pipeline_comp);
+    std::size_t fixed = fixed_bytes(plan, plan.pipeline_comp);
     if (plan.pipeline_comp && fixed + staging_min > budget) {
       plan.pipeline_comp = false;
-      fixed = fixed_bytes(plan.layout, false);
+      fixed = fixed_bytes(plan, false);
     }
     if (fixed + staging_min <= budget) {
-      plan.s_dia = static_cast<std::size_t>(plan.max_comp) * plan.max_comp *
-                   sizeof(dist_t);
-      plan.s_bound =
-          static_cast<std::size_t>(plan.nb) * plan.nb * sizeof(dist_t);
-      plan.s_rem = budget - fixed;
+      // What the fixed working set leaves of the budget (S_rem) stages.
       const std::size_t buffers = opts.overlap_transfers ? 2 : 1;
       plan.staging_rows = opts.batch_transfers
-                              ? static_cast<vidx_t>(plan.s_rem /
+                              ? static_cast<vidx_t>((budget - fixed) /
                                                     (buffers * one_row))
                               : 0;
       return plan;
@@ -110,6 +97,150 @@ BoundaryPlan plan_boundary(const graph::CsrGraph& g, const ApspOptions& opts) {
       ": boundary matrix does not fit device memory for any k >= 2");
 }
 
+BoundarySteps::BoundarySteps(const graph::CsrGraph& g,
+                             const BoundaryPlan& plan, int fw_tile)
+    : plan(plan),
+      fw_tile(fw_tile),
+      gp(g.relabel(plan.layout.perm)),
+      dist2(static_cast<std::size_t>(plan.k)),
+      hbuf(static_cast<std::size_t>(plan.max_comp) * plan.max_comp) {}
+
+BoundaryBuffers BoundarySteps::alloc_buffers(sim::Device& dev) const {
+  const std::size_t dmax = plan.max_comp;
+  const std::size_t nb = plan.nb;
+  BoundaryBuffers buf;
+  buf.bound = dev.alloc<dist_t>(nb * nb, "boundary matrix");
+  buf.c2b = dev.alloc<dist_t>(dmax * plan.b2c.bmax, "C2B[i]");
+  buf.b2c = dev.alloc<dist_t>(std::max<std::size_t>(plan.b2c.elems, 1),
+                              "B2C (all components)");
+  buf.tmp = dev.alloc<dist_t>(dmax * nb, "tmp1 = C2B ⊗ bound");
+  return buf;
+}
+
+std::vector<dist_t> BoundarySteps::boundary_graph() const {
+  const part::BoundaryLayout& layout = plan.layout;
+  const vidx_t n = gp.num_vertices();
+  const vidx_t nb = plan.nb;
+  std::vector<int> comp_of(static_cast<std::size_t>(n));
+  for (int c = 0; c < plan.k; ++c) {
+    std::fill(comp_of.begin() + layout.comp_offset[c],
+              comp_of.begin() + layout.comp_offset[c + 1], c);
+  }
+  std::vector<dist_t> hbound(static_cast<std::size_t>(nb) * nb, kInf);
+  for (vidx_t b = 0; b < nb; ++b) {
+    hbound[static_cast<std::size_t>(b) * nb + b] = 0;
+  }
+  for (int i = 0; i < plan.k; ++i) {
+    const vidx_t bi = layout.comp_boundary[i];
+    const vidx_t ni = layout.comp_size(i);
+    const vidx_t go = layout.boundary_offset[i];
+    for (vidx_t r = 0; r < bi; ++r) {
+      for (vidx_t c = 0; c < bi; ++c) {
+        dist_t& cell = hbound[static_cast<std::size_t>(go + r) * nb + go + c];
+        cell = std::min(cell, dist2[i][static_cast<std::size_t>(r) * ni + c]);
+      }
+    }
+  }
+  for (vidx_t u = 0; u < n; ++u) {
+    const int cu = comp_of[u];
+    const auto nbr = gp.neighbors(u);
+    const auto wts = gp.weights(u);
+    for (std::size_t e = 0; e < nbr.size(); ++e) {
+      const int cv = comp_of[nbr[e]];
+      if (cu == cv) continue;
+      // Local ids; boundary vertices come first in their component.
+      const vidx_t lu = u - layout.comp_offset[cu];
+      const vidx_t lv = nbr[e] - layout.comp_offset[cv];
+      GAPSP_CHECK(
+          lu < layout.comp_boundary[cu] && lv < layout.comp_boundary[cv],
+          "cross edge between non-boundary nodes");
+      dist_t& cell = hbound[static_cast<std::size_t>(
+                                layout.boundary_offset[cu] + lu) * nb +
+                            layout.boundary_offset[cv] + lv];
+      cell = std::min(cell, wts[e]);
+    }
+  }
+  return hbound;
+}
+
+void BoundarySteps::c2b_times_bound(sim::Device& dev, sim::StreamId s,
+                                    BoundaryBuffers& buf, int i) {
+  const part::BoundaryLayout& layout = plan.layout;
+  const vidx_t ni = layout.comp_size(i);
+  const vidx_t bi = layout.comp_boundary[i];
+  const vidx_t nb = plan.nb;
+  if (bi == 0) return;
+  for (vidx_t r = 0; r < ni; ++r) {
+    std::copy_n(dist2[i].data() + static_cast<std::size_t>(r) * ni, bi,
+                hbuf.data() + static_cast<std::size_t>(r) * bi);
+  }
+  dev.memcpy_h2d(s, buf.c2b.data(), hbuf.data(),
+                 static_cast<std::size_t>(ni) * bi * sizeof(dist_t));
+  // tmp = C2B[i] ⊗ bound(i, :)  (b_i × NB view of dist3), one launch.
+  dev_fill_inf(dev, s, "fill_tmp", buf.tmp.data(),
+               static_cast<std::size_t>(ni) * nb,
+               std::max(1, static_cast<int>(ni * nb / 4096)));
+  dev_minplus(dev, s, buf.tmp.data(), nb, buf.c2b.data(), bi,
+              buf.bound.data() +
+                  static_cast<std::size_t>(layout.boundary_offset[i]) * nb,
+              nb, ni, bi, nb, fw_tile);
+}
+
+void BoundarySteps::block_row(sim::Device& dev, sim::StreamId s,
+                              BoundaryBuffers& buf, int i, dist_t* row_base) {
+  const part::BoundaryLayout& layout = plan.layout;
+  const vidx_t n = gp.num_vertices();
+  const vidx_t off = layout.comp_offset[i];
+  const vidx_t ni = layout.comp_size(i);
+  const vidx_t bi = layout.comp_boundary[i];
+  const vidx_t nb = plan.nb;
+  // Initialize the block-row: kInf everywhere, dist2 on the diagonal.
+  dev_fill_inf(dev, s, "init_block_row", row_base,
+               static_cast<std::size_t>(ni) * n,
+               std::max(1, static_cast<int>(ni * (n / 4096))));
+  for (vidx_t r = 0; r < ni; ++r) {
+    std::copy_n(dist2[i].data() + static_cast<std::size_t>(r) * ni, ni,
+                row_base + static_cast<std::size_t>(r) * n + off);
+  }
+  // Charge the dist2 upload as one h2d transfer (the scatter above is the
+  // functional side of it).
+  dev.memcpy_h2d(s, hbuf.data(), dist2[i].data(),
+                 static_cast<std::size_t>(ni) * ni * sizeof(dist_t));
+  if (bi == 0) return;
+  // One launch computes the whole block-row. Grid over destination
+  // components: block j owns the disjoint column range [comp_offset[j],
+  // comp_offset[j]+n_j) of the block-row and only reads tmp / B2C, so
+  // parallel execution is race-free and bit-identical to serial.
+  dev.launch_grid(
+      s, "block_row_minplus", plan.k,
+      [&](int j) {
+        const vidx_t bj = layout.comp_boundary[j];
+        const vidx_t nj = layout.comp_size(j);
+        if (bj == 0) return;
+        minplus_accum(row_base + layout.comp_offset[j], n,
+                      buf.tmp.data() + layout.boundary_offset[j], nb,
+                      buf.b2c.data() + plan.b2c.offset[j], nj, ni, bj, nj);
+      },
+      [&] {
+        double ops = 0.0, bytes = 0.0;
+        int blocks = 0;
+        for (int j = 0; j < plan.k; ++j) {
+          const vidx_t bj = layout.comp_boundary[j];
+          const vidx_t nj = layout.comp_size(j);
+          if (bj == 0) continue;
+          ops += minplus_ops(ni, bj, nj);
+          bytes += minplus_bytes(ni, bj, nj, fw_tile);
+          blocks += ((ni + fw_tile - 1) / fw_tile) *
+                    ((nj + fw_tile - 1) / fw_tile);
+        }
+        sim::KernelProfile p;
+        p.ops = ops;
+        p.bytes = bytes;
+        p.blocks = std::max(1, blocks);
+        return p;
+      });
+}
+
 ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
                         const BoundaryPlan& plan, DistStore& store) {
   Timer wall;
@@ -119,15 +250,8 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
   const int k = plan.k;
   const vidx_t nb = plan.nb;
   const vidx_t dmax = plan.max_comp;
-
-  // Work in the boundary-first renumbering (Fig. 1a).
-  const graph::CsrGraph gp = g.relabel(layout.perm);
-  std::vector<int> comp_of(static_cast<std::size_t>(n));
-  for (int c = 0; c < k; ++c) {
-    for (vidx_t v = layout.comp_offset[c]; v < layout.comp_offset[c + 1]; ++v) {
-      comp_of[v] = c;
-    }
-  }
+  BoundarySteps steps(g, plan, opts.fw_tile);
+  std::vector<std::vector<dist_t>>& dist2 = steps.dist2;
 
   sim::Device dev(opts.device);
   dev.set_trace(opts.trace);
@@ -140,32 +264,20 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
   // Step-level checkpointing. Unlike FW/Johnson the store is not the whole
   // state here: steps 2 and 3 produce host-side intermediates (dist2, dist3)
   // that step 4 consumes, so the sidecar carries them as its payload.
-  const bool use_ck = !opts.checkpoint_path.empty();
-  std::uint64_t fp = 0;
-  int resume_step = 0;  // last completed step restored from the sidecar
-  long long ck_written = 0;
-  Checkpoint ck_in;
   std::size_t dist2_elems = 0;
   for (int i = 0; i < k; ++i) {
     dist2_elems += static_cast<std::size_t>(layout.comp_size(i)) *
                    layout.comp_size(i);
   }
   const std::size_t bound_elems = static_cast<std::size_t>(nb) * nb;
-  if (use_ck) {
-    fp = graph_fingerprint(g);
-    const std::int64_t shape[5] = {n, k, nb, dmax,
-                                   static_cast<std::int64_t>(opts.seed)};
-    fp = util::fnv1a(shape, sizeof(shape), fp);
-    if (opts.resume && read_checkpoint(opts.checkpoint_path, &ck_in) &&
-        ck_in.algorithm == static_cast<std::uint32_t>(Algorithm::kBoundary) &&
-        ck_in.fingerprint == fp && ck_in.n == n && ck_in.aux0 == k &&
-        ck_in.aux1 == nb) {
-      const int step = static_cast<int>(
-          std::clamp<std::int64_t>(ck_in.progress, 0, 3));
-      const std::size_t need =
-          (dist2_elems + (step >= 3 ? bound_elems : 0)) * sizeof(dist_t);
-      if (step >= 2 && ck_in.payload.size() == need) resume_step = step;
-    }
+  CheckpointRun ck(opts, Algorithm::kBoundary, g, k, nb,
+                   {dmax, static_cast<std::int64_t>(opts.seed)});
+  int resume_step = 0;  // last completed step restored from the sidecar
+  {
+    const int step = static_cast<int>(ck.resumed(3));
+    const std::size_t need =
+        (dist2_elems + (step >= 3 ? bound_elems : 0)) * sizeof(dist_t);
+    if (step >= 2 && ck.payload().size() == need) resume_step = step;
   }
 
   // ---- device allocations (accounted against capacity) ----
@@ -178,22 +290,7 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
                                 plan.pipeline_comp ? 2 : 1);
   auto out_buf = dev.alloc<dist_t>(
       static_cast<std::size_t>(dmax) * dmax, "output tile");
-  auto bound_buf = dev.alloc<dist_t>(
-      static_cast<std::size_t>(nb) * nb, "boundary matrix");
-  std::size_t bmax = 0, b2c_elems = 0;
-  std::vector<std::size_t> b2c_off(static_cast<std::size_t>(k));
-  for (int j = 0; j < k; ++j) {
-    bmax = std::max<std::size_t>(bmax, layout.comp_boundary[j]);
-    b2c_off[j] = b2c_elems;
-    b2c_elems += static_cast<std::size_t>(layout.comp_boundary[j]) *
-                 layout.comp_size(j);
-  }
-  auto c2b_buf =
-      dev.alloc<dist_t>(static_cast<std::size_t>(dmax) * bmax, "C2B[i]");
-  auto b2c_buf = dev.alloc<dist_t>(std::max<std::size_t>(b2c_elems, 1),
-                                   "B2C (all components)");
-  auto tmp_buf = dev.alloc<dist_t>(
-      static_cast<std::size_t>(dmax) * nb, "tmp1 = C2B ⊗ bound");
+  BoundaryBuffers buf = steps.alloc_buffers(dev);
 
   const bool batching = opts.batch_transfers && plan.staging_rows > 0;
   // Ping-pong staging for the finished block-rows (one buffer when not
@@ -204,46 +301,33 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
                     "staging");
   }
 
-  std::vector<std::vector<dist_t>> dist2(static_cast<std::size_t>(k));
-  std::vector<dist_t> hbuf(static_cast<std::size_t>(dmax) *
-                           std::max<vidx_t>(n, dmax));
-
-  // Serializes the step intermediates into a sidecar payload: every dist2
-  // block, then (after step 3) the solved boundary matrix.
+  // The sidecar payload holds every dist2 block, then (after step 3) the
+  // solved boundary matrix.
   auto save_step = [&](int step, const dist_t* bound) {
-    Checkpoint ck;
-    ck.algorithm = static_cast<std::uint32_t>(Algorithm::kBoundary);
-    ck.fingerprint = fp;
-    ck.n = n;
-    ck.progress = step;
-    ck.aux0 = k;
-    ck.aux1 = nb;
-    ck.payload.resize((dist2_elems + (bound != nullptr ? bound_elems : 0)) *
-                      sizeof(dist_t));
-    std::uint8_t* out = ck.payload.data();
-    for (int i = 0; i < k; ++i) {
-      const std::size_t bytes = dist2[i].size() * sizeof(dist_t);
-      std::memcpy(out, dist2[i].data(), bytes);
-      out += bytes;
-    }
-    if (bound != nullptr) {
-      std::memcpy(out, bound, bound_elems * sizeof(dist_t));
-    }
-    write_checkpoint(opts.checkpoint_path, ck);
-    ++ck_written;
+    if (!ck.enabled()) return;
+    std::vector<std::uint8_t> payload;
+    auto put = [&payload](const dist_t* src, std::size_t elems) {
+      const auto* bytes = reinterpret_cast<const std::uint8_t*>(src);
+      payload.insert(payload.end(), bytes, bytes + elems * sizeof(dist_t));
+    };
+    for (const auto& block : dist2) put(block.data(), block.size());
+    if (bound != nullptr) put(bound, bound_elems);
+    ck.save(step, std::move(payload));
+  };
+  const std::uint8_t* resumed = ck.payload().data();
+  auto take = [&resumed](std::vector<dist_t>& dst, std::size_t elems) {
+    dst.resize(elems);
+    std::memcpy(dst.data(), resumed, elems * sizeof(dist_t));
+    resumed += elems * sizeof(dist_t);
   };
 
   // ---- Step 2: per-component APSP (blocked FW on the device) ----
   // Pipelined: component i+1's weight matrix stages in and component i-1's
   // dist2 drains while component i's in-core FW runs on the compute stream.
   if (resume_step >= 2) {
-    const std::uint8_t* in = ck_in.payload.data();
     for (int i = 0; i < k; ++i) {
-      const std::size_t elems =
-          static_cast<std::size_t>(layout.comp_size(i)) * layout.comp_size(i);
-      dist2[i].resize(elems);
-      std::memcpy(dist2[i].data(), in, elems * sizeof(dist_t));
-      in += elems * sizeof(dist_t);
+      take(dist2[i],
+           static_cast<std::size_t>(layout.comp_size(i)) * layout.comp_size(i));
     }
   } else {
     for (int i = 0; i < k; ++i) {
@@ -252,7 +336,7 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
       const std::size_t bytes =
           static_cast<std::size_t>(ni) * ni * sizeof(dist_t);
       const int s = comp_pp.acquire(pipe.in_stream());
-      weight_block(gp, off, off, ni, ni, comp_pp.host_ptr(s), ni);
+      weight_block(steps.gp, off, off, ni, ni, comp_pp.host_ptr(s), ni);
       comp_pp.set_ready(s, codec.stage_in(pipe, comp_pp.device_ptr(s),
                                           comp_pp.host_ptr(s), bytes));
       pipe.consume(comp_pp.ready(s));
@@ -264,66 +348,37 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
                       comp_pp.host_ptr(s) + static_cast<std::size_t>(ni) * ni);
       comp_pp.release(s, drained);
     }
-    if (use_ck) save_step(2, nullptr);
+    save_step(2, nullptr);
   }
 
   // ---- Step 3: boundary graph (virtual + cross edges), FW -> dist3 ----
-  std::vector<dist_t> hbound(static_cast<std::size_t>(nb) * nb, kInf);
+  // A resumed run uploads the *solved* boundary matrix from the sidecar in
+  // place of re-running the boundary FW.
+  std::vector<dist_t> hbound;
   if (resume_step >= 3) {
-    // The payload holds the *solved* boundary matrix; upload it in place of
-    // re-running the boundary FW.
-    std::memcpy(hbound.data(),
-                ck_in.payload.data() + dist2_elems * sizeof(dist_t),
-                bound_elems * sizeof(dist_t));
-    dev.memcpy_h2d(compute, bound_buf.data(), hbound.data(),
-                   hbound.size() * sizeof(dist_t));
+    take(hbound, bound_elems);
   } else {
-    for (vidx_t b = 0; b < nb; ++b) {
-      hbound[static_cast<std::size_t>(b) * nb + b] = 0;
-    }
-    for (int i = 0; i < k; ++i) {
-      const vidx_t bi = layout.comp_boundary[i];
-      const vidx_t ni = layout.comp_size(i);
-      const vidx_t go = layout.boundary_offset[i];
-      for (vidx_t r = 0; r < bi; ++r) {
-        for (vidx_t c = 0; c < bi; ++c) {
-          dist_t& cell = hbound[static_cast<std::size_t>(go + r) * nb + go + c];
-          cell = std::min(cell, dist2[i][static_cast<std::size_t>(r) * ni + c]);
-        }
-      }
-    }
-    for (vidx_t u = 0; u < n; ++u) {
-      const int cu = comp_of[u];
-      const auto nbr = gp.neighbors(u);
-      const auto wts = gp.weights(u);
-      for (std::size_t e = 0; e < nbr.size(); ++e) {
-        const int cv = comp_of[nbr[e]];
-        if (cu == cv) continue;
-        const vidx_t gu = global_boundary_index(layout, cu, u);
-        const vidx_t gv = global_boundary_index(layout, cv, nbr[e]);
-        GAPSP_CHECK(gu >= 0 && gv >= 0,
-                    "cross edge between non-boundary nodes");
-        dist_t& cell = hbound[static_cast<std::size_t>(gu) * nb + gv];
-        cell = std::min(cell, wts[e]);
-      }
-    }
-    dev.memcpy_h2d(compute, bound_buf.data(), hbound.data(),
-                   hbound.size() * sizeof(dist_t));
-    dev_blocked_fw(dev, compute, bound_buf.data(), nb, nb, opts.fw_tile);
-    // The functional FW result is already in bound_buf host storage; the
+    hbound = steps.boundary_graph();
+  }
+  dev.memcpy_h2d(compute, buf.bound.data(), hbound.data(),
+                 hbound.size() * sizeof(dist_t));
+  if (resume_step < 3) {
+    dev_blocked_fw(dev, compute, buf.bound.data(), nb, nb, opts.fw_tile);
+    // The functional FW result is already in the buffer's host storage; the
     // sidecar serialization reads it directly (host-side bookkeeping, no
     // extra simulated transfer).
-    if (use_ck) save_step(3, bound_buf.data());
+    save_step(3, buf.bound.data());
   }
 
   // ---- Step 4 prep: upload B2C of every component (first b_j rows of
   // dist2[j], contiguous because boundary vertices come first) ----
   for (int j = 0; j < k; ++j) {
     const vidx_t bj = layout.comp_boundary[j];
-    const vidx_t nj = layout.comp_size(j);
     if (bj == 0) continue;
-    dev.memcpy_h2d(compute, b2c_buf.data() + b2c_off[j], dist2[j].data(),
-                   static_cast<std::size_t>(bj) * nj * sizeof(dist_t));
+    dev.memcpy_h2d(compute, buf.b2c.data() + plan.b2c.offset[j],
+                   dist2[j].data(),
+                   static_cast<std::size_t>(bj) * layout.comp_size(j) *
+                       sizeof(dist_t));
   }
 
   // ---- Step 4: A(i,j) = min(direct, C2B[i] ⊗ bound(i,j) ⊗ B2C[j]) ----
@@ -354,24 +409,7 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
     const vidx_t off = layout.comp_offset[i];
     const vidx_t ni = layout.comp_size(i);
     const vidx_t bi = layout.comp_boundary[i];
-
-    // Upload C2B[i]: columns 0..b_i of dist2[i], packed on the host.
-    if (bi > 0) {
-      for (vidx_t r = 0; r < ni; ++r) {
-        std::copy_n(dist2[i].data() + static_cast<std::size_t>(r) * ni, bi,
-                    hbuf.data() + static_cast<std::size_t>(r) * bi);
-      }
-      dev.memcpy_h2d(compute, c2b_buf.data(), hbuf.data(),
-                     static_cast<std::size_t>(ni) * bi * sizeof(dist_t));
-      // tmp = C2B[i] ⊗ bound(i, :)  (b_i × NB view of dist3), one launch.
-      dev_fill_inf(dev, compute, "fill_tmp", tmp_buf.data(),
-                   static_cast<std::size_t>(ni) * nb,
-                   std::max(1, static_cast<int>(ni * nb / 4096)));
-      dev_minplus(dev, compute, tmp_buf.data(), nb, c2b_buf.data(), bi,
-                  bound_buf.data() + static_cast<std::size_t>(
-                                         layout.boundary_offset[i]) * nb,
-                  nb, ni, bi, nb, opts.fw_tile);
-    }
+    steps.c2b_times_bound(dev, compute, buf, i);
 
     if (batching) {
       if (staged_rows + ni > plan.staging_rows) flush_staging();
@@ -380,56 +418,9 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
         staged_row0 = off;
         active = staging->acquire(compute);
       }
-      dist_t* row_base = staging->device_ptr(active) +
-                         static_cast<std::size_t>(staged_rows) * n;
-      // Initialize the block-row: kInf everywhere, dist2 on the diagonal.
-      dev_fill_inf(dev, compute, "init_block_row", row_base,
-                   static_cast<std::size_t>(ni) * n,
-                   std::max(1, static_cast<int>(ni * (n / 4096))));
-      for (vidx_t r = 0; r < ni; ++r) {
-        std::copy_n(dist2[i].data() + static_cast<std::size_t>(r) * ni, ni,
-                    row_base + static_cast<std::size_t>(r) * n + off);
-      }
-      // Charge the dist2 upload as one h2d transfer (the scatter above is
-      // the functional side of it).
-      dev.memcpy_h2d(compute, hbuf.data(), dist2[i].data(),
-                     static_cast<std::size_t>(ni) * ni * sizeof(dist_t));
-      // One launch computes the whole block-row: for every j,
-      // A(i,j) = min(A(i,j), tmp(:, bnd_j) ⊗ B2C[j]).
-      if (bi > 0) {
-        // Grid over destination components: block j owns the disjoint
-        // column range [comp_offset[j], comp_offset[j]+n_j) of the block-row
-        // and only reads tmp / B2C, so parallel execution is race-free and
-        // bit-identical to serial.
-        dev.launch_grid(
-            compute, "block_row_minplus", k,
-            [&](int j) {
-              const vidx_t bj = layout.comp_boundary[j];
-              const vidx_t nj = layout.comp_size(j);
-              if (bj == 0) return;
-              minplus_accum(row_base + layout.comp_offset[j], n,
-                            tmp_buf.data() + layout.boundary_offset[j], nb,
-                            b2c_buf.data() + b2c_off[j], nj, ni, bj, nj);
-            },
-            [&] {
-              double ops = 0.0, bytes = 0.0;
-              int blocks = 0;
-              for (int j = 0; j < k; ++j) {
-                const vidx_t bj = layout.comp_boundary[j];
-                const vidx_t nj = layout.comp_size(j);
-                if (bj == 0) continue;
-                ops += minplus_ops(ni, bj, nj);
-                bytes += minplus_bytes(ni, bj, nj, opts.fw_tile);
-                blocks += ((ni + opts.fw_tile - 1) / opts.fw_tile) *
-                          ((nj + opts.fw_tile - 1) / opts.fw_tile);
-              }
-              sim::KernelProfile p;
-              p.ops = ops;
-              p.bytes = bytes;
-              p.blocks = std::max(1, blocks);
-              return p;
-            });
-      }
+      steps.block_row(dev, compute, buf, i,
+                      staging->device_ptr(active) +
+                          static_cast<std::size_t>(staged_rows) * n);
       staged_rows += ni;
     } else {
       // Naive mode (Fig. 8 baseline): one tile at a time, one synchronous
@@ -456,29 +447,29 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
             });
         if (bi > 0 && bj > 0) {
           dev_minplus(dev, compute, out_buf.data(), nj,
-                      tmp_buf.data() + layout.boundary_offset[j], nb,
-                      b2c_buf.data() + b2c_off[j], nj, ni, bj, nj,
+                      buf.tmp.data() + layout.boundary_offset[j], nb,
+                      buf.b2c.data() + plan.b2c.offset[j], nj, ni, bj, nj,
                       opts.fw_tile);
         }
-        dev.memcpy_d2h(compute, hbuf.data(), out_buf.data(),
+        dev.memcpy_d2h(compute, steps.hbuf.data(), out_buf.data(),
                        static_cast<std::size_t>(ni) * nj * sizeof(dist_t),
                        /*async=*/false, /*pinned=*/false);
-        store.write_block(off, layout.comp_offset[j], ni, nj, hbuf.data(),
-                          static_cast<std::size_t>(nj));
+        store.write_block(off, layout.comp_offset[j], ni, nj,
+                          steps.hbuf.data(), static_cast<std::size_t>(nj));
       }
     }
   }
   if (batching) flush_staging();
   pipe.drain();
   dev.synchronize();
-  if (use_ck) remove_checkpoint(opts.checkpoint_path);
+  ck.finish();
 
   ApspResult result;
   result.used = Algorithm::kBoundary;
   result.metrics = metrics_from_device(dev, wall.seconds());
   result.metrics.boundary_k = k;
   result.metrics.boundary_nodes = nb;
-  result.metrics.checkpoints_written = ck_written;
+  result.metrics.checkpoints_written = ck.written();
   result.metrics.resumed_progress = resume_step;
   result.perm = layout.perm;
   return result;

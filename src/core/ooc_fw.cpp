@@ -49,23 +49,8 @@ ApspResult ooc_floyd_warshall(const graph::CsrGraph& g,
   // holds every block round k wrote back by the time round k ends), so the
   // sidecar only records how many k-rounds completed under this exact
   // blocking of this exact graph.
-  const bool use_ck = !opts.checkpoint_path.empty();
-  std::uint64_t fp = 0;
-  vidx_t start_k = 0;
-  long long ck_written = 0;
-  if (use_ck) {
-    fp = graph_fingerprint(g);
-    const std::int64_t shape[3] = {n, b, nd};
-    fp = util::fnv1a(shape, sizeof(shape), fp);
-    Checkpoint ck;
-    if (opts.resume && read_checkpoint(opts.checkpoint_path, &ck) &&
-        ck.algorithm ==
-            static_cast<std::uint32_t>(Algorithm::kBlockedFloydWarshall) &&
-        ck.fingerprint == fp && ck.n == n && ck.aux0 == b && ck.aux1 == nd) {
-      start_k = static_cast<vidx_t>(
-          std::clamp<std::int64_t>(ck.progress, 0, nd));
-    }
-  }
+  CheckpointRun ck(opts, Algorithm::kBlockedFloydWarshall, g, b, nd);
+  const auto start_k = static_cast<vidx_t>(ck.resumed(nd));
   // A resumed run continues on the partially-relaxed matrix already in the
   // store; re-initializing would discard the completed rounds.
   if (start_k == 0) init_weight_matrix(g, store);
@@ -160,28 +145,17 @@ ApspResult ooc_floyd_warshall(const graph::CsrGraph& g,
     }
     // Every store.write_block of round k has executed (the functional copy
     // happens at issue time), so progress = k+1 is durable.
-    if (use_ck) {
-      Checkpoint ck;
-      ck.algorithm =
-          static_cast<std::uint32_t>(Algorithm::kBlockedFloydWarshall);
-      ck.fingerprint = fp;
-      ck.n = n;
-      ck.progress = k + 1;
-      ck.aux0 = b;
-      ck.aux1 = nd;
-      write_checkpoint(opts.checkpoint_path, ck);
-      ++ck_written;
-    }
+    ck.save(k + 1);
   }
   pipe.drain();
   dev.synchronize();
-  if (use_ck) remove_checkpoint(opts.checkpoint_path);
+  ck.finish();
 
   ApspResult result;
   result.used = Algorithm::kBlockedFloydWarshall;
   result.metrics = metrics_from_device(dev, wall.seconds());
   result.metrics.fw_num_blocks = static_cast<int>(nd);
-  result.metrics.checkpoints_written = ck_written;
+  result.metrics.checkpoints_written = ck.written();
   result.metrics.resumed_progress = start_k;
   return result;
 }

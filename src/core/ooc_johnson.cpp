@@ -246,47 +246,21 @@ ApspResult ooc_johnson(const graph::CsrGraph& g, const ApspOptions& opts,
 
   // Per-batch checkpointing: each batch fully overwrites its block of rows
   // in the store, so completed-batch count is the whole recovery state.
-  const bool use_ck = !opts.checkpoint_path.empty();
-  std::uint64_t fp = 0;
-  int start_bi = 0;
-  long long ck_written = 0;
-  if (use_ck) {
-    fp = graph_fingerprint(g);
-    const std::int64_t shape[3] = {g.num_vertices(), runner.bat(),
-                                   runner.num_batches()};
-    fp = util::fnv1a(shape, sizeof(shape), fp);
-    Checkpoint ck;
-    if (opts.resume && read_checkpoint(opts.checkpoint_path, &ck) &&
-        ck.algorithm == static_cast<std::uint32_t>(Algorithm::kJohnson) &&
-        ck.fingerprint == fp && ck.n == g.num_vertices() &&
-        ck.aux0 == runner.bat() && ck.aux1 == runner.num_batches()) {
-      start_bi = static_cast<int>(
-          std::clamp<std::int64_t>(ck.progress, 0, runner.num_batches()));
-    }
-  }
-
+  CheckpointRun ck(opts, Algorithm::kJohnson, g, runner.bat(),
+                   runner.num_batches());
+  const int start_bi = static_cast<int>(ck.resumed(runner.num_batches()));
   for (int bi = start_bi; bi < runner.num_batches(); ++bi) {
     runner.run_batch(bi, &store);
-    if (use_ck) {
-      Checkpoint ck;
-      ck.algorithm = static_cast<std::uint32_t>(Algorithm::kJohnson);
-      ck.fingerprint = fp;
-      ck.n = g.num_vertices();
-      ck.progress = bi + 1;
-      ck.aux0 = runner.bat();
-      ck.aux1 = runner.num_batches();
-      write_checkpoint(opts.checkpoint_path, ck);
-      ++ck_written;
-    }
+    ck.save(bi + 1);
   }
   runner.finish();
-  if (use_ck) remove_checkpoint(opts.checkpoint_path);
+  ck.finish();
   ApspResult result;
   result.used = Algorithm::kJohnson;
   result.metrics = metrics_from_device(runner.device(), wall.seconds());
   result.metrics.johnson_batch_size = runner.bat();
   result.metrics.johnson_num_batches = runner.num_batches();
-  result.metrics.checkpoints_written = ck_written;
+  result.metrics.checkpoints_written = ck.written();
   result.metrics.resumed_progress = start_bi;
   return result;
 }

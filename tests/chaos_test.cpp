@@ -17,6 +17,7 @@
 #include "core/apsp.h"
 #include "core/checkpoint.h"
 #include "core/multi_device.h"
+#include "core/ooc_fw.h"
 #include "graph/generators.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -425,6 +426,84 @@ TEST(ChaosResume, CrossProcessResumeViaDurableFileStore) {
   EXPECT_TRUE(resumed_past_round)
       << "no kill in the sweep left a usable checkpoint";
   std::remove(dist.c_str());
+}
+
+/// Interrupts `algo` until its sidecar records at least `min_progress`
+/// units, replaces the sidecar with one keyed by the fingerprint formula
+/// that sidecars have always carried — fnv1a over the int64 shape
+/// {n, aux0, aux1, extra...} seeded with graph_fingerprint — and expects
+/// the run to resume past exactly that progress, bit-identical.
+void expect_formula_sidecar_resumes(Algorithm algo, const graph::CsrGraph& g,
+                                    std::size_t mem, long long min_progress,
+                                    const char* tag) {
+  const std::string path = ck_path(tag);
+  const ApspOptions clean = chaos_opts(algo, mem);
+  auto s_ref = make_ram_store(g.num_vertices());
+  const ApspResult ref = solve_apsp(g, clean, *s_ref);
+  const ApspMetrics& m = ref.metrics;
+  std::vector<std::int64_t> shape = {g.num_vertices()};
+  if (algo == Algorithm::kBlockedFloydWarshall) {
+    shape.insert(shape.end(),
+                 {fw_block_size(clean.device, g.num_vertices(),
+                                fw_resident_blocks(clean.overlap_transfers)),
+                  m.fw_num_blocks});
+  } else if (algo == Algorithm::kJohnson) {
+    shape.insert(shape.end(), {m.johnson_batch_size, m.johnson_num_batches});
+  } else {
+    shape.insert(shape.end(),
+                 {m.boundary_k, m.boundary_nodes,
+                  plan_boundary(g, clean).max_comp,
+                  static_cast<std::int64_t>(clean.seed)});
+  }
+  for (long long kill = 1;; ++kill) {
+    sim::FaultPlan plan;
+    plan.kill_device = 0;
+    plan.kill_at_op = kill;
+    ApspOptions faulty = clean;
+    faulty.faults = &plan;
+    faulty.checkpoint_path = path;
+    auto store = make_ram_store(g.num_vertices());
+    try {
+      solve_apsp(g, faulty, *store);
+      FAIL() << "no interruption left a sidecar past " << min_progress;
+    } catch (const sim::FaultError&) {
+    }
+    Checkpoint real;
+    if (!read_checkpoint(path, &real) || real.progress < min_progress) continue;
+    Checkpoint formula;
+    formula.algorithm = static_cast<std::uint32_t>(algo);
+    formula.fingerprint =
+        util::fnv1a(shape.data(), shape.size() * sizeof(std::int64_t),
+                    graph_fingerprint(g));
+    formula.n = g.num_vertices();
+    formula.progress = real.progress;
+    formula.aux0 = shape[1];
+    formula.aux1 = shape[2];
+    formula.payload = real.payload;
+    EXPECT_EQ(real.fingerprint, formula.fingerprint);
+    write_checkpoint(path, formula);
+    ApspOptions rec = clean;
+    rec.checkpoint_path = path;
+    rec.resume = true;
+    const ApspResult resumed = solve_apsp(g, rec, *store);
+    EXPECT_EQ(resumed.metrics.resumed_progress, formula.progress);
+    expect_bit_identical(*s_ref, ref, *store, resumed);
+    EXPECT_FALSE(file_exists(path));
+    return;
+  }
+}
+
+TEST(ChaosResume, SidecarsOfTheFingerprintFormulaResume) {
+  expect_formula_sidecar_resumes(Algorithm::kBlockedFloydWarshall,
+                                 graph::make_erdos_renyi(90, 400, 515),
+                                 64u << 10, 1, "formula_fw");
+  expect_formula_sidecar_resumes(Algorithm::kJohnson,
+                                 graph::make_erdos_renyi(120, 500, 516),
+                                 256u << 10, 1, "formula_johnson");
+  // Step 3's sidecar carries dist2 and the solved boundary matrix.
+  expect_formula_sidecar_resumes(Algorithm::kBoundary,
+                                 graph::make_road(10, 10, 517), 2u << 20, 3,
+                                 "formula_boundary");
 }
 
 TEST(ChaosResume, MismatchedCheckpointStartsFresh) {

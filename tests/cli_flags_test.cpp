@@ -255,6 +255,33 @@ TEST_F(CliFlags, OutOfRangeValuesAreTypedErrors) {
             0);
 }
 
+TEST_F(CliFlags, MultiGpuFlagsItCannotHonourExitOne) {
+  // Regression: --devices N > 1 always runs batched boundary without
+  // checkpoints on one trace lane per stream, and silently ignored every
+  // flag that asks for something else.
+  const std::string store = ::testing::TempDir() + "gapsp_cli_multi.bin";
+  const std::string ck = ::testing::TempDir() + "gapsp_cli_multi.ck";
+  const std::string trace = ::testing::TempDir() + "gapsp_cli_multi.json";
+  const std::string multi = "--generate road:8x8 --devices 2 ";
+  const std::string file = "--store file --store-path " + store + " ";
+  expect_typed_error(cli, multi + "--algorithm fw --no-batching",
+                     "--algorithm");
+  expect_typed_error(cli, multi + "--algorithm johnson", "--algorithm");
+  expect_typed_error(cli, multi + "--no-batching", "--no-batching");
+  expect_typed_error(cli, multi + file + "--checkpoint " + ck + " --resume",
+                     "--checkpoint");
+  expect_typed_error(cli, multi + "--per-component", "--per-component");
+  expect_typed_error(cli, multi + "--trace " + trace, "--trace");
+  EXPECT_FALSE(std::ifstream(ck).good());
+  EXPECT_FALSE(std::ifstream(trace).good());
+  // The boundary algorithm, picked or named, still runs on N devices.
+  EXPECT_EQ(run_cli(cli, multi + "--algorithm auto"), 0);
+  EXPECT_EQ(run_cli(cli, multi + "--algorithm boundary --no-overlap"), 0);
+  for (const std::string& f : {store, ck, trace, store + ".cal"}) {
+    std::remove(f.c_str());
+  }
+}
+
 TEST(CliResume, AutoResumesTheCheckpointOfAKilledFwRun) {
   // Regression: under the default --algorithm auto the selector's FW
   // calibration probe ran with the caller's --checkpoint path, rewrote the

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "core/component_solver.h"
+#include "core/transfer_codec.h"
 #include "graph/generators.h"
 #include "test_util.h"
 
@@ -127,6 +128,25 @@ TEST(ComponentSolver, DirectedIslandsUseWeakComponents) {
   // Directedness survives the decomposition: B flows only downwards.
   EXPECT_EQ(store->at(r.result.stored_id(119), r.result.stored_id(51)), 136);
   EXPECT_EQ(store->at(r.result.stored_id(51), r.result.stored_id(119)), kInf);
+}
+
+TEST(ComponentSolver, MetricsCarryEveryAdditiveCounter) {
+  // Regression: the per-group sum kept 10 counters by hand and dropped the
+  // overlap split, the codec's wire bytes and its decodes.
+  const auto g = graph::make_erdos_renyi(300, 260, 704, /*connect=*/false);
+  auto o = opts();
+  o.transfer_compression = TransferCompression::kOn;
+  auto store = make_ram_store(g.num_vertices());
+  const auto r = solve_apsp_per_component(g, o, *store, sel());
+  ASSERT_GT(r.num_groups, 1);
+  const ApspMetrics& m = r.result.metrics;
+  EXPECT_GT(m.transfer_seconds, 0.0);
+  EXPECT_NEAR(m.hidden_transfer_seconds + m.exposed_transfer_seconds,
+              m.transfer_seconds, m.transfer_seconds * 1e-9);
+  EXPECT_GT(m.bytes_d2h_wire, 0u);
+  EXPECT_GT(m.bytes_d2h_raw, m.bytes_d2h_wire);
+  EXPECT_GT(m.decodes, 0);
+  test::expect_store_matches_reference(g, *store, r.result);
 }
 
 }  // namespace

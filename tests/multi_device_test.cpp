@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <iomanip>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/multi_device.h"
 #include "graph/generators.h"
+#include "sim/fault.h"
+#include "sim/trace.h"
 #include "test_util.h"
 
 namespace gapsp::core {
@@ -107,6 +114,124 @@ TEST(MultiDevice, AggregatedMetricsSumAcrossDevices) {
   EXPECT_EQ(two.result.metrics.boundary_k, two.result.metrics.boundary_k);
   EXPECT_LE(two.result.metrics.device_peak_bytes,
             opts().device.memory_bytes);
+}
+
+std::string hex(std::uint64_t v) {
+  std::ostringstream os;
+  os << "0x" << std::hex << std::setw(16) << std::setfill('0') << v;
+  return os.str();
+}
+
+std::string hex(double v) { return hex(std::bit_cast<std::uint64_t>(v)); }
+
+/// FNV-1a over a run's recorded timeline (per event: name, kind, stream,
+/// the bit patterns of start and end, ops, bytes and child kernels), then
+/// over every stored row in stored order.
+std::string run_digest(const sim::TraceRecorder& trace,
+                       const DistStore& store) {
+  std::uint64_t h = util::fnv1a("gapsp", 5);
+  auto fold = [&h](const auto& v) { h = util::fnv1a(&v, sizeof(v), h); };
+  for (const sim::TraceEvent& e : trace.events()) {
+    h = util::fnv1a(e.name.data(), e.name.size(), h);
+    fold(static_cast<int>(e.kind));
+    fold(e.stream);
+    fold(std::bit_cast<std::uint64_t>(e.start_s));
+    fold(std::bit_cast<std::uint64_t>(e.end_s));
+    fold(std::bit_cast<std::uint64_t>(e.ops));
+    fold(std::bit_cast<std::uint64_t>(e.bytes));
+    fold(e.child_kernels);
+  }
+  const vidx_t n = store.n();
+  std::vector<dist_t> row(static_cast<std::size_t>(n));
+  for (vidx_t r = 0; r < n; ++r) {
+    store.read_block(r, 0, 1, n, row.data(), row.size());
+    h = util::fnv1a(row.data(), row.size() * sizeof(dist_t), h);
+  }
+  return hex(h) + " (" + std::to_string(trace.events().size()) + " events)";
+}
+
+// Bit-identity gate for the two boundary drivers, which share Algorithm 3's
+// step code: every traced event and every stored distance of fixed runs,
+// plus the multi-GPU driver's per-device finish times, barriers and
+// failover accounting, pinned in hex.
+TEST(BoundaryDrivers, TimelinesAndStoresArePinned) {
+  const auto g = graph::make_road(20, 19, 403);
+  struct SingleRun {
+    bool overlap;
+    bool batch;
+    const char* expected;
+  };
+  for (const SingleRun& c : {
+           SingleRun{true, true,
+                     "0x4f27dacd45a65487 (109 events)"},
+           SingleRun{false, true,
+                     "0xde29e3a0e14509d4 (109 events)"},
+           SingleRun{true, false,
+                     "0x9b4847453d0806cb (167 events)"},
+           SingleRun{false, false,
+                     "0x110b8b1104591bd5 (167 events)"},
+       }) {
+    sim::TraceRecorder trace;
+    auto o = opts();
+    o.overlap_transfers = c.overlap;
+    o.batch_transfers = c.batch;
+    o.trace = &trace;
+    auto store = make_ram_store(g.num_vertices());
+    ooc_boundary(g, o, *store);
+    EXPECT_EQ(run_digest(trace, *store), c.expected)
+        << "overlap " << c.overlap << ", batching " << c.batch;
+  }
+
+  struct MultiRun {
+    int devices;
+    long long kill_at_op;  ///< device 1 dies at this op; 0 = no fault
+    const char* expected;
+  };
+  for (const MultiRun& c : {
+           MultiRun{1, 0,
+                    "0xdec09189cda13e90 (117 events) devices "
+                    "0x3f5037550c1fd871 barriers "
+                    "0x3f3f08f2e71ae0fa 0x3f42db7e4e5e317c failover "
+                    "0 0x0000000000000000"},
+           MultiRun{2, 0,
+                    "0xecfd6b292424b1df (135 events) devices "
+                    "0x3f436936d77af65f 0x3f45b188a19d8f3d barriers "
+                    "0x3f31ceeb5a4ce035 0x3f387cf50fee622d failover "
+                    "0 0x0000000000000000"},
+           MultiRun{3, 0,
+                    "0xf20d3b6850c60056 (149 events) devices "
+                    "0x3f40afac4a9e978c 0x3f3d57957137c29a 0x3f41564f3c65ef0f "
+                    "barriers "
+                    "0x3f2a3ad26ff64a69 0x3f33cb72ed9ca72d failover "
+                    "0 0x0000000000000000"},
+           // Device 1 dies in step 4: its component re-runs on a survivor.
+           MultiRun{3, 22,
+                    "0xf59d7a950f273475 (144 events) devices "
+                    "0x3f4312fe8d462150 0x3f369224eb19ef2e 0x3f41564f3c65ef0f "
+                    "barriers "
+                    "0x3f2a3ad26ff64a69 0x3f33cb72ed9ca72d failover "
+                    "1 0x3f1185e91ddcf8b4"},
+       }) {
+    sim::TraceRecorder trace;
+    sim::FaultPlan plan;
+    auto o = opts();
+    o.trace = &trace;
+    if (c.kill_at_op > 0) {
+      plan.kill_device = 1;
+      plan.kill_at_op = c.kill_at_op;
+      o.faults = &plan;
+    }
+    auto store = make_ram_store(g.num_vertices());
+    const auto r = ooc_boundary_multi(g, o, c.devices, *store);
+    std::ostringstream got;
+    got << run_digest(trace, *store) << " devices";
+    for (double t : r.multi.device_seconds) got << " " << hex(t);
+    got << " barriers " << hex(r.multi.barrier2_s) << " "
+        << hex(r.multi.barrier3_s) << " failover "
+        << r.multi.failover_components << " " << hex(r.multi.failover_cost_s);
+    EXPECT_EQ(got.str(), c.expected)
+        << c.devices << " devices, kill at " << c.kill_at_op;
+  }
 }
 
 }  // namespace

@@ -1041,6 +1041,22 @@ int run_solve(const Args& args) {
   sel.sparse_percent = kSparseThreshold(args);
   sel.dense_percent = kDenseThreshold(args);
 
+  // The multi-GPU driver runs batched boundary without checkpoints, and its
+  // devices would share the trace's per-stream lanes: a flag asking for
+  // anything else is a contradiction, not a silent no-op.
+  const int devices = static_cast<int>(kDevices(args));
+  const std::string multi_gpu = kDevices.flag() + " > 1 runs batched boundary";
+  GAPSP_CHECK(devices == 1 || opts.algorithm == core::Algorithm::kAuto ||
+                  opts.algorithm == core::Algorithm::kBoundary,
+              multi_gpu + "; it contradicts " + kAlgorithm.flag() + " " +
+                  kAlgorithm.label(opts.algorithm));
+  for (const Flag* single : {&kNoBatching, &kCheckpoint, &kResume,
+                             &kPerComponent, &kTrace}) {
+    GAPSP_CHECK(devices == 1 || !single->has(args),
+                multi_gpu + " with no checkpoints, per-component split or "
+                "per-device trace lanes; it contradicts " + single->flag());
+  }
+
   // A checkpoint sidecar only records *progress*; the completed rounds live
   // in the distance store. Across processes that store must be durable — a
   // RAM store dies with the killed run, and resuming against a fresh one
@@ -1069,7 +1085,6 @@ int run_solve(const Args& args) {
 
   core::SelectorReport report;
   core::ApspResult r;
-  const int devices = static_cast<int>(kDevices(args));
   if (devices > 1) {
     // Multi-GPU path (boundary algorithm only).
     auto multi = core::ooc_boundary_multi(g, opts, devices, *store);
