@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "core/compressed_store.h"
+#include "core/dist_store.h"
 #include "util/file_io.h"
 
 namespace gapsp::core {
@@ -128,10 +129,10 @@ void remove_checkpoint(const std::string& path) {
 }
 
 CheckpointRun::CheckpointRun(const ApspOptions& opts, Algorithm algorithm,
-                             const graph::CsrGraph& g, std::int64_t aux0,
-                             std::int64_t aux1,
+                             const graph::CsrGraph& g, DistStore& store,
+                             std::int64_t aux0, std::int64_t aux1,
                              std::initializer_list<std::int64_t> extra)
-    : path_(opts.checkpoint_path) {
+    : path_(opts.checkpoint_path), store_(&store) {
   if (!enabled()) return;
   std::vector<std::int64_t> shape = {g.num_vertices(), aux0, aux1};
   shape.insert(shape.end(), extra);
@@ -162,6 +163,7 @@ void CheckpointRun::save(std::int64_t progress,
   Checkpoint ck = key_;
   ck.progress = progress;
   ck.payload = std::move(payload);
+  store_->flush();
   write_checkpoint(path_, ck);
   ++written_;
 }

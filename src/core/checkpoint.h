@@ -20,6 +20,8 @@
 
 namespace gapsp::core {
 
+class DistStore;
+
 struct Checkpoint {
   /// Which algorithm wrote this checkpoint (core::Algorithm).
   std::uint32_t algorithm = 0;
@@ -65,9 +67,10 @@ void remove_checkpoint(const std::string& path);
 class CheckpointRun {
  public:
   /// Under opts.resume, loads the sidecar if it matches on the algorithm,
-  /// fingerprint, n, aux0 and aux1.
+  /// fingerprint, n, aux0 and aux1. `store` is the run's output, flushed
+  /// before every sidecar write.
   CheckpointRun(const ApspOptions& opts, Algorithm algorithm,
-                const graph::CsrGraph& g, std::int64_t aux0,
+                const graph::CsrGraph& g, DistStore& store, std::int64_t aux0,
                 std::int64_t aux1,
                 std::initializer_list<std::int64_t> extra = {});
 
@@ -76,7 +79,8 @@ class CheckpointRun {
   std::int64_t resumed(std::int64_t max_progress) const;
   const std::vector<std::uint8_t>& payload() const { return loaded_.payload; }
 
-  /// Records `progress` completed units (a no-op without a sidecar).
+  /// Records `progress` completed units (a no-op without a sidecar): flushes
+  /// the store, its durability boundary, then writes the sidecar.
   void save(std::int64_t progress, std::vector<std::uint8_t> payload = {});
   /// Removes the sidecar of a finished run.
   void finish() const;
@@ -84,6 +88,7 @@ class CheckpointRun {
 
  private:
   std::string path_;
+  DistStore* store_;
   Checkpoint key_;     ///< algorithm, fingerprint, n, aux0 and aux1
   Checkpoint loaded_;  ///< the matching sidecar, if one was loaded
   bool have_loaded_ = false;

@@ -32,6 +32,8 @@ class WindowStore final : public DistStore {
                        dst_ld);
   }
 
+  void flush() override { parent_.flush(); }
+
  private:
   DistStore& parent_;
   vidx_t offset_;

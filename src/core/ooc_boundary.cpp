@@ -270,7 +270,7 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
                    layout.comp_size(i);
   }
   const std::size_t bound_elems = static_cast<std::size_t>(nb) * nb;
-  CheckpointRun ck(opts, Algorithm::kBoundary, g, k, nb,
+  CheckpointRun ck(opts, Algorithm::kBoundary, g, store, k, nb,
                    {dmax, static_cast<std::int64_t>(opts.seed)});
   int resume_step = 0;  // last completed step restored from the sidecar
   {

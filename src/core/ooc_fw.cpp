@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -45,11 +46,11 @@ ApspResult ooc_floyd_warshall(const graph::CsrGraph& g,
   const vidx_t nd = (n + b - 1) / b;
   auto bdim = [&](vidx_t t) { return std::min<vidx_t>(b, n - t * b); };
 
-  // Round-level checkpointing: the store is the durable state (it already
-  // holds every block round k wrote back by the time round k ends), so the
+  // Round-level checkpointing: the store is the recovery state (it holds
+  // every block round k wrote back by the time round k ends), so the
   // sidecar only records how many k-rounds completed under this exact
   // blocking of this exact graph.
-  CheckpointRun ck(opts, Algorithm::kBlockedFloydWarshall, g, b, nd);
+  CheckpointRun ck(opts, Algorithm::kBlockedFloydWarshall, g, store, b, nd);
   const auto start_k = static_cast<vidx_t>(ck.resumed(nd));
   // A resumed run continues on the partially-relaxed matrix already in the
   // store; re-initializing would discard the completed rounds.
@@ -65,34 +66,69 @@ ApspResult ooc_floyd_warshall(const graph::CsrGraph& g,
   sim::PingPong<dist_t> row(pipe, elems, "A(k,j)");
   sim::PingPong<dist_t> tile(pipe, elems, "A(i,j)");
 
+  // Held frames: the frames a block's last stage-out shipped, kept while
+  // the block is in block row or column k or k+1 (stage 3's panel reads and
+  // the next round's stage 1–2 loads), so loading it again skips the store
+  // read and the encode. An empty entry is not held. At most four block
+  // rows and columns are held: O(n·b) compressed bytes of host memory,
+  // which a real build would copy into the pinned staging area the way a
+  // store read fills the pinned slot; the pinned peak stays one tile's
+  // frames.
+  vidx_t k = start_k;
+  std::vector<SlicedFrames> held(static_cast<std::size_t>(nd) * nd);
+  auto held_frames = [&](vidx_t ti, vidx_t tj) -> SlicedFrames& {
+    return held[static_cast<std::size_t>(ti) * nd + tj];
+  };
+  auto in_band = [&](vidx_t ti, vidx_t tj) {
+    return ti == k || tj == k || ti == k + 1 || tj == k + 1;
+  };
+
   // Prefetch block (ti,tj) into the next slot of `pp`: the H2D lane waits
   // until the slot's previous consumer released it, so in overlap mode the
   // copy runs under whatever kernel the compute stream is executing.
   auto load = [&](sim::PingPong<dist_t>& pp, vidx_t ti, vidx_t tj) {
     const int s = pp.acquire(pipe.in_stream());
     const vidx_t rows = bdim(ti), cols = bdim(tj);
+    const std::size_t bytes =
+        static_cast<std::size_t>(rows) * cols * sizeof(dist_t);
+    const SlicedFrames& frames = held_frames(ti, tj);
+    if (!frames.frames.empty()) {
+      pp.set_ready(s, codec.stage_in(pipe, pp.device_ptr(s), frames, bytes));
+      return s;
+    }
     store.read_block(ti * b, tj * b, rows, cols, pp.host_ptr(s), cols);
-    pp.set_ready(s, codec.stage_in(pipe, pp.device_ptr(s), pp.host_ptr(s),
-                                   static_cast<std::size_t>(rows) * cols *
-                                       sizeof(dist_t)));
+    pp.set_ready(s,
+                 codec.stage_in(pipe, pp.device_ptr(s), pp.host_ptr(s), bytes));
     return s;
   };
   // Drain slot `s` of `pp` to the store on the D2H lane, after everything
   // issued on compute so far, then free the slot for the next prefetch.
+  // The block's held frames go stale with it, and are held again only once
+  // the new ones are shipped and stored.
   auto save = [&](sim::PingPong<dist_t>& pp, int s, vidx_t ti, vidx_t tj) {
     const vidx_t rows = bdim(ti), cols = bdim(tj);
+    SlicedFrames& frames = held_frames(ti, tj);
+    frames = {};
+    SlicedFrames shipped;
     const sim::Event drained = codec.stage_out(
         pipe, pp.host_ptr(s), pp.device_ptr(s),
         static_cast<std::size_t>(rows) * cols * sizeof(dist_t),
-        pipe.computed());
+        pipe.computed(), in_band(ti, tj) ? &shipped : nullptr);
     store.write_block(ti * b, tj * b, rows, cols, pp.host_ptr(s), cols);
+    frames = std::move(shipped);
     pp.release(s, drained);
   };
 
   const sim::StreamId compute = pipe.compute_stream();
 
-  for (vidx_t k = start_k; k < nd; ++k) {
+  for (; k < nd; ++k) {
     const vidx_t dk = bdim(k);
+    // Blocks that left row and column k and k+1 drop their frames.
+    for (vidx_t ti = 0; ti < nd; ++ti) {
+      for (vidx_t tj = 0; tj < nd; ++tj) {
+        if (!in_band(ti, tj)) held_frames(ti, tj) = {};
+      }
+    }
     // --- Stage 1: close the diagonal block with an in-core blocked FW ---
     // col doubles as the diagonal block A(k,k) through stages 1 and 2.
     const int diag = load(col, k, k);
@@ -144,7 +180,8 @@ ApspResult ooc_floyd_warshall(const graph::CsrGraph& g,
       col.release(ci, pipe.computed());
     }
     // Every store.write_block of round k has executed (the functional copy
-    // happens at issue time), so progress = k+1 is durable.
+    // happens at issue time); ck.save flushes the store, the durability
+    // boundary, before the sidecar claims progress = k+1.
     ck.save(k + 1);
   }
   pipe.drain();

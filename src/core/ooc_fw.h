@@ -12,6 +12,14 @@
 // H2D stream and finished tiles drain on a D2H stream while the current
 // min-plus kernel runs, at the price of two extra resident blocks (the
 // ping-pong halves of the row and tile buffers).
+//
+// Under the compressed transfer path, round k keeps the z1 frames the
+// stage-outs of blocks in block row and column k and k+1 shipped, and
+// stages those blocks back in from them, not from the store (stage 3's
+// panel reads and the next round's stage 1–2 loads): at most four block
+// rows and columns of compressed host memory, O(n·b). The wire charge,
+// decode and modeled timeline are exactly those of reading and encoding
+// the block again (DESIGN.md §14).
 #pragma once
 
 #include "core/apsp_common.h"

@@ -246,7 +246,7 @@ ApspResult ooc_johnson(const graph::CsrGraph& g, const ApspOptions& opts,
 
   // Per-batch checkpointing: each batch fully overwrites its block of rows
   // in the store, so completed-batch count is the whole recovery state.
-  CheckpointRun ck(opts, Algorithm::kJohnson, g, runner.bat(),
+  CheckpointRun ck(opts, Algorithm::kJohnson, g, store, runner.bat(),
                    runner.num_batches());
   const int start_bi = static_cast<int>(ck.resumed(runner.num_batches()));
   for (int bi = start_bi; bi < runner.num_batches(); ++bi) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <functional>
+#include <utility>
 
 #include "core/z1_codec.h"
 #include "util/common.h"
@@ -158,8 +159,9 @@ bool TransferCodec::encode_wins(const void* src, std::size_t bytes) {
   return wins;
 }
 
-void TransferCodec::decode_into(void* dst, std::size_t bytes) const {
-  decode_slices(wire_, dst, bytes, dev_->kernel_threads());
+void TransferCodec::decode_into(const SlicedFrames& frames, void* dst,
+                                std::size_t bytes) const {
+  decode_slices(frames, dst, bytes, dev_->kernel_threads());
 }
 
 sim::Event TransferCodec::stage_in(sim::StreamPipeline& pipe, void* dst,
@@ -168,23 +170,32 @@ sim::Event TransferCodec::stage_in(sim::StreamPipeline& pipe, void* dst,
     if (enabled()) dev_->note_z1_fallback(/*to_device=*/true, bytes);
     return pipe.stage_in(dst, src, bytes);
   }
+  return stage_in(pipe, dst, wire_, bytes);
+}
+
+sim::Event TransferCodec::stage_in(sim::StreamPipeline& pipe, void* dst,
+                                   const SlicedFrames& held,
+                                   std::size_t bytes) {
   // The frames are the real carrier: the device buffer is produced by
   // decoding them, so a codec defect surfaces as wrong distances, not
   // silent drift.
-  return pipe.stage_in_z1(wire_.wire_bytes, bytes,
-                          [this, dst, bytes] { decode_into(dst, bytes); });
+  return pipe.stage_in_z1(
+      held.wire_bytes, bytes,
+      [this, &held, dst, bytes] { decode_into(held, dst, bytes); });
 }
 
 sim::Event TransferCodec::stage_out(sim::StreamPipeline& pipe, void* dst,
                                     const void* src, std::size_t bytes,
-                                    sim::Event after) {
+                                    sim::Event after, SlicedFrames* shipped) {
   if (!encode_wins(src, bytes)) {
     if (enabled()) dev_->note_z1_fallback(/*to_device=*/false, bytes);
     return pipe.stage_out(dst, src, bytes, after);
   }
-  return pipe.stage_out_z1(
-      wire_.wire_bytes, bytes, [this, dst, bytes] { decode_into(dst, bytes); },
-      after);
+  const sim::Event drained = pipe.stage_out_z1(
+      wire_.wire_bytes, bytes,
+      [this, dst, bytes] { decode_into(wire_, dst, bytes); }, after);
+  if (shipped != nullptr) std::swap(*shipped, wire_);
+  return drained;
 }
 
 void TransferCodec::h2d(sim::StreamId s, void* dst, const void* src,
@@ -195,7 +206,7 @@ void TransferCodec::h2d(sim::StreamId s, void* dst, const void* src,
     return;
   }
   dev_->copy_z1(s, /*to_device=*/true, wire_.wire_bytes, bytes,
-                [this, dst, bytes] { decode_into(dst, bytes); });
+                [this, dst, bytes] { decode_into(wire_, dst, bytes); });
 }
 
 void TransferCodec::d2h(sim::StreamId s, void* dst, const void* src,
@@ -206,7 +217,7 @@ void TransferCodec::d2h(sim::StreamId s, void* dst, const void* src,
     return;
   }
   dev_->copy_z1(s, /*to_device=*/false, wire_.wire_bytes, bytes,
-                [this, dst, bytes] { decode_into(dst, bytes); });
+                [this, dst, bytes] { decode_into(wire_, dst, bytes); });
 }
 
 }  // namespace gapsp::core

@@ -37,6 +37,14 @@
 // both sides of the per-lane raw/wire byte split in DeviceMetrics, so the
 // reported wire ratio is end-to-end honest.
 //
+// Held frames: the encoder is a pure function of its input, so a tile
+// staged back in unchanged encodes into the frames its last stage-out
+// shipped. stage_out can hand those frames to the caller, and stage_in can
+// take them instead of the bytes: the same stage_in_z1 charge and the same
+// per-slice decode and checksums, without the read-back and the encode.
+// The blocked FW driver keeps them for the blocks of block row and column
+// k and k+1 (ooc_fw.h).
+//
 // Failure semantics: the frames are the real carrier (the device buffer is
 // produced by actually decoding them), and Device::copy_z1 runs its fault
 // gates before materializing — a mid-decode fault retries the whole tile
@@ -117,11 +125,23 @@ class TransferCodec {
   sim::Event stage_in(sim::StreamPipeline& pipe, void* dst, const void* src,
                       std::size_t bytes);
 
+  /// Stage `bytes` into device `dst` from `held`, frames an earlier
+  /// stage_out shipped for those same bytes. The encoder is a pure function
+  /// of its input, so this charges and decodes exactly what stage_in of the
+  /// bytes would (the same wire size, per-slice decode and checksums)
+  /// without reading or encoding them. A corrupt frame throws CorruptError.
+  sim::Event stage_in(sim::StreamPipeline& pipe, void* dst,
+                      const SlicedFrames& held, std::size_t bytes);
+
   /// Stage `bytes` of device `src` into pinned host `dst` through `pipe`'s
   /// D2H lane (encode-on-device when the frames win), ordered after `after`.
-  /// Drop-in replacement for StreamPipeline::stage_out.
+  /// Drop-in replacement for StreamPipeline::stage_out. When `shipped` is
+  /// given and the tile rode the compressed path, the frames it shipped are
+  /// swapped into *shipped (its old contents become the codec's next wire
+  /// buffer); a tile that went raw leaves *shipped as it was.
   sim::Event stage_out(sim::StreamPipeline& pipe, void* dst, const void* src,
-                       std::size_t bytes, sim::Event after);
+                       std::size_t bytes, sim::Event after,
+                       SlicedFrames* shipped = nullptr);
 
   // ---- synchronous transfers (multi-device path) ----
 
@@ -134,8 +154,9 @@ class TransferCodec {
   /// Encodes `src` into the wire frames; true when they beat the raw
   /// transfer under the autotuned threshold.
   bool encode_wins(const void* src, std::size_t bytes);
-  /// Decodes the current wire frames into `dst` (copy_z1's materialize).
-  void decode_into(void* dst, std::size_t bytes) const;
+  /// Decodes `frames` into `dst` (copy_z1's materialize).
+  void decode_into(const SlicedFrames& frames, void* dst,
+                   std::size_t bytes) const;
 
   sim::Device* dev_;
   WirePolicy policy_;

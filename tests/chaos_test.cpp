@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/apsp.h"
@@ -504,6 +506,82 @@ TEST(ChaosResume, SidecarsOfTheFingerprintFormulaResume) {
   expect_formula_sidecar_resumes(Algorithm::kBoundary,
                                  graph::make_road(10, 10, 517), 2u << 20, 3,
                                  "formula_boundary");
+}
+
+/// Forwards to a RAM store and records, at each flush(), the progress the
+/// checkpoint sidecar at `sidecar` held at that moment (-1: none yet).
+class FlushRecordingStore final : public DistStore {
+ public:
+  FlushRecordingStore(vidx_t n, std::string sidecar)
+      : DistStore(n), inner_(make_ram_store(n)), sidecar_(std::move(sidecar)) {}
+
+  void write_block(vidx_t row0, vidx_t col0, vidx_t rows, vidx_t cols,
+                   const dist_t* src, std::size_t src_ld) override {
+    inner_->write_block(row0, col0, rows, cols, src, src_ld);
+  }
+  void read_block(vidx_t row0, vidx_t col0, vidx_t rows, vidx_t cols,
+                  dist_t* dst, std::size_t dst_ld) const override {
+    inner_->read_block(row0, col0, rows, cols, dst, dst_ld);
+  }
+  void flush() override {
+    Checkpoint ck;
+    seen.push_back(read_checkpoint(sidecar_, &ck) ? ck.progress : -1);
+  }
+
+  std::vector<std::int64_t> seen;
+
+ private:
+  std::unique_ptr<DistStore> inner_;
+  std::string sidecar_;
+};
+
+TEST(ChaosResume, StoreFlushesBeforeEverySidecarWrite) {
+  // DistStore::flush() is the durability boundary a checkpoint must not
+  // pass: every driver flushes once per sidecar write, before it, so each
+  // flush sees the sidecar of the previous progress point.
+  struct Case {
+    Algorithm algo;
+    graph::CsrGraph g;
+    std::size_t mem;
+    const char* tag;
+  };
+  for (const Case& c : {
+           Case{Algorithm::kBlockedFloydWarshall,
+                graph::make_erdos_renyi(90, 400, 518), 64u << 10,
+                "flush_fw"},
+           Case{Algorithm::kJohnson, graph::make_erdos_renyi(120, 500, 519),
+                256u << 10, "flush_johnson"},
+           Case{Algorithm::kBoundary, graph::make_road(10, 10, 520), 2u << 20,
+                "flush_boundary"},
+       }) {
+    const std::string path = ck_path(c.tag);
+    std::remove(path.c_str());
+    ApspOptions o = chaos_opts(c.algo, c.mem);
+    o.checkpoint_path = path;
+    FlushRecordingStore store(c.g.num_vertices(), path);
+    const auto r = solve_apsp(c.g, o, store);
+    expect_store_matches_reference(c.g, store, r);
+
+    // The progress points each driver records: FW rounds 1..n_d, Johnson
+    // batches 1..n_b, boundary steps 2 and 3.
+    std::vector<std::int64_t> progress;
+    if (c.algo == Algorithm::kBlockedFloydWarshall) {
+      for (int k = 1; k <= r.metrics.fw_num_blocks; ++k) progress.push_back(k);
+    } else if (c.algo == Algorithm::kJohnson) {
+      for (int b = 1; b <= r.metrics.johnson_num_batches; ++b) {
+        progress.push_back(b);
+      }
+    } else {
+      progress = {2, 3};
+    }
+    ASSERT_EQ(r.metrics.checkpoints_written,
+              static_cast<long long>(progress.size()))
+        << c.tag;
+    std::vector<std::int64_t> expected = {-1};
+    expected.insert(expected.end(), progress.begin(), progress.end() - 1);
+    EXPECT_EQ(store.seen, expected) << c.tag;
+    EXPECT_FALSE(file_exists(path)) << c.tag;
+  }
 }
 
 TEST(ChaosResume, MismatchedCheckpointStartsFresh) {

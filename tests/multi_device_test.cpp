@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cstdint>
-#include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -116,40 +113,6 @@ TEST(MultiDevice, AggregatedMetricsSumAcrossDevices) {
             opts().device.memory_bytes);
 }
 
-std::string hex(std::uint64_t v) {
-  std::ostringstream os;
-  os << "0x" << std::hex << std::setw(16) << std::setfill('0') << v;
-  return os.str();
-}
-
-std::string hex(double v) { return hex(std::bit_cast<std::uint64_t>(v)); }
-
-/// FNV-1a over a run's recorded timeline (per event: name, kind, stream,
-/// the bit patterns of start and end, ops, bytes and child kernels), then
-/// over every stored row in stored order.
-std::string run_digest(const sim::TraceRecorder& trace,
-                       const DistStore& store) {
-  std::uint64_t h = util::fnv1a("gapsp", 5);
-  auto fold = [&h](const auto& v) { h = util::fnv1a(&v, sizeof(v), h); };
-  for (const sim::TraceEvent& e : trace.events()) {
-    h = util::fnv1a(e.name.data(), e.name.size(), h);
-    fold(static_cast<int>(e.kind));
-    fold(e.stream);
-    fold(std::bit_cast<std::uint64_t>(e.start_s));
-    fold(std::bit_cast<std::uint64_t>(e.end_s));
-    fold(std::bit_cast<std::uint64_t>(e.ops));
-    fold(std::bit_cast<std::uint64_t>(e.bytes));
-    fold(e.child_kernels);
-  }
-  const vidx_t n = store.n();
-  std::vector<dist_t> row(static_cast<std::size_t>(n));
-  for (vidx_t r = 0; r < n; ++r) {
-    store.read_block(r, 0, 1, n, row.data(), row.size());
-    h = util::fnv1a(row.data(), row.size() * sizeof(dist_t), h);
-  }
-  return hex(h) + " (" + std::to_string(trace.events().size()) + " events)";
-}
-
 // Bit-identity gate for the two boundary drivers, which share Algorithm 3's
 // step code: every traced event and every stored distance of fixed runs,
 // plus the multi-GPU driver's per-device finish times, barriers and
@@ -178,7 +141,7 @@ TEST(BoundaryDrivers, TimelinesAndStoresArePinned) {
     o.trace = &trace;
     auto store = make_ram_store(g.num_vertices());
     ooc_boundary(g, o, *store);
-    EXPECT_EQ(run_digest(trace, *store), c.expected)
+    EXPECT_EQ(test::run_digest(trace, *store), c.expected)
         << "overlap " << c.overlap << ", batching " << c.batch;
   }
 
@@ -224,11 +187,12 @@ TEST(BoundaryDrivers, TimelinesAndStoresArePinned) {
     auto store = make_ram_store(g.num_vertices());
     const auto r = ooc_boundary_multi(g, o, c.devices, *store);
     std::ostringstream got;
-    got << run_digest(trace, *store) << " devices";
-    for (double t : r.multi.device_seconds) got << " " << hex(t);
-    got << " barriers " << hex(r.multi.barrier2_s) << " "
-        << hex(r.multi.barrier3_s) << " failover "
-        << r.multi.failover_components << " " << hex(r.multi.failover_cost_s);
+    got << test::run_digest(trace, *store) << " devices";
+    for (double t : r.multi.device_seconds) got << " " << test::hex(t);
+    got << " barriers " << test::hex(r.multi.barrier2_s) << " "
+        << test::hex(r.multi.barrier3_s) << " failover "
+        << r.multi.failover_components << " "
+        << test::hex(r.multi.failover_cost_s);
     EXPECT_EQ(got.str(), c.expected)
         << c.devices << " devices, kill at " << c.kill_at_op;
   }

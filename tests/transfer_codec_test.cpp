@@ -1,6 +1,6 @@
 // Compressed host↔device transfer path (DESIGN.md §14).
 //
-// Four contracts under test: (1) the TransferCodec is a bit-exact drop-in
+// Six contracts under test: (1) the TransferCodec is a bit-exact drop-in
 // for the raw staging lanes on any payload — kInf-dense, ragged, or
 // incompressible — in both the staged and the synchronous forms; (2) the
 // per-lane raw/wire metrics are honest (legacy byte counters stay in
@@ -14,7 +14,9 @@
 // as 64 KiB slice frames — tiles at and around slice boundaries stay
 // bit-exact, frames, stores and timelines do not depend on how many host
 // threads ran the codec, and a corrupt slice frame surfaces as a typed
-// CorruptError on the calling thread, never inside a pool worker.
+// CorruptError on the calling thread, never inside a pool worker; (6) a
+// stage-in from the frames a stage-out shipped charges and decodes exactly
+// like encoding the bytes again, and fails typed on a corrupt frame.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -301,6 +303,96 @@ TEST(SliceFrames, CorruptSliceThrowsCorruptErrorOnTheCaller) {
 }
 
 // ---------------------------------------------------------------------------
+// Held frames: a stage-out hands back what it shipped, and a stage-in from
+// those frames is the same transfer as encoding the bytes again.
+// ---------------------------------------------------------------------------
+
+/// Stages `tile` in, ships it back out keeping the frames, then stages it in
+/// again: from the kept frames when `from_held`, else by encoding the bytes
+/// the stage-out landed. Returns the device's metrics.
+sim::DeviceMetrics stage_round_trip(const std::vector<std::uint8_t>& tile,
+                                    bool from_held) {
+  sim::Device dev(tiny_device(4u << 20));
+  sim::StreamPipeline pipe(dev, /*overlap=*/true);
+  TransferCodec codec(dev, TransferCompression::kOn);
+  auto dbuf = dev.alloc<std::uint8_t>(tile.size(), "tile");
+  pipe.consume(codec.stage_in(pipe, dbuf.data(), tile.data(), tile.size()));
+  std::vector<std::uint8_t> back(tile.size());
+  SlicedFrames shipped;
+  codec.stage_out(pipe, back.data(), dbuf.data(), tile.size(),
+                  pipe.computed(), &shipped);
+  EXPECT_EQ(back, tile);
+  EXPECT_EQ(shipped.frames.size(), 6u);
+
+  auto again = dev.alloc<std::uint8_t>(tile.size(), "again");
+  pipe.consume(from_held ? codec.stage_in(pipe, again.data(), shipped,
+                                          tile.size())
+                         : codec.stage_in(pipe, again.data(), back.data(),
+                                          tile.size()));
+  pipe.drain();
+  EXPECT_EQ(std::memcmp(again.data(), tile.data(), tile.size()), 0);
+  dev.synchronize();
+  return dev.metrics();
+}
+
+TEST(HeldFrames, StageInFromShippedFramesChargesLikeAFreshEncode) {
+  const auto tile = sparse_dist_tile(5 * kTransferSliceBytes + 12, 54);
+  const sim::DeviceMetrics fresh = stage_round_trip(tile, false);
+  const sim::DeviceMetrics held = stage_round_trip(tile, true);
+  EXPECT_EQ(held.sim_seconds, fresh.sim_seconds);
+  EXPECT_EQ(held.decode_seconds, fresh.decode_seconds);
+  EXPECT_EQ(held.decodes, fresh.decodes);
+  EXPECT_EQ(held.bytes_h2d_raw, fresh.bytes_h2d_raw);
+  EXPECT_EQ(held.bytes_h2d_wire, fresh.bytes_h2d_wire);
+  EXPECT_EQ(held.pinned_peak_bytes, fresh.pinned_peak_bytes);
+
+  // A tile that goes raw ships no frames and leaves *shipped untouched.
+  sim::Device dev(tiny_device(4u << 20));
+  sim::StreamPipeline pipe(dev, /*overlap=*/false);
+  TransferCodec codec(dev, TransferCompression::kOn);
+  Rng rng(55);
+  std::vector<std::uint8_t> noise(2 * kTransferSliceBytes);
+  for (auto& b : noise) b = static_cast<std::uint8_t>(rng.next_below(256));
+  auto dbuf = dev.alloc<std::uint8_t>(noise.size(), "noise");
+  std::memcpy(dbuf.data(), noise.data(), noise.size());
+  std::vector<std::uint8_t> back(noise.size());
+  SlicedFrames shipped;
+  codec.stage_out(pipe, back.data(), dbuf.data(), noise.size(),
+                  pipe.computed(), &shipped);
+  EXPECT_EQ(back, noise);
+  EXPECT_TRUE(shipped.frames.empty());
+  EXPECT_EQ(shipped.wire_bytes, 0u);
+}
+
+TEST(HeldFrames, FlippedByteThrowsCorruptErrorOnTheCaller) {
+  const auto tile = sparse_dist_tile(5 * kTransferSliceBytes + 12, 56);
+  for (const int threads : {1, 0}) {
+    sim::Device dev(tiny_device(4u << 20));
+    dev.set_kernel_threads(threads);
+    sim::StreamPipeline pipe(dev, /*overlap=*/true);
+    TransferCodec codec(dev, TransferCompression::kOn);
+    auto dbuf = dev.alloc<std::uint8_t>(tile.size(), "tile");
+    std::memcpy(dbuf.data(), tile.data(), tile.size());
+    std::vector<std::uint8_t> back(tile.size());
+    SlicedFrames held;
+    codec.stage_out(pipe, back.data(), dbuf.data(), tile.size(),
+                    pipe.computed(), &held);
+    ASSERT_EQ(held.frames.size(), 6u);
+
+    auto& mid = held.frames[3];
+    mid[mid.size() / 2] ^= 0x5a;
+    const auto caller = std::this_thread::get_id();
+    try {
+      codec.stage_in(pipe, dbuf.data(), held, tile.size());
+      FAIL() << "corrupt held frame decoded, threads=" << threads;
+    } catch (const CorruptError& e) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      EXPECT_NE(std::string(e.what()).find("z1 frame"), std::string::npos);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Driver parity: mode × algorithm × overlap, bit-identical distances and
 // sim_seconds invariants.
 // ---------------------------------------------------------------------------
@@ -463,32 +555,69 @@ ApspOptions chaos_fw_opts() {
   return o;
 }
 
-TEST(TransferChaos, ScriptedDecodeFaultRetriesWholeTileBitIdentical) {
-  const auto g = graph::make_erdos_renyi(90, 400, 508);
-  ApspOptions clean = chaos_fw_opts();
-  auto s_ref = make_ram_store(g.num_vertices());
-  const auto ref = solve_apsp(g, clean, *s_ref);
-  ASSERT_GT(ref.metrics.decodes, 0) << "compressed path never engaged";
+/// A chaos graph for the FW driver on chaos_fw_opts()'s device, and the
+/// 1-based decode ops its scripted faults fail (a retried decode gates
+/// again, as an op of its own).
+struct ChaosPlan {
+  const char* name;
+  graph::CsrGraph g;
+  int blocks;  ///< n_d
+  std::vector<long long> decode_faults;
+  long long kill_stride;  ///< ops between the kill sweep's kill points
+};
 
-  // Fail the first decode and one mid-stream decode: the gate fires before
-  // materialize, so the retry re-runs the whole tile.
-  sim::FaultPlan plan;
-  plan.scripted.push_back({sim::FaultOp::kDecode, 1, -1, true});
-  plan.scripted.push_back({sim::FaultOp::kDecode, 5, -1, true});
-  ApspOptions faulty = clean;
-  faulty.faults = &plan;
-  auto store = make_ram_store(g.num_vertices());
-  const auto r = solve_apsp(g, faulty, *store);
-  EXPECT_EQ(r.metrics.decode_retries, 2);
-  EXPECT_GT(r.metrics.retry_backoff_seconds, 0.0);
+std::vector<ChaosPlan> chaos_plans() {
+  return {
+      // Fails the first decode and one mid-stream decode.
+      ChaosPlan{"er90", graph::make_erdos_renyi(90, 400, 508), 2, {1, 5}, 3},
+      // Every block rides compressed, so each round issues a fixed op
+      // stream. Round 0's stages 1–2 decode 14 times (7 loads, 7
+      // stage-outs), so op 15 is stage 3's first column-panel load, A(1,0),
+      // which stage 2 shipped. Round 0 decodes 44 times, plus that retry,
+      // so op 46 is round 1's diagonal load, A(1,1), which round 0's stage
+      // 3 shipped. Both load from held frames, not from the store.
+      ChaosPlan{"er200", graph::make_erdos_renyi(200, 900, 521), 4, {15, 46},
+                13},
+  };
+}
 
-  const vidx_t n = g.num_vertices();
+void expect_same_store(const DistStore& want, const DistStore& got,
+                       const char* plan) {
+  const vidx_t n = want.n();
   std::vector<dist_t> a(static_cast<std::size_t>(n));
   std::vector<dist_t> b(static_cast<std::size_t>(n));
   for (vidx_t row = 0; row < n; ++row) {
-    s_ref->read_block(row, 0, 1, n, a.data(), a.size());
-    store->read_block(row, 0, 1, n, b.data(), b.size());
-    ASSERT_EQ(a, b) << "row " << row;
+    want.read_block(row, 0, 1, n, a.data(), a.size());
+    got.read_block(row, 0, 1, n, b.data(), b.size());
+    ASSERT_EQ(a, b) << plan << " row " << row;
+  }
+}
+
+TEST(TransferChaos, ScriptedDecodeFaultRetriesWholeTileBitIdentical) {
+  for (const ChaosPlan& p : chaos_plans()) {
+    ApspOptions clean = chaos_fw_opts();
+    auto s_ref = make_ram_store(p.g.num_vertices());
+    const auto ref = solve_apsp(p.g, clean, *s_ref);
+    ASSERT_EQ(ref.metrics.fw_num_blocks, p.blocks) << p.name;
+    ASSERT_EQ(ref.metrics.decodes,
+              ref.metrics.transfers_h2d + ref.metrics.transfers_d2h)
+        << p.name << ": a block fell back to raw, so the op stream moved";
+
+    // The gate fires before materialize, so the retry re-runs the whole
+    // tile, whether its frames were just encoded or held.
+    sim::FaultPlan plan;
+    for (const long long nth : p.decode_faults) {
+      plan.scripted.push_back({sim::FaultOp::kDecode, nth, -1, true});
+    }
+    ApspOptions faulty = clean;
+    faulty.faults = &plan;
+    auto store = make_ram_store(p.g.num_vertices());
+    const auto r = solve_apsp(p.g, faulty, *store);
+    EXPECT_EQ(r.metrics.decode_retries,
+              static_cast<long long>(p.decode_faults.size()))
+        << p.name;
+    EXPECT_GT(r.metrics.retry_backoff_seconds, 0.0) << p.name;
+    expect_same_store(*s_ref, *store, p.name);
   }
 }
 
@@ -513,60 +642,51 @@ TEST(TransferChaos, ProbabilityScheduleOnEveryCompressedOpHeals) {
   EXPECT_GT(r.metrics.faults_injected, 0);
   EXPECT_GT(r.metrics.decode_retries, 0);
   EXPECT_GT(r.metrics.transfer_retries, 0);
-
-  const vidx_t n = g.num_vertices();
-  std::vector<dist_t> a(static_cast<std::size_t>(n));
-  std::vector<dist_t> b(static_cast<std::size_t>(n));
-  for (vidx_t row = 0; row < n; ++row) {
-    s_ref->read_block(row, 0, 1, n, a.data(), a.size());
-    store->read_block(row, 0, 1, n, b.data(), b.size());
-    ASSERT_EQ(a, b) << "row " << row;
-  }
+  expect_same_store(*s_ref, *store, "er90");
   // The faulted timeline paid for its retries.
   EXPECT_GT(r.metrics.sim_seconds, ref.metrics.sim_seconds);
 }
 
 TEST(TransferChaos, KillSweepResumesCompressedRunBitIdentical) {
-  const auto g = graph::make_erdos_renyi(90, 400, 508);
-  ApspOptions clean = chaos_fw_opts();
-  const std::string path =
-      ::testing::TempDir() + "gapsp_transfer_chaos.ck";
-  auto s_ref = make_ram_store(g.num_vertices());
-  const auto ref = solve_apsp(g, clean, *s_ref);
+  // A killed run loses its held frames with it; the resumed run loads its
+  // first round from the store and must still land the same distances.
+  for (const ChaosPlan& p : chaos_plans()) {
+    ApspOptions clean = chaos_fw_opts();
+    const std::string path =
+        ::testing::TempDir() + "gapsp_transfer_chaos_" + p.name + ".ck";
+    auto s_ref = make_ram_store(p.g.num_vertices());
+    const auto ref = solve_apsp(p.g, clean, *s_ref);
+    ASSERT_EQ(ref.metrics.fw_num_blocks, p.blocks) << p.name;
 
-  int interruptions = 0;
-  for (long long kill = 1;; kill += 3) {
-    ASSERT_LT(kill, 1000000) << "kill sweep failed to terminate";
-    sim::FaultPlan plan;
-    plan.kill_device = 0;
-    plan.kill_at_op = kill;
-    ApspOptions faulty = clean;
-    faulty.faults = &plan;
-    faulty.checkpoint_path = path;
-    auto store = make_ram_store(g.num_vertices());
-    try {
-      const auto done = solve_apsp(g, faulty, *store);
-      EXPECT_EQ(done.metrics.faults_injected, 0);
-      break;
-    } catch (const sim::FaultError& e) {
-      ASSERT_EQ(e.op(), sim::FaultOp::kDeviceLost);
-      ++interruptions;
+    int interruptions = 0;
+    for (long long kill = 1;; kill += p.kill_stride) {
+      ASSERT_LT(kill, 1000000) << "kill sweep failed to terminate";
+      sim::FaultPlan plan;
+      plan.kill_device = 0;
+      plan.kill_at_op = kill;
+      ApspOptions faulty = clean;
+      faulty.faults = &plan;
+      faulty.checkpoint_path = path;
+      auto store = make_ram_store(p.g.num_vertices());
+      try {
+        const auto done = solve_apsp(p.g, faulty, *store);
+        EXPECT_EQ(done.metrics.faults_injected, 0);
+        break;
+      } catch (const sim::FaultError& e) {
+        ASSERT_EQ(e.op(), sim::FaultOp::kDeviceLost);
+        ++interruptions;
+      }
+      ApspOptions rec = clean;
+      rec.checkpoint_path = path;
+      rec.resume = true;
+      const auto resumed = solve_apsp(p.g, rec, *store);
+      SCOPED_TRACE("kill " + std::to_string(kill));
+      expect_same_store(*s_ref, *store, p.name);
+      EXPECT_EQ(resumed.perm, ref.perm);
     }
-    ApspOptions rec = clean;
-    rec.checkpoint_path = path;
-    rec.resume = true;
-    const auto resumed = solve_apsp(g, rec, *store);
-    const vidx_t n = g.num_vertices();
-    std::vector<dist_t> a(static_cast<std::size_t>(n));
-    std::vector<dist_t> b(static_cast<std::size_t>(n));
-    for (vidx_t row = 0; row < n; ++row) {
-      s_ref->read_block(row, 0, 1, n, a.data(), a.size());
-      store->read_block(row, 0, 1, n, b.data(), b.size());
-      ASSERT_EQ(a, b) << "kill " << kill << " row " << row;
-    }
-    EXPECT_EQ(resumed.perm, ref.perm);
+    EXPECT_GT(interruptions, 0)
+        << p.name << ": sweep never actually killed the device";
   }
-  EXPECT_GT(interruptions, 0) << "sweep never actually killed the device";
 }
 
 }  // namespace
