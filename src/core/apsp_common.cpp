@@ -24,16 +24,6 @@ void weight_block(const graph::CsrGraph& g, vidx_t row0, vidx_t col0,
   }
 }
 
-void init_weight_matrix(const graph::CsrGraph& g, DistStore& store) {
-  const vidx_t n = g.num_vertices();
-  GAPSP_CHECK(store.n() == n, "store size does not match graph");
-  std::vector<dist_t> row(static_cast<std::size_t>(n));
-  for (vidx_t u = 0; u < n; ++u) {
-    weight_block(g, u, 0, 1, n, row.data(), row.size());
-    store.write_block(u, 0, 1, n, row.data(), row.size());
-  }
-}
-
 void configure_kernels(sim::Device& dev, const ApspOptions& opts) {
   // Device::launch_grid and the codec's slice fan-out read any value <= 0 as
   // "the whole pool", so a negative count would silently mean 0.

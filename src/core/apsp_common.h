@@ -41,13 +41,9 @@ class FaultScope {
   sim::FaultInjector* injector_ = nullptr;
 };
 
-/// Initializes `store` with the weight matrix of `g`: 0 on the diagonal,
-/// edge weights where arcs exist, kInf elsewhere (the Floyd–Warshall
-/// starting state).
-void init_weight_matrix(const graph::CsrGraph& g, DistStore& store);
-
 /// Fills a host row-major buffer with the weight-matrix block whose top-left
-/// corner is (row0, col0).
+/// corner is (row0, col0): 0 on the diagonal, the lightest arc's weight where
+/// arcs exist, kInf elsewhere (the Floyd–Warshall starting state).
 void weight_block(const graph::CsrGraph& g, vidx_t row0, vidx_t col0,
                   vidx_t rows, vidx_t cols, dist_t* dst, std::size_t ld);
 

@@ -19,6 +19,18 @@
 // registered via set_negative_tile(); entries backed by it charge zero
 // bytes against the budget, so a huge unreachable region never evicts real
 // data.
+//
+// Recycled miss buffers: make_tile hands a loader a buffer of exactly the
+// tile's size from a free list, so a miss does not allocate and zero-fill a
+// fresh tile that the read then overwrites whole. The tile's shared_ptr
+// deleter puts the buffer back on the list when its last holder (a cache
+// entry, an overlay, a reader) drops it, so an eviction still never
+// invalidates a tile in use. The list keeps at most one shard's byte budget
+// of buffers (the oldest go first), so cache and list together stay within
+// (1 + 1/shards) × capacity plus whatever evicted tiles readers still hold.
+// Lock order: the list's lock is a leaf. Shards release the entries they
+// evict or replace only after their own lock drops, so a deleter never
+// runs under a shard lock.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +61,11 @@ struct CacheStats {
   long long quarantine_hits = 0;
   std::size_t bytes_cached = 0;
   std::size_t capacity_bytes = 0;
+  /// make_tile calls the free list could not serve with a buffer of their
+  /// size, so they allocated (and zero-filled) a new one.
+  long long fresh_buffers = 0;
+  /// Bytes of buffers on the free list now (at most one shard's budget).
+  std::size_t free_bytes = 0;
 
   double hit_rate() const {
     const auto total = static_cast<double>(hits + misses);
@@ -74,8 +91,19 @@ class BlockCache {
   /// pointer marks its block negative: cached, but charged no bytes. Set it
   /// before the first get_or_load and never change it mid-flight.
   void set_negative_tile(BlockData tile) { negative_ = std::move(tile); }
+  const BlockData& negative_tile() const { return negative_; }
 
   using Loader = std::function<BlockData()>;
+  using TileFill = std::function<void(dist_t*)>;
+
+  /// A tile of exactly `elems` elements written by `fill`, for a loader to
+  /// return or for publish(). The buffer comes from the free list when one
+  /// of that size is there, so `fill` must overwrite every element or throw;
+  /// a buffer whose fill threw goes back to the list, never into the cache.
+  /// A tile that fills all-kInf comes back as the negative tile, if one is
+  /// set. Call it holding no lock: the buffer of a fill that threw or
+  /// collapsed is dropped inside, and dropping takes the list's lock.
+  BlockData make_tile(std::size_t elems, const TileFill& fill);
 
   /// Returns the block keyed (row_block, col_block), invoking `loader` on a
   /// miss and caching its result. The loader runs outside the shard lock so
@@ -108,6 +136,7 @@ class BlockCache {
   CacheStats stats() const;
 
   /// Drops every entry; counters and quarantine marks keep accumulating.
+  /// Buffers no reader holds return to the free list, up to its bound.
   void clear();
 
  private:
@@ -138,13 +167,19 @@ class BlockCache {
 
   Shard& shard_of(std::uint64_t key);
   const Shard& shard_of(std::uint64_t key) const;
-  /// Inserts at LRU front and evicts over-budget entries. Caller holds s.mu.
+  /// Inserts at LRU front and moves over-budget entries into `evicted`.
+  /// Caller holds s.mu and drops `evicted` only after releasing it.
   BlockData insert_locked(Shard& s, std::uint64_t key, BlockData data,
-                          std::size_t size);
+                          std::size_t size, std::list<Entry>& evicted);
+
+  /// make_tile's recycled buffers; shared with each tile's deleter, so a
+  /// tile that outlives the cache still has a list to return to.
+  struct FreeList;
 
   std::size_t capacity_bytes_;
   std::vector<Shard> shards_;
   BlockData negative_;
+  std::shared_ptr<FreeList> free_;
 };
 
 }  // namespace gapsp::core

@@ -29,7 +29,11 @@ class DistStore {
   virtual void write_block(vidx_t row0, vidx_t col0, vidx_t rows, vidx_t cols,
                            const dist_t* src, std::size_t src_ld) = 0;
 
-  /// Reads a block into `dst` with leading dimension `dst_ld`.
+  /// Reads a block into `dst` with leading dimension `dst_ld`. Every
+  /// backend writes every element of the rows×cols rectangle or throws, so
+  /// callers may read into recycled buffers without clearing them (the
+  /// serving cache's miss buffers, core/block_cache.h); what a read that
+  /// threw left in `dst` is unspecified.
   virtual void read_block(vidx_t row0, vidx_t col0, vidx_t rows, vidx_t cols,
                           dist_t* dst, std::size_t dst_ld) const = 0;
 

@@ -52,9 +52,12 @@ ApspResult ooc_floyd_warshall(const graph::CsrGraph& g,
   // blocking of this exact graph.
   CheckpointRun ck(opts, Algorithm::kBlockedFloydWarshall, g, store, b, nd);
   const auto start_k = static_cast<vidx_t>(ck.resumed(nd));
-  // A resumed run continues on the partially-relaxed matrix already in the
-  // store; re-initializing would discard the completed rounds.
-  if (start_k == 0) init_weight_matrix(g, store);
+  // Until round 0 first stores a block, that block is the weight matrix: it
+  // is built from the CSR graph where it is loaded, so the store is never
+  // pre-filled and read back. A resumed run continues on the
+  // partially-relaxed matrix already in the store (round 0 stored every
+  // block before any checkpoint).
+  std::vector<char> stored(static_cast<std::size_t>(nd) * nd, start_k > 0);
 
   sim::StreamPipeline pipe(dev, overlap);
   TransferCodec codec(dev, opts.transfer_compression);
@@ -96,7 +99,11 @@ ApspResult ooc_floyd_warshall(const graph::CsrGraph& g,
       pp.set_ready(s, codec.stage_in(pipe, pp.device_ptr(s), frames, bytes));
       return s;
     }
-    store.read_block(ti * b, tj * b, rows, cols, pp.host_ptr(s), cols);
+    if (stored[static_cast<std::size_t>(ti) * nd + tj]) {
+      store.read_block(ti * b, tj * b, rows, cols, pp.host_ptr(s), cols);
+    } else {
+      weight_block(g, ti * b, tj * b, rows, cols, pp.host_ptr(s), cols);
+    }
     pp.set_ready(s,
                  codec.stage_in(pipe, pp.device_ptr(s), pp.host_ptr(s), bytes));
     return s;
@@ -115,6 +122,7 @@ ApspResult ooc_floyd_warshall(const graph::CsrGraph& g,
         static_cast<std::size_t>(rows) * cols * sizeof(dist_t),
         pipe.computed(), in_band(ti, tj) ? &shipped : nullptr);
     store.write_block(ti * b, tj * b, rows, cols, pp.host_ptr(s), cols);
+    stored[static_cast<std::size_t>(ti) * nd + tj] = 1;
     frames = std::move(shipped);
     pp.release(s, drained);
   };

@@ -25,30 +25,16 @@ PathExtractor::PathExtractor(const graph::CsrGraph& g, const DistStore& store,
            : reader_.checksums().present() ? reader_.checksums().tile
                                            : 256;
   block_ = std::min<vidx_t>(block_, std::max<vidx_t>(1, store.n()));
-  num_blocks_ =
-      store.n() == 0 ? 0 : (store.n() + block_ - 1) / block_;
-  inf_tile_ = std::make_shared<const std::vector<dist_t>>(
+  // One shared all-kInf tile (charged no cache bytes) serves every
+  // negative block, edge tiles included.
+  cache_.set_negative_tile(std::make_shared<const std::vector<dist_t>>(
       static_cast<std::size_t>(block_) * static_cast<std::size_t>(block_),
-      kInf);
-  cache_.set_negative_tile(inf_tile_);
+      kInf));
 }
 
 BlockData PathExtractor::fetch(vidx_t block_row, vidx_t block_col) const {
-  return cache_.get_or_load(block_row, block_col, [&]() -> BlockData {
-    const vidx_t n = store_.n();
-    const vidx_t row0 = block_row * block_;
-    const vidx_t col0 = block_col * block_;
-    const vidx_t rows = std::min<vidx_t>(block_, n - row0);
-    const vidx_t cols = std::min<vidx_t>(block_, n - col0);
-    if (store_.block_known_inf(row0, col0, rows, cols)) return inf_tile_;
-    auto data = std::make_shared<std::vector<dist_t>>(
-        static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols));
-    reader_.read_tile(block_row, block_col, row0, col0, rows, cols,
-                      data->data());
-    for (const dist_t d : *data) {
-      if (d != kInf) return data;
-    }
-    return inf_tile_;
+  return cache_.get_or_load(block_row, block_col, [&] {
+    return reader_.load_tile(cache_, block_, block_row, block_col);
   });
 }
 

@@ -57,8 +57,6 @@ class PathExtractor {
   const DistStore& store_;
   std::vector<vidx_t> perm_;  // empty = identity
   vidx_t block_ = 0;          // cache tile side
-  vidx_t num_blocks_ = 0;
-  BlockData inf_tile_;  // shared all-kInf tile (charges no cache bytes)
   mutable BlockCache cache_;
   mutable CheckedTileReader reader_;  // retried, verified reads
 };

@@ -125,13 +125,14 @@ QueryEngine::QueryEngine(const core::DistStore& store, QueryEngineOptions opt,
   }
   opt_.block_size = std::min<vidx_t>(opt_.block_size, std::max<vidx_t>(1, n()));
   num_blocks_ = n() == 0 ? 0 : (n() + opt_.block_size - 1) / opt_.block_size;
-  // Edge tiles index at most rows×cols ≤ block_size² elements into this
-  // buffer, so one full-sized constant tile serves every negative block.
-  inf_tile_ = std::make_shared<const std::vector<dist_t>>(
+  // The one shared all-kInf tile: loaders return it for tiles the store
+  // directory marks empty or that read all-kInf, and the cache charges it
+  // no bytes. Edge tiles index at most rows×cols ≤ block_size² elements
+  // into it, so one full-sized tile serves every negative block.
+  cache_.set_negative_tile(std::make_shared<const std::vector<dist_t>>(
       static_cast<std::size_t>(opt_.block_size) *
           static_cast<std::size_t>(opt_.block_size),
-      kInf);
-  cache_.set_negative_tile(inf_tile_);
+      kInf));
 }
 
 core::UpdateOutcome QueryEngine::apply_updates(
@@ -157,20 +158,23 @@ core::UpdateOutcome QueryEngine::apply_updates(
           const vidx_t bj = run.bj + t;
           const vidx_t col0 = bj * opt_.block_size;
           const vidx_t cols = std::min<vidx_t>(opt_.block_size, n() - col0);
-          auto tile = std::make_shared<std::vector<dist_t>>(
-              static_cast<std::size_t>(run.rows) * cols);
-          for (vidx_t r = 0; r < run.rows; ++r) {
-            std::copy_n(run.data + static_cast<std::size_t>(r) * run.ld +
-                            static_cast<std::size_t>(col0 - run.col0),
-                        cols,
-                        tile->data() + static_cast<std::size_t>(r) * cols);
-          }
-          const BlockData fixed = collapse_inf(std::move(tile));
+          const BlockData fixed = cache_.make_tile(
+              static_cast<std::size_t>(run.rows) * cols, [&](dist_t* tile) {
+                for (vidx_t r = 0; r < run.rows; ++r) {
+                  std::copy_n(run.data + static_cast<std::size_t>(r) * run.ld +
+                                  static_cast<std::size_t>(col0 - run.col0),
+                              cols, tile + static_cast<std::size_t>(r) * cols);
+                }
+              });
+          // The tile an earlier batch left here is dropped after the
+          // overlay lock: its buffer may return to the cache's free list.
+          BlockData replaced = fixed;
           {
             std::lock_guard<std::mutex> lock(overlay_mu_);
-            overlay_[static_cast<std::uint64_t>(run.bi) *
-                         static_cast<std::uint64_t>(num_blocks_) +
-                     static_cast<std::uint64_t>(bj)] = fixed;
+            std::swap(replaced,
+                      overlay_[static_cast<std::uint64_t>(run.bi) *
+                                   static_cast<std::uint64_t>(num_blocks_) +
+                               static_cast<std::uint64_t>(bj)]);
           }
           // Republish: later misses hit the overlay, current cache readers
           // swap to the new tile, and a quarantine mark — this tile may
@@ -193,27 +197,18 @@ ServiceStats QueryEngine::service_stats() const {
   return out;
 }
 
-BlockData QueryEngine::collapse_inf(
-    std::shared_ptr<std::vector<dist_t>> data) const {
-  // Scan-on-load for raw stores: an all-kInf tile just read from disk
-  // collapses to the shared tile instead of occupying cache budget.
-  for (const dist_t d : *data) {
-    if (d != kInf) return data;
-  }
-  return inf_tile_;
-}
-
 BlockData QueryEngine::repair_tile(vidx_t block_row, vidx_t block_col) const {
   const vidx_t b = opt_.block_size;
   const vidx_t row0 = block_row * b;
   const vidx_t col0 = block_col * b;
   const vidx_t rows = std::min<vidx_t>(b, n() - row0);
   const vidx_t cols = std::min<vidx_t>(b, n() - col0);
-  auto data = std::make_shared<std::vector<dist_t>>(
-      opt_.repair(row0, col0, rows, cols));
-  GAPSP_CHECK(data->size() == static_cast<std::size_t>(rows) * cols,
+  const std::vector<dist_t> fresh = opt_.repair(row0, col0, rows, cols);
+  GAPSP_CHECK(fresh.size() == static_cast<std::size_t>(rows) * cols,
               "repair source returned a wrong-sized tile");
-  BlockData fixed = collapse_inf(std::move(data));
+  BlockData fixed = cache_.make_tile(fresh.size(), [&](dist_t* tile) {
+    std::copy(fresh.begin(), fresh.end(), tile);
+  });
   // Republish: clears the quarantine mark, so the whole service heals —
   // later queries for this tile are plain cache hits.
   cache_.publish(block_row, block_col, fixed);
@@ -234,19 +229,8 @@ BlockData QueryEngine::fetch(vidx_t block_row, vidx_t block_col) const {
             static_cast<std::uint64_t>(block_col));
         if (it != overlay_.end()) return it->second;
       }
-      const vidx_t b = opt_.block_size;
-      const vidx_t row0 = block_row * b;
-      const vidx_t col0 = block_col * b;
-      const vidx_t rows = std::min<vidx_t>(b, n() - row0);
-      const vidx_t cols = std::min<vidx_t>(b, n() - col0);
-      // Directory-backed stores answer "all kInf" without any I/O; the
-      // shared tile is cached at zero byte cost.
-      if (store_.block_known_inf(row0, col0, rows, cols)) return inf_tile_;
-      auto data = std::make_shared<std::vector<dist_t>>(
-          static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols));
-      reader_.read_tile(block_row, block_col, row0, col0, rows, cols,
-                        data->data());
-      return collapse_inf(std::move(data));
+      return reader_.load_tile(cache_, opt_.block_size, block_row,
+                               block_col);
     });
   } catch (const core::TileError&) {
     // The cache has quarantined the tile (or it already was). With a

@@ -215,17 +215,13 @@ class QueryEngine {
   BlockData fetch(vidx_t block_row, vidx_t block_col) const;
   /// Recomputes tile (bi, bj) from opt_.repair and republishes it.
   BlockData repair_tile(vidx_t block_row, vidx_t block_col) const;
-  /// Collapses an all-kInf tile to the shared negative tile.
-  BlockData collapse_inf(std::shared_ptr<std::vector<dist_t>> data) const;
 
   const core::DistStore& store_;
   QueryEngineOptions opt_;
   std::vector<vidx_t> perm_;
   vidx_t num_blocks_ = 0;  ///< tiles per side
-  /// The one shared all-kInf tile; loaders return it for tiles the store
-  /// directory marks empty or that scan as all-kInf, and the cache charges
-  /// it no bytes (core/block_cache.h).
-  BlockData inf_tile_;
+  /// Misses, overlay tiles and repairs all take their buffers from its free
+  /// list (BlockCache::make_tile).
   mutable BlockCache cache_;
   /// All miss-path reads funnel through the checked reader: it injects
   /// chaos faults, retries transients, and verifies checksums. Misses on

@@ -46,24 +46,6 @@ TEST(WeightBlock, ParallelEdgesKeepMinimum) {
   EXPECT_EQ(m[1], 2);
 }
 
-TEST(InitWeightMatrix, MatchesWeightBlocks) {
-  const auto g = graph::make_erdos_renyi(40, 160, 601);
-  auto store = make_ram_store(g.num_vertices());
-  init_weight_matrix(g, *store);
-  std::vector<dist_t> row(40), expect(40);
-  for (vidx_t u = 0; u < 40; ++u) {
-    store->read_block(u, 0, 1, 40, row.data(), 40);
-    weight_block(g, u, 0, 1, 40, expect.data(), 40);
-    ASSERT_EQ(row, expect) << "row " << u;
-  }
-}
-
-TEST(InitWeightMatrix, RejectsMismatchedStore) {
-  const auto g = graph::make_erdos_renyi(40, 100, 602);
-  auto store = make_ram_store(39);
-  EXPECT_THROW(init_weight_matrix(g, *store), Error);
-}
-
 TEST(UploadGraph, ChargesCsrBytes) {
   const auto g = graph::make_erdos_renyi(100, 400, 603);
   sim::Device dev(test::tiny_device(1u << 20));

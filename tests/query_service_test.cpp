@@ -4,9 +4,11 @@
 // open_file_store entry point's validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/apsp.h"
@@ -226,6 +228,196 @@ TEST(QueryEngine, ConcurrentBatchUnderTinyCacheMatchesStore) {
                           s.result.stored_id(qs[i].v)))
         << "query " << i;
   }
+}
+
+// ---- Recycled miss buffers (BlockCache::make_tile) ----
+// Each shard holds one full tile, and the matrix side is not a multiple of
+// the block, so full and ragged edge tiles cycle through one free list.
+
+constexpr vidx_t kRecycleBlock = 40;
+constexpr std::size_t kRecycleTileBytes =
+    static_cast<std::size_t>(kRecycleBlock) * kRecycleBlock * sizeof(dist_t);
+
+QueryEngineOptions one_tile_per_shard() {
+  QueryEngineOptions opt;
+  opt.block_size = kRecycleBlock;
+  opt.cache_shards = 4;
+  opt.cache_bytes = 4 * kRecycleTileBytes;
+  return opt;
+}
+
+TEST(BlockCache, HeldTileKeepsItsBytesWhileMissesRecycleOthers) {
+  // One shard that holds one 64-element tile: every miss evicts.
+  BlockCache cache(64 * sizeof(dist_t), /*shards=*/1);
+  const auto load = [&](vidx_t bi, vidx_t bj, dist_t v) {
+    return cache.get_or_load(bi, bj, [&] {
+      return cache.make_tile(64, [v](dist_t* t) { std::fill_n(t, 64, v); });
+    });
+  };
+  const BlockData held = load(0, 0, 1);
+  const dist_t* second = load(0, 1, 2)->data();  // evicts the held tile
+  load(0, 2, 3);  // evicts (0,1), which nobody holds: its buffer is listed
+  EXPECT_EQ(load(0, 3, 4)->data(), second);  // and the next miss takes it
+  EXPECT_EQ(cache.stats().fresh_buffers, 3);
+
+  // Two threads churn misses through the one-tile shard while this one
+  // reads the held, evicted tile: no recycled write may land in it.
+  std::atomic<bool> wrong{false};
+  std::vector<std::thread> churn;
+  for (vidx_t t = 1; t <= 2; ++t) {
+    churn.emplace_back([&, t] {
+      for (vidx_t i = 0; i < 300; ++i) {
+        const BlockData tile = load(t, i, static_cast<dist_t>(10 * t + i));
+        if (tile->data() == held->data() ||
+            std::count(tile->begin(), tile->end(), 10 * t + i) != 64) {
+          wrong = true;
+        }
+      }
+    });
+  }
+  for (int pass = 0; pass < 200; ++pass) {
+    ASSERT_EQ(std::count(held->begin(), held->end(), 1), 64);
+  }
+  for (std::thread& t : churn) t.join();
+  EXPECT_FALSE(wrong.load());
+  EXPECT_EQ(std::count(held->begin(), held->end(), 1), 64);
+  const CacheStats cs = cache.stats();
+  EXPECT_LT(cs.fresh_buffers, cs.misses);
+  EXPECT_LE(cs.free_bytes, 64 * sizeof(dist_t));  // one shard's budget
+}
+
+TEST(QueryEngine, RecycledBuffersServeExactAnswersUnderConcurrentBatches) {
+  const auto g = graph::make_road(13, 13, 508);
+  const auto s = solve(g, core::Algorithm::kJohnson);
+  const vidx_t n = g.num_vertices();
+  ASSERT_NE(n % kRecycleBlock, 0);
+  const QueryEngine engine(*s.store, one_tile_per_shard(), s.result.perm);
+  const auto want = [&](vidx_t u, vidx_t v) {
+    return s.store->at(s.result.stored_id(u), s.result.stored_id(v));
+  };
+  // Three clients at once, each batch fanning out over the pool.
+  std::vector<std::vector<Query>> batches(3);
+  Rng rng(17);
+  for (std::vector<Query>& qs : batches) {
+    for (int i = 0; i < 600; ++i) {
+      qs.push_back({QueryKind::kPoint, static_cast<vidx_t>(rng.next_below(n)),
+                    static_cast<vidx_t>(rng.next_below(n))});
+    }
+    qs.push_back({QueryKind::kRow, static_cast<vidx_t>(rng.next_below(n)), 0});
+  }
+  std::vector<BatchReport> reps(batches.size());
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < batches.size(); ++c) {
+    clients.emplace_back([&, c] { reps[c] = engine.run_batch(batches[c]); });
+  }
+  for (std::thread& t : clients) t.join();
+  for (std::size_t c = 0; c < batches.size(); ++c) {
+    for (const QueryResult& r : reps[c].results) {
+      ASSERT_EQ(r.status, QueryStatus::kOk) << r.error;
+      if (r.query.kind == QueryKind::kPoint) {
+        ASSERT_EQ(r.dist, want(r.query.u, r.query.v));
+        continue;
+      }
+      ASSERT_EQ(r.row.size(), static_cast<std::size_t>(n));
+      for (vidx_t v = 0; v < n; ++v) ASSERT_EQ(r.row[v], want(r.query.u, v));
+    }
+  }
+  const CacheStats cs = engine.cache_stats();
+  EXPECT_GT(cs.evictions, 0);
+  EXPECT_LT(cs.fresh_buffers, cs.misses);  // most misses recycled
+  EXPECT_LE(cs.free_bytes, kRecycleTileBytes);
+}
+
+/// Forwards to `inner`. While armed, a read at (row0, col0) writes garbage
+/// over the first half of the rectangle and then throws, as a read that
+/// fails partway does.
+class TornReadStore final : public DistStore {
+ public:
+  explicit TornReadStore(const DistStore& inner)
+      : DistStore(inner.n()), inner_(inner) {}
+
+  void write_block(vidx_t, vidx_t, vidx_t, vidx_t, const dist_t*,
+                   std::size_t) override {
+    throw IoError("read-only");
+  }
+  void read_block(vidx_t row0, vidx_t col0, vidx_t rows, vidx_t cols,
+                  dist_t* dst, std::size_t dst_ld) const override {
+    if (armed && row0 == torn_row0 && col0 == torn_col0) {
+      for (vidx_t r = 0; r < rows / 2; ++r) {
+        std::fill_n(dst + static_cast<std::size_t>(r) * dst_ld, cols, -7);
+      }
+      throw Error("torn read");
+    }
+    inner_.read_block(row0, col0, rows, cols, dst, dst_ld);
+  }
+
+  std::atomic<bool> armed{false};
+  vidx_t torn_row0 = 0;
+  vidx_t torn_col0 = 0;
+
+ private:
+  const DistStore& inner_;
+};
+
+TEST(QueryEngine, TornLoadIsNeverPublishedAndTheNextMissIsExact) {
+  const auto g = graph::make_road(13, 13, 509);
+  const auto s = solve(g, core::Algorithm::kJohnson);
+  TornReadStore store(*s.store);
+  const QueryEngine engine(store, one_tile_per_shard());
+  const vidx_t b = kRecycleBlock;
+  EXPECT_EQ(engine.point(0, 0), s.store->at(0, 0));
+
+  store.torn_row0 = b;
+  store.torn_col0 = b;
+  store.armed = true;
+  const std::vector<Query> qs = {{QueryKind::kPoint, 1, 1},
+                                 {QueryKind::kPoint, b + 1, b + 2}};
+  const BatchReport rep = engine.run_batch(qs);
+  EXPECT_EQ(rep.results[0].status, QueryStatus::kOk);
+  EXPECT_EQ(rep.results[0].dist, s.store->at(1, 1));
+  EXPECT_EQ(rep.results[1].status, QueryStatus::kError);
+  CacheStats cs = engine.cache_stats();
+  EXPECT_EQ(cs.bytes_cached, kRecycleTileBytes);  // only tile (0,0)
+  EXPECT_EQ(cs.quarantined_tiles, 0);
+  const long long fresh = cs.fresh_buffers;
+
+  // The torn buffer went back to the list; the next miss reuses it and
+  // must overwrite every element.
+  store.armed = false;
+  std::vector<dist_t> got(static_cast<std::size_t>(b) * b, -1);
+  engine.block(b, b, b, b, got.data(), b);
+  std::vector<dist_t> exact(got.size(), -2);
+  s.store->read_block(b, b, b, b, exact.data(), b);
+  EXPECT_EQ(got, exact);
+  cs = engine.cache_stats();
+  EXPECT_EQ(cs.fresh_buffers, fresh);
+  EXPECT_EQ(cs.bytes_cached, 2 * kRecycleTileBytes);
+}
+
+TEST(QueryEngine, WarmCacheMissesAllocateNothing) {
+  const auto g = graph::make_road(13, 13, 510);
+  const auto s = solve(g, core::Algorithm::kJohnson);
+  const QueryEngine engine(*s.store, one_tile_per_shard());
+  const vidx_t b = kRecycleBlock;
+  const vidx_t full = g.num_vertices() / b;  // full tiles per side
+  // Sixteen full tiles through four one-tile shards: nearly every lookup
+  // misses and evicts a full tile.
+  const auto sweep = [&] {
+    for (vidx_t bi = 0; bi < full; ++bi) {
+      for (vidx_t bj = 0; bj < full; ++bj) {
+        ASSERT_EQ(engine.point(bi * b + bi, bj * b + bj),
+                  s.store->at(bi * b + bi, bj * b + bj));
+      }
+    }
+  };
+  sweep();
+  sweep();
+  const CacheStats warm = engine.cache_stats();
+  sweep();
+  const CacheStats after = engine.cache_stats();
+  EXPECT_GE(after.misses - warm.misses, full * full / 2);
+  EXPECT_EQ(after.fresh_buffers, warm.fresh_buffers);
+  EXPECT_LE(after.free_bytes, kRecycleTileBytes);
 }
 
 TEST(QueryService, FileStoreEndToEnd) {
