@@ -8,9 +8,10 @@
 // serializing on one global mutex, and a byte budget (not an entry count)
 // bounds host memory no matter how ragged the edge tiles are.
 //
-// Lives in core (it depends only on util) so both the query service
-// (service/query_engine.h) and path extraction (core/path_extract.h) read
-// through it instead of paying DistStore::at() per element.
+// Lives in core (it depends only on util). The query service
+// (service/query_engine.h) is its user: point, row, block and batch
+// queries, and path extraction through the engine, read through it
+// instead of paying DistStore::at() per element.
 //
 // Negative-tile support: kInf-dominated matrices (road-like, disconnected)
 // are mostly tiles in which every element is kInf. A loader that recognizes

@@ -164,8 +164,8 @@ struct UpdateOutcome {
   double panel_seconds = 0;  ///< closure + L/R panel products
   double tile_seconds = 0;   ///< dirty-tile reads + min-plus + emits
   /// Cost-model charge of this repair (estimate_incremental) vs a modeled
-  /// full blocked-FW re-solve on the same device — the selector-facing
-  /// "was the delta path worth it" comparison.
+  /// full blocked-FW re-solve on the same device. Reported only: nothing
+  /// reads them, and damage_threshold alone picks delta or full.
   double modeled_repair_seconds = 0;
   double modeled_full_seconds = 0;
 };

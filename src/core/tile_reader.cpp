@@ -105,25 +105,4 @@ void CheckedTileReader::read_tile(vidx_t row_block, vidx_t col_block,
   }
 }
 
-BlockData CheckedTileReader::load_tile(BlockCache& cache, vidx_t block,
-                                        vidx_t row_block, vidx_t col_block) {
-  const vidx_t n = store_.n();
-  const vidx_t row0 = row_block * block;
-  const vidx_t col0 = col_block * block;
-  const vidx_t rows = std::min<vidx_t>(block, n - row0);
-  const vidx_t cols = std::min<vidx_t>(block, n - col0);
-  // Directory-backed stores answer "all kInf" without any I/O; the shared
-  // tile is cached at zero byte cost.
-  if (store_.block_known_inf(row0, col0, rows, cols)) {
-    return cache.negative_tile();
-  }
-  // read_tile overwrites the whole rectangle or throws (DistStore::
-  // read_block), so a recycled buffer needs no clearing.
-  return cache.make_tile(
-      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols),
-      [&](dist_t* dst) {
-        read_tile(row_block, col_block, row0, col0, rows, cols, dst);
-      });
-}
-
 }  // namespace gapsp::core

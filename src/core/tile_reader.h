@@ -20,14 +20,14 @@
 // util::RetryPolicy with real exponential-backoff sleeps; exhausting the
 // budget raises TileError(kTransient). Persistent damage (CorruptError,
 // sidecar mismatch, non-transient FaultError) raises TileError(kCorrupt)
-// immediately — retrying a checksum mismatch cannot help. Callers
-// (BlockCache loaders) turn those into quarantine marks.
+// immediately — retrying a checksum mismatch cannot help. The query
+// engine's miss loader (service::QueryEngine::fetch) reads every served
+// tile through here, and its BlockCache turns those into quarantine marks.
 #pragma once
 
 #include <atomic>
 #include <mutex>
 
-#include "core/block_cache.h"
 #include "core/store_integrity.h"
 #include "core/tile_error.h"
 #include "util/retry.h"
@@ -72,15 +72,6 @@ class CheckedTileReader {
   /// back to its own cache key.
   void read_tile(vidx_t row_block, vidx_t col_block, vidx_t row0, vidx_t col0,
                  vidx_t rows, vidx_t cols, dist_t* dst);
-
-  /// The cache miss loader of the query engine and path extraction: tile
-  /// (row_block, col_block) of a `block`-sided grid, clipped at the matrix
-  /// edge, read into a recycled buffer of `cache` (BlockCache::make_tile,
-  /// which also collapses an all-kInf read). A tile the store can prove
-  /// all-kInf without a read is the cache's negative tile, which must be
-  /// set.
-  BlockData load_tile(BlockCache& cache, vidx_t block, vidx_t row_block,
-                      vidx_t col_block);
 
   const StoreChecksums& checksums() const { return sums_; }
   bool verifying() const;

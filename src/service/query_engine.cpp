@@ -229,8 +229,25 @@ BlockData QueryEngine::fetch(vidx_t block_row, vidx_t block_col) const {
             static_cast<std::uint64_t>(block_col));
         if (it != overlay_.end()) return it->second;
       }
-      return reader_.load_tile(cache_, opt_.block_size, block_row,
-                               block_col);
+      const vidx_t b = opt_.block_size;
+      const vidx_t row0 = block_row * b;
+      const vidx_t col0 = block_col * b;
+      const vidx_t rows = std::min<vidx_t>(b, n() - row0);
+      const vidx_t cols = std::min<vidx_t>(b, n() - col0);
+      // Directory-backed stores answer "all kInf" without any I/O; the
+      // shared tile is cached at zero byte cost.
+      if (store_.block_known_inf(row0, col0, rows, cols)) {
+        return cache_.negative_tile();
+      }
+      // read_tile overwrites the whole rectangle or throws (DistStore::
+      // read_block), so a recycled buffer needs no clearing; make_tile also
+      // collapses an all-kInf read to the negative tile.
+      return cache_.make_tile(
+          static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols),
+          [&](dist_t* dst) {
+            reader_.read_tile(block_row, block_col, row0, col0, rows, cols,
+                              dst);
+          });
     });
   } catch (const core::TileError&) {
     // The cache has quarantined the tile (or it already was). With a
@@ -321,193 +338,196 @@ double latency_percentile(const std::vector<double>& sorted, double q) {
   return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
 }
 
+std::size_t admit_batch(std::span<const Query> queries, std::size_t max_queue,
+                        std::vector<QueryResult>& results) {
+  results.resize(queries.size());
+  if (max_queue == 0 || queries.size() <= max_queue) return queries.size();
+  // Everything past max_queue is shed up front with a typed status —
+  // bounded work per batch, and the caller can resubmit or spill to
+  // another replica.
+  for (std::size_t i = max_queue; i < queries.size(); ++i) {
+    QueryResult& r = results[i];
+    r.query = queries[i];
+    r.status = QueryStatus::kShed;
+    r.error = "shed: batch exceeds admission queue of " +
+              std::to_string(max_queue);
+  }
+  return max_queue;
+}
+
+void summarize_batch(BatchReport& report, std::size_t admitted,
+                     double wall_seconds) {
+  report.wall_seconds = wall_seconds;
+  report.qps = wall_seconds > 0.0
+                   ? static_cast<double>(report.results.size()) / wall_seconds
+                   : 0.0;
+  std::vector<double> lat(admitted);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < admitted; ++i) {
+    lat[i] = report.results[i].latency_s;
+    sum += lat[i];
+  }
+  std::sort(lat.begin(), lat.end());
+  report.latency.count = admitted;
+  report.latency.mean_s =
+      admitted == 0 ? 0.0 : sum / static_cast<double>(admitted);
+  report.latency.p50_s = latency_percentile(lat, 0.50);
+  report.latency.p95_s = latency_percentile(lat, 0.95);
+  report.latency.max_s = lat.empty() ? 0.0 : lat.back();
+}
+
 BatchReport QueryEngine::run_batch(std::span<const Query> queries) const {
   BatchReport report;
-  report.results.resize(queries.size());
-  const auto fanout = static_cast<std::size_t>(std::max(0, opt_.max_threads));
-  const auto tiles = static_cast<std::size_t>(num_blocks_) *
-                     static_cast<std::size_t>(num_blocks_);
+  const std::size_t admitted =
+      admit_batch(queries, opt_.max_queue, report.results);
+  shed_.fetch_add(static_cast<long long>(queries.size() - admitted),
+                  std::memory_order_relaxed);
+  Timer wall;
 
-  // Admission control: the batch IS the queue. Everything past max_queue
-  // is shed up front with a typed status — bounded work per batch, and the
-  // caller can resubmit or spill to another replica.
-  std::size_t admitted = queries.size();
-  if (opt_.max_queue > 0 && queries.size() > opt_.max_queue) {
-    admitted = opt_.max_queue;
-    for (std::size_t i = admitted; i < queries.size(); ++i) {
+  // Every point runs in a bucket whose queries read one cache tile: bucket
+  // w is order[bounds[w], bounds[w+1]). A counting sort by tile makes one
+  // bucket per touched tile, so each tile goes through the cache once per
+  // batch. A batch much smaller than the tile grid would pay more for the
+  // counting pass than it saves; there each point is its own bucket.
+  const vidx_t b = opt_.block_size;
+  const auto nb = static_cast<std::size_t>(num_blocks_);
+  const std::size_t tiles = nb * nb;
+  const bool by_tile = tiles <= std::max<std::size_t>(1024, 8 * admitted);
+  constexpr std::uint32_t kNoTile = ~std::uint32_t{0};
+  std::vector<std::uint32_t> tile_of(by_tile ? admitted : 0, kNoTile);
+  std::vector<std::uint32_t> start(by_tile ? tiles + 1 : 0, 0);
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> bounds{0};
+  std::vector<std::uint32_t> rows;  // row queries: a work item each
+  // Queries that come back anything but kOk; shed ones are not admitted.
+  std::atomic<long long> failed{0};
+
+  // Vertices are checked here, on the calling thread: a query with one
+  // outside [0, n) is typed kError on its own and never reaches a worker.
+  for (std::size_t i = 0; i < admitted; ++i) {
+    const Query& q = queries[i];
+    const bool point = q.kind == QueryKind::kPoint;
+    if (q.u < 0 || q.u >= n() || (point && (q.v < 0 || q.v >= n()))) {
       QueryResult& r = report.results[i];
-      r.query = queries[i];
-      r.status = QueryStatus::kShed;
-      r.error = "shed: batch exceeds admission queue of " +
-                std::to_string(opt_.max_queue);
+      r.query = q;
+      r.status = QueryStatus::kError;
+      r.error = "query vertex out of range";
+      failed.fetch_add(1, std::memory_order_relaxed);
+    } else if (!point) {
+      rows.push_back(static_cast<std::uint32_t>(i));
+    } else if (by_tile) {
+      tile_of[i] = static_cast<std::uint32_t>(
+          static_cast<std::size_t>(stored_id(q.u) / b) * nb +
+          static_cast<std::size_t>(stored_id(q.v) / b));
+      ++start[tile_of[i] + 1];
+    } else {
+      order.push_back(static_cast<std::uint32_t>(i));
+      bounds.push_back(static_cast<std::uint32_t>(order.size()));
     }
-    shed_.fetch_add(static_cast<long long>(queries.size() - admitted),
-                    std::memory_order_relaxed);
+  }
+  if (by_tile) {
+    for (std::size_t t = 0; t < tiles; ++t) {
+      start[t + 1] += start[t];
+      if (start[t + 1] > start[t]) bounds.push_back(start[t + 1]);
+    }
+    order.resize(bounds.back());
+    for (std::size_t i = 0; i < admitted; ++i) {
+      if (tile_of[i] != kNoTile) {
+        order[start[tile_of[i]]++] = static_cast<std::uint32_t>(i);
+      }
+    }
   }
 
   // Workers run on ThreadPool::global(), where an escaping exception is
   // fatal (util/thread_pool.h): every failure must become a per-query
-  // status here, never a throw.
-  const auto run_one = [&](std::size_t i) {
-    const Query& q = queries[i];
+  // status here, never a throw. A bucket's first query pays the (timed)
+  // tile resolution; a tile failure degrades exactly its bucket — the
+  // typed error is copied to each query that needed the tile.
+  const auto run_bucket = [&](const std::uint32_t* first,
+                              const std::uint32_t* last) {
+    const Query& head = queries[*first];
+    const vidx_t bi = stored_id(head.u) / b;
+    const vidx_t bj = stored_id(head.v) / b;
+    Timer t_fetch;
+    BlockData tile;
+    QueryStatus status = QueryStatus::kOk;
+    std::string error;
+    try {
+      tile = fetch(bi, bj);
+    } catch (const core::TileError& e) {
+      status = QueryStatus::kQuarantined;
+      error = e.what();
+    } catch (const std::exception& e) {
+      status = QueryStatus::kError;
+      error = e.what();
+    }
+    const double fetch_s = t_fetch.seconds();
+    if (status != QueryStatus::kOk) {
+      for (const std::uint32_t* p = first; p != last; ++p) {
+        QueryResult& r = report.results[*p];
+        r.query = queries[*p];
+        r.status = status;
+        r.error = error;
+        r.latency_s = p == first ? fetch_s : 0.0;
+      }
+      failed.fetch_add(last - first, std::memory_order_relaxed);
+      return;
+    }
+    // Per-query latency is amortized over the bucket (timing each ~100ns
+    // array read individually would cost more than the read).
+    const vidx_t cols = std::min<vidx_t>(b, n() - bj * b);
+    Timer t_reads;
+    for (const std::uint32_t* p = first; p != last; ++p) {
+      const Query& q = queries[*p];
+      QueryResult& r = report.results[*p];
+      r.query = q;
+      r.dist = (*tile)[static_cast<std::size_t>(stored_id(q.u) - bi * b) *
+                           static_cast<std::size_t>(cols) +
+                       static_cast<std::size_t>(stored_id(q.v) - bj * b)];
+    }
+    const double per_read =
+        t_reads.seconds() / static_cast<double>(last - first);
+    for (const std::uint32_t* p = first; p != last; ++p) {
+      report.results[*p].latency_s = per_read + (p == first ? fetch_s : 0.0);
+    }
+  };
+  const auto run_row = [&](std::uint32_t i) {
     QueryResult& r = report.results[i];
-    r.query = q;
+    r.query = queries[i];
     Timer t;
     try {
-      switch (q.kind) {
-        case QueryKind::kPoint:
-          r.dist = point(q.u, q.v);
-          break;
-        case QueryKind::kRow:
-          r.row = row(q.u);
-          break;
-      }
+      r.row = row(r.query.u);
     } catch (const core::TileError& e) {
       r.status = QueryStatus::kQuarantined;
       r.error = e.what();
-      r.row.clear();
-      r.dist = kInf;
     } catch (const std::exception& e) {
       r.status = QueryStatus::kError;
       r.error = e.what();
+    }
+    if (r.status != QueryStatus::kOk) {
       r.row.clear();
-      r.dist = kInf;
+      failed.fetch_add(1, std::memory_order_relaxed);
     }
     r.latency_s = t.seconds();
   };
 
-  // Point queries are grouped by tile so each tile goes through the cache
-  // once per batch; the rest of a bucket is answered by direct array reads.
-  // A batch much smaller than the tile grid would pay more for the counting
-  // pass than it saves — those (and empty stores) take the per-query path.
-  const bool grouped =
-      tiles > 0 && tiles <= std::max<std::size_t>(1024, 8 * admitted);
-  Timer wall;
-  if (!grouped) {
-    ThreadPool::global().parallel_for(admitted, run_one, /*grain=*/1, fanout);
-  } else {
-    const vidx_t b = opt_.block_size;
-    // Counting sort of point-query indices by tile (validated up front, on
-    // the calling thread, so workers never throw for bad arguments).
-    std::vector<std::uint32_t> tile_of(admitted);
-    std::vector<std::uint32_t> count(tiles, 0);
-    std::vector<std::uint32_t> row_queries;
-    std::size_t num_points = 0;
-    for (std::size_t i = 0; i < admitted; ++i) {
-      const Query& q = queries[i];
-      GAPSP_CHECK(q.u >= 0 && q.u < n(), "query vertex out of range");
-      if (q.kind == QueryKind::kRow) {
-        row_queries.push_back(static_cast<std::uint32_t>(i));
-        continue;
-      }
-      GAPSP_CHECK(q.v >= 0 && q.v < n(), "query vertex out of range");
-      const auto t = static_cast<std::uint32_t>(
-          static_cast<std::size_t>(stored_id(q.u) / b) * num_blocks_ +
-          static_cast<std::size_t>(stored_id(q.v) / b));
-      tile_of[i] = t;
-      ++count[t];
-      ++num_points;
-    }
-    std::vector<std::uint32_t> start(tiles + 1, 0);
-    std::vector<std::uint32_t> bucket_tiles;  // non-empty, in tile order
-    for (std::size_t t = 0; t < tiles; ++t) {
-      start[t + 1] = start[t] + count[t];
-      if (count[t] > 0) bucket_tiles.push_back(static_cast<std::uint32_t>(t));
-    }
-    std::vector<std::uint32_t> order(num_points);
-    {
-      std::vector<std::uint32_t> cursor(start.begin(), start.end() - 1);
-      for (std::size_t i = 0; i < admitted; ++i) {
-        if (queries[i].kind == QueryKind::kPoint) {
-          order[cursor[tile_of[i]]++] = static_cast<std::uint32_t>(i);
+  const std::size_t buckets = bounds.size() - 1;
+  ThreadPool::global().parallel_for(
+      buckets + rows.size(),
+      [&](std::size_t w) {
+        if (w < buckets) {
+          run_bucket(order.data() + bounds[w], order.data() + bounds[w + 1]);
+        } else {
+          run_row(rows[w - buckets]);
         }
-      }
-    }
-    // One work item per non-empty bucket, plus one per row query. The first
-    // query of a bucket pays the (timed) cache resolution; the rest read the
-    // pinned tile directly. A tile failure degrades exactly its bucket —
-    // the typed error is copied to each query that needed the tile.
-    ThreadPool::global().parallel_for(
-        bucket_tiles.size() + row_queries.size(),
-        [&](std::size_t w) {
-          if (w >= bucket_tiles.size()) {
-            run_one(row_queries[w - bucket_tiles.size()]);
-            return;
-          }
-          const std::uint32_t tl = bucket_tiles[w];
-          const auto bi = static_cast<vidx_t>(tl / static_cast<std::uint32_t>(num_blocks_));
-          const auto bj = static_cast<vidx_t>(tl % static_cast<std::uint32_t>(num_blocks_));
-          const vidx_t cols = std::min<vidx_t>(b, n() - bj * b);
-          Timer t_fetch;
-          BlockData tile;
-          try {
-            tile = fetch(bi, bj);
-          } catch (const core::TileError& e) {
-            for (std::uint32_t p = start[tl]; p < start[tl + 1]; ++p) {
-              QueryResult& r = report.results[order[p]];
-              r.query = queries[order[p]];
-              r.status = QueryStatus::kQuarantined;
-              r.error = e.what();
-              r.latency_s = p == start[tl] ? t_fetch.seconds() : 0.0;
-            }
-            return;
-          } catch (const std::exception& e) {
-            for (std::uint32_t p = start[tl]; p < start[tl + 1]; ++p) {
-              QueryResult& r = report.results[order[p]];
-              r.query = queries[order[p]];
-              r.status = QueryStatus::kError;
-              r.error = e.what();
-              r.latency_s = p == start[tl] ? t_fetch.seconds() : 0.0;
-            }
-            return;
-          }
-          const double fetch_s = t_fetch.seconds();
-          // Per-query latency is amortized over the bucket (timing each
-          // ~100ns array read individually would cost more than the read);
-          // the tile resolution is billed to the bucket's first query.
-          Timer t_reads;
-          for (std::uint32_t p = start[tl]; p < start[tl + 1]; ++p) {
-            const std::uint32_t i = order[p];
-            const Query& q = queries[i];
-            QueryResult& r = report.results[i];
-            r.query = q;
-            r.dist = (*tile)[static_cast<std::size_t>(stored_id(q.u) - bi * b) *
-                                 static_cast<std::size_t>(cols) +
-                             static_cast<std::size_t>(stored_id(q.v) - bj * b)];
-          }
-          const auto bucket_n = start[tl + 1] - start[tl];
-          const double per_read = t_reads.seconds() / bucket_n;
-          for (std::uint32_t p = start[tl]; p < start[tl + 1]; ++p) {
-            report.results[order[p]].latency_s =
-                per_read + (p == start[tl] ? fetch_s : 0.0);
-          }
-        },
-        /*grain=*/1, fanout);
-  }
-  report.wall_seconds = wall.seconds();
-  report.qps = report.wall_seconds > 0.0
-                   ? static_cast<double>(queries.size()) / report.wall_seconds
-                   : 0.0;
+      },
+      /*grain=*/1, static_cast<std::size_t>(std::max(0, opt_.max_threads)));
+  summarize_batch(report, admitted, wall.seconds());
 
-  long long ok = 0;
-  long long bad = 0;
-  std::vector<double> lat;
-  lat.reserve(admitted);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < admitted; ++i) {
-    const QueryResult& r = report.results[i];
-    (r.status == QueryStatus::kOk ? ok : bad) += 1;
-    lat.push_back(r.latency_s);
-    sum += r.latency_s;
-  }
-  served_.fetch_add(ok, std::memory_order_relaxed);
+  const long long bad = failed.load(std::memory_order_relaxed);
+  served_.fetch_add(static_cast<long long>(admitted) - bad,
+                    std::memory_order_relaxed);
   degraded_.fetch_add(bad, std::memory_order_relaxed);
-  std::sort(lat.begin(), lat.end());
-  report.latency.count = lat.size();
-  report.latency.mean_s = lat.empty() ? 0.0 : sum / static_cast<double>(lat.size());
-  report.latency.p50_s = latency_percentile(lat, 0.50);
-  report.latency.p95_s = latency_percentile(lat, 0.95);
-  report.latency.max_s = lat.empty() ? 0.0 : lat.back();
   report.cache = cache_.stats();
   report.service = service_stats();
   return report;

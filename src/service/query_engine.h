@@ -6,7 +6,8 @@
 // scale), and this engine turns it into a servable artifact: a block-
 // granular LRU cache (block_cache.h) absorbs the file-backed store's
 // per-element seek cost, and batches fan out across ThreadPool::global()
-// with a latency sample per query.
+// with a latency sample per query. It is the one distance oracle over a
+// kept store: path extraction (path_extract.h) reads through it too.
 //
 // Fault tolerance (DESIGN.md §13): every miss-path read goes through a
 // CheckedTileReader — checksum-verified against the GAPSPSM1 sidecar for
@@ -35,8 +36,8 @@
 
 namespace gapsp::service {
 
-// The cache moved to core (core/block_cache.h) so PathExtractor can share
-// it; these aliases keep service callers source-compatible.
+// The engine's tile cache lives in core (core/block_cache.h, util-only);
+// these aliases name it on the service side.
 using core::BlockCache;
 using core::BlockData;
 using core::CacheStats;
@@ -59,7 +60,8 @@ enum class QueryStatus {
   kQuarantined,  ///< a tile this query needs is unserveable (corrupt or
                  ///< persistently unreadable) and no repair source is set
   kShed,         ///< rejected by admission control before any read
-  kError,        ///< unexpected failure (bug surface, not a data fault)
+  kError,        ///< a vertex outside [0, n), or an unexpected failure
+                 ///< (bug surface, not a data fault)
 };
 
 const char* query_status_name(QueryStatus s);
@@ -81,14 +83,6 @@ struct LatencyStats {
   double max_s = 0.0;
 };
 
-/// Linear-interpolation percentile over an ascending-sorted sample (the
-/// "exclusive max" convention: q lands at rank q·(n−1) and fractional ranks
-/// interpolate between neighbors). The earlier nearest-rank rounding made
-/// small batches report the max as p95 — with 4 samples, rank llround(0.95·3)
-/// = 3 IS the max — and biased even p50 upward. Shared by the engine, the
-/// shard router's merged report, and the stats tests.
-double latency_percentile(const std::vector<double>& sorted, double q);
-
 /// Engine-cumulative serving counters (atomically maintained across
 /// batches and threads; reader stats come from the CheckedTileReader).
 struct ServiceStats {
@@ -109,6 +103,27 @@ struct BatchReport {
   CacheStats cache;      ///< snapshot after the batch (cumulative counters)
   ServiceStats service;  ///< snapshot after the batch (cumulative counters)
 };
+
+/// Linear-interpolation percentile over an ascending-sorted sample (the
+/// "exclusive max" convention: q lands at rank q·(n−1) and fractional ranks
+/// interpolate between neighbors). The earlier nearest-rank rounding made
+/// small batches report the max as p95 — with 4 samples, rank llround(0.95·3)
+/// = 3 IS the max — and biased even p50 upward. summarize_batch reads p50
+/// and p95 through it.
+double latency_percentile(const std::vector<double>& sorted, double q);
+
+/// Admission control of a batch, shared by QueryEngine and ShardRouter: the
+/// batch IS the queue. Sizes `results` to the batch, sheds every query past
+/// `max_queue` (0 = no bound) with QueryStatus::kShed before any read, and
+/// returns how many queries were admitted: results [0, admitted).
+std::size_t admit_batch(std::span<const Query> queries, std::size_t max_queue,
+                        std::vector<QueryResult>& results);
+
+/// Fills a finished batch's summary, shared by QueryEngine and ShardRouter:
+/// wall time, qps over every query (shed ones included), and the latency
+/// mean/p50/p95/max over the admitted results [0, admitted).
+void summarize_batch(BatchReport& report, std::size_t admitted,
+                     double wall_seconds);
 
 struct QueryEngineOptions {
   /// Cache tile side length in elements; edge tiles are smaller. Ignored
@@ -169,13 +184,16 @@ class QueryEngine {
              std::size_t dst_ld) const;
 
   /// Runs `queries` concurrently over ThreadPool::global(), timing each.
-  /// Results come back in input order. Point queries are grouped by cache
-  /// tile: each tile is resolved once per batch (the first query of the
-  /// bucket pays it) and the rest of the bucket reads the pinned tile
-  /// directly, so cache counters move per *tile*, not per query. Never
-  /// throws for data faults: a query touching an unserveable tile comes
-  /// back kQuarantined, overflow beyond max_queue comes back kShed, and
-  /// sibling queries are unaffected either way.
+  /// Results come back in input order. Every point query runs in a bucket
+  /// of points that share a cache tile: the bucket resolves its tile once
+  /// (its first query pays it) and reads the pinned tile directly, so cache
+  /// counters move per bucket, not per query. When the tile grid is small
+  /// next to the batch a counting sort makes one bucket per touched tile;
+  /// on a larger grid each point is its own bucket. Row queries are work
+  /// items of their own. Never throws for bad input or data faults: a query
+  /// with a vertex outside [0, n) comes back kError on its own, one
+  /// touching an unserveable tile kQuarantined, overflow beyond max_queue
+  /// kShed, and sibling queries are unaffected either way.
   BatchReport run_batch(std::span<const Query> queries) const;
 
   CacheStats cache_stats() const { return cache_.stats(); }
@@ -223,9 +241,10 @@ class QueryEngine {
   /// Misses, overlay tiles and repairs all take their buffers from its free
   /// list (BlockCache::make_tile).
   mutable BlockCache cache_;
-  /// All miss-path reads funnel through the checked reader: it injects
-  /// chaos faults, retries transients, and verifies checksums. Misses on
-  /// different tiles read and decode in parallel; hits never touch it.
+  /// fetch's miss loader reads every tile through the checked reader: it
+  /// injects chaos faults, retries transients, and verifies checksums.
+  /// Misses on different tiles read and decode in parallel; hits never
+  /// touch it.
   mutable core::CheckedTileReader reader_;
   mutable std::atomic<long long> served_{0};
   mutable std::atomic<long long> degraded_{0};

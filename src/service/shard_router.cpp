@@ -1,6 +1,5 @@
 #include "service/shard_router.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <thread>
@@ -42,9 +41,9 @@ class LocalShardBackend final : public ShardBackend {
     try {
       return engine_.run_batch(queries);
     } catch (const std::exception& e) {
-      // The engine only throws for caller bugs (e.g. a vertex out of
-      // range that slipped past router validation); keep the backend
-      // contract anyway — typed results, never an escaping exception.
+      // The engine types bad vertices and data faults per query and never
+      // throws for them; what is left (an allocation failure) must not
+      // escape the router's thread either — typed results, always.
       BatchReport report;
       for (const Query& q : queries) {
         report.results.push_back(
@@ -353,21 +352,11 @@ ShardRouter::~ShardRouter() = default;
 BatchReport ShardRouter::run_batch(std::span<const Query> queries) {
   Timer wall;
   BatchReport report;
-  report.results.resize(queries.size());
-
-  // Router-level admission, mirroring the engine's semantics: the overflow
-  // is shed before any routing so workers see bounded sub-batches.
-  std::size_t admitted = queries.size();
-  if (opt_.max_queue > 0 && queries.size() > opt_.max_queue) {
-    admitted = opt_.max_queue;
-    for (std::size_t i = admitted; i < queries.size(); ++i) {
-      report.results[i] = typed_result(
-          queries[i], QueryStatus::kShed,
-          "shed: batch exceeds admission queue of " +
-              std::to_string(opt_.max_queue));
-    }
-    shed_total_ += static_cast<long long>(queries.size() - admitted);
-  }
+  // Router-level admission, the engine's own: the overflow is shed before
+  // any routing so workers see bounded sub-batches.
+  const std::size_t admitted =
+      admit_batch(queries, opt_.max_queue, report.results);
+  shed_total_ += static_cast<long long>(queries.size() - admitted);
 
   // Route by the stored row: shards split stored rows, so each query has
   // exactly one owner. Unrouteable queries degrade typed right here.
@@ -417,25 +406,7 @@ BatchReport ShardRouter::run_batch(std::span<const Query> queries) {
     }
   }
 
-  report.wall_seconds = wall.seconds();
-  report.qps = report.wall_seconds > 0.0
-                   ? static_cast<double>(queries.size()) / report.wall_seconds
-                   : 0.0;
-
-  std::vector<double> lat;
-  lat.reserve(admitted);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < admitted; ++i) {
-    lat.push_back(report.results[i].latency_s);
-    sum += report.results[i].latency_s;
-  }
-  std::sort(lat.begin(), lat.end());
-  report.latency.count = lat.size();
-  report.latency.mean_s =
-      lat.empty() ? 0.0 : sum / static_cast<double>(lat.size());
-  report.latency.p50_s = latency_percentile(lat, 0.50);
-  report.latency.p95_s = latency_percentile(lat, 0.95);
-  report.latency.max_s = lat.empty() ? 0.0 : lat.back();
+  summarize_batch(report, admitted, wall.seconds());
 
   // Merged counters: the sum of every backend's cumulative snapshot plus
   // the router's own shed/unrouteable tallies.

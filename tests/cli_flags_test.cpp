@@ -130,6 +130,27 @@ TEST_F(CliFlags, QueriesRoutingOutsideTheSliceExitOne) {
   EXPECT_EQ(run_cli(cli, q("--shard -1 --point 0,1")), 1);
 }
 
+TEST_F(CliFlags, QueryVerticesOutsideTheStoreExitOne) {
+  // The store has n = 64. A vertex outside it is a usage error naming its
+  // flag or batch line, whatever tile grid or topology would serve it:
+  // unchecked, a 7-wide grid typed it per query and exited 0, a 64-wide
+  // one threw the engine's internal check, and the router typed it too.
+  expect_typed_error(cli, q("--block 7 --point '0,1;3,64'"), "--point");
+  expect_typed_error(cli, q("--block 64 --point '0,1;3,64'"), "--point");
+  expect_typed_error(cli, q("--row 64"), "--row");
+  expect_typed_error(cli, q("--route local --point '0,1;3,64'"), "--point");
+  expect_typed_error(cli, q("--shard 0 --point 3,64"), "--point");
+  const std::string batch = ::testing::TempDir() + "gapsp_cli_range.txt";
+  {
+    std::ofstream out(batch);
+    out << "0 1\n# the next line is out of range\nrow 70\n";
+  }
+  expect_typed_error(cli, q("--batch " + batch), "--batch line 3");
+  std::remove(batch.c_str());
+  // The last vertex is still served.
+  EXPECT_EQ(run_cli(cli, q("--point 63,63 --row 63")), 0);
+}
+
 TEST_F(CliFlags, UnknownFlagsExitTwo) {
   EXPECT_EQ(run_cli(cli, q("--point 0,1 --bogus-flag 3")), 2);
   EXPECT_EQ(run_cli(cli, "shard --store-path " + store + " --route local"),

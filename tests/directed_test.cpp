@@ -9,9 +9,9 @@
 
 #include "core/apsp.h"
 #include "core/component_solver.h"
-#include "core/path_extract.h"
 #include "graph/generators.h"
 #include "graph/graph_stats.h"
+#include "service/path_extract.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -107,7 +107,8 @@ TEST(DirectedPath, BacktrackingFollowsArcDirections) {
   o.algorithm = Algorithm::kJohnson;
   auto store = make_ram_store(g.num_vertices());
   const auto r = solve_apsp(g, o, *store);
-  const PathExtractor px(g, *store, r);
+  const service::QueryEngine engine(*store, {}, r.perm);
+  const service::PathExtractor px(g, engine);
   Rng rng(3);
   for (int trial = 0; trial < 40; ++trial) {
     const auto u = static_cast<vidx_t>(rng.next_below(60));

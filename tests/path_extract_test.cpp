@@ -5,13 +5,19 @@
 #include <vector>
 
 #include "core/compressed_store.h"
-#include "core/path_extract.h"
+#include "core/scrub.h"
+#include "core/store_integrity.h"
 #include "graph/generators.h"
+#include "service/path_extract.h"
 #include "test_util.h"
 #include "util/rng.h"
 
 namespace gapsp::core {
 namespace {
+
+using service::PathExtractor;
+using service::QueryEngine;
+using service::QueryEngineOptions;
 
 ApspOptions opts() {
   ApspOptions o;
@@ -40,7 +46,8 @@ TEST(PathExtract, LineGraphPath) {
   auto s = solve(graph::CsrGraph::from_edges(
                      4, {{0, 1, 5}, {1, 2, 3}, {2, 3, 1}}, true),
                  Algorithm::kJohnson);
-  const PathExtractor px(s.g, *s.store, s.result);
+  const QueryEngine engine(*s.store, {}, s.result.perm);
+  const PathExtractor px(s.g, engine);
   EXPECT_EQ(px.path(0, 3), (std::vector<vidx_t>{0, 1, 2, 3}));
   EXPECT_EQ(px.path(3, 0), (std::vector<vidx_t>{3, 2, 1, 0}));
   EXPECT_EQ(px.distance(0, 3), 9);
@@ -49,7 +56,8 @@ TEST(PathExtract, LineGraphPath) {
 TEST(PathExtract, TrivialAndUnreachable) {
   auto s = solve(graph::CsrGraph::from_edges(3, {{0, 1, 2}}, true),
                  Algorithm::kJohnson);
-  const PathExtractor px(s.g, *s.store, s.result);
+  const QueryEngine engine(*s.store, {}, s.result.perm);
+  const PathExtractor px(s.g, engine);
   EXPECT_EQ(px.path(1, 1), (std::vector<vidx_t>{1}));
   EXPECT_TRUE(px.path(0, 2).empty());
   EXPECT_EQ(px.distance(0, 2), kInf);
@@ -60,7 +68,8 @@ TEST(PathExtract, ShortcutBeatsMoreHops) {
   auto s = solve(graph::CsrGraph::from_edges(
                      3, {{0, 1, 2}, {1, 2, 2}, {0, 2, 7}}, true),
                  Algorithm::kBlockedFloydWarshall);
-  const PathExtractor px(s.g, *s.store, s.result);
+  const QueryEngine engine(*s.store, {}, s.result.perm);
+  const PathExtractor px(s.g, engine);
   EXPECT_EQ(px.path(0, 2), (std::vector<vidx_t>{0, 1, 2}));
 }
 
@@ -68,7 +77,8 @@ TEST(PathExtract, ZeroWeightEdgesTerminate) {
   auto s = solve(graph::CsrGraph::from_edges(
                      4, {{0, 1, 0}, {1, 2, 0}, {2, 3, 0}, {0, 3, 0}}, true),
                  Algorithm::kJohnson);
-  const PathExtractor px(s.g, *s.store, s.result);
+  const QueryEngine engine(*s.store, {}, s.result.perm);
+  const PathExtractor px(s.g, engine);
   const auto p = px.path(0, 3);
   ASSERT_FALSE(p.empty());
   EXPECT_EQ(p.front(), 0);
@@ -79,7 +89,8 @@ TEST(PathExtract, ZeroWeightEdgesTerminate) {
 TEST(PathExtract, WalkLengthValidatesEdges) {
   auto s = solve(graph::CsrGraph::from_edges(3, {{0, 1, 4}, {1, 2, 6}}, true),
                  Algorithm::kJohnson);
-  const PathExtractor px(s.g, *s.store, s.result);
+  const QueryEngine engine(*s.store, {}, s.result.perm);
+  const PathExtractor px(s.g, engine);
   EXPECT_EQ(px.walk_length({0, 1, 2}), 10);
   EXPECT_EQ(px.walk_length({0, 2}), kInf);  // not an edge
   EXPECT_EQ(px.walk_length({}), kInf);
@@ -89,7 +100,8 @@ TEST(PathExtract, WalkLengthValidatesEdges) {
 TEST(PathExtract, RejectsOutOfRange) {
   auto s = solve(graph::CsrGraph::from_edges(2, {{0, 1, 1}}, true),
                  Algorithm::kJohnson);
-  const PathExtractor px(s.g, *s.store, s.result);
+  const QueryEngine engine(*s.store, {}, s.result.perm);
+  const PathExtractor px(s.g, engine);
   EXPECT_THROW(px.path(0, 5), Error);
   EXPECT_THROW(px.path(-1, 0), Error);
 }
@@ -101,7 +113,8 @@ TEST_P(PathExtractSweep, EveryPathIsAValidShortestWalk) {
                              Algorithm::kJohnson, Algorithm::kBoundary};
   const Algorithm algo = algos[GetParam()];
   auto s = solve(graph::make_road(14, 15, 321), algo);
-  const PathExtractor px(s.g, *s.store, s.result);
+  const QueryEngine engine(*s.store, {}, s.result.perm);
+  const PathExtractor px(s.g, engine);
   Rng rng(11);
   const vidx_t n = s.g.num_vertices();
   for (int trial = 0; trial < 60; ++trial) {
@@ -137,10 +150,11 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, PathExtractSweep, ::testing::Range(0, 3),
                          sweep_name);
 
 // ---------------------------------------------------------------------------
-// Regression against the store oracle: distance() now reads through a
-// BlockCache tile front instead of one DistStore::at() per element, and the
-// answers must not move — for permuted (boundary) results, under a cache too
-// small to hold the working set, and over a GAPSPZ1 compressed store.
+// Regression against the store oracle: distance() reads through a
+// QueryEngine's tile cache instead of one DistStore::at() per element, and
+// the answers must not move — for permuted (boundary) results, under a cache
+// too small to hold the working set, over a GAPSPZ1 compressed store, and
+// through a corrupt tile the engine's repair source recomputes.
 // ---------------------------------------------------------------------------
 
 TEST(PathExtract, CachedDistancesMatchElementwiseOracle) {
@@ -149,8 +163,10 @@ TEST(PathExtract, CachedDistancesMatchElementwiseOracle) {
   auto s = solve(graph::make_road(12, 12, 99), Algorithm::kBoundary);
   const vidx_t n = s.g.num_vertices();
   // A one-tile cache budget forces constant eviction; answers must hold.
-  const PathExtractor px(s.g, *s.store, s.result,
-                         /*cache_bytes=*/256 * 256 * sizeof(dist_t));
+  QueryEngineOptions opt;
+  opt.cache_bytes = 256 * 256 * sizeof(dist_t);
+  const QueryEngine engine(*s.store, opt, s.result.perm);
+  const PathExtractor px(s.g, engine);
   for (vidx_t u = 0; u < n; u += 7) {
     for (vidx_t v = 0; v < n; v += 5) {
       const vidx_t su = s.result.perm.empty() ? u : s.result.perm[u];
@@ -168,8 +184,10 @@ TEST(PathExtract, CompressedStoreServesIdenticalPaths) {
   write_compressed_store(*s.store, zpath, /*tile=*/48);
   const auto z = open_store(zpath);
   ASSERT_EQ(z->tile_size(), 48);  // extractor snaps its grid to this
-  const PathExtractor raw(s.g, *s.store, s.result);
-  const PathExtractor zx(s.g, *z, s.result);
+  const QueryEngine raw_engine(*s.store, {}, s.result.perm);
+  const QueryEngine z_engine(*z, {}, s.result.perm);
+  const PathExtractor raw(s.g, raw_engine);
+  const PathExtractor zx(s.g, z_engine);
   Rng rng(4242);
   const vidx_t n = s.g.num_vertices();
   for (int trial = 0; trial < 80; ++trial) {
@@ -188,12 +206,63 @@ TEST(PathExtract, DisconnectedPairsServeFromSharedInfTile) {
   auto s = solve(graph::CsrGraph::from_edges(
                      6, {{0, 1, 2}, {1, 2, 2}, {3, 4, 1}, {4, 5, 1}}, true),
                  Algorithm::kJohnson);
-  const PathExtractor px(s.g, *s.store, s.result, /*cache_bytes=*/0);
+  QueryEngineOptions opt;
+  opt.cache_bytes = 0;
+  const QueryEngine engine(*s.store, opt, s.result.perm);
+  const PathExtractor px(s.g, engine);
   EXPECT_EQ(px.distance(0, 5), kInf);
   EXPECT_EQ(px.distance(4, 2), kInf);
   EXPECT_TRUE(px.path(0, 5).empty());
   EXPECT_EQ(px.distance(0, 2), 4);
   EXPECT_EQ(px.path(3, 5), (std::vector<vidx_t>{3, 4, 5}));
+}
+
+TEST(PathExtract, RepairSourceServesPathsThroughACorruptTile) {
+  // Johnson keeps the identity layout, so dist(0, 5) is element 5 of the
+  // raw file, inside sidecar tile (0, 0): every path from 0 reads it.
+  const auto g = graph::make_road(12, 12, 77);
+  const vidx_t n = g.num_vertices();
+  const std::string path =
+      ::testing::TempDir() + "gapsp_path_extract_repair.bin";
+  ApspOptions o = opts();
+  o.algorithm = Algorithm::kJohnson;
+  {
+    auto store = make_file_store(n, path, /*keep_file=*/true);
+    ASSERT_TRUE(solve_apsp(g, o, *store).perm.empty());
+  }
+  QueryEngineOptions opt;
+  std::vector<std::vector<vidx_t>> want;
+  {
+    const auto pristine = open_file_store(path);
+    opt.checksums = compute_store_checksums(*pristine, /*tile=*/48);
+    const QueryEngine engine(*pristine, {});
+    const PathExtractor px(g, engine);
+    for (vidx_t v = 0; v < n; v += 7) want.push_back(px.path(0, v));
+  }
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 5 * sizeof(dist_t), SEEK_SET), 0);
+    const int byte = std::fgetc(f);
+    ASSERT_EQ(std::fseek(f, 5 * sizeof(dist_t), SEEK_SET), 0);
+    ASSERT_EQ(std::fputc(byte ^ 0xff, f), byte ^ 0xff);
+    std::fclose(f);
+  }
+  const auto damaged = open_file_store(path);
+
+  // The sidecar catches the damage: without a repair source the tile is
+  // unserveable.
+  const QueryEngine strict(*damaged, opt);
+  EXPECT_THROW(PathExtractor(g, strict).path(0, n - 1), TileError);
+
+  opt.repair = make_sssp_repair(g);
+  const QueryEngine engine(*damaged, opt);
+  const PathExtractor px(g, engine);
+  for (vidx_t v = 0, k = 0; v < n; v += 7, ++k) {
+    ASSERT_EQ(px.path(0, v), want[static_cast<std::size_t>(k)]) << "v " << v;
+  }
+  EXPECT_GE(engine.service_stats().repaired, 1);
+  std::remove(path.c_str());
 }
 
 }  // namespace

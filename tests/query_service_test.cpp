@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -228,6 +229,105 @@ TEST(QueryEngine, ConcurrentBatchUnderTinyCacheMatchesStore) {
                           s.result.stored_id(qs[i].v)))
         << "query " << i;
   }
+}
+
+// ---- One point path on both sides of the bucket rule ----
+// run_batch counting-sorts points by tile when the grid has at most
+// max(1024, 8 · admitted) tiles and makes each point its own bucket above
+// that. road12 has n = 144: 16-wide tiles give a 9×9 grid, 4-wide tiles a
+// 36×36 grid of 1,296, above 1,024 for this short batch.
+
+std::vector<Query> mixed_batch(vidx_t n) {
+  return {{QueryKind::kPoint, 1, 2},      {QueryKind::kPoint, 3, 5},
+          {QueryKind::kPoint, 3, 99999},  {QueryKind::kPoint, 2, 1},
+          {QueryKind::kRow, 7, 0},        {QueryKind::kPoint, 1, 2},
+          {QueryKind::kPoint, -1, 0},     {QueryKind::kPoint, 40, 100},
+          {QueryKind::kRow, n, 0},        {QueryKind::kPoint, 100, 40},
+          {QueryKind::kPoint, n - 1, n - 1}};
+}
+
+bool out_of_range(const Query& q, vidx_t n) {
+  return q.u < 0 || q.u >= n ||
+         (q.kind == QueryKind::kPoint && (q.v < 0 || q.v >= n));
+}
+
+QueryEngineOptions tiles_of(vidx_t block) {
+  QueryEngineOptions opt;
+  opt.block_size = block;
+  return opt;
+}
+
+TEST(QueryEngine, OutOfRangeQueriesAreTypedAloneOnBothSidesOfTheBucketRule) {
+  // Regression: on the counting-sort side a bad vertex threw out of
+  // run_batch and took the batch's valid answers with it.
+  const auto g = graph::make_road(12, 12, 511);
+  const auto s = solve(g, core::Algorithm::kJohnson);
+  const vidx_t n = g.num_vertices();
+  const std::vector<Query> qs = mixed_batch(n);
+  for (const vidx_t block : {16, 4}) {
+    const QueryEngine engine(*s.store, tiles_of(block), s.result.perm);
+    BatchReport rep;
+    ASSERT_NO_THROW(rep = engine.run_batch(qs)) << "block " << block;
+    ASSERT_EQ(rep.results.size(), qs.size());
+    long long bad = 0;
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      const Query& q = qs[i];
+      const QueryResult& r = rep.results[i];
+      if (out_of_range(q, n)) {
+        ++bad;
+        EXPECT_EQ(r.status, QueryStatus::kError) << "query " << i;
+        continue;
+      }
+      ASSERT_EQ(r.status, QueryStatus::kOk) << "query " << i << ": " << r.error;
+      if (q.kind == QueryKind::kPoint) {
+        EXPECT_EQ(r.dist, s.store->at(s.result.stored_id(q.u),
+                                      s.result.stored_id(q.v)))
+            << "query " << i;
+        continue;
+      }
+      ASSERT_EQ(r.row.size(), static_cast<std::size_t>(n));
+      for (vidx_t v = 0; v < n; ++v) {
+        ASSERT_EQ(r.row[v], s.store->at(s.result.stored_id(q.u),
+                                        s.result.stored_id(v)));
+      }
+    }
+    EXPECT_EQ(bad, 3);
+    EXPECT_EQ(rep.service.degraded, bad) << "block " << block;
+    EXPECT_EQ(rep.service.served, static_cast<long long>(qs.size()) - bad);
+  }
+}
+
+TEST(QueryEngine, BothSidesOfTheBucketRuleAnswerAlike) {
+  const auto g = graph::make_road(12, 12, 512);
+  const auto s = solve(g, core::Algorithm::kBoundary);
+  const vidx_t n = g.num_vertices();
+  const std::vector<Query> qs = mixed_batch(n);
+  const QueryEngine sorted(*s.store, tiles_of(16), s.result.perm);
+  const QueryEngine apart(*s.store, tiles_of(4), s.result.perm);
+  const BatchReport a = sorted.run_batch(qs);
+  const BatchReport b = apart.run_batch(qs);
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    EXPECT_EQ(a.results[i].status, b.results[i].status) << "query " << i;
+    EXPECT_EQ(a.results[i].error, b.results[i].error) << "query " << i;
+    EXPECT_EQ(a.results[i].dist, b.results[i].dist) << "query " << i;
+    EXPECT_EQ(a.results[i].row, b.results[i].row) << "query " << i;
+  }
+  // Which side each engine took shows in its cache lookups: a row reads
+  // its tile row on either side, and the points add one lookup per touched
+  // tile when sorted, one per point apart.
+  std::set<std::pair<vidx_t, vidx_t>> touched;
+  long long points = 0;
+  for (const Query& q : qs) {
+    if (q.kind != QueryKind::kPoint || out_of_range(q, n)) continue;
+    ++points;
+    touched.emplace(s.result.stored_id(q.u) / 16,
+                    s.result.stored_id(q.v) / 16);
+  }
+  const auto lookups = [](const CacheStats& c) { return c.hits + c.misses; };
+  EXPECT_EQ(lookups(a.cache),
+            (n + 15) / 16 + static_cast<long long>(touched.size()));
+  EXPECT_EQ(lookups(b.cache), (n + 3) / 4 + points);
+  EXPECT_LT(static_cast<long long>(touched.size()), points);  // repeats
 }
 
 // ---- Recycled miss buffers (BlockCache::make_tile) ----

@@ -24,7 +24,6 @@
 #include "core/cost_model.h"
 #include "core/dist_io.h"
 #include "core/multi_device.h"
-#include "core/path_extract.h"
 #include "core/scrub.h"
 #include "core/shard_store.h"
 #include "core/store_integrity.h"
@@ -33,6 +32,7 @@
 #include "graph/graph_stats.h"
 #include "graph/matrix_market.h"
 #include "partition/boundary.h"
+#include "service/path_extract.h"
 #include "service/query_engine.h"
 #include "service/shard_router.h"
 #include "service/shard_worker.h"
@@ -293,6 +293,7 @@ service::QueryEngineOptions engine_options(const Args& args) {
 struct ParsedQueries {
   std::vector<service::Query> queries;
   std::size_t inline_queries = 0;  // point and row flags: echo each result
+  std::vector<std::string> source;  // each query's flag or batch line
 };
 
 ParsedQueries parse_queries(const Args& args) {
@@ -301,9 +302,11 @@ ParsedQueries parse_queries(const Args& args) {
   for (const auto& item : split(kPoint(args), ';')) {
     const auto [u, v] = vertex_pair(item, kPoint.flag());
     queries.push_back({service::QueryKind::kPoint, u, v});
+    out.source.push_back(kPoint.flag());
   }
   for (const auto& item : split(kRow(args), ';')) {
     queries.push_back({service::QueryKind::kRow, vertex(item, kRow.flag()), 0});
+    out.source.push_back(kRow.flag());
   }
   out.inline_queries = queries.size();
   if (const auto batch = kBatch.get(args)) {
@@ -317,6 +320,7 @@ ParsedQueries parse_queries(const Args& args) {
       if (tok.empty() || tok[0][0] == '#') continue;
       const std::string what =
           kBatch.flag() + " line " + std::to_string(lineno);
+      out.source.push_back(what);
       if (tok[0] == "row" && tok.size() > 1) {
         queries.push_back({service::QueryKind::kRow, vertex(tok[1], what), 0});
       } else if (tok[0].find(',') != std::string::npos) {
@@ -333,6 +337,19 @@ ParsedQueries parse_queries(const Args& args) {
                                     ", " + kRow.flag() + ", or " +
                                     kBatch.flag());
   return out;
+}
+
+/// A query vertex outside the served matrix is a usage error naming its
+/// flag or batch line (exit 1), checked before anything is served.
+void check_vertices(const ParsedQueries& pq, vidx_t n) {
+  for (std::size_t i = 0; i < pq.queries.size(); ++i) {
+    const service::Query& q = pq.queries[i];
+    const vidx_t far =
+        q.kind == service::QueryKind::kPoint ? std::max(q.u, q.v) : q.u;
+    GAPSP_CHECK(far < n, pq.source[i] + ": vertex " + std::to_string(far) +
+                             " is outside the store (n=" + std::to_string(n) +
+                             ")");
+  }
 }
 
 std::string us(double seconds) {
@@ -467,6 +484,7 @@ int run_query_shard_slice(const Args& args, const std::string& path,
   GAPSP_CHECK(k < manifest.num_shards(),
               kShard.flag() + " " + std::to_string(k) + " out of range [0, " +
                   std::to_string(manifest.num_shards()) + ")");
+  check_vertices(pq, manifest.n);
   const auto& range = manifest.shards[static_cast<std::size_t>(k)];
   const auto slice = core::open_shard_slice(path, manifest, k);
   const service::QueryEngine engine(*slice, engine_options(args));
@@ -476,16 +494,17 @@ int run_query_shard_slice(const Args& args, const std::string& path,
             << range.row_end << ") of n=" << manifest.n << ", "
             << (manifest.compressed ? "GAPSPZ1" : "raw") << " slice, tile "
             << manifest.tile << ")\n";
-  for (const auto& q : pq.queries) {
+  for (std::size_t i = 0; i < pq.queries.size(); ++i) {
     // A query this slice cannot own is a flag contradiction (exit 1), not
     // an "unreachable" answer.
+    const vidx_t u = pq.queries[i].u;
     GAPSP_CHECK(
-        q.u >= range.row_begin && q.u < range.row_end,
-        (q.kind == service::QueryKind::kPoint ? kPoint : kRow).flag() + " " +
-            std::to_string(q.u) + " routes outside " + kShard.flag() + " " +
-            std::to_string(k) + " rows [" + std::to_string(range.row_begin) +
-            ", " + std::to_string(range.row_end) + "); drop " +
-            kShard.flag() + " or use " + kRoute.flag() + " local/process");
+        u >= range.row_begin && u < range.row_end,
+        pq.source[i] + ": row " + std::to_string(u) + " routes outside " +
+            kShard.flag() + " " + std::to_string(k) + " rows [" +
+            std::to_string(range.row_begin) + ", " +
+            std::to_string(range.row_end) + "); drop " + kShard.flag() +
+            " or use " + kRoute.flag() + " local/process");
   }
   return serve_batch(engine, args, pq, manifest.n);
 }
@@ -495,6 +514,7 @@ int run_query_shard_slice(const Args& args, const std::string& path,
 int run_query_routed(const Args& args, const std::string& path, Route route,
                      const ParsedQueries& pq) {
   const auto manifest = require_manifest(path);
+  check_vertices(pq, manifest.n);
   const int shards = manifest.num_shards();
   // One logical cache budget, split across the shard engines like the
   // single-engine path would spend it (floor 1 MiB per shard).
@@ -582,6 +602,7 @@ int run_query(const Args& args) {
   if (kShard.has(args)) return run_query_shard_slice(args, path, pq);
 
   const auto store = core::open_store(path);  // raw or GAPSPZ1, auto-detected
+  check_vertices(pq, store->n());
   auto qopt = engine_options(args);
   // Raw stores verify against the GAPSPSM1 sidecar when one sits next to
   // the store; GAPSPZ1 frames are self-checksummed.
@@ -1185,7 +1206,8 @@ int run_solve(const Args& args) {
   }
   if (const auto p = kPath.get(args)) {
     const auto [u, v] = vertex_pair(*p, kPath.flag());
-    const core::PathExtractor extractor(g, *store, r);
+    const service::QueryEngine engine(*store, {}, r.perm);
+    const service::PathExtractor extractor(g, engine);
     const auto path = extractor.path(u, v);
     std::cout << "path(" << u << " -> " << v << "): ";
     for (std::size_t i = 0; i < path.size(); ++i) {
