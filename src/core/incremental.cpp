@@ -29,10 +29,6 @@ constexpr std::uint32_t kDeltaAlgorithm = 0x494E4331;  // "INC1"
 // Elements of dirty-tile compute per thread-pool chunk (one 256² tile).
 constexpr std::size_t kWalkChunkElems = std::size_t{1} << 16;
 
-// Checkpoint payload mode byte.
-constexpr std::uint8_t kModeRepair = 0;
-constexpr std::uint8_t kModeFullSolve = 1;
-
 double now_s() {
   using clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(clock::now().time_since_epoch())
@@ -218,12 +214,6 @@ bool land(dist_t* dst, const dist_t* src, std::size_t count) {
   return true;
 }
 
-void append_bytes(std::vector<std::uint8_t>& out, const void* p,
-                  std::size_t bytes) {
-  const auto* b = static_cast<const std::uint8_t*>(p);
-  out.insert(out.end(), b, b + bytes);
-}
-
 }  // namespace
 
 std::vector<EdgeUpdate> read_edge_updates(const std::string& path) {
@@ -315,14 +305,7 @@ IncrementalEngine::IncrementalEngine(const graph::CsrGraph& g,
   GAPSP_CHECK(opt_.tile > 0, "incremental tile must be positive");
   GAPSP_CHECK(opt_.checkpoint_every_tiles > 0,
               "checkpoint interval must be positive");
-  if (!perm_.empty()) {
-    GAPSP_CHECK(static_cast<vidx_t>(perm_.size()) == g_.num_vertices(),
-                "permutation size mismatch");
-    inv_perm_.assign(perm_.size(), 0);
-    for (std::size_t v = 0; v < perm_.size(); ++v) {
-      inv_perm_[static_cast<std::size_t>(perm_[v])] = static_cast<vidx_t>(v);
-    }
-  }
+  if (!perm_.empty()) g_stored_ = g_.relabel(perm_);
   symmetric_ = is_symmetric(g_);
 }
 
@@ -381,6 +364,17 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
   Classified cls;
   classify(updates, cls, outcome);
   g_final_ = apply_edge_updates(g_, cls.all);
+  // From here on every vertex id is a stored index: the classified arcs
+  // move into stored order once, and `g` is the graph in that order.
+  const graph::CsrGraph& g = perm_.empty() ? g_ : g_stored_;
+  if (!perm_.empty()) {
+    for (auto* arcs : {&cls.decreases, &cls.increases, &cls.all}) {
+      for (EdgeUpdate& up : *arcs) {
+        up.u = perm_[static_cast<std::size_t>(up.u)];
+        up.v = perm_[static_cast<std::size_t>(up.v)];
+      }
+    }
+  }
 
   vidx_t tile = opt_.tile;
   if (pristine.tile_size() > 0) tile = pristine.tile_size();
@@ -422,10 +416,8 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
   for (std::size_t a = 0; a < cls.increases.size(); ++a) {
     const EdgeUpdate& up = cls.increases[a];
     const dist_t w_old = cls.increases_w_old[a];
-    const vidx_t su = perm_.empty() ? up.u : perm_[up.u];
-    const vidx_t sv = perm_.empty() ? up.v : perm_[up.v];
-    const std::vector<dist_t>& col_u = column(su);
-    const std::vector<dist_t>& col_v = column(sv);
+    const std::vector<dist_t>& col_u = column(up.u);
+    const std::vector<dist_t>& col_v = column(up.v);
     for (vidx_t i = 0; i < n; ++i) {
       const dist_t du = col_u[static_cast<std::size_t>(i)];
       if (du < kInf && sat_add(du, w_old) == col_v[static_cast<std::size_t>(i)]) {
@@ -442,9 +434,9 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
   // phase-B row recomputes; build it once.
   graph::CsrGraph g_mid;
   graph::CsrGraph rev_mid;
-  const graph::CsrGraph* mid = &g_;
+  const graph::CsrGraph* mid = &g;
   if (!cls.increases.empty()) {
-    g_mid = apply_edge_updates(g_, cls.increases);
+    g_mid = apply_edge_updates(g, cls.increases);
     mid = &g_mid;
     rev_mid = g_mid.transpose();
   }
@@ -478,24 +470,18 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
     ThreadPool::global().parallel_for(
         heads.size(),
         [&](std::size_t h) {
-          std::vector<dist_t> to_head(static_cast<std::size_t>(n));
-          sssp::dijkstra_into(rev_mid, heads[h], to_head);
-          std::memcpy(new_cols.data() + h * static_cast<std::size_t>(n),
-                      to_head.data(), to_head.size() * sizeof(dist_t));
+          const std::size_t len = static_cast<std::size_t>(n);
+          const std::span<dist_t> col(new_cols.data() + h * len, len);
+          sssp::dijkstra_into(rev_mid, heads[h], col);
         },
         1);
     std::fill(damaged_row.begin(), damaged_row.end(), 0);
     for (std::size_t h = 0; h < heads.size(); ++h) {
       // Every head is an increased arc's endpoint: the probe read it.
-      const std::vector<dist_t>& old_col =
-          column(perm_.empty() ? heads[h] : perm_[heads[h]]);
+      const std::vector<dist_t>& old_col = column(heads[h]);
       const dist_t* col = new_cols.data() + h * static_cast<std::size_t>(n);
-      for (vidx_t x = 0; x < n; ++x) {
-        const vidx_t sx = perm_.empty() ? x : perm_[static_cast<std::size_t>(x)];
-        if (col[static_cast<std::size_t>(x)] !=
-            old_col[static_cast<std::size_t>(sx)]) {
-          damaged_row[static_cast<std::size_t>(sx)] = 1;
-        }
+      for (std::size_t x = 0; x < static_cast<std::size_t>(n); ++x) {
+        if (col[x] != old_col[x]) damaged_row[x] = 1;
       }
     }
   }
@@ -514,17 +500,19 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
   outcome.full_solve = full_solve;
 
   // ---- Delta checkpoint: match an existing sidecar -------------------
-  const std::uint8_t mode = full_solve ? kModeFullSolve : kModeRepair;
+  // The sidecar records progress only. The damaged rows, the mode and every
+  // tile's bytes are deterministic functions of the pristine store, the
+  // graph and the batch, so a resumed run recomputes them; aux1 binds the
+  // damaged-row set on top of the fingerprint.
+  const auto dr_hash = static_cast<std::int64_t>(
+      util::fnv1a(dr.data(), dr.size() * sizeof(vidx_t)));
   long long start_tile = 0;
-  std::vector<std::uint8_t> resumed_payload;
   if (opt_.resume && !opt_.checkpoint_path.empty()) {
     Checkpoint ck;
     if (read_checkpoint(opt_.checkpoint_path, &ck) &&
         ck.algorithm == kDeltaAlgorithm && ck.fingerprint == fp &&
-        ck.n == n && ck.aux0 == tile && !ck.payload.empty() &&
-        ck.payload[0] == mode) {
+        ck.n == n && ck.aux0 == tile && ck.aux1 == dr_hash) {
       start_tile = ck.progress;
-      resumed_payload = std::move(ck.payload);
     }
   }
 
@@ -537,128 +525,63 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
   for (std::size_t a = 0; a < dr.size(); ++a) {
     dr_index[static_cast<std::size_t>(dr[a])] = static_cast<int>(a);
   }
-  // Repaired rows, stored order, one length-n row per DR entry. Every row
-  // is read or restored before use, so the buffer starts uninitialized.
+  // Repaired rows, one length-n row per DR entry. Every row is read before
+  // use, so the buffer starts uninitialized.
   const std::size_t dr_elems = dr.size() * static_cast<std::size_t>(n);
   const auto dr_rows = std::make_unique_for_overwrite<dist_t[]>(dr_elems);
-  bool rows_restored = false;
   if (!full_solve && !dr.empty()) {
-    // A matching checkpoint carries the phase-B rows; reuse them instead of
-    // re-running the Dijkstras (the payload is checksummed, and the id list
-    // is verified against the freshly recomputed probe).
-    if (!resumed_payload.empty()) {
-      const std::size_t need = 1 + sizeof(std::uint64_t) +
-                               dr.size() * sizeof(vidx_t) +
-                               dr_elems * sizeof(dist_t);
-      if (resumed_payload.size() == need) {
-        std::uint64_t count = 0;
-        std::memcpy(&count, resumed_payload.data() + 1, sizeof(count));
-        if (count == dr.size()) {
-          std::vector<vidx_t> ids(dr.size());
-          std::memcpy(ids.data(), resumed_payload.data() + 1 + sizeof(count),
-                      ids.size() * sizeof(vidx_t));
-          if (ids == dr) {
-            std::memcpy(dr_rows.get(),
-                        resumed_payload.data() + 1 + sizeof(count) +
-                            ids.size() * sizeof(vidx_t),
-                        dr_elems * sizeof(dist_t));
-            rows_restored = true;
-          }
+    // Load the old rows as the repair input. Consecutive damaged rows own
+    // consecutive slots, so each run of them within a tile row lands
+    // straight in its slots with one read — one pread on a raw file store.
+    // A tiled store is read one stored tile column at a time, so every run
+    // of a tile row decodes from the store's one-tile memo instead of
+    // decoding the whole band again.
+    const vidx_t chunk = pristine.tile_size() > 0 ? tile : n;
+    for (std::size_t a = 0; a < dr.size();) {
+      const vidx_t band_end = (dr[a] / tile + 1) * tile;
+      std::size_t end = a;
+      while (end < dr.size() && dr[end] < band_end) ++end;
+      for (vidx_t c0 = 0; c0 < n; c0 += chunk) {
+        const vidx_t cols = std::min(chunk, n - c0);
+        for (std::size_t b = a; b < end;) {
+          std::size_t e = b + 1;
+          while (e < end && dr[e] == dr[e - 1] + 1) ++e;
+          pristine.read_block(
+              dr[b], c0, static_cast<vidx_t>(e - b), cols,
+              dr_rows.get() + b * static_cast<std::size_t>(n) + c0,
+              static_cast<std::size_t>(n));
+          b = e;
         }
       }
-      if (!rows_restored) start_tile = 0;  // incompatible payload: fresh run
+      a = end;
     }
-    if (!rows_restored) {
-      // Load the old rows as the repair input. Consecutive damaged rows own
-      // consecutive slots, so each run of them within a tile row lands
-      // straight in its slots with one read — one pread on a raw file
-      // store. A tiled store is read one stored tile column at a time, so
-      // every run of a tile row decodes from the store's one-tile memo
-      // instead of decoding the whole band again.
-      const vidx_t chunk = pristine.tile_size() > 0 ? tile : n;
-      for (std::size_t a = 0; a < dr.size();) {
-        const vidx_t band_end = (dr[a] / tile + 1) * tile;
-        std::size_t end = a;
-        while (end < dr.size() && dr[end] < band_end) ++end;
-        for (vidx_t c0 = 0; c0 < n; c0 += chunk) {
-          const vidx_t cols = std::min(chunk, n - c0);
-          for (std::size_t b = a; b < end;) {
-            std::size_t e = b + 1;
-            while (e < end && dr[e] == dr[e - 1] + 1) ++e;
-            pristine.read_block(
-                dr[b], c0, static_cast<vidx_t>(e - b), cols,
-                dr_rows.get() + b * static_cast<std::size_t>(n) + c0,
-                static_cast<std::size_t>(n));
-            b = e;
+    // Zero-weight arcs break SWSF's queue-order argument; such graphs
+    // recompute every row by Dijkstra instead.
+    const bool swsf = !has_zero_weight_arc(*mid);
+    ThreadPool::global().parallel_for(
+        dr.size(),
+        [&](std::size_t a) {
+          const std::span<dist_t> row(
+              dr_rows.get() + a * static_cast<std::size_t>(n),
+              static_cast<std::size_t>(n));
+          // Per-thread scratch: one queue/rhs pair serves every row a
+          // worker repairs, so a row whose region is a handful of
+          // vertices is not charged a fresh allocation round-trip.
+          static thread_local std::vector<dist_t> rhs_scratch;
+          static thread_local BucketQueue pq_scratch;
+          // A bucket-key overflow (extreme weight range) leaves the row
+          // part-repaired garbage: recompute it whole.
+          if (!swsf ||
+              !repair_row_swsf(*mid, rev_mid, dr[a], cls.increases,
+                               cls.increases_w_old, row, rhs_scratch,
+                               pq_scratch)) {
+            sssp::dijkstra_into(*mid, dr[a], row);
           }
-        }
-        a = end;
-      }
-      // Zero-weight arcs break SWSF's queue-order argument; such graphs
-      // take the fresh-Dijkstra path per row instead.
-      const bool swsf = !has_zero_weight_arc(*mid);
-      ThreadPool::global().parallel_for(
-          dr.size(),
-          [&](std::size_t a) {
-            const vidx_t row = dr[a];
-            const vidx_t src =
-                perm_.empty() ? row : inv_perm_[static_cast<std::size_t>(row)];
-            dist_t* out = dr_rows.get() + a * static_cast<std::size_t>(n);
-            // Per-thread scratch: one queue/buffer pair serves every row a
-            // worker repairs, so a row whose region is a handful of
-            // vertices is not charged a fresh allocation round-trip.
-            static thread_local std::vector<dist_t> by_vertex;
-            static thread_local std::vector<dist_t> rhs_scratch;
-            static thread_local BucketQueue pq_scratch;
-            by_vertex.resize(static_cast<std::size_t>(n));
-            if (swsf) {
-              // With the identity permutation the stored row IS the
-              // by-vertex row: repair it in place, no copies.
-              dist_t* d = out;
-              if (!perm_.empty()) {
-                for (vidx_t v = 0; v < n; ++v) {
-                  by_vertex[static_cast<std::size_t>(v)] =
-                      out[perm_[static_cast<std::size_t>(v)]];
-                }
-                d = by_vertex.data();
-              }
-              std::span<dist_t> drow(d, static_cast<std::size_t>(n));
-              if (!repair_row_swsf(*mid, rev_mid, src, cls.increases,
-                                   cls.increases_w_old, drow, rhs_scratch,
-                                   pq_scratch)) {
-                // Bucket-key overflow (extreme weight range): the row is
-                // part-repaired garbage, recompute it whole.
-                sssp::dijkstra_into(*mid, src, by_vertex);
-                if (perm_.empty()) {
-                  std::memcpy(out, by_vertex.data(),
-                              by_vertex.size() * sizeof(dist_t));
-                }
-              }
-              if (!perm_.empty()) {
-                for (vidx_t v = 0; v < n; ++v) {
-                  out[perm_[static_cast<std::size_t>(v)]] =
-                      by_vertex[static_cast<std::size_t>(v)];
-                }
-              }
-            } else {
-              sssp::dijkstra_into(*mid, src, by_vertex);
-              if (perm_.empty()) {
-                std::memcpy(out, by_vertex.data(),
-                            by_vertex.size() * sizeof(dist_t));
-              } else {
-                for (vidx_t v = 0; v < n; ++v) {
-                  out[perm_[static_cast<std::size_t>(v)]] =
-                      by_vertex[static_cast<std::size_t>(v)];
-                }
-              }
-            }
-          },
-          1);
-    }
+        },
+        1);
   }
   outcome.sssp_seconds = now_s() - t_sssp;
 
-  std::vector<std::uint8_t> payload;  // what every delta checkpoint carries
   auto write_delta_checkpoint = [&](long long progress) {
     // The durability boundary: the sink holds every tile this checkpoint
     // claims, and the hook is where an fsync of the sink's file goes.
@@ -669,8 +592,7 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
     ck.n = n;
     ck.progress = progress;
     ck.aux0 = tile;
-    ck.aux1 = static_cast<std::int64_t>(dr.size());
-    ck.payload = payload;
+    ck.aux1 = dr_hash;
     write_checkpoint(opt_.checkpoint_path, ck);
     ++outcome.checkpoints_written;
   };
@@ -774,39 +696,22 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
 
   // ---- Fallback: full layout-preserving re-solve ---------------------
   if (full_solve) {
-    payload.push_back(kModeFullSolve);
     if (!opt_.checkpoint_path.empty() && start_tile == 0) {
       write_delta_checkpoint(0);
     }
+    // Blocked FW keeps the layout, and over the updated graph in stored
+    // order that layout is the store's.
     auto fresh = make_ram_store(n);
-    if (perm_.empty()) {
-      ApspOptions sopt = opt_.solve_opts;
-      if (sopt.algorithm == Algorithm::kAuto) {
-        sopt.algorithm = Algorithm::kBlockedFloydWarshall;
-      }
-      sopt.checkpoint_path.clear();
-      sopt.resume = false;
-      const ApspResult r = solve_apsp(g_final_, sopt, *fresh);
-      GAPSP_CHECK(r.perm.empty(),
-                  "full-solve fallback must preserve the store layout");
-    } else {
-      // Permuted stores re-solve by SSSP sweep so the layout survives.
-      ThreadPool::global().parallel_for(
-          static_cast<std::size_t>(n),
-          [&](std::size_t i) {
-            const vidx_t src = inv_perm_[i];
-            std::vector<dist_t> by_vertex(static_cast<std::size_t>(n));
-            sssp::dijkstra_into(g_final_, src, by_vertex);
-            std::vector<dist_t> row(static_cast<std::size_t>(n));
-            for (vidx_t v = 0; v < n; ++v) {
-              row[perm_[static_cast<std::size_t>(v)]] =
-                  by_vertex[static_cast<std::size_t>(v)];
-            }
-            fresh->write_block(static_cast<vidx_t>(i), 0, 1, n, row.data(),
-                               static_cast<std::size_t>(n));
-          },
-          1);
+    ApspOptions sopt = opt_.solve_opts;
+    if (sopt.algorithm == Algorithm::kAuto) {
+      sopt.algorithm = Algorithm::kBlockedFloydWarshall;
     }
+    sopt.checkpoint_path.clear();
+    sopt.resume = false;
+    const ApspResult r =
+        solve_apsp(apply_edge_updates(g, cls.all), sopt, *fresh);
+    GAPSP_CHECK(r.perm.empty(),
+                "full-solve fallback must preserve the store layout");
     // Every tile is a candidate; the fresh solve supplies its new bytes.
     walk([](vidx_t, vidx_t) { return true; },
          [&](vidx_t bi, vidx_t bj, dist_t* t, dist_t* scratch) {
@@ -829,7 +734,7 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
   }
 
   // ---- Phase C: decrease repair seeds --------------------------------
-  // S = stored endpoints of decreased arcs; panels are read from the
+  // S = endpoints of decreased arcs; panels are read from the
   // pristine store and patched with the phase-B rows so everything below
   // speaks exact g_mid distances.
   const double t_panel = now_s();
@@ -837,10 +742,8 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
   {
     std::vector<std::uint8_t> in_s(static_cast<std::size_t>(n), 0);
     for (const EdgeUpdate& up : cls.decreases) {
-      const vidx_t su = perm_.empty() ? up.u : perm_[up.u];
-      const vidx_t sv = perm_.empty() ? up.v : perm_[up.v];
-      in_s[static_cast<std::size_t>(su)] = 1;
-      in_s[static_cast<std::size_t>(sv)] = 1;
+      in_s[static_cast<std::size_t>(up.u)] = 1;
+      in_s[static_cast<std::size_t>(up.v)] = 1;
     }
     for (vidx_t i = 0; i < n; ++i) {
       if (in_s[static_cast<std::size_t>(i)]) seeds.push_back(i);
@@ -896,12 +799,10 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
     }
   }
   for (const EdgeUpdate& up : cls.decreases) {
-    const vidx_t su = perm_.empty() ? up.u : perm_[up.u];
-    const vidx_t sv = perm_.empty() ? up.v : perm_[up.v];
     const std::size_t a = static_cast<std::size_t>(
-        seed_index[static_cast<std::size_t>(su)]);
+        seed_index[static_cast<std::size_t>(up.u)]);
     const std::size_t b = static_cast<std::size_t>(
-        seed_index[static_cast<std::size_t>(sv)]);
+        seed_index[static_cast<std::size_t>(up.v)]);
     M[a * k + b] = std::min(M[a * k + b], up.w);
   }
   if (k > 0) {
@@ -955,14 +856,8 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
     if (ac[static_cast<std::size_t>(i)]) ac_tile[b] = 1;
   }
 
-  // ---- Checkpoint the deterministic phase-B state --------------------
-  if (!opt_.checkpoint_path.empty()) {
-    payload.push_back(kModeRepair);
-    const std::uint64_t count = dr.size();
-    append_bytes(payload, &count, sizeof(count));
-    append_bytes(payload, dr.data(), dr.size() * sizeof(vidx_t));
-    append_bytes(payload, dr_rows.get(), dr_elems * sizeof(dist_t));
-    if (start_tile == 0) write_delta_checkpoint(0);
+  if (!opt_.checkpoint_path.empty() && start_tile == 0) {
+    write_delta_checkpoint(0);
   }
 
   // ---- Dirty-tile walk ------------------------------------------------

@@ -59,14 +59,14 @@
 //     into the span, and emits each run of adjacent changed tiles with one
 //     sink call.
 //
-// Crash tolerance reuses the GAPSPCK1 sidecar (checkpoint.h): every emitted
-// tile is a pure function of the *pristine* store plus the deterministic
-// phase-B rows (stored in the checkpoint payload), so a resumed run skips
-// completed tiles and recomputes in-flight ones bit-identically. No run
-// crosses a checkpoint boundary, so a checkpoint only claims tiles the sink
-// already holds. Callers repairing on-disk stores therefore write into a
-// copy and never mutate the pristine matrix until the atomic rename
-// (apsp_cli update does exactly that).
+// Crash tolerance reuses the GAPSPCK1 sidecar (checkpoint.h), which records
+// progress only: every emitted tile is a pure function of the *pristine*
+// store, the graph and the batch (SWSF-FP and Dijkstra are deterministic),
+// so a resumed run recomputes phase B, skips completed tiles and recomputes
+// in-flight ones bit-identically. No run crosses a checkpoint boundary, so
+// a checkpoint only claims tiles the sink already holds. Callers repairing
+// on-disk stores therefore write into a copy and never mutate the pristine
+// matrix until the atomic rename (apsp_cli update does exactly that).
 //
 // The repair is charged by the cost model's estimate_incremental term
 // (cost_model.h): touched-tile bytes over the (optionally compressed)
@@ -125,7 +125,7 @@ struct IncrementalOptions {
   /// GAPSPCK1 delta sidecar path; empty disables checkpointing.
   std::string checkpoint_path;
   /// Resume from `checkpoint_path` when it matches this (graph, updates,
-  /// tile, threshold) configuration; otherwise start fresh.
+  /// tile, threshold) run and damaged-row set; otherwise start fresh.
   bool resume = false;
   /// Candidate tiles between checkpoint rewrites; no emitted run crosses a
   /// multiple of it while checkpointing.
@@ -139,7 +139,8 @@ struct IncrementalOptions {
   std::function<void()> sync_before_checkpoint;
 
   /// Options of the full-solve fallback (algorithm kAuto is forced to
-  /// blocked FW so the store layout — identity permutation — is preserved).
+  /// blocked FW, whose identity layout over the graph in stored order is
+  /// the store's).
   ApspOptions solve_opts;
 };
 
@@ -180,10 +181,10 @@ class IncrementalEngine {
  public:
   /// `g` is the PRE-update graph the store was solved from; `perm` the
   /// solver's vertex permutation (stored index = perm[vertex], empty =
-  /// identity — boundary-solved stores pass ApspResult::perm). The graph is
-  /// captured by reference and must outlive the engine. Checks in
-  /// O(m log d) whether `g` is symmetric, which lets apply() read columns
-  /// as rows.
+  /// identity — boundary-solved stores pass ApspResult::perm), into which a
+  /// copy of `g` is relabeled once. `g` is captured by reference and must
+  /// outlive the engine. Checks in O(m log d) whether `g` is symmetric,
+  /// which lets apply() read columns as rows.
   explicit IncrementalEngine(const graph::CsrGraph& g,
                              IncrementalOptions opt = {},
                              std::vector<vidx_t> perm = {});
@@ -232,7 +233,8 @@ class IncrementalEngine {
   UpdateOutcome apply_in_place(DistStore& store,
                                std::span<const EdgeUpdate> updates);
 
-  /// The updated graph built by the last apply() (g with the batch applied).
+  /// The updated graph built by the last apply() (g with the batch applied),
+  /// in g's vertex ids.
   const graph::CsrGraph& updated_graph() const { return g_final_; }
 
  private:
@@ -243,7 +245,7 @@ class IncrementalEngine {
   const graph::CsrGraph& g_;
   IncrementalOptions opt_;
   std::vector<vidx_t> perm_;      // empty = identity
-  std::vector<vidx_t> inv_perm_;  // stored index -> original vertex
+  graph::CsrGraph g_stored_;      // g_ in stored order; unset for identity
   bool symmetric_ = false;        // every arc has an equal-weight twin
   graph::CsrGraph g_final_;
 };

@@ -214,25 +214,21 @@ ScrubReport scrub_store(const std::string& path, const ScrubOptions& opt) {
 
 TileRepairFn make_sssp_repair(const graph::CsrGraph& g,
                               std::vector<vidx_t> perm) {
-  const vidx_t n = g.num_vertices();
-  GAPSP_CHECK(perm.empty() || static_cast<vidx_t>(perm.size()) == n,
-              "permutation size does not match the graph");
-  // stored index = perm[vertex]  ⇒  vertex = inv[stored index]
-  auto inv = std::make_shared<std::vector<vidx_t>>(n);
-  if (perm.empty()) {
-    for (vidx_t v = 0; v < n; ++v) (*inv)[v] = v;
-  } else {
-    for (vidx_t v = 0; v < n; ++v) (*inv)[perm[v]] = v;
+  // Over the graph in stored order a tile's rows are Dijkstra sources and
+  // its columns one contiguous slice of each row.
+  std::shared_ptr<const graph::CsrGraph> stored;
+  if (!perm.empty()) {
+    stored = std::make_shared<const graph::CsrGraph>(g.relabel(perm));
   }
-  return [&g, inv, n](vidx_t row0, vidx_t col0, vidx_t rows,
+  return [&g, stored](vidx_t row0, vidx_t col0, vidx_t rows,
                       vidx_t cols) -> std::vector<dist_t> {
+    const graph::CsrGraph& sg = stored ? *stored : g;
     std::vector<dist_t> out(static_cast<std::size_t>(rows) * cols);
-    std::vector<dist_t> dist(static_cast<std::size_t>(n));
+    std::vector<dist_t> dist(static_cast<std::size_t>(sg.num_vertices()));
     for (vidx_t r = 0; r < rows; ++r) {
-      sssp::dijkstra_into(g, (*inv)[row0 + r], dist);
-      for (vidx_t c = 0; c < cols; ++c) {
-        out[static_cast<std::size_t>(r) * cols + c] = dist[(*inv)[col0 + c]];
-      }
+      sssp::dijkstra_into(sg, row0 + r, dist);
+      std::copy_n(dist.data() + col0, cols,
+                  out.data() + static_cast<std::size_t>(r) * cols);
     }
     return out;
   };

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include <sys/wait.h>
@@ -149,6 +150,27 @@ TEST_F(CliFlags, QueryVerticesOutsideTheStoreExitOne) {
   std::remove(batch.c_str());
   // The last vertex is still served.
   EXPECT_EQ(run_cli(cli, q("--point 63,63 --row 63")), 0);
+}
+
+TEST_F(CliFlags, SolveChecksQueryAndPathVerticesBeforeSolving) {
+  // road:12x12 has n = 144. A vertex past n exits 1 naming its flag before
+  // the solve runs; on a boundary solve it would index the permutation past
+  // its end.
+  for (const std::string algorithm : {"boundary", "fw"}) {
+    for (const std::string flag : {"--query", "--path"}) {
+      const std::string args = "--generate road:12x12 --algorithm " +
+                               algorithm + " " + flag + " 0,5000";
+      std::string out;
+      EXPECT_EQ(run_cli(cli, args, &out), 1) << args << "\n" << out;
+      EXPECT_NE(out.find(flag), std::string::npos) << args << "\n" << out;
+      EXPECT_EQ(out.find("algorithm:"), std::string::npos) << args << "\n"
+                                                            << out;
+    }
+    expect_typed_error(cli,
+                       "--generate road:12x12 --algorithm " + algorithm +
+                           " --query '0,1;3,144'",
+                       "--query");
+  }
 }
 
 TEST_F(CliFlags, UnknownFlagsExitTwo) {
@@ -327,6 +349,94 @@ TEST(CliResume, AutoResumesTheCheckpointOfAKilledFwRun) {
   for (const std::string& f : {store, ck, store + ".sum", store + ".cal"}) {
     std::remove(f.c_str());
   }
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// A raw kept FW store of road:20x20 (n = 400, checksum tiles of 256, so a
+/// 2×2 grid) and a one-arc update batch, removed with their sidecars.
+class CliUpdate : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    cli = cli_path();
+    if (cli.empty()) {
+      GTEST_SKIP() << "apsp_cli path unavailable (set GAPSP_CLI)";
+    }
+    store = ::testing::TempDir() + "gapsp_cli_update.bin";
+    updates = ::testing::TempDir() + "gapsp_cli_update.txt";
+    ASSERT_EQ(run_cli(cli, "--generate road:20x20 --algorithm fw --store "
+                           "file --store-path " + store +
+                               " --keep-store --no-compress-store"),
+              0);
+    std::ofstream(updates) << "0 1 9\n1 0 9\n";
+  }
+
+  void TearDown() override {
+    for (const std::string& f :
+         {store, store + ".sum", store + ".cal", store + ".updck",
+          store + ".upd.tmp", updates}) {
+      std::remove(f.c_str());
+    }
+  }
+
+  int update(std::string* out) const {
+    return run_cli(cli, "update --store-path " + store + " --updates " +
+                            updates + " --generate road:20x20",
+                   out);
+  }
+
+  std::string cli, store, updates;
+};
+
+TEST_F(CliUpdate, DamagedRawStoreIsRefusedAndLeftAsItWas) {
+  // One flipped byte in tile (1,1), which the batch's repair never touches.
+  // The update must refuse the store, not land a fresh .sum over the damage
+  // that scrub would then call CLEAN.
+  {
+    std::fstream f(store, std::ios::in | std::ios::out | std::ios::binary);
+    const std::streamoff at = (300 * 400 + 300) * 4;
+    f.seekg(at);
+    const char byte = static_cast<char>(f.get() ^ 0x01);
+    f.seekp(at);
+    f.put(byte);
+  }
+  const std::string before = file_bytes(store);
+  const std::string sums_before = file_bytes(store + ".sum");
+  std::string out;
+  EXPECT_EQ(update(&out), 4) << out;
+  EXPECT_NE(out.find("tile (1,1)"), std::string::npos) << out;
+  EXPECT_NE(out.find("apsp_cli scrub"), std::string::npos) << out;
+  EXPECT_EQ(file_bytes(store), before);
+  EXPECT_EQ(file_bytes(store + ".sum"), sums_before);
+  EXPECT_FALSE(std::ifstream(store + ".upd.tmp").good());
+  EXPECT_FALSE(std::ifstream(store + ".updck").good());
+  out.clear();
+  EXPECT_EQ(run_cli(cli, "scrub --store-path " + store, &out), 3) << out;
+}
+
+TEST_F(CliUpdate, CalibrationSidecarIsKept) {
+  // The calibration table is keyed by the device configuration and fit on
+  // synthetic probes; it never reads the store, so an update keeps it.
+  const std::string auto_store = ::testing::TempDir() + "gapsp_cli_cal.bin";
+  ASSERT_EQ(run_cli(cli, "--generate road:8x8 --store file --store-path " +
+                             auto_store + " --keep-store"),
+            0);
+  const std::string cal = file_bytes(auto_store + ".cal");
+  for (const std::string& f : {auto_store, auto_store + ".cal"}) {
+    std::remove(f.c_str());
+  }
+  ASSERT_FALSE(cal.empty());
+  std::ofstream(store + ".cal", std::ios::binary) << cal;
+  std::string out;
+  EXPECT_EQ(update(&out), 0) << out;
+  EXPECT_EQ(out.find(".cal"), std::string::npos) << out;
+  EXPECT_EQ(file_bytes(store + ".cal"), cal);
+  out.clear();
+  ASSERT_EQ(run_cli(cli, "info --store-path " + store, &out), 0) << out;
+  EXPECT_NE(out.find("calibration: present"), std::string::npos) << out;
 }
 
 /// The line of `out` that starts with `prefix` (without its newline), or

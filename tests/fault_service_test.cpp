@@ -681,5 +681,34 @@ TEST(Scrub, RepairsCompressedStoreInPlace) {
   std::remove(zpath.c_str());
 }
 
+TEST(Scrub, SsspRepairOfAPermutedStoreReturnsItsTiles) {
+  // A boundary solve stores vertex v at perm[v]. The repair source must
+  // return the stored tiles themselves, ragged edge tiles included (n = 150
+  // is not a multiple of 32).
+  const graph::CsrGraph g = graph::make_road(15, 10, 31);
+  const vidx_t n = g.num_vertices();
+  core::ApspOptions o;
+  o.algorithm = core::Algorithm::kBoundary;
+  auto store = core::make_ram_store(n);
+  const auto r = core::solve_apsp(g, o, *store);
+  ASSERT_FALSE(r.perm.empty());
+  bool moved = false;
+  for (vidx_t v = 0; v < n; ++v) moved = moved || r.perm[v] != v;
+  ASSERT_TRUE(moved) << "the solve left the identity layout";
+  const core::TileRepairFn repair = core::make_sssp_repair(g, r.perm);
+  constexpr vidx_t kTile = 32;
+  ASSERT_NE(n % kTile, 0);
+  for (vidx_t row0 = 0; row0 < n; row0 += kTile) {
+    for (vidx_t col0 = 0; col0 < n; col0 += kTile) {
+      const vidx_t rows = std::min(kTile, n - row0);
+      const vidx_t cols = std::min(kTile, n - col0);
+      std::vector<dist_t> want(static_cast<std::size_t>(rows) * cols);
+      store->read_block(row0, col0, rows, cols, want.data(), cols);
+      EXPECT_EQ(repair(row0, col0, rows, cols), want)
+          << "tile at (" << row0 << ", " << col0 << ")";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gapsp::service

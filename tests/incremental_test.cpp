@@ -818,6 +818,101 @@ TEST(IncrementalResume, MismatchedBatchStartsFresh) {
   std::filesystem::remove(ck);
 }
 
+TEST(IncrementalResume, CheckpointHoldsProgressOnly) {
+  // A batch that damages most rows, crashed mid-walk: the sidecar records
+  // progress only and carries no phase-B rows, however large DR is.
+  const CsrGraph g = graph::make_road(12, 12, 109);
+  const vidx_t n = g.num_vertices();
+  auto pristine = core::make_ram_store(n);
+  fill_exact(g, *pristine);
+  const auto batch = make_batch(g, Pattern::kIncrease, 16, 113);
+  IncrementalOptions opt;
+  opt.tile = 16;
+  {
+    IncrementalEngine engine(g, opt);
+    const UpdateOutcome out =
+        engine.apply(*pristine, batch, [](const TileRun&) {});
+    ASSERT_GT(out.damaged_rows, n / 2);
+    ASSERT_FALSE(out.full_solve);
+  }
+  const std::string ck =
+      (std::filesystem::temp_directory_path() / "gapsp_inc_progress.ck")
+          .string();
+  std::filesystem::remove(ck);
+  opt.checkpoint_path = ck;
+  opt.checkpoint_every_tiles = 1;
+  int emitted = 0;
+  try {
+    IncrementalEngine engine(g, opt);
+    engine.apply(*pristine, batch, [&](const TileRun&) {
+      if (++emitted > 3) throw std::runtime_error("crash mid-walk");
+    });
+  } catch (const std::runtime_error&) {
+  }
+  core::Checkpoint saved;
+  ASSERT_TRUE(core::read_checkpoint(ck, &saved));
+  EXPECT_GE(saved.progress, 3);
+  EXPECT_EQ(saved.n, n);
+  EXPECT_EQ(saved.aux0, opt.tile);
+  EXPECT_TRUE(saved.payload.empty()) << saved.payload.size() << " bytes";
+  std::filesystem::remove(ck);
+}
+
+TEST(IncrementalResume, SidecarOfAnotherDamagedRowSetStartsFresh) {
+  // aux1 binds the sidecar to the damaged-row set. A sidecar whose aux1
+  // differs (write_checkpoint recomputes its checksum, so it loads) is not
+  // resumed, and the same sidecar with its aux1 restored is.
+  const CsrGraph g = graph::make_road(10, 10, 53);
+  const vidx_t n = g.num_vertices();
+  auto pristine = core::make_ram_store(n);
+  fill_exact(g, *pristine);
+  const auto batch = make_batch(g, Pattern::kMixed, 14, 59);
+  auto want = core::make_ram_store(n);
+  fill_exact(core::apply_edge_updates(g, batch), *want);
+  const std::string ck =
+      (std::filesystem::temp_directory_path() / "gapsp_inc_aux1.ck").string();
+  std::filesystem::remove(ck);
+  IncrementalOptions opt;
+  opt.tile = 16;
+  opt.checkpoint_path = ck;
+  opt.checkpoint_every_tiles = 1;
+
+  auto crashed = core::make_ram_store(n);
+  fill_exact(g, *crashed);
+  int emitted = 0;
+  try {
+    IncrementalEngine engine(g, opt);
+    engine.apply(*pristine, batch, [&](const TileRun& run) {
+      if (emitted++ == 3) throw std::runtime_error("crash");
+      write_run(*crashed, run);
+    });
+  } catch (const std::runtime_error&) {
+  }
+  core::Checkpoint saved;
+  ASSERT_TRUE(core::read_checkpoint(ck, &saved));
+  ASSERT_GT(saved.progress, 0);
+
+  opt.resume = true;
+  for (const bool tamper : {true, false}) {
+    SCOPED_TRACE(tamper ? "aux1 changed" : "aux1 kept");
+    core::Checkpoint ck_copy = saved;
+    if (tamper) ck_copy.aux1 ^= 1;
+    core::write_checkpoint(ck, ck_copy);
+    auto target = core::make_ram_store(n);
+    std::vector<dist_t> row(static_cast<std::size_t>(n));
+    for (vidx_t i = 0; i < n; ++i) {
+      crashed->read_block(i, 0, 1, n, row.data(), row.size());
+      target->write_block(i, 0, 1, n, row.data(), row.size());
+    }
+    IncrementalEngine engine(g, opt);
+    const UpdateOutcome out = engine.apply(
+        *pristine, batch, [&](const TileRun& run) { write_run(*target, run); });
+    EXPECT_EQ(out.tiles_resumed, tamper ? 0 : saved.progress);
+    expect_stores_equal(*target, *want);
+  }
+  std::filesystem::remove(ck);
+}
+
 // ---- update-file parsing ----------------------------------------------
 
 TEST(Incremental, ReadEdgeUpdatesParsesAndRejects) {
@@ -965,6 +1060,47 @@ TEST(IncrementalServing, ApplyUpdatesServesNewDistances) {
     const auto v = static_cast<vidx_t>(rng.next_below(n));
     sssp::dijkstra_into(updated, u, want);
     ASSERT_EQ(engine.point(u, v), want[static_cast<std::size_t>(v)]);
+  }
+}
+
+TEST(IncrementalServing, PermutedEngineServesTwoConsecutiveBatches) {
+  // The engine serves a store in a non-trivial layout. The first batch
+  // raises arcs, so its repair goes through the probe and phase B; the
+  // second repairs against the first one's overlay.
+  const CsrGraph g = graph::make_road(10, 9, 127);
+  const vidx_t n = g.num_vertices();
+  std::vector<vidx_t> perm(static_cast<std::size_t>(n));
+  for (vidx_t v = 0; v < n; ++v) {
+    perm[static_cast<std::size_t>(v)] = (v * 7 + 3) % n;  // 7 coprime to 90
+  }
+  auto store = core::make_ram_store(n);
+  fill_exact(g, *store, perm);
+  service::QueryEngineOptions qopt;
+  qopt.block_size = 16;
+  qopt.cache_bytes = 2 * 16 * 16 * sizeof(dist_t);
+  qopt.cache_shards = 1;
+  service::QueryEngine engine(*store, qopt, perm);
+
+  CsrGraph before = g;
+  for (const auto& [pattern, seed] : {std::pair{Pattern::kIncrease, 131u},
+                                      std::pair{Pattern::kMixed, 137u}}) {
+    SCOPED_TRACE("batch seed " + std::to_string(seed));
+    const auto batch = make_batch(before, pattern, 8, seed);
+    const UpdateOutcome out = engine.apply_updates(before, batch);
+    if (pattern == Pattern::kIncrease) {
+      EXPECT_GT(out.damaged_rows, 0);
+    }
+    before = core::apply_edge_updates(before, batch);
+    std::vector<dist_t> want(static_cast<std::size_t>(n));
+    for (vidx_t u = 0; u < n; ++u) {
+      sssp::dijkstra_into(before, u, want);
+      const auto got = engine.row(u);
+      for (vidx_t v = 0; v < n; ++v) {
+        ASSERT_EQ(got[static_cast<std::size_t>(v)],
+                  want[static_cast<std::size_t>(v)])
+            << "dist(" << u << "," << v << ")";
+      }
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include <functional>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <tuple>
 
@@ -207,8 +208,9 @@ vidx_t vertex(const std::string& s, const std::string& what) {
 }
 
 std::pair<vidx_t, vidx_t> vertex_pair(const std::string& s,
-                                      const std::string& what) {
-  const auto [u, v] = int_pair(s, ',', what + " U,V", kMaxVertex);
+                                      const std::string& what,
+                                      long long hi = kMaxVertex) {
+  const auto [u, v] = int_pair(s, ',', what + " U,V", hi);
   return {static_cast<vidx_t>(u), static_cast<vidx_t>(v)};
 }
 
@@ -771,8 +773,10 @@ void remove_shard_sidecars(const std::string& path) {
 /// of re-solving (DESIGN.md §16). The repair writes into a sibling tmp copy
 /// and atomically replaces the store only when complete, so a kill leaves
 /// the pristine matrix plus a GAPSPCK1 delta sidecar that a resume continues
-/// bit-identically. Sidecars derived from the old bytes (.cal, .shards) are
-/// invalidated; a .sum sidecar is refreshed in place.
+/// bit-identically. A raw store's .sum sidecar checks every tile on its way
+/// into the copy and is refreshed after the swap; shard files derived from
+/// the old bytes are invalidated, and the .cal calibration (fit on synthetic
+/// probes, never on the store) is kept.
 int run_update(const Args& args) {
   const std::string path = kStorePath(args);
   const auto upath = kUpdates.get(args);
@@ -792,6 +796,13 @@ int run_update(const Args& args) {
                   " but the graph has n=" + std::to_string(g.num_vertices()) +
                   " — pass the exact " + source + " the solve used");
   const bool compressed = pristine->tile_size() > 0;
+  core::StoreChecksums sums;
+  const std::string sums_path = core::checksum_sidecar_path(path);
+  if (!compressed && core::load_store_checksums(sums_path, sums)) {
+    GAPSP_CHECK(sums.n == n, sums_path + " covers n=" +
+                                 std::to_string(sums.n) + ", not n=" +
+                                 std::to_string(n));
+  }
 
   core::IncrementalOptions opt;
   opt.damage_threshold = kUpdateThreshold(args);
@@ -822,13 +833,33 @@ int run_update(const Args& args) {
   }
   auto target = core::make_file_store(n, tmp, /*keep_file=*/true);
   if (fresh_copy) {
-    const vidx_t strip = std::min<vidx_t>(n, 256);
+    // Strips of the sidecar's tile, each tile checked before its strip is
+    // copied: an update must not land a fresh .sum over damaged bytes.
+    const vidx_t strip = std::min<vidx_t>(n, sums.present() ? sums.tile : 256);
     std::vector<dist_t> buf(static_cast<std::size_t>(strip) *
                             static_cast<std::size_t>(n));
+    std::vector<dist_t> packed(static_cast<std::size_t>(strip) * strip);
     for (vidx_t r0 = 0; r0 < n; r0 += strip) {
       const vidx_t rows = std::min(strip, n - r0);
       pristine->read_block(r0, 0, rows, n, buf.data(),
                            static_cast<std::size_t>(n));
+      for (vidx_t c0 = 0; sums.present() && c0 < n; c0 += strip) {
+        const vidx_t cols = std::min(strip, n - c0);
+        for (vidx_t r = 0; r < rows; ++r) {
+          std::copy_n(buf.data() + static_cast<std::size_t>(r) * n + c0, cols,
+                      packed.data() + static_cast<std::size_t>(r) * cols);
+        }
+        if (core::tile_checksum(packed.data(),
+                                static_cast<std::size_t>(rows) * cols) !=
+            sums.tile_sum(r0 / strip, c0 / strip)) {
+          target.reset();
+          std::remove(tmp.c_str());
+          throw CorruptError("tile (" + std::to_string(r0 / strip) + "," +
+                             std::to_string(c0 / strip) + ") of " + path +
+                             " fails its checksum in " + sums_path +
+                             "; the store was not updated");
+        }
+      }
       target->write_block(r0, 0, rows, n, buf.data(),
                           static_cast<std::size_t>(n));
     }
@@ -859,18 +890,12 @@ int run_update(const Args& args) {
   } else {
     util::commit_rename(tmp, path);
     // Refresh the checksum sidecar when the store carries one.
-    core::StoreChecksums sums;
-    if (core::load_store_checksums(core::checksum_sidecar_path(path), sums)) {
+    if (sums.present()) {
       auto repaired = core::open_file_store(path);
       const auto fresh = core::compute_store_checksums(*repaired, sums.tile);
-      core::write_store_checksums(fresh, core::checksum_sidecar_path(path));
-      std::cout << "sidecar: refreshed " << core::checksum_sidecar_path(path)
-                << "\n";
+      core::write_store_checksums(fresh, sums_path);
+      std::cout << "sidecar: refreshed " << sums_path << "\n";
     }
-  }
-  if (std::remove((path + ".cal").c_str()) == 0) {
-    std::cout << "sidecar: invalidated " << path << ".cal (calibration was "
-              << "fit against the old store)\n";
   }
   if (file_size_bytes(core::shard_manifest_path(path)) > 0) {
     remove_shard_sidecars(path);
@@ -1003,6 +1028,17 @@ int run_info(const Args& args) {
 
 int run_solve(const Args& args) {
   const graph::CsrGraph g = make_graph(args);
+  // Query and path vertices are checked against the graph before the solve
+  // runs: a bad one costs no solve.
+  const long long last = static_cast<long long>(g.num_vertices()) - 1;
+  std::vector<std::pair<vidx_t, vidx_t>> queries;
+  for (const auto& item : split(kQuery(args), ';')) {
+    queries.push_back(vertex_pair(item, kQuery.flag(), last));
+  }
+  std::optional<std::pair<vidx_t, vidx_t>> path_ends;
+  if (const auto p = kPath.get(args)) {
+    path_ends = vertex_pair(*p, kPath.flag(), last);
+  }
   std::cout << "graph: n=" << g.num_vertices() << " m=" << g.num_edges()
             << " density=" << g.density_percent() << "%\n";
   if (kStats.has(args)) {
@@ -1199,13 +1235,12 @@ int run_solve(const Args& args) {
               << " completed units\n";
   }
 
-  for (const auto& item : split(kQuery(args), ';')) {
-    const auto [u, v] = vertex_pair(item, kQuery.flag());
+  for (const auto& [u, v] : queries) {
     std::cout << "dist(" << u << ", " << v << ") = "
               << dist_text(store->at(r.stored_id(u), r.stored_id(v))) << "\n";
   }
-  if (const auto p = kPath.get(args)) {
-    const auto [u, v] = vertex_pair(*p, kPath.flag());
+  if (path_ends) {
+    const auto [u, v] = *path_ends;
     const service::QueryEngine engine(*store, {}, r.perm);
     const service::PathExtractor extractor(g, engine);
     const auto path = extractor.path(u, v);
