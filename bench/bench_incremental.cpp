@@ -5,9 +5,8 @@
 // increase-only / mixed), then measures wall-clock of (a) the
 // IncrementalEngine repair of the kept store and (b) a from-scratch
 // solve_apsp of the updated graph — the cost the repair path avoids. Every
-// cell asserts bit-parity between the repaired store and the fresh solve
-// (perm-aware, so a permuting solver would still compare correctly). Writes
-// BENCH_incremental.json.
+// cell asserts bit-parity between the repaired store and the fresh solve.
+// Writes BENCH_incremental.json.
 //
 // Acceptance guards (ISSUE 10), checked when the flag is given:
 //   --assert-min-speedup S   decrease-only road cells at ≤1% churn must
@@ -116,30 +115,17 @@ std::vector<core::EdgeUpdate> make_batch(const graph::CsrGraph& g,
   return batch;
 }
 
-/// Perm-aware elementwise comparison in vertex space.
+/// Row-by-row byte comparison of two stores of one dimension.
 bool stores_bit_identical(const core::DistStore& got,
-                          const std::vector<vidx_t>& got_perm,
-                          const core::DistStore& want,
-                          const std::vector<vidx_t>& want_perm) {
+                          const core::DistStore& want) {
   const vidx_t n = got.n();
   std::vector<dist_t> a(static_cast<std::size_t>(n));
   std::vector<dist_t> b(static_cast<std::size_t>(n));
-  const bool trivial = got_perm.empty() && want_perm.empty();
   for (vidx_t u = 0; u < n; ++u) {
-    const vidx_t gu = got_perm.empty() ? u : got_perm[u];
-    const vidx_t wu = want_perm.empty() ? u : want_perm[u];
-    got.read_block(gu, 0, 1, n, a.data(), a.size());
-    want.read_block(wu, 0, 1, n, b.data(), b.size());
-    if (trivial) {
-      if (std::memcmp(a.data(), b.data(), a.size() * sizeof(dist_t)) != 0) {
-        return false;
-      }
-      continue;
-    }
-    for (vidx_t v = 0; v < n; ++v) {
-      const vidx_t gv = got_perm.empty() ? v : got_perm[v];
-      const vidx_t wv = want_perm.empty() ? v : want_perm[v];
-      if (a[gv] != b[wv]) return false;
+    got.read_block(u, 0, 1, n, a.data(), a.size());
+    want.read_block(u, 0, 1, n, b.data(), b.size());
+    if (std::memcmp(a.data(), b.data(), a.size() * sizeof(dist_t)) != 0) {
+      return false;
     }
   }
   return true;
@@ -168,12 +154,12 @@ Row run_cell(const std::string& name, const graph::CsrGraph& g,
 
   // The kept artifact the repair path protects: one full pristine solve.
   auto kept = core::make_ram_store(row.n);
-  const auto pristine = core::solve_apsp(g, solve_opts(), *kept);
+  core::solve_apsp(g, solve_opts(), *kept);
 
   core::IncrementalOptions iopt;
   iopt.tile = 64;
   iopt.solve_opts = solve_opts();
-  core::IncrementalEngine engine(g, iopt, pristine.perm);
+  core::IncrementalEngine engine(g, iopt);
   Timer t_repair;
   const auto out = engine.apply_in_place(*kept, batch);
   row.repair_s = t_repair.seconds();
@@ -181,7 +167,7 @@ Row run_cell(const std::string& name, const graph::CsrGraph& g,
   const auto updated = core::apply_edge_updates(g, batch);
   auto fresh = core::make_ram_store(row.n);
   Timer t_full;
-  const auto full = core::solve_apsp(updated, solve_opts(), *fresh);
+  core::solve_apsp(updated, solve_opts(), *fresh);
   row.full_s = t_full.seconds();
 
   row.speedup = row.full_s / std::max(row.repair_s, 1e-12);
@@ -195,8 +181,7 @@ Row run_cell(const std::string& name, const graph::CsrGraph& g,
   row.full_solve = out.full_solve;
   row.modeled_repair_s = out.modeled_repair_seconds;
   row.modeled_full_s = out.modeled_full_seconds;
-  row.bit_identical =
-      stores_bit_identical(*kept, pristine.perm, *fresh, full.perm);
+  row.bit_identical = stores_bit_identical(*kept, *fresh);
   return row;
 }
 

@@ -162,11 +162,10 @@ bool stores_bit_identical(const core::DistStore& a, const core::DistStore& b,
 }
 
 double warm_batch_qps(const core::DistStore& store,
-                      const std::vector<vidx_t>& perm,
                       const std::vector<service::Query>& queries) {
   service::QueryEngineOptions qopt;
   qopt.cache_bytes = 64u << 20;  // larger than any matrix here: warm = hits
-  const service::QueryEngine engine(store, qopt, perm);
+  const service::QueryEngine engine(store, qopt);
   engine.run_batch(queries);  // cold pass populates the cache
   double best = 0.0;
   for (int pass = 0; pass < 3; ++pass) {
@@ -187,10 +186,9 @@ Row run_family(const std::string& family, const graph::CsrGraph& g,
   opts.transfer_compression = wire_mode;
   const std::string raw_path = "bench_zstore_" + family + ".bin";
   const std::string z_path = raw_path + ".z";
-  core::ApspResult solved;
   {
     auto store = core::make_file_store(row.n, raw_path, /*keep_file=*/true);
-    solved = core::solve_apsp(g, opts, *store);
+    core::solve_apsp(g, opts, *store);
   }  // closed: compaction re-reads the kept file, the CLI's exact flow
 
   const auto cs = core::compact_store(raw_path, z_path);
@@ -226,8 +224,8 @@ Row run_family(const std::string& family, const graph::CsrGraph& g,
                        static_cast<vidx_t>(rng.next_below(row.n)),
                        static_cast<vidx_t>(rng.next_below(row.n))});
   }
-  row.warm_qps_raw = warm_batch_qps(*raw, solved.perm, queries);
-  row.warm_qps_z = warm_batch_qps(*z, solved.perm, queries);
+  row.warm_qps_raw = warm_batch_qps(*raw, queries);
+  row.warm_qps_z = warm_batch_qps(*z, queries);
   row.warm_parity = row.warm_qps_z / std::max(row.warm_qps_raw, 1e-12);
 
   std::remove(raw_path.c_str());

@@ -62,7 +62,7 @@ int main() {
   for (vidx_t from : cities) {
     std::vector<std::string> row{"j" + std::to_string(from)};
     for (vidx_t to : cities) {
-      const dist_t d = store->at(r.stored_id(from), r.stored_id(to));
+      const dist_t d = store->at(from, to);
       row.push_back(d >= kInf ? "-" : std::to_string(d));
     }
     table.add_row(row);

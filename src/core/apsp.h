@@ -3,7 +3,7 @@
 //   auto store = gapsp::core::make_ram_store(g.num_vertices());
 //   gapsp::core::ApspOptions opts;                 // simulated V100, kAuto
 //   auto result = gapsp::core::solve_apsp(g, opts, *store);
-//   dist_t d = store->at(result.stored_id(u), result.stored_id(v));
+//   dist_t d = store->at(u, v);                    // original vertex ids
 //
 // With Algorithm::kAuto the Sec. IV selector (density filter + cost models)
 // picks among the three out-of-core implementations.

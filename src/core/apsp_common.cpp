@@ -24,6 +24,27 @@ void weight_block(const graph::CsrGraph& g, vidx_t row0, vidx_t col0,
   }
 }
 
+void land_rows(DistStore& store, std::span<const vidx_t> perm,
+               std::span<const vidx_t> inv_perm, vidx_t row0, vidx_t rows,
+               const dist_t* src, std::size_t ld, vidx_t col0, vidx_t cols,
+               std::vector<dist_t>& scratch) {
+  const vidx_t n = store.n();
+  GAPSP_CHECK(perm.size() == static_cast<std::size_t>(n) &&
+                  inv_perm.size() == perm.size(),
+              "permutation length does not match the store");
+  scratch.resize(static_cast<std::size_t>(n));
+  for (vidx_t r = 0; r < rows; ++r) {
+    const dist_t* row = src + static_cast<std::size_t>(r) * ld;
+    for (vidx_t c = 0; c < n; ++c) {
+      // Unsigned compare: a solver id left of the window wraps past `cols`.
+      const auto s = static_cast<std::uint32_t>(perm[c] - col0);
+      scratch[c] = s < static_cast<std::uint32_t>(cols) ? row[s] : kInf;
+    }
+    store.write_block(inv_perm[row0 + r], 0, 1, n, scratch.data(),
+                      scratch.size());
+  }
+}
+
 void configure_kernels(sim::Device& dev, const ApspOptions& opts) {
   // Device::launch_grid and the codec's slice fan-out read any value <= 0 as
   // "the whole pool", so a negative count would silently mean 0.

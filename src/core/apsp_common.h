@@ -2,6 +2,8 @@
 #pragma once
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "core/apsp_options.h"
 #include "core/dist_store.h"
@@ -46,6 +48,18 @@ class FaultScope {
 /// arcs exist, kInf elsewhere (the Floyd–Warshall starting state).
 void weight_block(const graph::CsrGraph& g, vidx_t row0, vidx_t col0,
                   vidx_t rows, vidx_t cols, dist_t* dst, std::size_t ld);
+
+/// Lands rows that a solver holds in its own vertex order at their original
+/// rows and columns of `store`. perm[v] is the solver's id of vertex v and
+/// inv_perm its inverse. Row r of `src` (leading dimension `ld`) is the
+/// solver's row row0 + r, holding the solver's columns [col0, col0 + cols);
+/// it lands as row inv_perm[row0 + r] with out[c] = src[perm[c] - col0]
+/// where perm[c] falls in that window, and kInf elsewhere. One gather into
+/// `scratch` and one full-width write per row.
+void land_rows(DistStore& store, std::span<const vidx_t> perm,
+               std::span<const vidx_t> inv_perm, vidx_t row0, vidx_t rows,
+               const dist_t* src, std::size_t ld, vidx_t col0, vidx_t cols,
+               std::vector<dist_t>& scratch);
 
 /// Applies the kernel-engine options to the process-wide engine variant and
 /// to `dev` (grid-execution thread count, charge-only mode), and records

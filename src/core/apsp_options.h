@@ -212,18 +212,14 @@ struct ApspMetrics {
   double store_compact_seconds = 0.0;
 };
 
-/// Result handle. Distances live in the DistStore the caller supplied; when
-/// `perm` is non-empty the store is in the permuted vertex order (boundary
-/// algorithm) and perm[old_id] = stored_id.
+/// Result handle. Distances live in the DistStore the caller supplied, in
+/// original vertex order whichever solver ran: store->at(u, v) = dist(u, v).
 struct ApspResult {
   Algorithm used = Algorithm::kAuto;
   ApspMetrics metrics;
+  /// Always empty: kept only so the benchmark harness (perf/) still
+  /// compiles, and removed with it.
   std::vector<vidx_t> perm;
-
-  /// Maps an original vertex id to its row/column in the store.
-  vidx_t stored_id(vidx_t v) const {
-    return perm.empty() ? v : perm[static_cast<std::size_t>(v)];
-  }
 };
 
 }  // namespace gapsp::core

@@ -86,8 +86,8 @@ ComponentResult solve_apsp_per_component(const graph::CsrGraph& g,
   }
   out.num_groups = static_cast<int>(groups.size());
 
-  // ---- group-contiguous renumbering ----
-  out.result.perm.assign(static_cast<std::size_t>(n), -1);
+  // ---- group-contiguous renumbering (perm[v] = v's solve-order id) ----
+  std::vector<vidx_t> perm(static_cast<std::size_t>(n), -1);
   std::vector<std::vector<vidx_t>> members(static_cast<std::size_t>(num_comp));
   for (vidx_t v = 0; v < n; ++v) members[label[v]].push_back(v);
   std::vector<vidx_t> group_offset;
@@ -98,7 +98,7 @@ ComponentResult solve_apsp_per_component(const graph::CsrGraph& g,
       group_offset.push_back(at);
       vidx_t sz = 0;
       for (vidx_t c : grp) {
-        for (vidx_t v : members[c]) out.result.perm[v] = at + sz++;
+        for (vidx_t v : members[c]) perm[v] = at + sz++;
       }
       group_size.push_back(sz);
       at += sz;
@@ -125,22 +125,14 @@ ComponentResult solve_apsp_per_component(const graph::CsrGraph& g,
         const auto nbr = g.neighbors(v);
         const auto wts = g.weights(v);
         for (std::size_t e = 0; e < nbr.size(); ++e) {
-          edges.push_back(graph::Edge{out.result.perm[v] - off,
-                                      out.result.perm[nbr[e]] - off, wts[e]});
+          edges.push_back(
+              graph::Edge{perm[v] - off, perm[nbr[e]] - off, wts[e]});
         }
       }
     }
     const graph::CsrGraph sub =
         graph::CsrGraph::from_edges(ng, std::move(edges), false);
-    ApspResult r = solve_apsp(sub, opts, window, nullptr, sel);
-    if (!r.perm.empty()) {
-      // Compose the group-internal permutation into the global mapping.
-      for (vidx_t c : groups[gi]) {
-        for (vidx_t v : members[c]) {
-          out.result.perm[v] = off + r.perm[out.result.perm[v] - off];
-        }
-      }
-    }
+    const ApspResult r = solve_apsp(sub, opts, window, nullptr, sel);
     out.per_group.push_back(r.used);
     if (ng == out.largest_component) out.result.used = r.used;
     // Groups run one after another: their times add, their peaks do not.
@@ -150,6 +142,44 @@ ComponentResult solve_apsp_per_component(const graph::CsrGraph& g,
         std::max(agg.device_peak_bytes, r.metrics.device_peak_bytes);
     agg.pinned_peak_bytes =
         std::max(agg.pinned_peak_bytes, r.metrics.pinned_peak_bytes);
+  }
+
+  // ---- land every solve-order row at its original row ----
+  // Solve-order row s belongs at row inv_perm[s]. Walking each cycle of
+  // that row permutation reads a row before the row landed on it is
+  // written, so every row is read once (its group window) and written once
+  // (full width, kInf outside the group) in place.
+  std::vector<vidx_t> inv_perm(static_cast<std::size_t>(n));
+  for (vidx_t v = 0; v < n; ++v) inv_perm[perm[v]] = v;
+  const vidx_t widest =
+      n == 0 ? 0 : *std::max_element(group_size.begin(), group_size.end());
+  std::vector<dist_t> held(static_cast<std::size_t>(widest));
+  std::vector<dist_t> next(held.size());
+  std::vector<dist_t> landed;
+  std::vector<char> was_read(static_cast<std::size_t>(n), 0);
+  std::vector<vidx_t> group_of;  // solve-order row -> group
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    group_of.insert(group_of.end(), group_size[gi], static_cast<vidx_t>(gi));
+  }
+  auto read_window = [&](vidx_t s, std::vector<dist_t>& dst) {
+    const vidx_t gi = group_of[s];
+    store.read_block(s, group_offset[gi], 1, group_size[gi], dst.data(),
+                     dst.size());
+    was_read[s] = 1;
+  };
+  for (vidx_t start = 0; start < n; ++start) {
+    if (was_read[start]) continue;
+    read_window(start, held);
+    for (vidx_t s = start;;) {
+      const vidx_t t = inv_perm[s];
+      if (!was_read[t]) read_window(t, next);
+      const vidx_t gi = group_of[s];
+      land_rows(store, perm, inv_perm, s, 1, held.data(), held.size(),
+                group_offset[gi], group_size[gi], landed);
+      if (t == start) break;
+      held.swap(next);
+      s = t;
+    }
   }
   agg.wall_seconds = wall.seconds();
   return out;

@@ -3,9 +3,9 @@
 // APSP distances across connected components are kInf by definition, so on
 // a disconnected graph every all-pairs algorithm wastes the cross-component
 // share of its O(n²)+ work and output traffic. This wrapper splits the
-// graph into components and solves them independently, writing per-group
-// distance blocks into the full store — whose off-diagonal blocks simply
-// stay at their kInf initialization.
+// graph into components and solves them independently, each group through
+// a window of the store in a group-contiguous vertex order, then lands every
+// row at its original row and columns with kInf outside its group.
 //
 // Tiny components are *batched*: each device solve carries fixed costs
 // (graph upload, kernel launches), so solving hundreds of fragments one by
@@ -28,17 +28,17 @@ struct ComponentSolverOptions {
 };
 
 struct ComponentResult {
-  ApspResult result;  ///< aggregated metrics; perm maps old -> stored id
+  ApspResult result;  ///< aggregated metrics
   int num_components = 0;
   int num_groups = 0;
   vidx_t largest_component = 0;
-  /// Algorithm used per solve group (group order = store row order).
+  /// Algorithm used per solve group, in solve order.
   std::vector<Algorithm> per_group;
 };
 
-/// Solves APSP per connected component (small ones batched). The store must
-/// be freshly constructed (all kInf); cross-group entries are never written.
-/// The result's perm maps each vertex to its row in the store.
+/// Solves APSP per connected component (small ones batched) into `store`,
+/// in original vertex order. Every entry is written, so the store's prior
+/// contents do not matter.
 ComponentResult solve_apsp_per_component(
     const graph::CsrGraph& g, const ApspOptions& opts, DistStore& store,
     const SelectorOptions& sel = {}, const ComponentSolverOptions& cs = {});

@@ -193,8 +193,7 @@ dist_t arc_weight(const graph::CsrGraph& g, vidx_t u, vidx_t v) {
 }
 
 // True when every arc u->v of weight w has a twin v->u of weight w:
-// O(m log d). The exact APSP matrix of such a graph is symmetric, and stays
-// so under any simultaneous row/column permutation.
+// O(m log d). The exact APSP matrix of such a graph is symmetric.
 bool is_symmetric(const graph::CsrGraph& g) {
   for (vidx_t u = 0; u < g.num_vertices(); ++u) {
     const auto nbrs = g.neighbors(u);
@@ -299,13 +298,11 @@ struct IncrementalEngine::Classified {
 };
 
 IncrementalEngine::IncrementalEngine(const graph::CsrGraph& g,
-                                     IncrementalOptions opt,
-                                     std::vector<vidx_t> perm)
-    : g_(g), opt_(std::move(opt)), perm_(std::move(perm)) {
+                                     IncrementalOptions opt)
+    : g_(g), opt_(std::move(opt)) {
   GAPSP_CHECK(opt_.tile > 0, "incremental tile must be positive");
   GAPSP_CHECK(opt_.checkpoint_every_tiles > 0,
               "checkpoint interval must be positive");
-  if (!perm_.empty()) g_stored_ = g_.relabel(perm_);
   symmetric_ = is_symmetric(g_);
 }
 
@@ -364,17 +361,6 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
   Classified cls;
   classify(updates, cls, outcome);
   g_final_ = apply_edge_updates(g_, cls.all);
-  // From here on every vertex id is a stored index: the classified arcs
-  // move into stored order once, and `g` is the graph in that order.
-  const graph::CsrGraph& g = perm_.empty() ? g_ : g_stored_;
-  if (!perm_.empty()) {
-    for (auto* arcs : {&cls.decreases, &cls.increases, &cls.all}) {
-      for (EdgeUpdate& up : *arcs) {
-        up.u = perm_[static_cast<std::size_t>(up.u)];
-        up.v = perm_[static_cast<std::size_t>(up.v)];
-      }
-    }
-  }
 
   vidx_t tile = opt_.tile;
   if (pristine.tile_size() > 0) tile = pristine.tile_size();
@@ -390,7 +376,7 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
   const std::uint64_t fp =
       incremental_fingerprint(g_, updates, tile, opt_.damage_threshold);
 
-  // Pristine columns by stored index, each read at most once per apply and
+  // Pristine columns by vertex, each read at most once per apply and
   // shared by the probe, its refinement and the decrease panel. On a
   // symmetric graph the stored column IS the stored row, so it is one
   // contiguous read instead of n strided element reads.
@@ -434,9 +420,9 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
   // phase-B row recomputes; build it once.
   graph::CsrGraph g_mid;
   graph::CsrGraph rev_mid;
-  const graph::CsrGraph* mid = &g;
+  const graph::CsrGraph* mid = &g_;
   if (!cls.increases.empty()) {
-    g_mid = apply_edge_updates(g, cls.increases);
+    g_mid = apply_edge_updates(g_, cls.increases);
     mid = &g_mid;
     rev_mid = g_mid.transpose();
   }
@@ -694,13 +680,13 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
     if (checkpointing) remove_checkpoint(opt_.checkpoint_path);
   };
 
-  // ---- Fallback: full layout-preserving re-solve ---------------------
+  // ---- Fallback: full re-solve ---------------------------------------
   if (full_solve) {
     if (!opt_.checkpoint_path.empty() && start_tile == 0) {
       write_delta_checkpoint(0);
     }
-    // Blocked FW keeps the layout, and over the updated graph in stored
-    // order that layout is the store's.
+    // Every solver writes original vertex order; an auto solve runs the
+    // blocked FW that modeled_full_seconds prices, with no selector run.
     auto fresh = make_ram_store(n);
     ApspOptions sopt = opt_.solve_opts;
     if (sopt.algorithm == Algorithm::kAuto) {
@@ -708,10 +694,7 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
     }
     sopt.checkpoint_path.clear();
     sopt.resume = false;
-    const ApspResult r =
-        solve_apsp(apply_edge_updates(g, cls.all), sopt, *fresh);
-    GAPSP_CHECK(r.perm.empty(),
-                "full-solve fallback must preserve the store layout");
+    solve_apsp(g_final_, sopt, *fresh);
     // Every tile is a candidate; the fresh solve supplies its new bytes.
     walk([](vidx_t, vidx_t) { return true; },
          [&](vidx_t bi, vidx_t bj, dist_t* t, dist_t* scratch) {
@@ -738,7 +721,7 @@ UpdateOutcome IncrementalEngine::apply(const DistStore& pristine,
   // pristine store and patched with the phase-B rows so everything below
   // speaks exact g_mid distances.
   const double t_panel = now_s();
-  std::vector<vidx_t> seeds;  // sorted unique stored ids
+  std::vector<vidx_t> seeds;  // sorted unique vertex ids
   {
     std::vector<std::uint8_t> in_s(static_cast<std::size_t>(n), 0);
     for (const EdgeUpdate& up : cls.decreases) {

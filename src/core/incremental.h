@@ -48,9 +48,8 @@
 //   - columns (probe, refinement, decrease panel) are read at most once per
 //     apply and shared between the phases. On a symmetric pre-update graph
 //     (every arc has a twin of equal weight, checked by the constructor) a
-//     stored column equals the stored row under any simultaneous
-//     permutation, so it is read as one contiguous row; other graphs read
-//     the n-element column;
+//     stored column equals the stored row, so it is read as one contiguous
+//     row; other graphs read the n-element column;
 //   - phase B reads each run of consecutive damaged rows straight into its
 //     repair slots;
 //   - the dirty-tile walk reads each tile row's candidate tiles once (one
@@ -139,8 +138,7 @@ struct IncrementalOptions {
   std::function<void()> sync_before_checkpoint;
 
   /// Options of the full-solve fallback (algorithm kAuto is forced to
-  /// blocked FW, whose identity layout over the graph in stored order is
-  /// the store's).
+  /// blocked FW, the re-solve that modeled_full_seconds prices).
   ApspOptions solve_opts;
 };
 
@@ -179,19 +177,16 @@ std::uint64_t incremental_fingerprint(const graph::CsrGraph& g,
 
 class IncrementalEngine {
  public:
-  /// `g` is the PRE-update graph the store was solved from; `perm` the
-  /// solver's vertex permutation (stored index = perm[vertex], empty =
-  /// identity — boundary-solved stores pass ApspResult::perm), into which a
-  /// copy of `g` is relabeled once. `g` is captured by reference and must
-  /// outlive the engine. Checks in O(m log d) whether `g` is symmetric,
-  /// which lets apply() read columns as rows.
+  /// `g` is the PRE-update graph the store was solved from, in the
+  /// store's (original) vertex order. `g` is captured by reference and
+  /// must outlive the engine. Checks in O(m log d) whether `g` is
+  /// symmetric, which lets apply() read columns as rows.
   explicit IncrementalEngine(const graph::CsrGraph& g,
-                             IncrementalOptions opt = {},
-                             std::vector<vidx_t> perm = {});
+                             IncrementalOptions opt = {});
 
   /// A run of `tiles` horizontally adjacent changed tiles of tile row `bi`,
   /// starting at tile column `bj`: the final contents of the rows×cols
-  /// block at (row0, col0), stored coordinates, row-major in `data` with
+  /// block at (row0, col0), row-major in `data` with
   /// leading dimension `ld`. `data` is valid only during the sink call.
   struct TileRun {
     vidx_t bi = 0;
@@ -233,8 +228,8 @@ class IncrementalEngine {
   UpdateOutcome apply_in_place(DistStore& store,
                                std::span<const EdgeUpdate> updates);
 
-  /// The updated graph built by the last apply() (g with the batch applied),
-  /// in g's vertex ids.
+  /// The updated graph built by the last apply() (g with the batch
+  /// applied).
   const graph::CsrGraph& updated_graph() const { return g_final_; }
 
  private:
@@ -244,9 +239,7 @@ class IncrementalEngine {
 
   const graph::CsrGraph& g_;
   IncrementalOptions opt_;
-  std::vector<vidx_t> perm_;      // empty = identity
-  graph::CsrGraph g_stored_;      // g_ in stored order; unset for identity
-  bool symmetric_ = false;        // every arc has an equal-weight twin
+  bool symmetric_ = false;  // every arc has an equal-weight twin
   graph::CsrGraph g_final_;
 };
 

@@ -269,14 +269,16 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
 
   // ---- Step 4: each device streams out its components' block-rows ----
   std::vector<char> s4_done(static_cast<std::size_t>(k), 0);
+  std::vector<dist_t> landed;  // land_rows' gather row
   auto flush = [&](DeviceState& st) {
     if (st.staged_rows == 0) return;
     const std::size_t bytes =
         static_cast<std::size_t>(st.staged_rows) * n * sizeof(dist_t);
     st.codec->d2h(s0, st.host_staging.data(), st.staging.data(), bytes,
                   /*pinned=*/true);
-    store.write_block(st.staged_row0, 0, st.staged_rows, n,
-                      st.host_staging.data(), static_cast<std::size_t>(n));
+    land_rows(store, layout.perm, layout.inv_perm, st.staged_row0,
+              st.staged_rows, st.host_staging.data(),
+              static_cast<std::size_t>(n), 0, n, landed);
     st.staged_rows = 0;
     // Only now are these components durable; a death before this point
     // re-runs them on a survivor.
@@ -367,7 +369,6 @@ MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
   agg.boundary_nodes = nb;
   out.result.used = Algorithm::kBoundary;
   out.result.metrics = agg;
-  out.result.perm = layout.perm;
   return out;
 }
 

@@ -45,8 +45,8 @@ struct MultiApspResult {
 /// opts.device, always batched, with one staging buffer per device and no
 /// checkpoints. num_devices == 1 is the single-device plan with this
 /// driver's synchronous Step-2 and broadcast copies, not ooc_boundary's
-/// pipeline. Results land in `store` in the permuted order, like
-/// ooc_boundary.
+/// pipeline. Results land in `store` in original vertex order, like
+/// ooc_boundary's.
 MultiApspResult ooc_boundary_multi(const graph::CsrGraph& g,
                                    const ApspOptions& opts, int num_devices,
                                    DistStore& store);

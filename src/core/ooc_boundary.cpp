@@ -387,7 +387,12 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
   // other slot.
   int active = -1;               // staging slot being filled
   vidx_t staged_rows = 0;        // rows currently in `active`
-  vidx_t staged_row0 = 0;        // matrix row of the first staged row
+  vidx_t staged_row0 = 0;        // renumbered row of the first staged row
+  // The naive mode's block-row, assembled tile by tile, and the row that
+  // land_rows gathers into the original vertex order.
+  std::vector<dist_t> row_band(
+      batching ? 0 : static_cast<std::size_t>(dmax) * n);
+  std::vector<dist_t> landed;
 
   auto flush_staging = [&]() {
     if (staged_rows == 0) return;
@@ -398,8 +403,9 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
     const sim::Event drained =
         codec.stage_out(pipe, staging->host_ptr(active),
                         staging->device_ptr(active), bytes, pipe.computed());
-    store.write_block(staged_row0, 0, staged_rows, n,
-                      staging->host_ptr(active), static_cast<std::size_t>(n));
+    land_rows(store, layout.perm, layout.inv_perm, staged_row0, staged_rows,
+              staging->host_ptr(active), static_cast<std::size_t>(n), 0, n,
+              landed);
     staging->release(active, drained);
     active = -1;
     staged_rows = 0;
@@ -454,9 +460,15 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
         dev.memcpy_d2h(compute, steps.hbuf.data(), out_buf.data(),
                        static_cast<std::size_t>(ni) * nj * sizeof(dist_t),
                        /*async=*/false, /*pinned=*/false);
-        store.write_block(off, layout.comp_offset[j], ni, nj,
-                          steps.hbuf.data(), static_cast<std::size_t>(nj));
+        for (vidx_t r = 0; r < ni; ++r) {
+          std::copy_n(steps.hbuf.data() + static_cast<std::size_t>(r) * nj,
+                      nj,
+                      row_band.data() + static_cast<std::size_t>(r) * n +
+                          layout.comp_offset[j]);
+        }
       }
+      land_rows(store, layout.perm, layout.inv_perm, off, ni,
+                row_band.data(), static_cast<std::size_t>(n), 0, n, landed);
     }
   }
   if (batching) flush_staging();
@@ -471,7 +483,6 @@ ApspResult ooc_boundary(const graph::CsrGraph& g, const ApspOptions& opts,
   result.metrics.boundary_nodes = nb;
   result.metrics.checkpoints_written = ck.written();
   result.metrics.resumed_progress = resume_step;
-  result.perm = layout.perm;
   return result;
 }
 

@@ -12,7 +12,9 @@
 // METIS) and boundary-first renumbering; (2) per-component blocked FW on the
 // device (dist2); (3) boundary-graph FW over virtual + cross edges (dist3);
 // (4) A(i,j) = min(direct, C2B[i] ⊗ bound(i,j) ⊗ B2C[j]) streamed to the
-// host store in the permuted order.
+// host, where each finished row lands in the store at its original row and
+// columns (land_rows): the renumbering is the device's working layout, and
+// the kept store is in original vertex order like every other solver's.
 //
 // The step code that does not depend on how many devices run it lives here
 // once, in BoundarySteps: the Step-3 input matrix, Step 4's two halves and

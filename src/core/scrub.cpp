@@ -212,21 +212,15 @@ ScrubReport scrub_store(const std::string& path, const ScrubOptions& opt) {
                                    : scrub_raw(path, opt);
 }
 
-TileRepairFn make_sssp_repair(const graph::CsrGraph& g,
-                              std::vector<vidx_t> perm) {
-  // Over the graph in stored order a tile's rows are Dijkstra sources and
-  // its columns one contiguous slice of each row.
-  std::shared_ptr<const graph::CsrGraph> stored;
-  if (!perm.empty()) {
-    stored = std::make_shared<const graph::CsrGraph>(g.relabel(perm));
-  }
-  return [&g, stored](vidx_t row0, vidx_t col0, vidx_t rows,
-                      vidx_t cols) -> std::vector<dist_t> {
-    const graph::CsrGraph& sg = stored ? *stored : g;
+TileRepairFn make_sssp_repair(const graph::CsrGraph& g) {
+  // A tile's rows are Dijkstra sources and its columns one contiguous slice
+  // of each row.
+  return [&g](vidx_t row0, vidx_t col0, vidx_t rows,
+              vidx_t cols) -> std::vector<dist_t> {
     std::vector<dist_t> out(static_cast<std::size_t>(rows) * cols);
-    std::vector<dist_t> dist(static_cast<std::size_t>(sg.num_vertices()));
+    std::vector<dist_t> dist(static_cast<std::size_t>(g.num_vertices()));
     for (vidx_t r = 0; r < rows; ++r) {
-      sssp::dijkstra_into(sg, row0 + r, dist);
+      sssp::dijkstra_into(g, row0 + r, dist);
       std::copy_n(dist.data() + col0, cols,
                   out.data() + static_cast<std::size_t>(r) * cols);
     }

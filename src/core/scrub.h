@@ -72,11 +72,8 @@ struct ScrubReport {
 ScrubReport scrub_store(const std::string& path, const ScrubOptions& opt);
 
 /// Repair source that recomputes tiles by bounded SSSP over the kept CSR.
-/// `perm` is the solver's vertex permutation (stored index = perm[vertex]);
-/// empty = identity, and a non-empty one relabels a copy of the graph into
-/// stored order once. Thread-safe; each call runs its own Dijkstras. The
-/// graph is captured by reference and must outlive the returned function.
-TileRepairFn make_sssp_repair(const graph::CsrGraph& g,
-                              std::vector<vidx_t> perm = {});
+/// Thread-safe; each call runs its own Dijkstras. The graph is captured by
+/// reference and must outlive the returned function.
+TileRepairFn make_sssp_repair(const graph::CsrGraph& g);
 
 }  // namespace gapsp::core

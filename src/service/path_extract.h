@@ -20,12 +20,11 @@ namespace gapsp::service {
 
 class PathExtractor {
  public:
-  /// `engine` must serve a completed solve over `g` (its store, with the
-  /// solve's permutation) and outlive the extractor. The graph is
-  /// transposed once at construction. Every distance reads through the
-  /// engine, so its cache, checked reader, update overlay and repair
-  /// source apply; an unserveable, unrepaired tile surfaces as
-  /// core::TileError from distance()/path().
+  /// `engine` must serve a completed solve's store over `g` and outlive
+  /// the extractor. The graph is transposed once at construction. Every
+  /// distance reads through the engine, so its cache, checked reader,
+  /// update overlay and repair source apply; an unserveable, unrepaired
+  /// tile surfaces as core::TileError from distance()/path().
   PathExtractor(const graph::CsrGraph& g, const QueryEngine& engine);
 
   /// Shortest distance u → v (kInf when unreachable).

@@ -102,18 +102,16 @@ class OverlaidStore final : public core::DistStore {
 }  // namespace
 
 QueryEngine::QueryEngine(const core::DistStore& store, QueryEngineOptions opt,
-                         std::vector<vidx_t> perm)
+                         const std::vector<vidx_t>& perm)
     : store_(store),
       opt_(std::move(opt)),
-      perm_(std::move(perm)),
       cache_(opt_.cache_bytes, opt_.cache_shards),
       reader_(store, std::move(opt_.checksums),
               core::TileReaderOptions{opt_.retry, opt_.verify_checksums,
                                       opt_.faults}) {
   GAPSP_CHECK(opt_.block_size > 0, "cache block size must be positive");
-  GAPSP_CHECK(perm_.empty() ||
-                  perm_.size() == static_cast<std::size_t>(store_.n()),
-              "permutation length does not match the store");
+  GAPSP_CHECK(perm.empty(),
+              "stores are in original vertex order: pass no permutation");
   // A natively tiled store (GAPSPZ1) decompresses whole tiles on the miss
   // path: align the cache grid to the stored tiling so one miss never
   // touches two stored tiles. A raw store with a checksum sidecar likewise
@@ -142,7 +140,7 @@ core::UpdateOutcome QueryEngine::apply_updates(
   // emitted tile is exactly one overlay/cache entry. (A tiled store already
   // dictates the same side to both.)
   opt.tile = opt_.block_size;
-  core::IncrementalEngine engine(g_before, std::move(opt), perm_);
+  core::IncrementalEngine engine(g_before, std::move(opt));
   // The view holds a snapshot of the overlay: this batch's own emits land
   // in overlay_ and never feed back into its reads.
   std::unordered_map<std::uint64_t, BlockData> snapshot;
@@ -262,25 +260,22 @@ BlockData QueryEngine::fetch(vidx_t block_row, vidx_t block_col) const {
 dist_t QueryEngine::point(vidx_t u, vidx_t v) const {
   GAPSP_CHECK(u >= 0 && u < n() && v >= 0 && v < n(),
               "query vertex out of range");
-  const vidx_t su = stored_id(u);
-  const vidx_t sv = stored_id(v);
   const vidx_t b = opt_.block_size;
-  const vidx_t bi = su / b;
-  const vidx_t bj = sv / b;
+  const vidx_t bi = u / b;
+  const vidx_t bj = v / b;
   const BlockData tile = fetch(bi, bj);
   const vidx_t cols = std::min<vidx_t>(b, n() - bj * b);
-  return (*tile)[static_cast<std::size_t>(su - bi * b) *
+  return (*tile)[static_cast<std::size_t>(u - bi * b) *
                      static_cast<std::size_t>(cols) +
-                 static_cast<std::size_t>(sv - bj * b)];
+                 static_cast<std::size_t>(v - bj * b)];
 }
 
 std::vector<dist_t> QueryEngine::row(vidx_t u) const {
   GAPSP_CHECK(u >= 0 && u < n(), "query vertex out of range");
-  const vidx_t su = stored_id(u);
   const vidx_t b = opt_.block_size;
-  const vidx_t bi = su / b;
-  const vidx_t local_row = su - bi * b;
-  std::vector<dist_t> stored_row(static_cast<std::size_t>(n()));
+  const vidx_t bi = u / b;
+  const vidx_t local_row = u - bi * b;
+  std::vector<dist_t> out(static_cast<std::size_t>(n()));
   for (vidx_t bj = 0; bj < num_blocks_; ++bj) {
     const BlockData tile = fetch(bi, bj);
     const vidx_t col0 = bj * b;
@@ -288,13 +283,7 @@ std::vector<dist_t> QueryEngine::row(vidx_t u) const {
     std::copy_n(tile->data() + static_cast<std::size_t>(local_row) *
                                    static_cast<std::size_t>(cols),
                 static_cast<std::size_t>(cols),
-                stored_row.data() + static_cast<std::size_t>(col0));
-  }
-  if (perm_.empty()) return stored_row;
-  std::vector<dist_t> out(static_cast<std::size_t>(n()));
-  for (vidx_t v = 0; v < n(); ++v) {
-    out[static_cast<std::size_t>(v)] =
-        stored_row[static_cast<std::size_t>(perm_[static_cast<std::size_t>(v)])];
+                out.data() + static_cast<std::size_t>(col0));
   }
   return out;
 }
@@ -417,8 +406,8 @@ BatchReport QueryEngine::run_batch(std::span<const Query> queries) const {
       rows.push_back(static_cast<std::uint32_t>(i));
     } else if (by_tile) {
       tile_of[i] = static_cast<std::uint32_t>(
-          static_cast<std::size_t>(stored_id(q.u) / b) * nb +
-          static_cast<std::size_t>(stored_id(q.v) / b));
+          static_cast<std::size_t>(q.u / b) * nb +
+          static_cast<std::size_t>(q.v / b));
       ++start[tile_of[i] + 1];
     } else {
       order.push_back(static_cast<std::uint32_t>(i));
@@ -446,8 +435,8 @@ BatchReport QueryEngine::run_batch(std::span<const Query> queries) const {
   const auto run_bucket = [&](const std::uint32_t* first,
                               const std::uint32_t* last) {
     const Query& head = queries[*first];
-    const vidx_t bi = stored_id(head.u) / b;
-    const vidx_t bj = stored_id(head.v) / b;
+    const vidx_t bi = head.u / b;
+    const vidx_t bj = head.v / b;
     Timer t_fetch;
     BlockData tile;
     QueryStatus status = QueryStatus::kOk;
@@ -481,9 +470,9 @@ BatchReport QueryEngine::run_batch(std::span<const Query> queries) const {
       const Query& q = queries[*p];
       QueryResult& r = report.results[*p];
       r.query = q;
-      r.dist = (*tile)[static_cast<std::size_t>(stored_id(q.u) - bi * b) *
+      r.dist = (*tile)[static_cast<std::size_t>(q.u - bi * b) *
                            static_cast<std::size_t>(cols) +
-                       static_cast<std::size_t>(stored_id(q.v) - bj * b)];
+                       static_cast<std::size_t>(q.v - bj * b)];
     }
     const double per_read =
         t_reads.seconds() / static_cast<double>(last - first);

@@ -44,7 +44,7 @@ using core::CacheStats;
 
 enum class QueryKind {
   kPoint,  ///< dist(u, v)
-  kRow,    ///< all of row u, in original vertex order
+  kRow,    ///< all of row u
 };
 
 struct Query {
@@ -70,7 +70,7 @@ struct QueryResult {
   Query query;
   QueryStatus status = QueryStatus::kOk;
   dist_t dist = kInf;       ///< point queries
-  std::vector<dist_t> row;  ///< row queries, indexed by original vertex id
+  std::vector<dist_t> row;  ///< row queries, indexed by vertex id
   double latency_s = 0.0;
   std::string error;  ///< empty when status == kOk
 };
@@ -158,13 +158,12 @@ struct QueryEngineOptions {
 class QueryEngine {
  public:
   /// `store` must outlive the engine and must not be written while serving.
-  /// `perm` is the solve's vertex permutation (ApspResult::perm; empty =
-  /// identity): point and row queries take *original* vertex ids and
-  /// translate internally, so callers never see the boundary algorithm's
-  /// relabeling.
+  /// Every solver keeps its store in original vertex order, so queries
+  /// address it directly. `perm` must be empty (GAPSP_CHECK): it is kept
+  /// only so the benchmark harness (perf/) still compiles.
   explicit QueryEngine(const core::DistStore& store,
                        QueryEngineOptions opt = {},
-                       std::vector<vidx_t> perm = {});
+                       const std::vector<vidx_t>& perm = {});
 
   vidx_t n() const { return store_.n(); }
 
@@ -173,13 +172,11 @@ class QueryEngine {
   /// statuses instead.
   dist_t point(vidx_t u, vidx_t v) const;
 
-  /// Row of `u` with result[v] = dist(u, v) for original vertex ids v.
+  /// Row of `u` with result[v] = dist(u, v).
   std::vector<dist_t> row(vidx_t u) const;
 
-  /// Copies the stored-order tile [row0, row0+rows) × [col0, col0+cols)
-  /// into dst (leading dimension dst_ld, elements) through the cache.
-  /// Addresses *stored* coordinates: a rectangle is only rectangular in the
-  /// solve's own layout.
+  /// Copies the tile [row0, row0+rows) × [col0, col0+cols) into dst
+  /// (leading dimension dst_ld, elements) through the cache.
   void block(vidx_t row0, vidx_t col0, vidx_t rows, vidx_t cols, dist_t* dst,
              std::size_t dst_ld) const;
 
@@ -216,8 +213,8 @@ class QueryEngine {
   /// mix pre- and post-update tiles, so quiesce queries when answers must
   /// come from one version. Calls to apply_updates must not overlap each
   /// other. A configured repair source still recomputes from the graph it
-  /// captured — swap it via set_repair(make_sssp_repair(updated_graph,
-  /// perm)) after the batch.
+  /// captured — swap it via set_repair(make_sssp_repair(updated_graph))
+  /// after the batch.
   core::UpdateOutcome apply_updates(const graph::CsrGraph& g_before,
                                     std::span<const core::EdgeUpdate> updates,
                                     core::IncrementalOptions opt = {});
@@ -227,16 +224,12 @@ class QueryEngine {
   void set_repair(core::TileRepairFn fn) { opt_.repair = std::move(fn); }
 
  private:
-  vidx_t stored_id(vidx_t v) const {
-    return perm_.empty() ? v : perm_[static_cast<std::size_t>(v)];
-  }
   BlockData fetch(vidx_t block_row, vidx_t block_col) const;
   /// Recomputes tile (bi, bj) from opt_.repair and republishes it.
   BlockData repair_tile(vidx_t block_row, vidx_t block_col) const;
 
   const core::DistStore& store_;
   QueryEngineOptions opt_;
-  std::vector<vidx_t> perm_;
   vidx_t num_blocks_ = 0;  ///< tiles per side
   /// Misses, overlay tiles and repairs all take their buffers from its free
   /// list (BlockCache::make_tile).

@@ -30,10 +30,10 @@ class LocalShardBackend final : public ShardBackend {
  public:
   LocalShardBackend(const std::string& store_path,
                     const core::ShardManifest& manifest, int k,
-                    const QueryEngineOptions& opt, std::vector<vidx_t> perm)
+                    const QueryEngineOptions& opt)
       : shard_(k),
         slice_(core::open_shard_slice(store_path, manifest, k)),
-        engine_(*slice_, opt, std::move(perm)) {}
+        engine_(*slice_, opt) {}
 
   int shard() const override { return shard_; }
 
@@ -255,18 +255,17 @@ WorkerProcess fork_worker(int pipe_flags, const Child& child) {
 
 std::unique_ptr<ShardBackend> make_local_backend(
     const std::string& store_path, const core::ShardManifest& manifest, int k,
-    const QueryEngineOptions& opt, std::vector<vidx_t> perm) {
-  return std::make_unique<LocalShardBackend>(store_path, manifest, k, opt,
-                                             std::move(perm));
+    const QueryEngineOptions& opt) {
+  return std::make_unique<LocalShardBackend>(store_path, manifest, k, opt);
 }
 
 std::vector<std::unique_ptr<ShardBackend>> make_local_backends(
     const std::string& store_path, const core::ShardManifest& manifest,
-    const QueryEngineOptions& opt, std::vector<vidx_t> perm) {
+    const QueryEngineOptions& opt) {
   std::vector<std::unique_ptr<ShardBackend>> out;
   for (int k = 0; k < manifest.num_shards(); ++k) {
     try {
-      out.push_back(make_local_backend(store_path, manifest, k, opt, perm));
+      out.push_back(make_local_backend(store_path, manifest, k, opt));
     } catch (const std::exception& e) {
       out.push_back(std::make_unique<FailedShardBackend>(k, e.what()));
     }
@@ -326,15 +325,11 @@ std::unique_ptr<ShardBackend> make_process_backend(
 
 ShardRouter::ShardRouter(core::ShardManifest manifest,
                          std::vector<std::unique_ptr<ShardBackend>> backends,
-                         ShardRouterOptions opt, std::vector<vidx_t> perm)
+                         ShardRouterOptions opt)
     : manifest_(std::move(manifest)),
       backends_(std::move(backends)),
-      opt_(opt),
-      perm_(std::move(perm)) {
+      opt_(opt) {
   GAPSP_CHECK(manifest_.present(), "shard manifest is empty");
-  GAPSP_CHECK(perm_.empty() ||
-                  perm_.size() == static_cast<std::size_t>(manifest_.n),
-              "permutation size does not match the manifest");
   backend_of_shard_.assign(static_cast<std::size_t>(manifest_.num_shards()),
                            -1);
   for (std::size_t b = 0; b < backends_.size(); ++b) {
@@ -358,7 +353,7 @@ BatchReport ShardRouter::run_batch(std::span<const Query> queries) {
       admit_batch(queries, opt_.max_queue, report.results);
   shed_total_ += static_cast<long long>(queries.size() - admitted);
 
-  // Route by the stored row: shards split stored rows, so each query has
+  // Route by the source row: shards split rows, so each query has
   // exactly one owner. Unrouteable queries degrade typed right here.
   std::vector<std::vector<std::size_t>> routed(backends_.size());
   for (std::size_t i = 0; i < admitted; ++i) {
@@ -370,7 +365,7 @@ BatchReport ShardRouter::run_batch(std::span<const Query> queries) {
       ++degraded_total_;
       continue;
     }
-    const int shard = manifest_.shard_of_row(stored_id(q.u));
+    const int shard = manifest_.shard_of_row(q.u);
     const int b = shard < 0
                       ? -1
                       : backend_of_shard_[static_cast<std::size_t>(shard)];
@@ -378,7 +373,7 @@ BatchReport ShardRouter::run_batch(std::span<const Query> queries) {
       report.results[i] = typed_result(
           q, QueryStatus::kQuarantined,
           "no backend serves shard " + std::to_string(shard) + " (row " +
-              std::to_string(stored_id(q.u)) + ")");
+              std::to_string(q.u) + ")");
       ++degraded_total_;
       continue;
     }

@@ -47,14 +47,14 @@ class ShardBackend {
 /// IoError/CorruptError when the slice cannot be opened or verified.
 std::unique_ptr<ShardBackend> make_local_backend(
     const std::string& store_path, const core::ShardManifest& manifest, int k,
-    const QueryEngineOptions& opt, std::vector<vidx_t> perm = {});
+    const QueryEngineOptions& opt);
 
 /// Local backends for every shard. A shard whose slice fails to open or
 /// verify becomes a permanently-degraded backend answering kQuarantined —
 /// one corrupt shard file must not take down the other N−1 row ranges.
 std::vector<std::unique_ptr<ShardBackend>> make_local_backends(
     const std::string& store_path, const core::ShardManifest& manifest,
-    const QueryEngineOptions& opt, std::vector<vidx_t> perm = {});
+    const QueryEngineOptions& opt);
 
 // ---- multi-process mode ----
 
@@ -109,12 +109,10 @@ struct ShardRouterOptions {
 class ShardRouter {
  public:
   /// `backends` must cover every manifest shard at most once; a shard with
-  /// no backend degrades its queries to kQuarantined. `perm` is the solve's
-  /// vertex permutation (empty = identity), used only for routing — the
-  /// backends' engines hold the same perm and translate again themselves.
+  /// no backend degrades its queries to kQuarantined.
   ShardRouter(core::ShardManifest manifest,
               std::vector<std::unique_ptr<ShardBackend>> backends,
-              ShardRouterOptions opt = {}, std::vector<vidx_t> perm = {});
+              ShardRouterOptions opt = {});
   ~ShardRouter();
 
   vidx_t n() const { return manifest_.n; }
@@ -124,15 +122,10 @@ class ShardRouter {
   BatchReport run_batch(std::span<const Query> queries);
 
  private:
-  vidx_t stored_id(vidx_t v) const {
-    return perm_.empty() ? v : perm_[static_cast<std::size_t>(v)];
-  }
-
   core::ShardManifest manifest_;
   std::vector<std::unique_ptr<ShardBackend>> backends_;
   std::vector<int> backend_of_shard_;  ///< index into backends_, or -1
   ShardRouterOptions opt_;
-  std::vector<vidx_t> perm_;
   long long shed_total_ = 0;      ///< router-level, across batches
   long long degraded_total_ = 0;  ///< unrouteable queries, across batches
 };

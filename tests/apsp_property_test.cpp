@@ -63,7 +63,7 @@ TEST_P(ApspProperty, MatchesDijkstraOracle) {
   auto store = make_ram_store(g.num_vertices());
   const auto r = solve_apsp(g, o, *store);
   EXPECT_EQ(r.used, algo);
-  test::expect_store_matches_reference(g, *store, r);
+  test::expect_store_matches_reference(g, *store);
 }
 
 TEST_P(ApspProperty, MetricSpaceInvariants) {
@@ -73,7 +73,7 @@ TEST_P(ApspProperty, MetricSpaceInvariants) {
   auto o = opts();
   o.algorithm = algo;
   auto store = make_ram_store(g.num_vertices());
-  const auto r = solve_apsp(g, o, *store);
+  solve_apsp(g, o, *store);
 
   const vidx_t n = g.num_vertices();
   Rng rng(777);
@@ -81,12 +81,12 @@ TEST_P(ApspProperty, MetricSpaceInvariants) {
     const vidx_t u = static_cast<vidx_t>(rng.next_below(n));
     const vidx_t v = static_cast<vidx_t>(rng.next_below(n));
     const vidx_t w = static_cast<vidx_t>(rng.next_below(n));
-    const dist_t duv = store->at(r.stored_id(u), r.stored_id(v));
-    const dist_t dvu = store->at(r.stored_id(v), r.stored_id(u));
-    const dist_t duw = store->at(r.stored_id(u), r.stored_id(w));
-    const dist_t dwv = store->at(r.stored_id(w), r.stored_id(v));
+    const dist_t duv = store->at(u, v);
+    const dist_t dvu = store->at(v, u);
+    const dist_t duw = store->at(u, w);
+    const dist_t dwv = store->at(w, v);
     // Zero diagonal.
-    ASSERT_EQ(store->at(r.stored_id(u), r.stored_id(u)), 0);
+    ASSERT_EQ(store->at(u, u), 0);
     // Symmetry (all generators emit undirected graphs).
     ASSERT_EQ(duv, dvu);
     // Triangle inequality (with saturating infinity).
@@ -119,9 +119,9 @@ TEST_P(ApspEdgeCase, TwoVertexGraph) {
   o.device = test::tiny_device(1u << 20);
   o.algorithm = kAlgorithms[GetParam()];
   auto store = make_ram_store(2);
-  const auto r = solve_apsp(g, o, *store);
-  EXPECT_EQ(store->at(r.stored_id(0), r.stored_id(1)), 9);
-  EXPECT_EQ(store->at(r.stored_id(0), r.stored_id(0)), 0);
+  solve_apsp(g, o, *store);
+  EXPECT_EQ(store->at(0, 1), 9);
+  EXPECT_EQ(store->at(0, 0), 0);
 }
 
 TEST_P(ApspEdgeCase, ZeroWeightEdges) {
@@ -131,9 +131,9 @@ TEST_P(ApspEdgeCase, ZeroWeightEdges) {
   o.device = test::tiny_device(1u << 20);
   o.algorithm = kAlgorithms[GetParam()];
   auto store = make_ram_store(4);
-  const auto r = solve_apsp(g, o, *store);
-  EXPECT_EQ(store->at(r.stored_id(0), r.stored_id(2)), 0);
-  EXPECT_EQ(store->at(r.stored_id(0), r.stored_id(3)), 5);
+  solve_apsp(g, o, *store);
+  EXPECT_EQ(store->at(0, 2), 0);
+  EXPECT_EQ(store->at(0, 3), 5);
 }
 
 TEST_P(ApspEdgeCase, StarGraphHighDegreeHub) {
@@ -147,8 +147,8 @@ TEST_P(ApspEdgeCase, StarGraphHighDegreeHub) {
   o.algorithm = kAlgorithms[GetParam()];
   o.heavy_degree_threshold = 8;  // hub goes through the DP path for Johnson
   auto store = make_ram_store(40);
-  const auto r = solve_apsp(g, o, *store);
-  test::expect_store_matches_reference(g, *store, r);
+  solve_apsp(g, o, *store);
+  test::expect_store_matches_reference(g, *store);
 }
 
 std::string algo_param_name(const ::testing::TestParamInfo<int>& info) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/component_solver.h"
@@ -39,7 +41,7 @@ TEST(ComponentSolver, SingleComponentDegradesToPlainSolve) {
   const auto r = solve_apsp_per_component(g, opts(), *store, sel());
   EXPECT_EQ(r.num_components, 1);
   EXPECT_EQ(r.largest_component, g.num_vertices());
-  test::expect_store_matches_reference(g, *store, r.result);
+  test::expect_store_matches_reference(g, *store);
 }
 
 TEST(ComponentSolver, TwoIslandsSolvedIndependently) {
@@ -48,9 +50,9 @@ TEST(ComponentSolver, TwoIslandsSolvedIndependently) {
   const auto r = solve_apsp_per_component(g, opts(), *store, sel());
   EXPECT_EQ(r.num_components, 2);
   EXPECT_EQ(r.largest_component, 80);
-  test::expect_store_matches_reference(g, *store, r.result);
-  // Cross-island entries stayed at the store's kInf initialization.
-  EXPECT_EQ(store->at(r.result.stored_id(0), r.result.stored_id(100)), kInf);
+  test::expect_store_matches_reference(g, *store);
+  // Cross-island entries are unreachable.
+  EXPECT_EQ(store->at(0, 100), kInf);
 }
 
 TEST(ComponentSolver, IsolatedVerticesHandled) {
@@ -59,9 +61,9 @@ TEST(ComponentSolver, IsolatedVerticesHandled) {
   auto store = make_ram_store(7);
   const auto r = solve_apsp_per_component(g, opts(), *store, sel());
   EXPECT_EQ(r.num_components, 5);
-  test::expect_store_matches_reference(g, *store, r.result);
+  test::expect_store_matches_reference(g, *store);
   for (vidx_t v : {3, 4, 5, 6}) {
-    EXPECT_EQ(store->at(r.result.stored_id(v), r.result.stored_id(v)), 0);
+    EXPECT_EQ(store->at(v, v), 0);
   }
 }
 
@@ -72,7 +74,7 @@ TEST(ComponentSolver, ManyRandomComponents) {
   EXPECT_GT(r.num_components, 1);
   EXPECT_EQ(static_cast<int>(r.per_group.size()), r.num_groups);
   EXPECT_LE(r.num_groups, r.num_components);  // small fragments were packed
-  test::expect_store_matches_reference(g, *store, r.result);
+  test::expect_store_matches_reference(g, *store);
 }
 
 TEST(ComponentSolver, LessOutputTrafficThanMonolithicSolve) {
@@ -95,20 +97,41 @@ TEST(ComponentSolver, AutoSelectionPerComponent) {
   for (const Algorithm a : r.per_group) {
     EXPECT_NE(a, Algorithm::kAuto);
   }
-  test::expect_store_matches_reference(g, *store, r.result);
+  test::expect_store_matches_reference(g, *store);
 }
 
-TEST(ComponentSolver, PermutationIsBijection) {
+TEST(ComponentSolver, WritesTheBlockedFwStore) {
+  // The solve groups components contiguously, yet its store is in
+  // original vertex order: byte for byte the monolithic FW solve's.
   const auto g = graph::make_erdos_renyi(200, 150, 703, false);
   auto store = make_ram_store(g.num_vertices());
-  const auto r = solve_apsp_per_component(g, opts(), *store, sel());
-  std::vector<bool> seen(static_cast<std::size_t>(g.num_vertices()), false);
-  for (vidx_t p : r.result.perm) {
-    ASSERT_GE(p, 0);
-    ASSERT_LT(p, g.num_vertices());
-    ASSERT_FALSE(seen[p]);
-    seen[p] = true;
+  solve_apsp_per_component(g, opts(), *store, sel());
+  auto fw = make_ram_store(g.num_vertices());
+  ApspOptions o = opts();
+  o.algorithm = Algorithm::kBlockedFloydWarshall;
+  solve_apsp(g, o, *fw);
+  EXPECT_EQ(test::store_rows(*store), test::store_rows(*fw));
+}
+
+TEST(ComponentSolver, AdoptedFileStoreEqualsARamSolve) {
+  // A file store adopts an existing file of the same size (for resume), so
+  // a per-component solve into a reused path starts over another graph's
+  // matrix. Landing every entry leaves none of it behind.
+  const auto other = graph::make_erdos_renyi(200, 900, 11);
+  const auto g = graph::make_erdos_renyi(200, 150, 703, false);
+  const std::string path = ::testing::TempDir() + "component_adopted.bin";
+  {
+    auto stale = make_file_store(other.num_vertices(), path, true);
+    solve_apsp(other, opts(), *stale);
   }
+  auto adopted = make_file_store(g.num_vertices(), path, true);
+  const auto r = solve_apsp_per_component(g, opts(), *adopted, sel());
+  ASSERT_GT(r.num_components, 1);
+  auto ram = make_ram_store(g.num_vertices());
+  solve_apsp_per_component(g, opts(), *ram, sel());
+  EXPECT_EQ(test::store_rows(*adopted), test::store_rows(*ram));
+  adopted.reset();
+  std::remove(path.c_str());
 }
 
 TEST(ComponentSolver, DirectedIslandsUseWeakComponents) {
@@ -124,10 +147,10 @@ TEST(ComponentSolver, DirectedIslandsUseWeakComponents) {
   const auto r = solve_apsp_per_component(g, opts(), *store, sel());
   EXPECT_EQ(r.num_components, 2);
   EXPECT_EQ(r.largest_component, 70);
-  test::expect_store_matches_reference(g, *store, r.result);
+  test::expect_store_matches_reference(g, *store);
   // Directedness survives the decomposition: B flows only downwards.
-  EXPECT_EQ(store->at(r.result.stored_id(119), r.result.stored_id(51)), 136);
-  EXPECT_EQ(store->at(r.result.stored_id(51), r.result.stored_id(119)), kInf);
+  EXPECT_EQ(store->at(119, 51), 136);
+  EXPECT_EQ(store->at(51, 119), kInf);
 }
 
 TEST(ComponentSolver, MetricsCarryEveryAdditiveCounter) {
@@ -146,7 +169,7 @@ TEST(ComponentSolver, MetricsCarryEveryAdditiveCounter) {
   EXPECT_GT(m.bytes_d2h_wire, 0u);
   EXPECT_GT(m.bytes_d2h_raw, m.bytes_d2h_wire);
   EXPECT_GT(m.decodes, 0);
-  test::expect_store_matches_reference(g, *store, r.result);
+  test::expect_store_matches_reference(g, *store);
 }
 
 }  // namespace

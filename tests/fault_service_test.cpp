@@ -285,8 +285,8 @@ struct ServedStore {
   vidx_t tps = 0;
 };
 
-/// Solves er:N (disconnected, kInf-rich) with the identity-permutation
-/// Johnson algorithm into a kept raw file store, plus its sidecar grid.
+/// Solves er:N (disconnected, kInf-rich) with Johnson into a kept raw file
+/// store, plus its sidecar grid.
 ServedStore solve_raw(const std::string& tag, vidx_t tile) {
   ServedStore s;
   s.g = graph::make_erdos_renyi(150, 450, 99, /*connect=*/false);
@@ -295,10 +295,9 @@ ServedStore solve_raw(const std::string& tag, vidx_t tile) {
   {
     core::ApspOptions o;
     o.device = sim::DeviceSpec::v100_scaled(2u << 20);
-    o.algorithm = core::Algorithm::kJohnson;  // identity permutation
+    o.algorithm = core::Algorithm::kJohnson;
     auto store = core::make_file_store(s.n, s.path, /*keep_file=*/true);
-    const auto r = core::solve_apsp(s.g, o, *store);
-    EXPECT_TRUE(r.perm.empty());
+    core::solve_apsp(s.g, o, *store);
   }
   const auto ro = core::open_file_store(s.path);
   s.sums = core::compute_store_checksums(*ro, tile);
@@ -681,21 +680,22 @@ TEST(Scrub, RepairsCompressedStoreInPlace) {
   std::remove(zpath.c_str());
 }
 
-TEST(Scrub, SsspRepairOfAPermutedStoreReturnsItsTiles) {
-  // A boundary solve stores vertex v at perm[v]. The repair source must
-  // return the stored tiles themselves, ragged edge tiles included (n = 150
-  // is not a multiple of 32).
+TEST(Scrub, SsspRepairOfABoundaryStoreReturnsItsTiles) {
+  // The boundary solve renumbers vertices on the device but keeps its store
+  // in original order. The repair source must return the stored tiles
+  // themselves, ragged edge tiles included (n = 150 is not a multiple of
+  // 32).
   const graph::CsrGraph g = graph::make_road(15, 10, 31);
   const vidx_t n = g.num_vertices();
   core::ApspOptions o;
   o.algorithm = core::Algorithm::kBoundary;
-  auto store = core::make_ram_store(n);
-  const auto r = core::solve_apsp(g, o, *store);
-  ASSERT_FALSE(r.perm.empty());
+  const auto layout = core::plan_boundary(g, o).layout;
   bool moved = false;
-  for (vidx_t v = 0; v < n; ++v) moved = moved || r.perm[v] != v;
-  ASSERT_TRUE(moved) << "the solve left the identity layout";
-  const core::TileRepairFn repair = core::make_sssp_repair(g, r.perm);
+  for (vidx_t v = 0; v < n; ++v) moved = moved || layout.perm[v] != v;
+  ASSERT_TRUE(moved) << "the solve's device layout is the identity";
+  auto store = core::make_ram_store(n);
+  core::solve_apsp(g, o, *store);
+  const core::TileRepairFn repair = core::make_sssp_repair(g);
   constexpr vidx_t kTile = 32;
   ASSERT_NE(n % kTile, 0);
   for (vidx_t row0 = 0; row0 < n; row0 += kTile) {

@@ -97,7 +97,7 @@ TEST_P(ApspFuzz, RandomConfigurationMatchesOracle) {
     // graph/algorithm) — acceptable, but it must be *reported*, not wrong.
     return;
   }
-  test::expect_store_rows_match(g, *store, r, /*samples=*/6, rng.next_u64());
+  test::expect_store_rows_match(g, *store, /*samples=*/6, rng.next_u64());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ApspFuzz, ::testing::Range(0, 40));
@@ -179,7 +179,6 @@ TEST_P(FaultFuzz, RandomFaultScheduleRecoversOrFailsTyped) {
     // Any exception that is not a gapsp::Error escapes and fails the test.
   }
   if (completed) {
-    ASSERT_EQ(r.perm, clean.perm);
     const vidx_t n = g.num_vertices();
     std::vector<dist_t> a(static_cast<std::size_t>(n));
     std::vector<dist_t> b(static_cast<std::size_t>(n));

@@ -24,8 +24,8 @@ TEST(IncoreFw, FitsPredicate) {
 TEST(IncoreFw, MatchesDijkstra) {
   const auto g = graph::make_erdos_renyi(200, 900, 501);
   auto store = make_ram_store(g.num_vertices());
-  const auto r = incore_fw_apsp(g, opts(), *store);
-  test::expect_store_matches_reference(g, *store, r);
+  incore_fw_apsp(g, opts(), *store);
+  test::expect_store_matches_reference(g, *store);
 }
 
 TEST(IncoreFw, ThrowsWhenMatrixDoesNotFit) {
@@ -71,8 +71,8 @@ TEST(IncoreFw, LessTrafficThanOutOfCore) {
 TEST(IncoreFw, DisconnectedGraph) {
   const auto g = graph::make_erdos_renyi(150, 100, 505, /*connect=*/false);
   auto store = make_ram_store(g.num_vertices());
-  const auto r = incore_fw_apsp(g, opts(), *store);
-  test::expect_store_matches_reference(g, *store, r);
+  incore_fw_apsp(g, opts(), *store);
+  test::expect_store_matches_reference(g, *store);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // IncrementalEngine correctness: bit-parity against a from-scratch solve on
 // every graph × update-pattern cell (symmetric and directed graphs, RAM and
 // file stores), the run-sink contract, kill-mid-update resume, threshold
-// fallback, permuted layouts, and the QueryEngine::apply_updates serving
+// fallback, boundary-solved stores, and the QueryEngine::apply_updates serving
 // path. The oracle is a Dijkstra sweep over the updated graph — the same
 // master oracle the solver tests use.
 #include <gtest/gtest.h>
@@ -41,27 +41,23 @@ void write_run(DistStore& store, const TileRun& run) {
   store.write_block(run.row0, run.col0, run.rows, run.cols, run.data, run.ld);
 }
 
-// Exact APSP by Dijkstra sweep, written in stored order (perm[v] = stored
-// id, empty = identity).
-void fill_exact(const CsrGraph& g, DistStore& store,
-                const std::vector<vidx_t>& perm = {}) {
+// Exact APSP by Dijkstra sweep.
+void fill_exact(const CsrGraph& g, DistStore& store) {
   const vidx_t n = g.num_vertices();
-  std::vector<dist_t> by_vertex(static_cast<std::size_t>(n));
   std::vector<dist_t> row(static_cast<std::size_t>(n));
   for (vidx_t u = 0; u < n; ++u) {
-    sssp::dijkstra_into(g, u, by_vertex);
-    const vidx_t su = perm.empty() ? u : perm[static_cast<std::size_t>(u)];
-    if (perm.empty()) {
-      store.write_block(su, 0, 1, n, by_vertex.data(),
-                        static_cast<std::size_t>(n));
-    } else {
-      for (vidx_t v = 0; v < n; ++v) {
-        row[perm[static_cast<std::size_t>(v)]] =
-            by_vertex[static_cast<std::size_t>(v)];
-      }
-      store.write_block(su, 0, 1, n, row.data(), static_cast<std::size_t>(n));
-    }
+    sssp::dijkstra_into(g, u, row);
+    store.write_block(u, 0, 1, n, row.data(), static_cast<std::size_t>(n));
   }
+}
+
+// The store of a boundary solve, whose device renumbers the vertices.
+std::unique_ptr<DistStore> boundary_store(const CsrGraph& g) {
+  core::ApspOptions o;
+  o.algorithm = core::Algorithm::kBoundary;
+  auto store = core::make_ram_store(g.num_vertices());
+  core::solve_apsp(g, o, *store);
+  return store;
 }
 
 void expect_stores_equal(const DistStore& got, const DistStore& want) {
@@ -297,41 +293,28 @@ TEST(Incremental, ThresholdOneNeverFallsBack) {
   expect_stores_equal(*store, *want);
 }
 
-TEST(Incremental, PermutedStoreRepairs) {
+TEST(Incremental, BoundaryStoreRepairs) {
   const CsrGraph g = graph::make_road(9, 8, 29);
-  const vidx_t n = g.num_vertices();
-  // A deterministic non-trivial permutation (reversal).
-  std::vector<vidx_t> perm(static_cast<std::size_t>(n));
-  for (vidx_t v = 0; v < n; ++v) {
-    perm[static_cast<std::size_t>(v)] = n - 1 - v;
-  }
-  auto store = core::make_ram_store(n);
-  fill_exact(g, *store, perm);
+  auto store = boundary_store(g);
   const auto batch = make_batch(g, Pattern::kMixed, 10, 31);
-  IncrementalEngine engine(g, {}, perm);
+  IncrementalEngine engine(g);
   engine.apply_in_place(*store, batch);
-  auto want = core::make_ram_store(n);
-  fill_exact(core::apply_edge_updates(g, batch), *want, perm);
+  auto want = core::make_ram_store(g.num_vertices());
+  fill_exact(core::apply_edge_updates(g, batch), *want);
   expect_stores_equal(*store, *want);
 }
 
-TEST(Incremental, PermutedStoreFullSolveFallbackPreservesLayout) {
+TEST(Incremental, BoundaryStoreFullSolveFallbackLandsExactly) {
   const CsrGraph g = graph::make_road(8, 8, 37);
-  const vidx_t n = g.num_vertices();
-  std::vector<vidx_t> perm(static_cast<std::size_t>(n));
-  for (vidx_t v = 0; v < n; ++v) {
-    perm[static_cast<std::size_t>(v)] = (v * 7 + 3) % n;  // 7 coprime to 64
-  }
-  auto store = core::make_ram_store(n);
-  fill_exact(g, *store, perm);
+  auto store = boundary_store(g);
   const auto batch = make_batch(g, Pattern::kIncrease, 4, 41);
   IncrementalOptions opt;
   opt.damage_threshold = 0.0;
-  IncrementalEngine engine(g, opt, perm);
+  IncrementalEngine engine(g, opt);
   const UpdateOutcome out = engine.apply_in_place(*store, batch);
   EXPECT_TRUE(out.full_solve);
-  auto want = core::make_ram_store(n);
-  fill_exact(core::apply_edge_updates(g, batch), *want, perm);
+  auto want = core::make_ram_store(g.num_vertices());
+  fill_exact(core::apply_edge_updates(g, batch), *want);
   expect_stores_equal(*store, *want);
 }
 
@@ -1063,23 +1046,18 @@ TEST(IncrementalServing, ApplyUpdatesServesNewDistances) {
   }
 }
 
-TEST(IncrementalServing, PermutedEngineServesTwoConsecutiveBatches) {
-  // The engine serves a store in a non-trivial layout. The first batch
-  // raises arcs, so its repair goes through the probe and phase B; the
-  // second repairs against the first one's overlay.
+TEST(IncrementalServing, BoundaryEngineServesTwoConsecutiveBatches) {
+  // The engine serves a boundary-solved store. The first batch raises
+  // arcs, so its repair goes through the probe and phase B; the second
+  // repairs against the first one's overlay.
   const CsrGraph g = graph::make_road(10, 9, 127);
   const vidx_t n = g.num_vertices();
-  std::vector<vidx_t> perm(static_cast<std::size_t>(n));
-  for (vidx_t v = 0; v < n; ++v) {
-    perm[static_cast<std::size_t>(v)] = (v * 7 + 3) % n;  // 7 coprime to 90
-  }
-  auto store = core::make_ram_store(n);
-  fill_exact(g, *store, perm);
+  auto store = boundary_store(g);
   service::QueryEngineOptions qopt;
   qopt.block_size = 16;
   qopt.cache_bytes = 2 * 16 * 16 * sizeof(dist_t);
   qopt.cache_shards = 1;
-  service::QueryEngine engine(*store, qopt, perm);
+  service::QueryEngine engine(*store, qopt);
 
   CsrGraph before = g;
   for (const auto& [pattern, seed] : {std::pair{Pattern::kIncrease, 131u},

@@ -300,7 +300,7 @@ TEST_P(SolveParity, FullSolveIdenticalAcrossEngineSettings) {
     auto s_base = make_ram_store(g->num_vertices());
     const auto base = solve_apsp(*g, opts, *s_base);
     EXPECT_EQ(base.metrics.kernel_variant, "naive");
-    expect_store_matches_reference(*g, *s_base, base);
+    expect_store_matches_reference(*g, *s_base);
 
     for (const int threads : {1, 0}) {
       ApspOptions alt = opts;
@@ -308,7 +308,6 @@ TEST_P(SolveParity, FullSolveIdenticalAcrossEngineSettings) {
       alt.kernel_threads = threads;
       auto s_alt = make_ram_store(g->num_vertices());
       const auto r = solve_apsp(*g, alt, *s_alt);
-      ASSERT_EQ(r.perm, base.perm);
       EXPECT_DOUBLE_EQ(r.metrics.sim_seconds, base.metrics.sim_seconds);
       EXPECT_EQ(r.metrics.kernels, base.metrics.kernels);
       EXPECT_EQ(r.metrics.kernel_variant, "simd");

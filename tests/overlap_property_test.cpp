@@ -55,9 +55,8 @@ void expect_bit_identical(Runner algo, const graph::CsrGraph& g,
   off.overlap_transfers = false;
   auto s_on = make_ram_store(g.num_vertices());
   auto s_off = make_ram_store(g.num_vertices());
-  const ApspResult r_on = algo(g, on, *s_on);
-  const ApspResult r_off = algo(g, off, *s_off);
-  EXPECT_EQ(r_on.perm, r_off.perm);
+  algo(g, on, *s_on);
+  algo(g, off, *s_off);
   EXPECT_EQ(store_contents(*s_on), store_contents(*s_off));
 }
 
@@ -100,8 +99,8 @@ TEST(OverlapBitIdentical, OverlappedRunStillMatchesDijkstra) {
   opts.device = test::tiny_device();
   opts.overlap_transfers = true;
   auto store = make_ram_store(g.num_vertices());
-  const auto r = ooc_floyd_warshall(g, opts, *store);
-  test::expect_store_matches_reference(g, *store, r);
+  ooc_floyd_warshall(g, opts, *store);
+  test::expect_store_matches_reference(g, *store);
 }
 
 TEST(OverlapNeverSlower, FwOnTransferBoundDevice) {

@@ -29,7 +29,6 @@ ApspOptions opts() {
 struct Solved {
   graph::CsrGraph g;
   std::unique_ptr<DistStore> store;
-  ApspResult result;
 };
 
 Solved solve(graph::CsrGraph g, Algorithm algo) {
@@ -38,7 +37,7 @@ Solved solve(graph::CsrGraph g, Algorithm algo) {
   s.store = make_ram_store(s.g.num_vertices());
   auto o = opts();
   o.algorithm = algo;
-  s.result = solve_apsp(s.g, o, *s.store);
+  solve_apsp(s.g, o, *s.store);
   return s;
 }
 
@@ -46,7 +45,7 @@ TEST(PathExtract, LineGraphPath) {
   auto s = solve(graph::CsrGraph::from_edges(
                      4, {{0, 1, 5}, {1, 2, 3}, {2, 3, 1}}, true),
                  Algorithm::kJohnson);
-  const QueryEngine engine(*s.store, {}, s.result.perm);
+  const QueryEngine engine(*s.store);
   const PathExtractor px(s.g, engine);
   EXPECT_EQ(px.path(0, 3), (std::vector<vidx_t>{0, 1, 2, 3}));
   EXPECT_EQ(px.path(3, 0), (std::vector<vidx_t>{3, 2, 1, 0}));
@@ -56,7 +55,7 @@ TEST(PathExtract, LineGraphPath) {
 TEST(PathExtract, TrivialAndUnreachable) {
   auto s = solve(graph::CsrGraph::from_edges(3, {{0, 1, 2}}, true),
                  Algorithm::kJohnson);
-  const QueryEngine engine(*s.store, {}, s.result.perm);
+  const QueryEngine engine(*s.store);
   const PathExtractor px(s.g, engine);
   EXPECT_EQ(px.path(1, 1), (std::vector<vidx_t>{1}));
   EXPECT_TRUE(px.path(0, 2).empty());
@@ -68,7 +67,7 @@ TEST(PathExtract, ShortcutBeatsMoreHops) {
   auto s = solve(graph::CsrGraph::from_edges(
                      3, {{0, 1, 2}, {1, 2, 2}, {0, 2, 7}}, true),
                  Algorithm::kBlockedFloydWarshall);
-  const QueryEngine engine(*s.store, {}, s.result.perm);
+  const QueryEngine engine(*s.store);
   const PathExtractor px(s.g, engine);
   EXPECT_EQ(px.path(0, 2), (std::vector<vidx_t>{0, 1, 2}));
 }
@@ -77,7 +76,7 @@ TEST(PathExtract, ZeroWeightEdgesTerminate) {
   auto s = solve(graph::CsrGraph::from_edges(
                      4, {{0, 1, 0}, {1, 2, 0}, {2, 3, 0}, {0, 3, 0}}, true),
                  Algorithm::kJohnson);
-  const QueryEngine engine(*s.store, {}, s.result.perm);
+  const QueryEngine engine(*s.store);
   const PathExtractor px(s.g, engine);
   const auto p = px.path(0, 3);
   ASSERT_FALSE(p.empty());
@@ -89,7 +88,7 @@ TEST(PathExtract, ZeroWeightEdgesTerminate) {
 TEST(PathExtract, WalkLengthValidatesEdges) {
   auto s = solve(graph::CsrGraph::from_edges(3, {{0, 1, 4}, {1, 2, 6}}, true),
                  Algorithm::kJohnson);
-  const QueryEngine engine(*s.store, {}, s.result.perm);
+  const QueryEngine engine(*s.store);
   const PathExtractor px(s.g, engine);
   EXPECT_EQ(px.walk_length({0, 1, 2}), 10);
   EXPECT_EQ(px.walk_length({0, 2}), kInf);  // not an edge
@@ -100,7 +99,7 @@ TEST(PathExtract, WalkLengthValidatesEdges) {
 TEST(PathExtract, RejectsOutOfRange) {
   auto s = solve(graph::CsrGraph::from_edges(2, {{0, 1, 1}}, true),
                  Algorithm::kJohnson);
-  const QueryEngine engine(*s.store, {}, s.result.perm);
+  const QueryEngine engine(*s.store);
   const PathExtractor px(s.g, engine);
   EXPECT_THROW(px.path(0, 5), Error);
   EXPECT_THROW(px.path(-1, 0), Error);
@@ -113,7 +112,7 @@ TEST_P(PathExtractSweep, EveryPathIsAValidShortestWalk) {
                              Algorithm::kJohnson, Algorithm::kBoundary};
   const Algorithm algo = algos[GetParam()];
   auto s = solve(graph::make_road(14, 15, 321), algo);
-  const QueryEngine engine(*s.store, {}, s.result.perm);
+  const QueryEngine engine(*s.store);
   const PathExtractor px(s.g, engine);
   Rng rng(11);
   const vidx_t n = s.g.num_vertices();
@@ -152,26 +151,24 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, PathExtractSweep, ::testing::Range(0, 3),
 // ---------------------------------------------------------------------------
 // Regression against the store oracle: distance() reads through a
 // QueryEngine's tile cache instead of one DistStore::at() per element, and
-// the answers must not move — for permuted (boundary) results, under a cache
+// the answers must not move — for boundary-solved stores, under a cache
 // too small to hold the working set, over a GAPSPZ1 compressed store, and
 // through a corrupt tile the engine's repair source recomputes.
 // ---------------------------------------------------------------------------
 
 TEST(PathExtract, CachedDistancesMatchElementwiseOracle) {
-  // Boundary permutes the store, so this also proves the tile arithmetic
-  // composes with ApspResult::perm exactly like the old at() path did.
+  // Boundary renumbers vertices on the device only: its store reads at
+  // original ids through the engine exactly as through at().
   auto s = solve(graph::make_road(12, 12, 99), Algorithm::kBoundary);
   const vidx_t n = s.g.num_vertices();
   // A one-tile cache budget forces constant eviction; answers must hold.
   QueryEngineOptions opt;
   opt.cache_bytes = 256 * 256 * sizeof(dist_t);
-  const QueryEngine engine(*s.store, opt, s.result.perm);
+  const QueryEngine engine(*s.store, opt);
   const PathExtractor px(s.g, engine);
   for (vidx_t u = 0; u < n; u += 7) {
     for (vidx_t v = 0; v < n; v += 5) {
-      const vidx_t su = s.result.perm.empty() ? u : s.result.perm[u];
-      const vidx_t sv = s.result.perm.empty() ? v : s.result.perm[v];
-      ASSERT_EQ(px.distance(u, v), s.store->at(su, sv))
+      ASSERT_EQ(px.distance(u, v), s.store->at(u, v))
           << "(" << u << ", " << v << ")";
     }
   }
@@ -184,8 +181,8 @@ TEST(PathExtract, CompressedStoreServesIdenticalPaths) {
   write_compressed_store(*s.store, zpath, /*tile=*/48);
   const auto z = open_store(zpath);
   ASSERT_EQ(z->tile_size(), 48);  // extractor snaps its grid to this
-  const QueryEngine raw_engine(*s.store, {}, s.result.perm);
-  const QueryEngine z_engine(*z, {}, s.result.perm);
+  const QueryEngine raw_engine(*s.store);
+  const QueryEngine z_engine(*z);
   const PathExtractor raw(s.g, raw_engine);
   const PathExtractor zx(s.g, z_engine);
   Rng rng(4242);
@@ -208,7 +205,7 @@ TEST(PathExtract, DisconnectedPairsServeFromSharedInfTile) {
                  Algorithm::kJohnson);
   QueryEngineOptions opt;
   opt.cache_bytes = 0;
-  const QueryEngine engine(*s.store, opt, s.result.perm);
+  const QueryEngine engine(*s.store, opt);
   const PathExtractor px(s.g, engine);
   EXPECT_EQ(px.distance(0, 5), kInf);
   EXPECT_EQ(px.distance(4, 2), kInf);
@@ -218,8 +215,8 @@ TEST(PathExtract, DisconnectedPairsServeFromSharedInfTile) {
 }
 
 TEST(PathExtract, RepairSourceServesPathsThroughACorruptTile) {
-  // Johnson keeps the identity layout, so dist(0, 5) is element 5 of the
-  // raw file, inside sidecar tile (0, 0): every path from 0 reads it.
+  // dist(0, 5) is element 5 of the raw file, inside sidecar tile (0, 0):
+  // every path from 0 reads it.
   const auto g = graph::make_road(12, 12, 77);
   const vidx_t n = g.num_vertices();
   const std::string path =
@@ -228,14 +225,14 @@ TEST(PathExtract, RepairSourceServesPathsThroughACorruptTile) {
   o.algorithm = Algorithm::kJohnson;
   {
     auto store = make_file_store(n, path, /*keep_file=*/true);
-    ASSERT_TRUE(solve_apsp(g, o, *store).perm.empty());
+    solve_apsp(g, o, *store);
   }
   QueryEngineOptions opt;
   std::vector<std::vector<vidx_t>> want;
   {
     const auto pristine = open_file_store(path);
     opt.checksums = compute_store_checksums(*pristine, /*tile=*/48);
-    const QueryEngine engine(*pristine, {});
+    const QueryEngine engine(*pristine);
     const PathExtractor px(g, engine);
     for (vidx_t v = 0; v < n; v += 7) want.push_back(px.path(0, v));
   }

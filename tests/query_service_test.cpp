@@ -1,6 +1,6 @@
 // Query-service coverage: the block cache's LRU/counter semantics, the
-// QueryEngine against DistStore::at() as the oracle (including permuted
-// boundary solves and file-backed stores opened read-only), and the
+// QueryEngine against DistStore::at() as the oracle (including boundary
+// solves and file-backed stores opened read-only), and the
 // open_file_store entry point's validation.
 #include <gtest/gtest.h>
 
@@ -99,10 +99,9 @@ TEST(BlockCache, ClearDropsEntriesKeepsCounters) {
   EXPECT_EQ(reloaded, 1);
 }
 
-/// Solves a graph and returns (store, result) for engine tests.
+/// Solves a graph and returns its store for engine tests.
 struct Solved {
   std::unique_ptr<DistStore> store;
-  core::ApspResult result;
 };
 
 Solved solve(const graph::CsrGraph& g, core::Algorithm algo) {
@@ -112,7 +111,7 @@ Solved solve(const graph::CsrGraph& g, core::Algorithm algo) {
   o.algorithm = algo;
   Solved s;
   s.store = core::make_ram_store(g.num_vertices());
-  s.result = core::solve_apsp(g, o, *s.store);
+  core::solve_apsp(g, o, *s.store);
   return s;
 }
 
@@ -122,33 +121,32 @@ TEST(QueryEngine, PointAndRowMatchStore) {
   QueryEngineOptions opt;
   opt.block_size = 37;  // force ragged multi-tile coverage
   opt.cache_bytes = 1u << 20;
-  const QueryEngine engine(*s.store, opt, s.result.perm);
+  const QueryEngine engine(*s.store, opt);
   Rng rng(11);
   const vidx_t n = g.num_vertices();
   for (int t = 0; t < 200; ++t) {
     const auto u = static_cast<vidx_t>(rng.next_below(n));
     const auto v = static_cast<vidx_t>(rng.next_below(n));
     EXPECT_EQ(engine.point(u, v),
-              s.store->at(s.result.stored_id(u), s.result.stored_id(v)));
+              s.store->at(u, v));
   }
   const vidx_t u = 5;
   const auto row = engine.row(u);
   ASSERT_EQ(row.size(), static_cast<std::size_t>(n));
   for (vidx_t v = 0; v < n; ++v) {
     EXPECT_EQ(row[v],
-              s.store->at(s.result.stored_id(u), s.result.stored_id(v)));
+              s.store->at(u, v));
   }
 }
 
-TEST(QueryEngine, PermutedBoundarySolveAnswersInOriginalIds) {
-  // The boundary algorithm relabels vertices; the engine must translate so
-  // callers query in the graph's own ids.
+TEST(QueryEngine, BoundarySolveAnswersInOriginalIds) {
+  // The boundary algorithm renumbers vertices on the device, but its store
+  // is in the graph's own ids, which the engine reads directly.
   const auto g = graph::make_road(14, 14, 502);
   const auto s = solve(g, core::Algorithm::kBoundary);
-  ASSERT_FALSE(s.result.perm.empty());  // the permutation is real here
   QueryEngineOptions opt;
   opt.block_size = 64;
-  const QueryEngine engine(*s.store, opt, s.result.perm);
+  const QueryEngine engine(*s.store, opt);
   const vidx_t n = g.num_vertices();
   Rng rng(12);
   for (int t = 0; t < 100; ++t) {
@@ -167,7 +165,7 @@ TEST(QueryEngine, BlockReadsStoredTile) {
   const auto s = solve(g, core::Algorithm::kJohnson);
   QueryEngineOptions opt;
   opt.block_size = 32;
-  const QueryEngine engine(*s.store, opt, s.result.perm);
+  const QueryEngine engine(*s.store, opt);
   // A tile straddling four cache blocks, ragged at the matrix edge.
   const vidx_t row0 = 25, col0 = 17, rows = 40, cols = 50;
   std::vector<dist_t> got(static_cast<std::size_t>(rows) * cols, -1);
@@ -180,7 +178,7 @@ TEST(QueryEngine, BlockReadsStoredTile) {
 TEST(QueryEngine, WarmBatchHitsCacheOnly) {
   const auto g = graph::make_road(10, 10, 504);
   const auto s = solve(g, core::Algorithm::kJohnson);
-  const QueryEngine engine(*s.store, {}, s.result.perm);
+  const QueryEngine engine(*s.store);
   std::vector<Query> qs;
   Rng rng(13);
   for (int i = 0; i < 300; ++i) {
@@ -213,7 +211,7 @@ TEST(QueryEngine, ConcurrentBatchUnderTinyCacheMatchesStore) {
   opt.block_size = 24;
   opt.cache_bytes = 4 * 24 * 24 * sizeof(dist_t);  // ~4 tiles
   opt.cache_shards = 2;
-  const QueryEngine engine(*s.store, opt, s.result.perm);
+  const QueryEngine engine(*s.store, opt);
   std::vector<Query> qs;
   Rng rng(14);
   const vidx_t n = g.num_vertices();
@@ -225,8 +223,7 @@ TEST(QueryEngine, ConcurrentBatchUnderTinyCacheMatchesStore) {
   EXPECT_GT(rep.cache.evictions, 0);
   for (std::size_t i = 0; i < qs.size(); ++i) {
     ASSERT_EQ(rep.results[i].dist,
-              s.store->at(s.result.stored_id(qs[i].u),
-                          s.result.stored_id(qs[i].v)))
+              s.store->at(qs[i].u, qs[i].v))
         << "query " << i;
   }
 }
@@ -265,7 +262,7 @@ TEST(QueryEngine, OutOfRangeQueriesAreTypedAloneOnBothSidesOfTheBucketRule) {
   const vidx_t n = g.num_vertices();
   const std::vector<Query> qs = mixed_batch(n);
   for (const vidx_t block : {16, 4}) {
-    const QueryEngine engine(*s.store, tiles_of(block), s.result.perm);
+    const QueryEngine engine(*s.store, tiles_of(block));
     BatchReport rep;
     ASSERT_NO_THROW(rep = engine.run_batch(qs)) << "block " << block;
     ASSERT_EQ(rep.results.size(), qs.size());
@@ -280,15 +277,15 @@ TEST(QueryEngine, OutOfRangeQueriesAreTypedAloneOnBothSidesOfTheBucketRule) {
       }
       ASSERT_EQ(r.status, QueryStatus::kOk) << "query " << i << ": " << r.error;
       if (q.kind == QueryKind::kPoint) {
-        EXPECT_EQ(r.dist, s.store->at(s.result.stored_id(q.u),
-                                      s.result.stored_id(q.v)))
+        EXPECT_EQ(r.dist, s.store->at(q.u,
+                                      q.v))
             << "query " << i;
         continue;
       }
       ASSERT_EQ(r.row.size(), static_cast<std::size_t>(n));
       for (vidx_t v = 0; v < n; ++v) {
-        ASSERT_EQ(r.row[v], s.store->at(s.result.stored_id(q.u),
-                                        s.result.stored_id(v)));
+        ASSERT_EQ(r.row[v], s.store->at(q.u,
+                                        v));
       }
     }
     EXPECT_EQ(bad, 3);
@@ -302,8 +299,8 @@ TEST(QueryEngine, BothSidesOfTheBucketRuleAnswerAlike) {
   const auto s = solve(g, core::Algorithm::kBoundary);
   const vidx_t n = g.num_vertices();
   const std::vector<Query> qs = mixed_batch(n);
-  const QueryEngine sorted(*s.store, tiles_of(16), s.result.perm);
-  const QueryEngine apart(*s.store, tiles_of(4), s.result.perm);
+  const QueryEngine sorted(*s.store, tiles_of(16));
+  const QueryEngine apart(*s.store, tiles_of(4));
   const BatchReport a = sorted.run_batch(qs);
   const BatchReport b = apart.run_batch(qs);
   for (std::size_t i = 0; i < qs.size(); ++i) {
@@ -320,8 +317,8 @@ TEST(QueryEngine, BothSidesOfTheBucketRuleAnswerAlike) {
   for (const Query& q : qs) {
     if (q.kind != QueryKind::kPoint || out_of_range(q, n)) continue;
     ++points;
-    touched.emplace(s.result.stored_id(q.u) / 16,
-                    s.result.stored_id(q.v) / 16);
+    touched.emplace(q.u / 16,
+                    q.v / 16);
   }
   const auto lookups = [](const CacheStats& c) { return c.hits + c.misses; };
   EXPECT_EQ(lookups(a.cache),
@@ -391,9 +388,9 @@ TEST(QueryEngine, RecycledBuffersServeExactAnswersUnderConcurrentBatches) {
   const auto s = solve(g, core::Algorithm::kJohnson);
   const vidx_t n = g.num_vertices();
   ASSERT_NE(n % kRecycleBlock, 0);
-  const QueryEngine engine(*s.store, one_tile_per_shard(), s.result.perm);
+  const QueryEngine engine(*s.store, one_tile_per_shard());
   const auto want = [&](vidx_t u, vidx_t v) {
-    return s.store->at(s.result.stored_id(u), s.result.stored_id(v));
+    return s.store->at(u, v);
   };
   // Three clients at once, each batch fanning out over the pool.
   std::vector<std::vector<Query>> batches(3);
@@ -530,16 +527,15 @@ TEST(QueryService, FileStoreEndToEnd) {
   o.device = sim::DeviceSpec::v100_scaled(2u << 20);
   o.fw_tile = 32;
   o.algorithm = core::Algorithm::kJohnson;
-  core::ApspResult result;
   {
     auto store = core::make_file_store(n, path, /*keep_file=*/true);
-    result = core::solve_apsp(g, o, *store);
+    core::solve_apsp(g, o, *store);
   }  // store closed; file kept
   auto reopened = core::open_file_store(path);
   ASSERT_EQ(reopened->n(), n);
   QueryEngineOptions opt;
   opt.block_size = 48;
-  const QueryEngine engine(*reopened, opt, result.perm);
+  const QueryEngine engine(*reopened, opt);
   Rng rng(15);
   for (int t = 0; t < 150; ++t) {
     const auto u = static_cast<vidx_t>(rng.next_below(n));
@@ -609,7 +605,7 @@ TEST(QueryEngine, NegativeTilesServeDisconnectedRegionsAtZeroCost) {
   const auto s = solve(g, core::Algorithm::kJohnson);
   QueryEngineOptions opt;
   opt.block_size = 30;  // cross-component tiles are pure kInf
-  const QueryEngine engine(*s.store, opt, s.result.perm);
+  const QueryEngine engine(*s.store, opt);
   for (vidx_t u = 0; u < half; u += 11) {
     for (vidx_t v = half; v < 2 * half; v += 13) {
       ASSERT_EQ(engine.point(u, v), kInf);
@@ -633,8 +629,8 @@ TEST(QueryEngine, CompressedStoreServesIdenticalAnswers) {
   const auto z = core::open_store(zpath);
   QueryEngineOptions opt;
   opt.block_size = 64;  // deliberately misaligned: the engine must snap
-  const QueryEngine raw(*s.store, {}, s.result.perm);
-  const QueryEngine zq(*z, opt, s.result.perm);
+  const QueryEngine raw(*s.store);
+  const QueryEngine zq(*z, opt);
   std::vector<Query> qs;
   Rng rng(16);
   const vidx_t n = g.num_vertices();
@@ -734,7 +730,7 @@ TEST(QueryService, SuccessiveUpdateBatchesServeExactDistances) {
   core::ApspOptions o;
   o.algorithm = core::Algorithm::kBlockedFloydWarshall;
   core::solve_apsp(g, o, *store);
-  QueryEngine engine(*store, {});
+  QueryEngine engine(*store);
 
   Rng rng(3);
   for (int batch_no = 1; batch_no <= 3; ++batch_no) {

@@ -27,18 +27,16 @@ namespace {
 using core::DistStore;
 using core::ShardManifest;
 
-/// Solves into a kept raw file store; returns the result (perm for
-/// boundary solves).
-core::ApspResult solve_to_file(const graph::CsrGraph& g,
-                               const std::string& path,
-                               core::Algorithm algo) {
+/// Solves into a kept raw file store.
+void solve_to_file(const graph::CsrGraph& g, const std::string& path,
+                   core::Algorithm algo) {
   core::ApspOptions o;
   o.device = sim::DeviceSpec::v100_scaled(2u << 20);
   o.fw_tile = 32;
   o.algorithm = algo;
   auto store = core::make_file_store(g.num_vertices(), path,
                                      /*keep_file=*/true);
-  return core::solve_apsp(g, o, *store);
+  core::solve_apsp(g, o, *store);
 }
 
 void remove_shard_files(const std::string& path, const ShardManifest& m) {
@@ -253,24 +251,26 @@ TEST(ShardWire, BatchReplyRoundTripsPointRowAndDegradedResults) {
 }
 
 TEST(ShardRouter, LocalBackendsMatchSingleEngineBitForBit) {
-  // Boundary solve: non-identity perm, so routing exercises stored-id
-  // translation too.
+  // Boundary solve: the device renumbers vertices, the store does not, so
+  // the router shards and routes by original row like any other store.
   const std::string path = ::testing::TempDir() + "gapsp_router_parity.bin";
   const auto g = graph::make_road(12, 11, 606);
-  const auto result = solve_to_file(g, path, core::Algorithm::kBoundary);
+  solve_to_file(g, path, core::Algorithm::kBoundary);
   const auto m = core::shard_store_file(path, 3, 32);
 
   const auto whole = core::open_file_store(path);
   QueryEngineOptions opt;
   opt.block_size = 32;
-  const QueryEngine single(*whole, opt, result.perm);
-  ShardRouter router(m, make_local_backends(path, m, opt, result.perm), {},
-                     result.perm);
+  const QueryEngine single(*whole, opt);
+  ShardRouter router(m, make_local_backends(path, m, opt));
 
   const auto qs = random_queries(m.n, 300, 10, 607);
   const auto want = single.run_batch(qs);
   const auto got = router.run_batch(qs);
   expect_same_results(got, want);
+  for (std::size_t i = 0; i < 20; ++i) {
+    EXPECT_EQ(got.results[i].dist, test::ref_row(g, qs[i].u)[qs[i].v]);
+  }
   EXPECT_EQ(got.service.served,
             static_cast<long long>(qs.size()));
   remove_shard_files(path, m);
@@ -313,7 +313,7 @@ TEST(ShardRouter, KilledWorkerDegradesExactlyItsRowRange) {
   const auto m = core::shard_store_file(path, 3, 32);
 
   const auto whole = core::open_file_store(path);
-  const QueryEngine single(*whole, {});
+  const QueryEngine single(*whole);
 
   // Worker 1 dies on its first batch; no retries, no respawn: its whole
   // row range must come back kQuarantined while shards 0 and 2 stay
@@ -366,7 +366,7 @@ TEST(ShardRouter, RespawnRetryHealsAWorkerThatDiesMidBatch) {
   const auto m = core::shard_store_file(path, 2, 32);
 
   const auto whole = core::open_file_store(path);
-  const QueryEngine single(*whole, {});
+  const QueryEngine single(*whole);
 
   // Worker 0 dies on its *second* batch. With respawn+1 retry the replacement
   // serves the resent batch as its own first — the caller never sees the

@@ -37,7 +37,6 @@ constexpr int kShards = 3;
 struct Stores {
   std::string raw = ::testing::TempDir() + "gapsp_conc_raw.bin";
   std::string z1 = ::testing::TempDir() + "gapsp_conc_z1.bin";
-  std::vector<vidx_t> perm;
   core::ShardManifest raw_shards;
   core::ShardManifest z1_shards;
 
@@ -46,10 +45,10 @@ struct Stores {
     core::ApspOptions o;
     o.device = sim::DeviceSpec::v100_scaled(2u << 20);
     o.fw_tile = 32;
-    o.algorithm = core::Algorithm::kBoundary;  // non-identity perm
+    o.algorithm = core::Algorithm::kBoundary;  // renumbers on the device
     {
       auto store = core::make_file_store(g.num_vertices(), raw, true);
-      perm = core::solve_apsp(g, o, *store).perm;
+      core::solve_apsp(g, o, *store);
     }
     core::compact_store(raw, z1, kTile);
     z1_shards = core::shard_store_file(z1, kShards, kTile);
@@ -210,7 +209,7 @@ TEST(StoreConcurrency, ColdShardRouterMatchesOneEngine) {
   opt.block_size = kTile;
   opt.cache_bytes = 8 * kTile * kTile * sizeof(dist_t);  // mostly misses
   const auto whole = core::open_store(s.z1);
-  const service::QueryEngine single(*whole, opt, s.perm);
+  const service::QueryEngine single(*whole, opt);
 
   std::vector<service::Query> qs;
   Rng rng(77);
@@ -228,9 +227,7 @@ TEST(StoreConcurrency, ColdShardRouterMatchesOneEngine) {
   ASSERT_EQ(want.service.served, static_cast<long long>(qs.size()));
 
   service::ShardRouter router(
-      s.z1_shards,
-      service::make_local_backends(s.z1, s.z1_shards, opt, s.perm), {},
-      s.perm);
+      s.z1_shards, service::make_local_backends(s.z1, s.z1_shards, opt));
   const auto got = router.run_batch(qs);
   ASSERT_EQ(got.results.size(), want.results.size());
   for (std::size_t i = 0; i < qs.size(); ++i) {

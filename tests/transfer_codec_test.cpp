@@ -437,8 +437,6 @@ TEST_P(DriverParity, ModesAreBitIdenticalAndCompressionNeverLoses) {
                    *s_auto);
 
     // Distances: every mode bit-identical, and correct vs Dijkstra.
-    ASSERT_EQ(r_off.perm, r_on.perm);
-    ASSERT_EQ(r_off.perm, r_auto.perm);
     std::vector<dist_t> a(static_cast<std::size_t>(n));
     std::vector<dist_t> b(static_cast<std::size_t>(n));
     std::vector<dist_t> d(static_cast<std::size_t>(n));
@@ -449,7 +447,7 @@ TEST_P(DriverParity, ModesAreBitIdenticalAndCompressionNeverLoses) {
       ASSERT_EQ(a, b) << c.name << " row " << r << " overlap=" << overlap;
       ASSERT_EQ(a, d) << c.name << " row " << r << " overlap=" << overlap;
     }
-    expect_store_matches_reference(g, *s_off, r_off);
+    expect_store_matches_reference(g, *s_off);
 
     // sim_seconds invariants: off moves no wire bytes; on this device auto
     // and on make identical decisions, so their timelines coincide exactly;
@@ -516,7 +514,6 @@ TEST_P(ThreadParity, PooledCodecMatchesOneThread) {
   }
   EXPECT_GT(widest, static_cast<double>(kTransferSliceBytes)) << c.name;
 
-  ASSERT_EQ(r_one.perm, r_pool.perm);
   std::vector<dist_t> a(static_cast<std::size_t>(n));
   std::vector<dist_t> b(static_cast<std::size_t>(n));
   for (vidx_t r = 0; r < n; ++r) {
@@ -524,7 +521,7 @@ TEST_P(ThreadParity, PooledCodecMatchesOneThread) {
     s_pool->read_block(r, 0, 1, n, b.data(), b.size());
     ASSERT_EQ(a, b) << c.name << " row " << r;
   }
-  expect_store_matches_reference(g, *s_pool, r_pool);
+  expect_store_matches_reference(g, *s_pool);
   EXPECT_GT(r_one.metrics.decodes, 0) << c.name;
   EXPECT_EQ(r_one.metrics.decodes, r_pool.metrics.decodes);
   EXPECT_EQ(r_one.metrics.bytes_h2d_wire, r_pool.metrics.bytes_h2d_wire);
@@ -679,10 +676,9 @@ TEST(TransferChaos, KillSweepResumesCompressedRunBitIdentical) {
       ApspOptions rec = clean;
       rec.checkpoint_path = path;
       rec.resume = true;
-      const auto resumed = solve_apsp(p.g, rec, *store);
+      solve_apsp(p.g, rec, *store);
       SCOPED_TRACE("kill " + std::to_string(kill));
       expect_same_store(*s_ref, *store, p.name);
-      EXPECT_EQ(resumed.perm, ref.perm);
     }
     EXPECT_GT(interruptions, 0)
         << p.name << ": sweep never actually killed the device";

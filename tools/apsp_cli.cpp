@@ -23,7 +23,6 @@
 #include "core/component_solver.h"
 #include "core/compressed_store.h"
 #include "core/cost_model.h"
-#include "core/dist_io.h"
 #include "core/multi_device.h"
 #include "core/scrub.h"
 #include "core/shard_store.h"
@@ -123,7 +122,6 @@ const RealFlag kStoreRatio("store-ratio", "R", "expected store compression",
                            1, 1);
 const Flag kVerify("verify", "", "spot-check 8 rows against Dijkstra");
 const Flag kPerComponent("per-component", "", "solve each component apart");
-const Flag kSave("save", "FILE", "write the distances (GAPSPDM1)");
 const Flag kQuery("query", "U,V", "print dist(U,V) (\"U,V;U2,V2\")");
 const Flag kPath("path", "U,V", "print one shortest path U -> V");
 const Flag kTrace("trace", "FILE", "write a chrome://tracing timeline");
@@ -258,8 +256,9 @@ graph::CsrGraph make_graph(const Args& args) {
 }
 
 /// The SSSP repair source of a recompute repair: the solve's graph, made
-/// again from its source. Identity permutation only (fw/johnson solves);
-/// the shared_ptr keeps the graph alive inside the fn.
+/// again from its source (every solver keeps original vertex order, so its
+/// rows are the store's). The shared_ptr keeps the graph alive inside the
+/// fn.
 core::TileRepairFn make_repair_source(const Args& args) {
   if (!kRepair(args)) return {};
   GAPSP_CHECK(kGenerate.has(args) || kInput.has(args),
@@ -1237,11 +1236,11 @@ int run_solve(const Args& args) {
 
   for (const auto& [u, v] : queries) {
     std::cout << "dist(" << u << ", " << v << ") = "
-              << dist_text(store->at(r.stored_id(u), r.stored_id(v))) << "\n";
+              << dist_text(store->at(u, v)) << "\n";
   }
   if (path_ends) {
     const auto [u, v] = *path_ends;
-    const service::QueryEngine engine(*store, {}, r.perm);
+    const service::QueryEngine engine(*store);
     const service::PathExtractor extractor(g, engine);
     const auto path = extractor.path(u, v);
     std::cout << "path(" << u << " -> " << v << "): ";
@@ -1263,12 +1262,6 @@ int run_solve(const Args& args) {
       std::cerr << rep.detail;
       return 3;
     }
-  }
-  if (const auto save = kSave.get(args)) {
-    core::save_distances(*store, r, *save);
-    const double mib = static_cast<double>(g.num_vertices()) *
-                       g.num_vertices() * sizeof(dist_t) / (1 << 20);
-    std::cout << "distances: " << mib << " MiB -> " << *save << "\n";
   }
   if (kKeepStore.has(args) && file_store) {
     if (core::save_calibration(opts, store_path + ".cal")) {
@@ -1331,7 +1324,7 @@ const std::vector<Command> kCommands = {
                &kSparseThreshold, &kDenseThreshold, &kSsspKernel,
                &kPartitioner, &kKernelVariant, &kKernelThreads, &kStore,
                &kStorePath, &kKeepStore, &kNoCompressStore, &kStoreRatio,
-               &kVerify, &kPerComponent, &kSave, &kQuery, &kPath, &kTrace,
+               &kVerify, &kPerComponent, &kQuery, &kPath, &kTrace,
                &kStats, &kFaultSeed, &kFaultH2d, &kFaultD2h, &kFaultKernel,
                &kFaultAlloc, &kFaultDecode, &kKillDevice, &kRetries,
                &kCheckpoint, &kResume},
