@@ -184,8 +184,9 @@ int main(int argc, char** argv) {
   }
 
   // --- fault-tolerance rows: same batch, same 16 MiB pooled config ---
-  // Sidecar tile = 256 matches the default cache tiling, so the verified
-  // engine resolves the identical tile grid and the comparison is purely
+  // The verified engine serves a checked view of the same store. Its
+  // sidecar tile = 256 matches the default cache tiling, so both engines
+  // resolve the identical tile grid and the comparison is purely
   // "checksum the miss path or not". Checksums run only on misses, so two
   // warm engines differ by little more than scheduler noise, and a
   // best-of-few comparison reads that noise. Instead the overhead is the
@@ -194,13 +195,13 @@ int main(int argc, char** argv) {
   // sample repeating the warm batch for at least kSampleSeconds.
   constexpr int kOverheadPairs = 15;
   constexpr double kSampleSeconds = 0.02;
-  const auto sums = core::compute_store_checksums(*store, /*tile=*/256);
+  const core::CheckedStore checked(
+      *store, core::compute_store_checksums(*store, /*tile=*/256),
+      store_path);
   service::QueryEngineOptions base_opt;
   base_opt.cache_bytes = 16384u << 10;
-  auto verified_opt = base_opt;
-  verified_opt.checksums = sums;
   const service::QueryEngine plain(*store, base_opt);
-  const service::QueryEngine verified(*store, verified_opt);
+  const service::QueryEngine verified(checked, base_opt);
   plain.run_batch(queries);  // cold fills
   verified.run_batch(queries);
   auto warm_batch_seconds = [&](const service::QueryEngine& engine) {
@@ -245,10 +246,10 @@ int main(int argc, char** argv) {
     sim::FaultPlan plan;
     plan.p_store_read = 0.2;
     sim::FaultInjector inject(plan);
-    auto opt = verified_opt;
+    auto opt = base_opt;
     opt.retry.max_retries = 4;
     opt.faults = &inject;
-    const service::QueryEngine engine(*store, opt);
+    const service::QueryEngine engine(checked, opt);
     const auto r = engine.run_batch(queries);
     rows.push_back({"ft_faulty_cold", 16384, 0, kQueries, r.wall_seconds,
                     r.qps, r.cache.hit_rate()});
@@ -262,10 +263,10 @@ int main(int argc, char** argv) {
     sim::FaultPlan plan;
     plan.p_store_read = 1.0;
     sim::FaultInjector inject(plan);
-    auto opt = verified_opt;
+    auto opt = base_opt;
     opt.retry.max_retries = 1;
     opt.faults = &inject;
-    const service::QueryEngine engine(*store, opt);
+    const service::QueryEngine engine(checked, opt);
     const auto r = engine.run_batch(queries);
     rows.push_back({"ft_quarantined_cold", 16384, 0, kQueries,
                     r.wall_seconds, r.qps, 0.0});
@@ -275,9 +276,9 @@ int main(int argc, char** argv) {
               << r.cache.quarantined_tiles << " tiles quarantined)\n";
   }
   {  // overload: admission control sheds half the batch up front
-    auto opt = verified_opt;
+    auto opt = base_opt;
     opt.max_queue = kQueries / 2;
-    const service::QueryEngine engine(*store, opt);
+    const service::QueryEngine engine(checked, opt);
     engine.run_batch(queries);  // cold fill
     const auto r = engine.run_batch(queries);
     rows.push_back({"ft_shed_warm", 16384, 0, kQueries, r.wall_seconds,

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <limits>
 
+#include "core/shard_store.h"
+#include "core/store_integrity.h"
 #include "util/timer.h"
 
 namespace gapsp::core {
@@ -308,19 +310,19 @@ StoreCompactionStats write_compressed_store(const DistStore& src,
 
 StoreCompactionStats compact_store(const std::string& raw_path,
                                    const std::string& out_path, vidx_t tile) {
-  if (is_compressed_store(raw_path)) {
+  StoreFormat format = StoreFormat::kRaw;
+  const auto src = open_store(raw_path, &format);
+  if (format == StoreFormat::kCompressed) {
     throw IoError(raw_path + " is already a GAPSPZ1 compressed store");
   }
-  const auto src = open_file_store(raw_path);
-  return write_compressed_store(*src, out_path, tile);
+  const StoreCompactionStats stats = write_compressed_store(
+      *src, out_path, src->tile_size() > 0 ? src->tile_size() : tile);
+  land_store(out_path);
+  return stats;
 }
 
 bool is_compressed_store(const std::string& path) {
-  const auto file = util::File::open_if_present(path);
-  char magic[8] = {};
-  if (!file || file->size() < sizeof(magic)) return false;
-  file->pread_exact(magic, sizeof(magic), 0);
-  return std::memcmp(magic, kZMagic, sizeof(kZMagic)) == 0;
+  return util::has_magic(path, kZMagic);
 }
 
 CompressedStoreInfo compressed_store_info(const std::string& path) {
@@ -355,9 +357,28 @@ std::unique_ptr<DistStore> open_compressed_store(const std::string& path) {
   return std::make_unique<CompressedStore>(std::move(ix), std::move(file));
 }
 
-std::unique_ptr<DistStore> open_store(const std::string& path) {
-  return is_compressed_store(path) ? open_compressed_store(path)
-                                   : open_file_store(path);
+std::unique_ptr<DistStore> open_store(const std::string& path,
+                                      StoreFormat* format) {
+  if (is_shard_slice(path)) {
+    throw IoError(path + " is a GAPSPSD1 shard slice, not a kept store: open "
+                  "its parent store " + path.substr(0, path.rfind(".shard.")) +
+                  ", which serves it through its manifest");
+  }
+  StoreFormat f = StoreFormat::kRaw;
+  std::unique_ptr<DistStore> store;
+  StoreChecksums sums;
+  if (is_compressed_store(path)) {
+    f = StoreFormat::kCompressed;
+    store = open_compressed_store(path);
+  } else if (load_store_checksums(checksum_sidecar_path(path), sums)) {
+    f = StoreFormat::kRawChecked;
+    store = std::make_unique<CheckedStore>(open_file_store(path),
+                                           std::move(sums), path);
+  } else {
+    store = open_file_store(path);
+  }
+  if (format != nullptr) *format = f;
+  return store;
 }
 
 }  // namespace gapsp::core

@@ -60,8 +60,11 @@ StoreCompactionStats write_compressed_store(const DistStore& src,
                                             vidx_t tile = 256);
 
 /// Compacts the raw kept store at `raw_path` into a GAPSPZ1 store at
-/// `out_path` (the same path compacts in place). Throws IoError when
-/// `raw_path` is already compressed or is not a square dist_t matrix.
+/// `out_path` (the same path compacts in place), then land_store(out_path).
+/// A checked source (open_store) keeps its sidecar grid as the tile, so
+/// every read is checked; `tile` applies without a `.sum`. Throws IoError
+/// when `raw_path` is already compressed or is not a square dist_t matrix,
+/// and CorruptError, landing nothing, on a damaged tile.
 StoreCompactionStats compact_store(const std::string& raw_path,
                                    const std::string& out_path,
                                    vidx_t tile = 256);
@@ -163,8 +166,13 @@ class Z1TileGrid {
 /// block_known_inf() answers from the directory alone.
 std::unique_ptr<DistStore> open_compressed_store(const std::string& path);
 
-/// Serving entry point: sniffs the magic and opens either a raw kept store
-/// (open_file_store) or a GAPSPZ1 store (open_compressed_store).
-std::unique_ptr<DistStore> open_store(const std::string& path);
+enum class StoreFormat { kRaw, kRawChecked, kCompressed };
+
+/// The one open path for a kept store: GAPSPZ1 or raw, wrapped in a
+/// CheckedStore whenever `<path>.sum` exists; `format` reports which.
+/// Throws CorruptError for a sidecar that fails its self-check, Error for
+/// one of another n, IoError for a shard slice or an unreadable file.
+std::unique_ptr<DistStore> open_store(const std::string& path,
+                                      StoreFormat* format = nullptr);
 
 }  // namespace gapsp::core

@@ -335,11 +335,7 @@ bool save_calibration(const ApspOptions& opts, const std::string& path) {
 }
 
 bool is_calibration_sidecar(const std::string& path) {
-  const auto f = util::File::open_if_present(path);
-  char magic[sizeof(kCalMagic)] = {};
-  if (!f || f->size() < sizeof(magic)) return false;
-  f->pread_exact(magic, sizeof(magic), 0);
-  return std::memcmp(magic, kCalMagic, sizeof(kCalMagic)) == 0;
+  return util::has_magic(path, kCalMagic);
 }
 
 bool load_calibration(const ApspOptions& opts, const std::string& path) {

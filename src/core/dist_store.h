@@ -40,8 +40,9 @@ class DistStore {
   /// Single-element convenience (slow path, for queries and tests).
   dist_t at(vidx_t u, vidx_t v) const;
 
-  /// Native tile side of a tiled backend (the GAPSPZ1 compressed store), so
-  /// caches can align their grid to the stored tiling. 0 = untiled.
+  /// The grid readers align to (0 = untiled): the stored tiling of a
+  /// GAPSPZ1 store or shard slice, or a checked raw store's sidecar grid,
+  /// which verifies whole tiles only (core/store_integrity.h).
   virtual vidx_t tile_size() const { return 0; }
 
   /// True when the backend can prove, without reading data, that every
@@ -87,7 +88,7 @@ std::unique_ptr<DistStore> make_file_store(vidx_t n, const std::string& path,
 /// removed on destruction.
 std::unique_ptr<DistStore> open_file_store(const std::string& path);
 
-// open_store(path) — the serving entry point that auto-detects a raw kept
-// file vs a GAPSPZ1 block-compressed store — lives in compressed_store.h.
+// open_store(path) — the one open path for a kept store, raw (checked when
+// it has a `.sum`) or GAPSPZ1 — lives in compressed_store.h.
 
 }  // namespace gapsp::core

@@ -58,16 +58,15 @@ std::unordered_set<std::uint64_t> scan_tiles(CheckedTileReader& reader,
 }
 
 /// Serves damaged tiles from the repair source and everything else from the
-/// underlying (partially corrupt) store. write_compressed_store walks the
-/// source in store-tile-aligned rectangles, so forwarding by tile key is
-/// exact.
+/// underlying (partially corrupt) store. Both repairs read it in
+/// store-tile-aligned rectangles, so forwarding by tile key is exact.
 class PatchedSource final : public DistStore {
  public:
   PatchedSource(const DistStore& base, vidx_t tile,
-                std::unordered_set<std::uint64_t> damaged,
+                const std::unordered_set<std::uint64_t>& damaged,
                 const TileRepairFn& repair)
-      : DistStore(base.n()), base_(base), tile_(tile),
-        damaged_(std::move(damaged)), repair_(repair) {}
+      : DistStore(base.n()), base_(base), tile_(tile), damaged_(damaged),
+        repair_(repair) {}
 
   void write_block(vidx_t, vidx_t, vidx_t, vidx_t, const dist_t*,
                    std::size_t) override {
@@ -101,115 +100,75 @@ class PatchedSource final : public DistStore {
  private:
   const DistStore& base_;
   vidx_t tile_;
-  std::unordered_set<std::uint64_t> damaged_;
+  const std::unordered_set<std::uint64_t>& damaged_;
   const TileRepairFn& repair_;
 };
-
-ScrubReport scrub_raw(const std::string& path, const ScrubOptions& opt) {
-  ScrubReport report;
-  StoreChecksums sums;
-  bool sidecar_corrupt = false;
-  try {
-    report.sums_present =
-        load_store_checksums(checksum_sidecar_path(path), sums);
-  } catch (const CorruptError&) {
-    // A rotten sidecar is itself damage: scan unverified, then rebuild it
-    // below when asked to.
-    sidecar_corrupt = true;
-  }
-
-  std::unordered_set<std::uint64_t> damaged;
-  vidx_t n = 0;
-  {
-    auto store = open_file_store(path);
-    n = store->n();
-    report.n = n;
-    report.tile = sums.present() ? sums.tile : opt.tile;
-    TileReaderOptions ropt;
-    ropt.retry = opt.retry;
-    ropt.faults = opt.faults;
-    CheckedTileReader reader(*store, sums, ropt);
-    damaged = scan_tiles(reader, *store, report.tile, report);
-  }
-
-  if (opt.repair && !damaged.empty()) {
-    GAPSP_CHECK(static_cast<bool>(opt.repair_fn),
-                "scrub repair requested without a repair source");
-    // Adopt the existing file read-write (same size, no truncation) and
-    // overwrite exactly the damaged tiles with recomputed truth.
-    auto store = make_file_store(n, path, /*keep_file=*/true);
-    const vidx_t tile = report.tile;
-    const vidx_t tps = (n + tile - 1) / tile;
-    for (const std::uint64_t key : damaged) {
-      const vidx_t bi = static_cast<vidx_t>(key / tps);
-      const vidx_t bj = static_cast<vidx_t>(key % tps);
-      const vidx_t row0 = bi * tile;
-      const vidx_t col0 = bj * tile;
-      const vidx_t rows = std::min<vidx_t>(tile, n - row0);
-      const vidx_t cols = std::min<vidx_t>(tile, n - col0);
-      const std::vector<dist_t> fixed = opt.repair_fn(row0, col0, rows, cols);
-      GAPSP_CHECK(fixed.size() == static_cast<std::size_t>(rows) * cols,
-                  "repair source returned a wrong-sized tile");
-      store->write_block(row0, col0, rows, cols, fixed.data(), cols);
-    }
-    mark_repaired(report);
-  }
-  report.unrepaired = report.corrupt - report.repaired;
-
-  // (Re)write the sidecar when asked, when repair touched the store, or
-  // when the old sidecar was itself corrupt — but never over damage we did
-  // not fix, which would launder corruption into "verified" data.
-  const bool want_sums =
-      opt.write_sums || sidecar_corrupt || report.repaired > 0;
-  if (want_sums && report.unrepaired == 0) {
-    auto store = open_file_store(path);
-    const StoreChecksums fresh =
-        compute_store_checksums(*store, report.tile);
-    write_store_checksums(fresh, checksum_sidecar_path(path));
-    report.sums_written = true;
-  }
-  return report;
-}
-
-ScrubReport scrub_z1(const std::string& path, const ScrubOptions& opt) {
-  ScrubReport report;
-  report.compressed = true;
-  // Store-level validation (header + directory) happens at open; damage
-  // there prevents the walk and propagates as CorruptError per contract.
-  const CompressedStoreInfo info = compressed_store_info(path);
-  report.n = info.n;
-  report.tile = info.tile;
-
-  auto store = open_compressed_store(path);
-  TileReaderOptions ropt;
-  ropt.retry = opt.retry;
-  ropt.faults = opt.faults;
-  // No sidecar: the z1 decoder verifies its own frame checksums.
-  CheckedTileReader reader(*store, StoreChecksums{}, ropt);
-  std::unordered_set<std::uint64_t> damaged =
-      scan_tiles(reader, *store, report.tile, report);
-
-  if (opt.repair && !damaged.empty()) {
-    GAPSP_CHECK(static_cast<bool>(opt.repair_fn),
-                "scrub repair requested without a repair source");
-    const PatchedSource patched(*store, report.tile, std::move(damaged),
-                                opt.repair_fn);
-    // Atomic: the rebuilt store replaces `path` only once fully written;
-    // our open handle keeps reading the old inode meanwhile.
-    write_compressed_store(patched, path, report.tile);
-    mark_repaired(report);
-  }
-  report.unrepaired = report.corrupt - report.repaired;
-  return report;
-}
 
 }  // namespace
 
 ScrubReport scrub_store(const std::string& path, const ScrubOptions& opt) {
   GAPSP_CHECK(!opt.repair || static_cast<bool>(opt.repair_fn),
               "scrub repair requested without a repair source");
-  return is_compressed_store(path) ? scrub_z1(path, opt)
-                                   : scrub_raw(path, opt);
+  // Through the one open path, so every tile read is checked: against a
+  // raw store's `.sum`, or by the GAPSPZ1 frames (damage to a GAPSPZ1
+  // directory prevents the walk and propagates). A rotten sidecar is itself
+  // damage: scan the plain file, then rebuild the sidecar when asked to.
+  ScrubReport report;
+  StoreFormat format = StoreFormat::kRaw;
+  std::unique_ptr<DistStore> store;
+  bool sidecar_corrupt = false;
+  try {
+    store = open_store(path, &format);
+  } catch (const CorruptError&) {
+    if (is_compressed_store(path)) throw;
+    sidecar_corrupt = true;
+    store = open_file_store(path);
+  }
+  report.compressed = format == StoreFormat::kCompressed;
+  report.sums_present = format == StoreFormat::kRawChecked;
+  const vidx_t n = report.n = store->n();
+  const vidx_t tile = report.tile =
+      store->tile_size() > 0 ? store->tile_size() : opt.tile;
+  CheckedTileReader reader(*store, TileReaderOptions{opt.retry, opt.faults});
+  std::unordered_set<std::uint64_t> damaged =
+      scan_tiles(reader, *store, tile, report);
+
+  if (opt.repair && !damaged.empty()) {
+    const PatchedSource patched(*store, tile, damaged, opt.repair_fn);
+    if (report.compressed) {
+      // Atomic: the rebuilt store replaces `path` only once fully written;
+      // our open handle keeps reading the old inode meanwhile.
+      write_compressed_store(patched, path, tile);
+    } else {
+      // Adopt the existing file read-write (same size, no truncation) and
+      // overwrite exactly the damaged tiles with recomputed truth.
+      auto rw = make_file_store(n, path, /*keep_file=*/true);
+      std::vector<dist_t> fixed(static_cast<std::size_t>(tile) * tile);
+      const vidx_t tps = (n + tile - 1) / tile;
+      for (const std::uint64_t key : damaged) {
+        const vidx_t row0 = static_cast<vidx_t>(key / tps) * tile;
+        const vidx_t col0 = static_cast<vidx_t>(key % tps) * tile;
+        const vidx_t rows = std::min<vidx_t>(tile, n - row0);
+        const vidx_t cols = std::min<vidx_t>(tile, n - col0);
+        patched.read_block(row0, col0, rows, cols, fixed.data(), cols);
+        rw->write_block(row0, col0, rows, cols, fixed.data(), cols);
+      }
+    }
+    mark_repaired(report);
+  }
+  report.unrepaired = report.corrupt - report.repaired;
+
+  // A raw store's sidecar is (re)written when asked, when repair touched
+  // the store, or when the old one was corrupt — but never over damage we
+  // did not fix, which would launder corruption into "verified" data.
+  const bool want_sums =
+      opt.write_sums || sidecar_corrupt || report.repaired > 0;
+  if (!report.compressed && want_sums && report.unrepaired == 0) {
+    write_store_checksums(compute_store_checksums(*open_file_store(path), tile),
+                          checksum_sidecar_path(path));
+    report.sums_written = true;
+  }
+  return report;
 }
 
 TileRepairFn make_sssp_repair(const graph::CsrGraph& g) {

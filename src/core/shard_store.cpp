@@ -1,6 +1,7 @@
 #include "core/shard_store.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -95,10 +96,11 @@ std::vector<ShardRange> split_rows(vidx_t n, vidx_t tile, int num_shards) {
   return out;
 }
 
-/// Writes one raw shard file: header + the source's byte range for rows
-/// [row_begin, row_end), copied through a bounded buffer.
-void write_raw_shard(const DistStore& src, const std::string& out_path,
-                     vidx_t tile, const ShardRange& r) {
+/// Writes one raw shard file: header + the source's rows [row_begin,
+/// row_end), read in whole strips of the store's tile, else `tile`, so a
+/// checked store verifies every tile (each shard reads a shared strip).
+void write_raw_shard(const DistStore& src, util::File& file, vidx_t tile,
+                     const ShardRange& r) {
   ShardHeader h{};
   std::memcpy(h.magic, kShardMagic, sizeof(kShardMagic));
   h.n = src.n();
@@ -108,26 +110,26 @@ void write_raw_shard(const DistStore& src, const std::string& out_path,
 
   const vidx_t n = src.n();
   const std::size_t row_bytes = static_cast<std::size_t>(n) * sizeof(dist_t);
-  const vidx_t chunk_rows =
-      std::max<vidx_t>(1, static_cast<vidx_t>((1u << 20) / row_bytes + 1));
-  std::vector<dist_t> buf(static_cast<std::size_t>(chunk_rows) * n);
-  util::atomic_replace(out_path, [&](util::File& file) {
-    file.pwrite_exact(&h, sizeof(h), 0);
-    std::uint64_t cursor = sizeof(h);
-    for (vidx_t row = r.row_begin; row < r.row_end; row += chunk_rows) {
-      const vidx_t rows = std::min<vidx_t>(chunk_rows, r.row_end - row);
-      src.read_block(row, 0, rows, n, buf.data(), static_cast<std::size_t>(n));
-      file.pwrite_exact(buf.data(), static_cast<std::size_t>(rows) * row_bytes,
-                        cursor);
-      cursor += static_cast<std::uint64_t>(rows) * row_bytes;
-    }
-  });
+  const vidx_t strip = std::min(src.tile_size() > 0 ? src.tile_size() : tile, n);
+  std::vector<dist_t> buf(static_cast<std::size_t>(strip) * n);
+  file.pwrite_exact(&h, sizeof(h), 0);
+  for (vidx_t s0 = r.row_begin - r.row_begin % strip; s0 < r.row_end;
+       s0 += strip) {
+    const vidx_t s1 = std::min<vidx_t>(s0 + strip, n);
+    src.read_block(s0, 0, s1 - s0, n, buf.data(), static_cast<std::size_t>(n));
+    const vidx_t w0 = std::max(s0, r.row_begin);
+    const vidx_t w1 = std::min(s1, r.row_end);
+    file.pwrite_exact(
+        buf.data() + static_cast<std::size_t>(w0 - s0) * n,
+        static_cast<std::size_t>(w1 - w0) * row_bytes,
+        sizeof(h) + static_cast<std::uint64_t>(w0 - r.row_begin) * row_bytes);
+  }
 }
 
 /// Writes one GAPSPZ1-sliced shard file: the source directory rows for the
 /// shard's tile rows with offsets rebased, then the frames copied verbatim.
 void write_z1_shard(const util::File& src, const CompressedDirectory& dir,
-                    const std::string& out_path, const ShardRange& r) {
+                    util::File& file, const ShardRange& r) {
   const vidx_t tps = dir.tiles_per_side;
   const vidx_t bb0 = r.row_begin / dir.tile;
   const vidx_t bb1 = (r.row_end + dir.tile - 1) / dir.tile;
@@ -152,21 +154,18 @@ void write_z1_shard(const util::File& src, const CompressedDirectory& dir,
   h.row_end = r.row_end;
   h.flags = kFlagCompressed;
   h.dir_checksum = util::fnv1a(slice.data(), entries * sizeof(SliceDirEntry));
-  util::atomic_replace(out_path, [&](util::File& file) {
-    file.pwrite_exact(&h, sizeof(h), 0);
-    file.pwrite_exact(slice.data(), entries * sizeof(SliceDirEntry),
-                      sizeof(h));
-    std::vector<std::uint8_t> frame;
-    for (std::size_t i = 0; i < entries; ++i) {
-      if (source[i].bytes == 0) continue;
-      frame.resize(static_cast<std::size_t>(source[i].bytes));
-      src.pread_exact(frame.data(), frame.size(), source[i].offset);
-      file.pwrite_exact(frame.data(), frame.size(), slice[i].offset);
-    }
-  });
+  file.pwrite_exact(&h, sizeof(h), 0);
+  file.pwrite_exact(slice.data(), entries * sizeof(SliceDirEntry), sizeof(h));
+  std::vector<std::uint8_t> frame;
+  for (std::size_t i = 0; i < entries; ++i) {
+    if (source[i].bytes == 0) continue;
+    frame.resize(static_cast<std::size_t>(source[i].bytes));
+    src.pread_exact(frame.data(), frame.size(), source[i].offset);
+    file.pwrite_exact(frame.data(), frame.size(), slice[i].offset);
+  }
 }
 
-void save_manifest(const std::string& path, const ShardManifest& m) {
+void write_manifest(util::File& file, const ShardManifest& m) {
   std::vector<ManifestEntry> entries(m.shards.size());
   for (std::size_t i = 0; i < m.shards.size(); ++i) {
     entries[i].row_begin = m.shards[i].row_begin;
@@ -182,11 +181,9 @@ void save_manifest(const std::string& path, const ShardManifest& m) {
   h.flags = m.compressed ? kFlagCompressed : 0;
   h.dir_checksum =
       util::fnv1a(entries.data(), entries.size() * sizeof(ManifestEntry));
-  util::atomic_replace(path, [&](util::File& file) {
-    file.pwrite_exact(&h, sizeof(h), 0);
-    file.pwrite_exact(entries.data(), entries.size() * sizeof(ManifestEntry),
-                      sizeof(h));
-  });
+  file.pwrite_exact(&h, sizeof(h), 0);
+  file.pwrite_exact(entries.data(), entries.size() * sizeof(ManifestEntry),
+                    sizeof(h));
 }
 
 /// Read-only DistStore over one shard file. Full dimension n; rows outside
@@ -316,41 +313,52 @@ std::string shard_file_path(const std::string& store_path, int shard) {
 ShardManifest shard_store_file(const std::string& store_path, int num_shards,
                                vidx_t tile, ShardingStats* stats) {
   Timer timer;
+  StoreFormat format = StoreFormat::kRaw;
+  const auto src = open_store(store_path, &format);
   ShardManifest m;
-  m.compressed = is_compressed_store(store_path);
-  if (m.compressed) {
-    // Frames are copied verbatim, so the source tiling is the only valid
-    // routing granularity; the caller's `tile` is for raw sources.
-    const CompressedDirectory dir = read_compressed_directory(store_path);
-    m.n = dir.n;
-    m.tile = dir.tile;
-    m.shards = split_rows(m.n, m.tile, num_shards);
-    const util::File src(store_path, O_RDONLY);
-    for (int k = 0; k < num_shards; ++k) {
-      write_z1_shard(src, dir, shard_file_path(store_path, k),
-                     m.shards[static_cast<std::size_t>(k)]);
-    }
-  } else {
-    const auto src = open_file_store(store_path);
-    GAPSP_CHECK(tile > 0, "shard tile must be positive");
-    m.n = src->n();
-    m.tile = std::min(tile, m.n);
-    m.shards = split_rows(m.n, m.tile, num_shards);
-    for (int k = 0; k < num_shards; ++k) {
-      write_raw_shard(*src, shard_file_path(store_path, k), m.tile,
-                      m.shards[static_cast<std::size_t>(k)]);
-    }
-  }
+  m.compressed = format == StoreFormat::kCompressed;
+  GAPSP_CHECK(m.compressed || tile > 0, "shard tile must be positive");
+  m.n = src->n();
+  // A GAPSPZ1 store's frames are copied verbatim, so its tiling is the only
+  // valid routing granularity; the caller's `tile` is for raw sources.
+  m.tile = m.compressed ? src->tile_size() : std::min(tile, m.n);
+  m.shards = split_rows(m.n, m.tile, num_shards);
 
+  // Every slice, then the manifest, is written before any lands.
+  std::vector<std::string> tmps;
   std::uint64_t total = 0;
-  for (int k = 0; k < num_shards; ++k) {
-    ShardRange& r = m.shards[static_cast<std::size_t>(k)];
-    r.checksum = checksum_file(shard_file_path(store_path, k), r.bytes);
-    total += r.bytes;
+  try {
+    CompressedDirectory dir;
+    std::optional<util::File> frames;
+    if (m.compressed) {
+      dir = read_compressed_directory(store_path);
+      frames.emplace(store_path, O_RDONLY);
+    }
+    for (int k = 0; k < num_shards; ++k) {
+      ShardRange& r = m.shards[static_cast<std::size_t>(k)];
+      const auto write = [&](util::File& file) {
+        if (m.compressed) {
+          write_z1_shard(*frames, dir, file, r);
+        } else {
+          write_raw_shard(*src, file, m.tile, r);
+        }
+      };
+      tmps.push_back(util::write_tmp(shard_file_path(store_path, k), write));
+      r.checksum = checksum_file(tmps.back(), r.bytes);
+      total += r.bytes;
+    }
+    const std::string manifest = shard_manifest_path(store_path);
+    tmps.push_back(util::write_tmp(
+        manifest, [&](util::File& file) { write_manifest(file, m); }));
+    total += util::File(tmps.back(), O_RDONLY).size();
+    for (int k = 0; k < num_shards; ++k) {
+      util::commit_rename(tmps[k], shard_file_path(store_path, k));
+    }
+    util::commit_rename(tmps.back(), manifest);
+  } catch (...) {
+    for (const std::string& tmp : tmps) std::remove(tmp.c_str());
+    throw;
   }
-  const std::string manifest = shard_manifest_path(store_path);
-  save_manifest(manifest, m);
-  total += util::File(manifest, O_RDONLY).size();
   if (stats != nullptr) {
     stats->shards = num_shards;
     stats->compressed = m.compressed;
@@ -358,6 +366,10 @@ ShardManifest shard_store_file(const std::string& store_path, int num_shards,
     stats->seconds = timer.seconds();
   }
   return m;
+}
+
+bool is_shard_slice(const std::string& path) {
+  return util::has_magic(path, kShardMagic);
 }
 
 bool load_shard_manifest(const std::string& path, ShardManifest& out) {

@@ -87,12 +87,18 @@ struct ShardingStats {
 /// Slices the kept store at `store_path` (raw or GAPSPZ1, auto-detected)
 /// into `num_shards` row-range shard files plus a manifest, all next to the
 /// store. Row ranges are balanced in whole tile rows with the remainder
-/// spread over the leading shards (the last shard may be ragged). Each file
-/// lands by util::atomic_replace. Throws Error when num_shards exceeds the
-/// tile row count (an empty shard could never serve a query), IoError/
-/// CorruptError on store damage. Returns the written manifest.
+/// spread over the leading shards (the last shard may be ragged). The store
+/// opens through core::open_store, so a `.sum` checks every tile a raw
+/// slice copies. All files are written before any lands, so a failed pass
+/// leaves the previous ones intact and nothing new. Throws Error when
+/// num_shards exceeds the tile row count (an empty shard could never serve
+/// a query), IoError/CorruptError on store damage. Returns the written
+/// manifest.
 ShardManifest shard_store_file(const std::string& store_path, int num_shards,
                                vidx_t tile = 256, ShardingStats* stats = nullptr);
+
+/// True when the file at `path` starts with the GAPSPSD1 shard-slice magic.
+bool is_shard_slice(const std::string& path);
 
 /// Loads the manifest at `path`. Returns false (leaving `out` absent) when
 /// the file is missing; throws CorruptError when it exists but fails its

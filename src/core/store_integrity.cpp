@@ -1,9 +1,12 @@
 #include "core/store_integrity.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 
-#include "core/dist_store.h"
+#include "core/compressed_store.h"
+#include "core/shard_store.h"
 #include "util/file_io.h"
 
 namespace gapsp::core {
@@ -24,36 +27,59 @@ std::int64_t get_i64(const std::uint8_t* src) {
   return static_cast<std::int64_t>(v);
 }
 
-}  // namespace
-
-std::uint64_t tile_checksum(const dist_t* data, std::size_t elems) {
-  return util::fnv1a(data, elems * sizeof(dist_t));
+/// Calls fn(bi, bj, sum) with the checksum of every tile of a t-wide grid
+/// over an n×n matrix that the rows×cols rectangle at (row0, col0), held in
+/// `data` with leading dimension `ld`, covers whole. FNV-1a chains over a
+/// tile's rows, so a tile hashes the same in place as packed.
+template <class Fn>
+void tile_checksums(vidx_t n, vidx_t t, vidx_t row0, vidx_t col0, vidx_t rows,
+                    vidx_t cols, const dist_t* data, std::size_t ld, Fn&& fn) {
+  // Tiles wholly inside [x, x + len): from x rounded up to the last one
+  // that ends by x + len (the ragged last tile ends at n).
+  const auto end = [&](vidx_t x) { return x == n ? (n + t - 1) / t : x / t; };
+  for (vidx_t bi = (row0 + t - 1) / t; bi < end(row0 + rows); ++bi) {
+    const vidx_t tile_rows = std::min<vidx_t>(t, n - bi * t);
+    for (vidx_t bj = (col0 + t - 1) / t; bj < end(col0 + cols); ++bj) {
+      const dist_t* tile = data +
+                           static_cast<std::size_t>(bi * t - row0) * ld +
+                           static_cast<std::size_t>(bj * t - col0);
+      const std::size_t row_bytes =
+          static_cast<std::size_t>(std::min<vidx_t>(t, n - bj * t)) *
+          sizeof(dist_t);
+      std::uint64_t sum = util::fnv1a(nullptr, 0);
+      for (vidx_t r = 0; r < tile_rows; ++r) {
+        sum = util::fnv1a(tile + static_cast<std::size_t>(r) * ld, row_bytes,
+                          sum);
+      }
+      fn(bi, bj, sum);
+    }
+  }
 }
+
+}  // namespace
 
 std::string checksum_sidecar_path(const std::string& store_path) {
   return store_path + ".sum";
 }
 
-StoreChecksums compute_store_checksums(DistStore& store, vidx_t tile) {
+StoreChecksums compute_store_checksums(const DistStore& store, vidx_t tile) {
   GAPSP_CHECK(tile > 0, "checksum tile size must be positive");
   StoreChecksums out;
   out.n = store.n();
   out.tile = tile;
   out.tiles_per_side = (out.n + tile - 1) / tile;
-  out.sums.assign(static_cast<std::size_t>(out.tiles_per_side) *
-                      out.tiles_per_side,
-                  0);
-  std::vector<dist_t> buf(static_cast<std::size_t>(tile) * tile);
-  for (vidx_t bi = 0; bi < out.tiles_per_side; ++bi) {
-    const vidx_t row0 = bi * tile;
-    const vidx_t rows = std::min<vidx_t>(tile, out.n - row0);
-    for (vidx_t bj = 0; bj < out.tiles_per_side; ++bj) {
-      const vidx_t col0 = bj * tile;
-      const vidx_t cols = std::min<vidx_t>(tile, out.n - col0);
-      store.read_block(row0, col0, rows, cols, buf.data(), cols);
-      out.sums[static_cast<std::size_t>(bi) * out.tiles_per_side + bj] =
-          tile_checksum(buf.data(), static_cast<std::size_t>(rows) * cols);
-    }
+  out.sums.reserve(static_cast<std::size_t>(out.tiles_per_side) *
+                   out.tiles_per_side);
+  // Strips of whole tile rows, hashed in place: the grid in row-major order.
+  const vidx_t n = out.n;
+  std::vector<dist_t> strip(static_cast<std::size_t>(std::min(tile, n)) * n);
+  for (vidx_t row0 = 0; row0 < n; row0 += tile) {
+    const vidx_t rows = std::min<vidx_t>(tile, n - row0);
+    store.read_block(row0, 0, rows, n, strip.data(), n);
+    tile_checksums(n, tile, row0, 0, rows, n, strip.data(), n,
+                   [&](vidx_t, vidx_t, std::uint64_t sum) {
+                     out.sums.push_back(sum);
+                   });
   }
   return out;
 }
@@ -114,6 +140,53 @@ bool load_store_checksums(const std::string& path, StoreChecksums& out) {
 
   out = std::move(s);
   return true;
+}
+
+CheckedStore::CheckedStore(const DistStore& base, StoreChecksums sums,
+                           std::string name)
+    : DistStore(base.n()), base_(base), sums_(std::move(sums)),
+      name_(std::move(name)) {
+  GAPSP_CHECK(sums_.present() && sums_.n == n(),
+              checksum_sidecar_path(name_) + " covers n=" +
+                  std::to_string(sums_.n) + ", not the store's n=" +
+                  std::to_string(n()));
+}
+
+CheckedStore::CheckedStore(std::unique_ptr<const DistStore> base,
+                           StoreChecksums sums, std::string name)
+    : CheckedStore(*base, std::move(sums), std::move(name)) {
+  owned_ = std::move(base);
+}
+
+void CheckedStore::read_block(vidx_t row0, vidx_t col0, vidx_t rows,
+                              vidx_t cols, dist_t* dst,
+                              std::size_t dst_ld) const {
+  base_.read_block(row0, col0, rows, cols, dst, dst_ld);
+  const auto check = [&](vidx_t bi, vidx_t bj, std::uint64_t sum) {
+    if (sum != sums_.sums[static_cast<std::size_t>(bi) * sums_.tiles_per_side +
+                          bj]) {
+      throw CorruptError("tile (" + std::to_string(bi) + "," +
+                         std::to_string(bj) + ") of " + name_ +
+                         " fails its checksum in " +
+                         checksum_sidecar_path(name_));
+    }
+  };
+  tile_checksums(n(), sums_.tile, row0, col0, rows, cols, dst, dst_ld, check);
+}
+
+void land_store(const std::string& path, vidx_t sum_tile) {
+  // Shards first, by probing the slices: a failed refresh must not leave
+  // old slices in service.
+  std::remove(shard_manifest_path(path).c_str());
+  for (int k = 0; std::remove(shard_file_path(path, k).c_str()) == 0; ++k) {
+  }
+  const std::string sums_path = checksum_sidecar_path(path);
+  if (sum_tile > 0 && !is_compressed_store(path)) {
+    write_store_checksums(
+        compute_store_checksums(*open_file_store(path), sum_tile), sums_path);
+  } else {
+    std::remove(sums_path.c_str());
+  }
 }
 
 }  // namespace gapsp::core

@@ -24,20 +24,6 @@ enum class TileFailure {
   kShed,         ///< rejected by admission control, nothing was read
 };
 
-inline const char* tile_failure_name(TileFailure f) {
-  switch (f) {
-    case TileFailure::kTransient:
-      return "transient";
-    case TileFailure::kCorrupt:
-      return "corrupt";
-    case TileFailure::kQuarantined:
-      return "quarantined";
-    case TileFailure::kShed:
-      return "shed";
-  }
-  return "?";
-}
-
 /// Raised by tile reads that cannot be served. Carries the tile coordinate
 /// (in the read grid) so batch callers can fail exactly the queries that
 /// touch it and leave sibling queries alone.

@@ -1,6 +1,5 @@
 #include "core/tile_reader.h"
 
-#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -10,26 +9,11 @@
 
 namespace gapsp::core {
 
-namespace {
-
-std::string tile_tag(vidx_t row_block, vidx_t col_block) {
-  return "tile (" + std::to_string(row_block) + "," +
-         std::to_string(col_block) + ")";
-}
-
-}  // namespace
-
 CheckedTileReader::CheckedTileReader(const DistStore& store,
-                                     StoreChecksums sums, TileReaderOptions opt)
-    : store_(store), sums_(std::move(sums)), opt_(opt) {
-  if (sums_.present()) {
-    GAPSP_CHECK(sums_.n == store.n(),
-                "checksum sidecar covers a different matrix dimension");
-  }
-}
-
-bool CheckedTileReader::verifying() const {
-  return opt_.verify_checksums && sums_.present();
+                                     const StoreChecksums& sums,
+                                     TileReaderOptions opt)
+    : CheckedTileReader(store, opt) {
+  GAPSP_CHECK(!sums.present(), "a CheckedStore verifies a raw store's sums");
 }
 
 TileReaderStats CheckedTileReader::stats() const {
@@ -44,16 +28,6 @@ TileReaderStats CheckedTileReader::stats() const {
 void CheckedTileReader::read_tile(vidx_t row_block, vidx_t col_block,
                                   vidx_t row0, vidx_t col0, vidx_t rows,
                                   vidx_t cols, dist_t* dst) {
-  // Only verify rectangles that exactly cover one sidecar tile; anything
-  // else (a misaligned caller) is read unverified rather than mis-verified.
-  const bool verify =
-      verifying() && sums_.tile > 0 && row0 % sums_.tile == 0 &&
-      col0 % sums_.tile == 0 &&
-      rows == std::min<vidx_t>(sums_.tile, sums_.n - row0) &&
-      cols == std::min<vidx_t>(sums_.tile, sums_.n - col0);
-  const vidx_t sum_bi = verify ? row0 / sums_.tile : 0;
-  const vidx_t sum_bj = verify ? col0 / sums_.tile : 0;
-
   // The counters are independent tallies read only as a snapshot, so
   // relaxed increments suffice.
   const auto bump = [](std::atomic<long long>& c) {
@@ -63,18 +37,12 @@ void CheckedTileReader::read_tile(vidx_t row_block, vidx_t col_block,
     try {
       if (opt_.faults != nullptr) {
         std::lock_guard<std::mutex> lk(faults_mu_);
+        const std::string tag = "tile (" + std::to_string(row_block) + "," +
+                                std::to_string(col_block) + ")";
         opt_.faults->on_op(sim::FaultOp::kStoreRead, /*device_now=*/0.0,
-                           tile_tag(row_block, col_block).c_str());
+                           tag.c_str());
       }
       store_.read_block(row0, col0, rows, cols, dst, cols);
-      if (verify) {
-        const std::uint64_t got =
-            tile_checksum(dst, static_cast<std::size_t>(rows) * cols);
-        if (got != sums_.tile_sum(sum_bi, sum_bj)) {
-          throw CorruptError("checksum mismatch on " +
-                             tile_tag(row_block, col_block));
-        }
-      }
       bump(reads_);
       return;
     } catch (const CorruptError& e) {

@@ -106,21 +106,14 @@ QueryEngine::QueryEngine(const core::DistStore& store, QueryEngineOptions opt,
     : store_(store),
       opt_(std::move(opt)),
       cache_(opt_.cache_bytes, opt_.cache_shards),
-      reader_(store, std::move(opt_.checksums),
-              core::TileReaderOptions{opt_.retry, opt_.verify_checksums,
-                                      opt_.faults}) {
+      reader_(store, core::TileReaderOptions{opt_.retry, opt_.faults}) {
   GAPSP_CHECK(opt_.block_size > 0, "cache block size must be positive");
   GAPSP_CHECK(perm.empty(),
               "stores are in original vertex order: pass no permutation");
-  // A natively tiled store (GAPSPZ1) decompresses whole tiles on the miss
-  // path: align the cache grid to the stored tiling so one miss never
-  // touches two stored tiles. A raw store with a checksum sidecar likewise
-  // snaps to the sidecar's tile grid so every miss is a verifiable unit.
-  if (store_.tile_size() > 0) {
-    opt_.block_size = store_.tile_size();
-  } else if (reader_.checksums().present()) {
-    opt_.block_size = reader_.checksums().tile;
-  }
+  // The store's tile, else the requested one: a GAPSPZ1 store decodes whole
+  // tiles and a checked raw store verifies whole sidecar tiles, so one miss
+  // is one stored or checked tile.
+  if (store_.tile_size() > 0) opt_.block_size = store_.tile_size();
   opt_.block_size = std::min<vidx_t>(opt_.block_size, std::max<vidx_t>(1, n()));
   num_blocks_ = n() == 0 ? 0 : (n() + opt_.block_size - 1) / opt_.block_size;
   // The one shared all-kInf tile: loaders return it for tiles the store

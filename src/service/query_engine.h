@@ -10,8 +10,9 @@
 // kept store: path extraction (path_extract.h) reads through it too.
 //
 // Fault tolerance (DESIGN.md §13): every miss-path read goes through a
-// CheckedTileReader — checksum-verified against the GAPSPSM1 sidecar for
-// raw stores, retried under a RetryPolicy on transient I/O faults. Tiles
+// CheckedTileReader, retried under a RetryPolicy on transient I/O faults,
+// and verified by the store itself: core::open_store reads a raw store with
+// a `.sum` through a CheckedStore, and GAPSPZ1 frames check on decode. Tiles
 // that stay unreadable are quarantined in the cache; queries touching them
 // come back with a typed per-query status instead of an exception (batch)
 // and never poison sibling queries. With a repair source configured the
@@ -31,7 +32,6 @@
 #include "core/block_cache.h"
 #include "core/dist_store.h"
 #include "core/incremental.h"
-#include "core/store_integrity.h"
 #include "core/tile_reader.h"
 
 namespace gapsp::service {
@@ -126,10 +126,9 @@ void summarize_batch(BatchReport& report, std::size_t admitted,
                      double wall_seconds);
 
 struct QueryEngineOptions {
-  /// Cache tile side length in elements; edge tiles are smaller. Ignored
-  /// when the store is natively tiled (GAPSPZ1) or a checksum sidecar is
-  /// present: the engine snaps to that tiling so one cache miss never
-  /// spans two verifiable units.
+  /// Cache tile side length in elements; edge tiles are smaller. The store's
+  /// tile_size() wins when it has one (GAPSPZ1, a shard slice, a `.sum`
+  /// grid), so one cache miss is one stored or checked tile.
   vidx_t block_size = 256;
   std::size_t cache_bytes = 64u << 20;
   int cache_shards = 8;
@@ -140,11 +139,6 @@ struct QueryEngineOptions {
   // ---- fault tolerance ----
   /// Backoff-retry budget for transient miss-path I/O failures.
   util::RetryPolicy retry;
-  /// Verify raw-store tiles against `checksums` when present.
-  bool verify_checksums = true;
-  /// GAPSPSM1 sidecar contents (core/store_integrity.h). Default = absent:
-  /// no verification, the pre-fault-tolerance behaviour.
-  core::StoreChecksums checksums;
   /// Optional chaos hook applied to every physical store read.
   sim::FaultInjector* faults = nullptr;
   /// Admission bound for run_batch: at most this many queries per batch
@@ -235,7 +229,7 @@ class QueryEngine {
   /// list (BlockCache::make_tile).
   mutable BlockCache cache_;
   /// fetch's miss loader reads every tile through the checked reader: it
-  /// injects chaos faults, retries transients, and verifies checksums.
+  /// injects chaos faults, retries transients, and types checksum faults.
   /// Misses on different tiles read and decode in parallel; hits never
   /// touch it.
   mutable core::CheckedTileReader reader_;

@@ -106,6 +106,14 @@ void File::pwrite_exact(const void* src, std::size_t bytes,
   }
 }
 
+bool has_magic(const std::string& path, const char (&magic)[8]) {
+  const auto file = File::open_if_present(path);
+  char head[8] = {};
+  if (!file || file->size() < sizeof(head)) return false;
+  file->pread_exact(head, sizeof(head), 0);
+  return std::memcmp(head, magic, sizeof(head)) == 0;
+}
+
 void commit_rename(const std::string& tmp, const std::string& path) {
   if (std::rename(tmp.c_str(), path.c_str()) == 0) return;
   const int err = errno;  // std::remove below may overwrite it
@@ -114,9 +122,9 @@ void commit_rename(const std::string& tmp, const std::string& path) {
                 std::strerror(err));
 }
 
-void atomic_replace(const std::string& path,
-                    const std::function<void(File&)>& write_fn) {
-  const std::string tmp = path + ".tmp";
+std::string write_tmp(const std::string& path,
+                      const std::function<void(File&)>& write_fn) {
+  std::string tmp = path + ".tmp";
   try {
     File file(tmp, O_WRONLY | O_CREAT | O_TRUNC);
     write_fn(file);
@@ -124,7 +132,12 @@ void atomic_replace(const std::string& path,
     std::remove(tmp.c_str());
     throw;
   }
-  commit_rename(tmp, path);
+  return tmp;
+}
+
+void atomic_replace(const std::string& path,
+                    const std::function<void(File&)>& write_fn) {
+  commit_rename(write_tmp(path, write_fn), path);
 }
 
 }  // namespace gapsp::util

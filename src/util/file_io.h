@@ -68,12 +68,21 @@ class File {
   std::string path_;
 };
 
+/// True when the file at `path` exists and starts with the 8-byte `magic`:
+/// the format sniff of every framed file (stores, slices, sidecars).
+bool has_magic(const std::string& path, const char (&magic)[8]);
+
 /// Renames the finished `tmp` over `path`; a failure removes `tmp` and
 /// throws IoError. `apsp_cli update` lands its long-lived copy with it.
 void commit_rename(const std::string& tmp, const std::string& path);
 
-/// Lands `path` by the protocol above: `write_fn` writes the whole new
-/// content into a fresh, empty `path + ".tmp"`.
+/// The write step: `write_fn` fills a fresh `path + ".tmp"`, whose name is
+/// returned for commit_rename; a throw removes it. Files that land as one
+/// (shard slices and their manifest) write every tmp before any rename.
+std::string write_tmp(const std::string& path,
+                      const std::function<void(File&)>& write_fn);
+
+/// Lands `path` by the protocol above: write_tmp, then commit_rename.
 void atomic_replace(const std::string& path,
                     const std::function<void(File&)>& write_fn);
 

@@ -13,6 +13,7 @@
 #include <iterator>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <sys/wait.h>
 
@@ -546,6 +547,135 @@ TEST_F(CliStoreOrder, UpdateOfTheBoundaryStoreLandsAFreshFwSolve) {
   EXPECT_EQ(file_bytes(boundary + ".sum"), file_bytes(fresh + ".sum"));
 }
 
+/// Kept stores at one path, landed over each other: every landing drops
+/// the shards and the stale .sum that described the bytes it replaced, and
+/// a raw store's .sum checks every read that compaction and sharding make.
+class CliLanding : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    cli = cli_path();
+    if (cli.empty()) {
+      GTEST_SKIP() << "apsp_cli path unavailable (set GAPSP_CLI)";
+    }
+    store = ::testing::TempDir() + "gapsp_cli_landing.bin";
+    out = ::testing::TempDir() + "gapsp_cli_landing.z.bin";
+  }
+
+  void TearDown() override {
+    for (const std::string& f : leftovers()) std::remove(f.c_str());
+    for (const std::string& f : {store, store + ".sum", store + ".cal"}) {
+      std::remove(f.c_str());
+    }
+  }
+
+  /// A road:RxR solve kept at the store path, raw with a .sum unless
+  /// `compress`.
+  int solve(const std::string& road, int seed, bool compress = false) {
+    std::string log;
+    const int code = run_cli(
+        cli, "--generate road:" + road + " --seed " + std::to_string(seed) +
+                 " --algorithm fw --store file --keep-store --store-path " +
+                 store + (compress ? "" : " --no-compress-store"),
+        &log);
+    EXPECT_EQ(code, 0) << log;
+    return code;
+  }
+
+  /// Every file a compaction to `out` or a shard pass might leave behind.
+  std::vector<std::string> leftovers() const {
+    std::vector<std::string> files = {out, out + ".tmp", out + ".sum",
+                                      store + ".shards",
+                                      store + ".shards.tmp"};
+    for (int k = 0; k < 3; ++k) {
+      const std::string slice = store + ".shard." + std::to_string(k);
+      files.push_back(slice);
+      files.push_back(slice + ".tmp");
+    }
+    return files;
+  }
+
+  void expect_no_leftovers() const {
+    for (const std::string& f : leftovers()) {
+      EXPECT_FALSE(std::ifstream(f).good()) << f << " was left behind";
+    }
+  }
+
+  /// `query --route local` finds no manifest: exit 1 naming it.
+  void expect_unsharded() const {
+    std::string log;
+    EXPECT_EQ(run_cli(cli, "query --store-path " + store +
+                               " --route local --point 0,575",
+                      &log),
+              1)
+        << log;
+    EXPECT_NE(log.find("no shard manifest next to " + store),
+              std::string::npos)
+        << log;
+  }
+
+  std::string cli, store, out;
+};
+
+TEST_F(CliLanding, ReSolveDropsTheOldShards) {
+  // The slices of the seed-1 graph used to stay in service: a routed query
+  // answered the old graph's distance with exit 0, and `info` listed them.
+  ASSERT_EQ(solve("24x24", 1), 0);
+  ASSERT_EQ(run_cli(cli, "shard --store-path " + store + " --shards 2"), 0);
+  ASSERT_EQ(solve("24x24", 2), 0);
+  expect_no_leftovers();
+  expect_unsharded();
+  std::string log;
+  ASSERT_EQ(run_cli(cli, "info --store-path " + store, &log), 0) << log;
+  EXPECT_NE(log.find("shards: absent"), std::string::npos) << log;
+}
+
+TEST_F(CliLanding, CompactInPlaceDropsTheOldShards) {
+  ASSERT_EQ(solve("24x24", 1), 0);
+  ASSERT_EQ(run_cli(cli, "shard --store-path " + store + " --shards 2"), 0);
+  std::string log;
+  ASSERT_EQ(run_cli(cli, "compact --store-path " + store, &log), 0) << log;
+  expect_no_leftovers();
+  EXPECT_FALSE(std::ifstream(store + ".sum").good());
+  expect_unsharded();
+}
+
+TEST_F(CliLanding, CompactingReSolveOverAnotherGraphsRawStore) {
+  // The new raw bytes must not be read checked against the old graph's
+  // .sum on their way to GAPSPZ1: the landing drops it first.
+  ASSERT_EQ(solve("16x16", 1), 0);
+  ASSERT_TRUE(std::ifstream(store + ".sum").good());
+  ASSERT_EQ(solve("16x16", 2, /*compress=*/true), 0);
+  EXPECT_FALSE(std::ifstream(store + ".sum").good());
+  std::string log;
+  ASSERT_EQ(run_cli(cli, "info --store-path " + store, &log), 0) << log;
+  EXPECT_NE(log.find("format: GAPSPZ1"), std::string::npos) << log;
+  EXPECT_NE(log.find("checksums: absent"), std::string::npos) << log;
+}
+
+TEST_F(CliLanding, DamagedRawStoreNeitherCompactsNorShards) {
+  // Element (300, 300) lies in checksum tile (1,1). Both commands used to
+  // exit 0 and carry the damage into a copy that then checked clean.
+  ASSERT_EQ(solve("24x24", 1), 0);
+  {
+    std::fstream f(store, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp((300 * 576 + 300) * 4);
+    f.write("\xde\xad\xbe\x0e", 4);
+  }
+  const std::string before = file_bytes(store);
+  const std::string sums_before = file_bytes(store + ".sum");
+  for (const std::string& cmd :
+       {"compact --store-path " + store + " --out " + out,
+        "shard --store-path " + store + " --shards 2"}) {
+    std::string log;
+    EXPECT_EQ(run_cli(cli, cmd, &log), 4) << cmd << "\n" << log;
+    EXPECT_NE(log.find("tile (1,1)"), std::string::npos) << cmd << "\n"
+                                                        << log;
+    expect_no_leftovers();
+    EXPECT_EQ(file_bytes(store), before) << cmd;
+    EXPECT_EQ(file_bytes(store + ".sum"), sums_before) << cmd;
+  }
+}
+
 /// The line of `out` that starts with `prefix` (without its newline), or
 /// "" when there is none.
 std::string line_of(const std::string& out, const std::string& prefix) {
@@ -640,6 +770,8 @@ TEST_F(CliFlags, HelpListsEachCommandsOwnFlags) {
   EXPECT_NE(query.find("--route"), std::string::npos);
   EXPECT_NE(query.find("--cache-mb M"), std::string::npos);
   EXPECT_EQ(query.find("--updates"), std::string::npos);
+  // Serving bytes the sidecar rejects is no mode: --repair recompute is.
+  EXPECT_EQ(query.find("--no-verify-sums"), std::string::npos);
   EXPECT_EQ(query.find("--devices"), std::string::npos);
   ASSERT_EQ(run_cli(cli, "update --help", &update), 0);
   EXPECT_NE(update.find("--updates"), std::string::npos);

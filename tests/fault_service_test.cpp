@@ -1,5 +1,6 @@
 // Serving-tier fault tolerance (DESIGN.md §13): the GAPSPSM1 checksum
-// sidecar, the CheckedTileReader's retry/verify ladder, BlockCache
+// sidecar and the CheckedStore that verifies against it, the
+// CheckedTileReader's retry ladder, BlockCache
 // quarantine + racing-publish rescue, QueryEngine degraded serving /
 // on-demand repair / overload shedding, and the offline scrubber.
 //
@@ -10,18 +11,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/apsp.h"
 #include "core/compressed_store.h"
 #include "core/scrub.h"
+#include "core/shard_store.h"
 #include "core/store_integrity.h"
 #include "core/tile_reader.h"
 #include "graph/generators.h"
 #include "service/query_engine.h"
 #include "sim/fault.h"
 #include "test_util.h"
+#include "util/file_io.h"
 
 namespace gapsp::service {
 namespace {
@@ -188,7 +192,7 @@ TEST(StoreIntegrity, SidecarRoundTripsAndDetectsTampering) {
 }
 
 // ---------------------------------------------------------------------------
-// CheckedTileReader: retry ladder and checksum verification.
+// CheckedTileReader: retry ladder, and the checked store's mismatches typed.
 // ---------------------------------------------------------------------------
 
 TEST(CheckedTileReader, RetriesTransientFaultsThenSucceeds) {
@@ -202,7 +206,7 @@ TEST(CheckedTileReader, RetriesTransientFaultsThenSucceeds) {
   core::TileReaderOptions opt;
   opt.retry = fast_retry(3);
   opt.faults = &injector;
-  core::CheckedTileReader reader(*store, StoreChecksums{}, opt);
+  core::CheckedTileReader reader(*store, opt);
   std::vector<dist_t> buf(16 * 16);
   reader.read_tile(0, 0, 0, 0, 16, 16, buf.data());
   EXPECT_EQ(buf[0], kInf);
@@ -220,7 +224,7 @@ TEST(CheckedTileReader, ExhaustedRetriesThrowTransientTileError) {
   core::TileReaderOptions opt;
   opt.retry = fast_retry(2);
   opt.faults = &injector;
-  core::CheckedTileReader reader(*store, StoreChecksums{}, opt);
+  core::CheckedTileReader reader(*store, opt);
   std::vector<dist_t> buf(32 * 32);
   try {
     reader.read_tile(0, 0, 0, 0, 32, 32, buf.data());
@@ -252,9 +256,10 @@ TEST(CheckedTileReader, ChecksumMismatchIsCorruptNotRetried) {
   write_file(path, bytes);
 
   const auto damaged = core::open_file_store(path);
+  const core::CheckedStore checked(*damaged, sums, path);
   core::TileReaderOptions opt;
   opt.retry = fast_retry(3);
-  core::CheckedTileReader reader(*damaged, sums, opt);
+  core::CheckedTileReader reader(checked, opt);
   std::vector<dist_t> buf(16 * 16);
   reader.read_tile(0, 0, 0, 0, 16, 16, buf.data());  // clean tile is fine
   try {
@@ -267,6 +272,163 @@ TEST(CheckedTileReader, ChecksumMismatchIsCorruptNotRetried) {
   EXPECT_EQ(s.corrupt_tiles, 1);
   EXPECT_EQ(s.retries, 0);  // corruption is persistent: no retry ladder
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// CheckedStore: the one verifier of raw bytes, reached through open_store,
+// and land_store, the sidecar matrix.
+// ---------------------------------------------------------------------------
+
+/// A kept 40×40 raw store whose element (r, c) holds r·40 + c, with a
+/// `.sum` on a 16-wide grid (tiles of 16, 16 and 8 per side) beside it.
+std::string position_store(const std::string& tag) {
+  const vidx_t n = 40;
+  const std::string path = temp_path(tag);
+  {
+    auto store = core::make_file_store(n, path, /*keep_file=*/true);
+    std::vector<dist_t> row(static_cast<std::size_t>(n));
+    for (vidx_t r = 0; r < n; ++r) {
+      for (vidx_t c = 0; c < n; ++c) row[static_cast<std::size_t>(c)] = r * n + c;
+      store->write_block(r, 0, 1, n, row.data(), row.size());
+    }
+  }
+  core::land_store(path, /*sum_tile=*/16);
+  return path;
+}
+
+/// Overwrites element (r, c) of a 40×40 raw store with 7.
+void overwrite_element(const std::string& path, vidx_t r, vidx_t c) {
+  auto bytes = read_file(path);
+  const dist_t seven = 7;
+  std::memcpy(&bytes[(static_cast<std::size_t>(r) * 40 + c) * sizeof(dist_t)],
+              &seven, sizeof(seven));
+  write_file(path, bytes);
+}
+
+void remove_store(const std::string& path) {
+  for (const std::string& f :
+       {path, core::checksum_sidecar_path(path), core::shard_manifest_path(path),
+        core::shard_file_path(path, 0), core::shard_file_path(path, 1)}) {
+    std::remove(f.c_str());
+  }
+}
+
+TEST(CheckedStore, StripOverWholeTilesThrowsNamingTheDamagedOne) {
+  const std::string path = position_store("checked_strip");
+  overwrite_element(path, 20, 36);  // tile (1,2), the ragged 16×8 one
+  core::StoreFormat format = core::StoreFormat::kRaw;
+  const auto store = core::open_store(path, &format);
+  ASSERT_EQ(format, core::StoreFormat::kRawChecked);
+  std::vector<dist_t> strip(16 * 40);
+  // Tile row 0 is clean, and tiles (1,0) and (1,1) are whole and clean.
+  store->read_block(0, 0, 16, 40, strip.data(), 40);
+  store->read_block(16, 0, 16, 32, strip.data(), 40);
+  EXPECT_EQ(strip[4 * 40 + 3], 20 * 40 + 3);
+  try {
+    store->read_block(16, 0, 16, 40, strip.data(), 40);
+    FAIL() << "a strip over the damaged tile read clean";
+  } catch (const CorruptError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tile (1,2)"), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+  }
+  // A strip of two tile rows names the same tile.
+  std::vector<dist_t> rows(32 * 40);
+  EXPECT_THROW(store->read_block(8, 0, 32, 40, rows.data(), 40),
+               CorruptError);
+  remove_store(path);
+}
+
+TEST(CheckedStore, ReadInsideOneTilePassesUnchecked) {
+  const std::string path = position_store("checked_partial");
+  overwrite_element(path, 20, 36);
+  const auto store = core::open_store(path);
+  // No read below covers tile (1,2) whole, so each returns the damaged
+  // bytes as they are, as the engine's misaligned reads always did.
+  EXPECT_EQ(store->at(20, 36), 7);
+  std::vector<dist_t> part(15 * 8);
+  store->read_block(17, 32, 15, 8, part.data(), 8);
+  EXPECT_EQ(part[3 * 8 + 4], 7);
+  std::vector<dist_t> row(40);
+  store->read_block(20, 0, 1, 40, row.data(), 40);
+  EXPECT_EQ(row[36], 7);
+  remove_store(path);
+}
+
+TEST(CheckedStore, TileSizeSnapsTheEngineAndCompaction) {
+  const std::string path = position_store("checked_snap");
+  overwrite_element(path, 20, 20);  // tile (1,1) of the sidecar grid
+  const auto store = core::open_store(path);
+  EXPECT_EQ(store->tile_size(), 16);
+  // Asked for 7-wide blocks, the engine reads the sidecar's 16-wide tiles,
+  // so the damaged tile is caught on a miss and the point quarantined.
+  QueryEngineOptions opt;
+  opt.block_size = 7;
+  opt.retry = fast_retry(0);
+  const QueryEngine engine(*store, opt);
+  const std::vector<Query> queries = {{QueryKind::kPoint, 20, 20},
+                                      {QueryKind::kPoint, 3, 30}};
+  const auto report = engine.run_batch(queries);
+  EXPECT_EQ(report.results[0].status, QueryStatus::kQuarantined);
+  EXPECT_NE(report.results[0].error.find("tile (1,1)"), std::string::npos)
+      << report.results[0].error;
+  EXPECT_EQ(report.results[1].status, QueryStatus::kOk);
+  EXPECT_EQ(report.results[1].dist, 3 * 40 + 30);
+  // Compaction takes the same grid, so its reads are checked too: the
+  // damage stops it and it leaves no output.
+  const std::string zpath = temp_path("checked_snap_z");
+  EXPECT_THROW(core::compact_store(path, zpath, /*tile=*/7), CorruptError);
+  EXPECT_FALSE(util::File::open_if_present(zpath));
+  EXPECT_FALSE(util::File::open_if_present(zpath + ".tmp"));
+  {
+    auto rw = core::make_file_store(40, path, /*keep_file=*/true);
+    const dist_t truth = 20 * 40 + 20;
+    rw->write_block(20, 20, 1, 1, &truth, 1);
+  }
+  core::compact_store(path, zpath, /*tile=*/7);
+  EXPECT_EQ(core::compressed_store_info(zpath).tile, 16);
+  std::remove(zpath.c_str());
+  remove_store(path);
+}
+
+TEST(CheckedStore, OpenStoreRefusesAShardSlice) {
+  const std::string path = position_store("checked_slice");
+  core::shard_store_file(path, 2, /*tile=*/16);
+  const std::string slice = core::shard_file_path(path, 1);
+  EXPECT_TRUE(core::is_shard_slice(slice));
+  try {
+    core::open_store(slice);
+    FAIL() << "a shard slice opened as a kept store";
+  } catch (const IoError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("shard slice"), std::string::npos) << what;
+    EXPECT_NE(what.find("parent store " + path), std::string::npos) << what;
+  }
+  remove_store(path);
+}
+
+TEST(CheckedStore, LandStoreAppliesTheSidecarMatrix) {
+  const std::string path = position_store("checked_land");
+  const std::string sums = core::checksum_sidecar_path(path);
+  core::shard_store_file(path, 2, /*tile=*/16);
+  // New bytes at a raw store: the shards go, and the .sum is rebuilt on the
+  // grid the caller names.
+  overwrite_element(path, 0, 0);
+  core::land_store(path, /*sum_tile=*/16);
+  EXPECT_FALSE(util::File::open_if_present(core::shard_manifest_path(path)));
+  EXPECT_FALSE(util::File::open_if_present(core::shard_file_path(path, 0)));
+  EXPECT_FALSE(util::File::open_if_present(core::shard_file_path(path, 1)));
+  std::vector<dist_t> all(40 * 40);
+  core::open_store(path)->read_block(0, 0, 40, 40, all.data(), 40);
+  EXPECT_EQ(all[0], 7);  // every tile checks clean against the fresh .sum
+  // With no grid named a stale .sum is removed; so is a GAPSPZ1 store's.
+  core::land_store(path);
+  EXPECT_FALSE(util::File::open_if_present(sums));
+  core::land_store(path, 16);
+  core::compact_store(path, path);
+  EXPECT_FALSE(util::File::open_if_present(sums));
+  EXPECT_TRUE(core::is_compressed_store(path));
+  remove_store(path);
 }
 
 // ---------------------------------------------------------------------------
@@ -342,10 +504,10 @@ TEST(FaultServing, CorruptAtEveryTileSweepRaw) {
       write_file(s.path, bytes);
 
       const auto store = core::open_file_store(s.path);
+      const core::CheckedStore checked(*store, s.sums, s.path);
       QueryEngineOptions opt;
       opt.retry = fast_retry(1);
-      opt.checksums = s.sums;
-      const QueryEngine engine(*store, opt);
+      const QueryEngine engine(checked, opt);
       const auto report = engine.run_batch(queries);
 
       for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -446,11 +608,11 @@ TEST(FaultServing, RepairRecomputeServesThroughDamage) {
   write_file(s.path, bytes);
 
   const auto store = core::open_file_store(s.path);
+  const core::CheckedStore checked(*store, s.sums, s.path);
   QueryEngineOptions opt;
   opt.retry = fast_retry(1);
-  opt.checksums = s.sums;
   opt.repair = core::make_sssp_repair(s.g);
-  const QueryEngine engine(*store, opt);
+  const QueryEngine engine(checked, opt);
 
   const auto queries = tile_corner_queries(s);
   const auto report = engine.run_batch(queries);
@@ -502,6 +664,7 @@ TEST(FaultServing, OverloadShedsTypedBeyondMaxQueue) {
 TEST(FaultServing, NeverDiesUnderInjectedReadFaults) {
   auto s = solve_raw("chaos", /*tile=*/64);
   const auto store = core::open_file_store(s.path);
+  const core::CheckedStore checked(*store, s.sums, s.path);
 
   // p = 0.4 with a retry budget: most reads heal, a few tiles quarantine.
   sim::FaultPlan plan;
@@ -510,9 +673,8 @@ TEST(FaultServing, NeverDiesUnderInjectedReadFaults) {
   sim::FaultInjector injector(plan);
   QueryEngineOptions opt;
   opt.retry = fast_retry(4);
-  opt.checksums = s.sums;
   opt.faults = &injector;
-  const QueryEngine engine(*store, opt);
+  const QueryEngine engine(checked, opt);
 
   std::vector<Query> queries;
   Rng rng(5);

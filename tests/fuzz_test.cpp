@@ -751,11 +751,11 @@ TEST_P(RawStoreFuzz, DamageIsTypedOrExact) {
     rewrite(bytes);
 
     const auto store = open_file_store(path);
+    const CheckedStore checked(*store, sums, path);
     service::QueryEngineOptions qopt;
     qopt.retry.max_retries = 1;
     qopt.retry.backoff_s = 1e-6;
-    qopt.checksums = sums;
-    const service::QueryEngine engine(*store, qopt);
+    const service::QueryEngine engine(checked, qopt);
     std::vector<service::Query> queries;
     for (int i = 0; i < 32; ++i) {
       queries.push_back({service::QueryKind::kPoint,

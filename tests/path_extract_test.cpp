@@ -227,11 +227,11 @@ TEST(PathExtract, RepairSourceServesPathsThroughACorruptTile) {
     auto store = make_file_store(n, path, /*keep_file=*/true);
     solve_apsp(g, o, *store);
   }
-  QueryEngineOptions opt;
+  StoreChecksums sums;
   std::vector<std::vector<vidx_t>> want;
   {
     const auto pristine = open_file_store(path);
-    opt.checksums = compute_store_checksums(*pristine, /*tile=*/48);
+    sums = compute_store_checksums(*pristine, /*tile=*/48);
     const QueryEngine engine(*pristine);
     const PathExtractor px(g, engine);
     for (vidx_t v = 0; v < n; v += 7) want.push_back(px.path(0, v));
@@ -245,15 +245,17 @@ TEST(PathExtract, RepairSourceServesPathsThroughACorruptTile) {
     ASSERT_EQ(std::fputc(byte ^ 0xff, f), byte ^ 0xff);
     std::fclose(f);
   }
-  const auto damaged = open_file_store(path);
+  const auto raw = open_file_store(path);
+  const CheckedStore damaged(*raw, sums, path);
 
   // The sidecar catches the damage: without a repair source the tile is
   // unserveable.
-  const QueryEngine strict(*damaged, opt);
+  const QueryEngine strict(damaged);
   EXPECT_THROW(PathExtractor(g, strict).path(0, n - 1), TileError);
 
+  QueryEngineOptions opt;
   opt.repair = make_sssp_repair(g);
-  const QueryEngine engine(*damaged, opt);
+  const QueryEngine engine(damaged, opt);
   const PathExtractor px(g, engine);
   for (vidx_t v = 0, k = 0; v < n; v += 7, ++k) {
     ASSERT_EQ(px.path(0, v), want[static_cast<std::size_t>(k)]) << "v " << v;

@@ -1,7 +1,8 @@
 // Concurrent store reads. Four pool threads make random full-tile,
 // partial-tile and full-row read_block calls plus CheckedTileReader::
-// read_tile calls against every file-backed format — a raw store verified
-// against its GAPSPSM1 sidecar, a GAPSPZ1 store, and GAPSPSD1 slices of
+// read_tile calls against every file-backed format — a raw store read
+// through the CheckedStore of its GAPSPSM1 sidecar, a GAPSPZ1 store, and
+// GAPSPSD1 slices of
 // both payloads — and every result must equal, bit for bit, the same read
 // made on one thread. A cold-cache ShardRouter batch over local backends
 // then runs the serving tier's parallel miss path against one engine. CI
@@ -155,19 +156,18 @@ void expect_concurrent_reads_match(const DistStore& store,
 }
 
 TEST(StoreConcurrency, RawStoreWithSidecar) {
-  const auto store = core::open_store(stores().raw);
-  const core::StoreChecksums sums =
-      core::compute_store_checksums(*core::open_file_store(stores().raw),
-                                    kTile);
-  core::CheckedTileReader reader(*store, sums, {});
-  ASSERT_TRUE(reader.verifying());
-  expect_concurrent_reads_match(*store, reader, 0, store->n(), 1);
+  const auto raw = core::open_file_store(stores().raw);
+  const core::CheckedStore store(
+      *raw, core::compute_store_checksums(*raw, kTile), stores().raw);
+  ASSERT_EQ(store.tile_size(), kTile);
+  core::CheckedTileReader reader(store);
+  expect_concurrent_reads_match(store, reader, 0, store.n(), 1);
 }
 
 TEST(StoreConcurrency, CompressedStore) {
   const auto store = core::open_store(stores().z1);
   ASSERT_EQ(store->tile_size(), kTile);
-  core::CheckedTileReader reader(*store, {}, {});
+  core::CheckedTileReader reader(*store);
   expect_concurrent_reads_match(*store, reader, 0, store->n(), 2);
 }
 
@@ -178,7 +178,7 @@ TEST(StoreConcurrency, ShardSlicesOfBothPayloads) {
     for (int k = 0; k < m.num_shards(); ++k) {
       SCOPED_TRACE(*path + " shard " + std::to_string(k));
       const auto slice = core::open_shard_slice(*path, m, k);
-      core::CheckedTileReader reader(*slice, {}, {});
+      core::CheckedTileReader reader(*slice);
       const core::ShardRange& r = m.shards[static_cast<std::size_t>(k)];
       expect_concurrent_reads_match(*slice, reader, r.row_begin, r.row_end,
                                     10 + static_cast<std::uint64_t>(k));
@@ -198,7 +198,7 @@ TEST(StoreConcurrency, FaultGateStaysExactUnderContention) {
   opt.retry.max_retries = 64;
   opt.retry.backoff_s = 0.0;
   opt.faults = &faults;
-  core::CheckedTileReader reader(*store, {}, opt);
+  core::CheckedTileReader reader(*store, opt);
   expect_concurrent_reads_match(*store, reader, 0, store->n(), 3);
   EXPECT_GT(reader.stats().retries, 0);
 }

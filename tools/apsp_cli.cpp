@@ -63,7 +63,8 @@ const IntFlag kSeed("seed", "S", "generator seed", 1, 0, LLONG_MAX);
 
 // The query engine's cache and retry budget.
 const IntFlag kCacheMb("cache-mb", "M", "block cache MiB", 64, 0, 1LL << 30);
-const IntFlag kBlock("block", "B", "tile side (GAPSPZ1 keeps its)", 256, 1);
+const IntFlag kBlock("block", "B", "tile side (GAPSPZ1 and .sum keep theirs)",
+                     256, 1);
 const IntFlag kShards("shards", "S", "cache shards", 8, 1, 1 << 16);
 const IntFlag kThreads("threads", "T", "batch threads (0 = pool)", 0, 0);
 const IntFlag kRetries("retries", "N", "retries per transient fault", 3, 0);
@@ -141,7 +142,6 @@ const Flag kRow("row", "U", "row queries (\"U;U2\")");
 const Flag kBatch("batch", "FILE", "\"U V\" | \"U,V\" | \"row U\" lines");
 const IntFlag kRepeat("repeat", "N", "batch runs (2+: warm cache)", 1, 1);
 const IntFlag kMaxQueue("max-queue", "N", "admission bound (0 = none)", 0, 0);
-const Flag kNoVerifySums("no-verify-sums", "", "skip .sum verification");
 const ChoiceFlag<bool> kRepair("repair", "re-derive damaged tiles by SSSP",
                                {{"off", false}, {"recompute", true}});
 enum class Route { kNone, kLocal, kProcess };
@@ -287,7 +287,6 @@ service::QueryEngineOptions engine_options(const Args& args) {
   qopt.max_threads = static_cast<int>(kThreads(args));
   qopt.retry.max_retries = static_cast<int>(kRetries(args));
   qopt.max_queue = static_cast<std::size_t>(kMaxQueue(args));
-  qopt.verify_checksums = !kNoVerifySums.has(args);
   return qopt;
 }
 
@@ -427,15 +426,6 @@ int serve_batch(Server& server, const Args& args, const ParsedQueries& pq,
   print_inline_results(report, pq.inline_queries, n);
   print_batch_summary(report);
   return 0;
-}
-
-/// compact_store, then drop `out`'s checksum sidecar: GAPSPZ1 frames are
-/// self-checksummed, so a raw-era sidecar would go stale.
-core::StoreCompactionStats compact(const std::string& in,
-                                   const std::string& out, vidx_t tile) {
-  const auto cs = core::compact_store(in, out, tile);
-  std::remove(core::checksum_sidecar_path(out).c_str());
-  return cs;
 }
 
 void print_compaction(const core::StoreCompactionStats& cs) {
@@ -602,27 +592,22 @@ int run_query(const Args& args) {
   if (routed) return run_query_routed(args, path, route, pq);
   if (kShard.has(args)) return run_query_shard_slice(args, path, pq);
 
-  const auto store = core::open_store(path);  // raw or GAPSPZ1, auto-detected
+  core::StoreFormat format = core::StoreFormat::kRaw;
+  const auto store = core::open_store(path, &format);
   check_vertices(pq, store->n());
   auto qopt = engine_options(args);
-  // Raw stores verify against the GAPSPSM1 sidecar when one sits next to
-  // the store; GAPSPZ1 frames are self-checksummed.
-  if (store->tile_size() == 0) {
-    core::load_store_checksums(core::checksum_sidecar_path(path),
-                               qopt.checksums);
-  }
   qopt.repair = make_repair_source(args);
   const sim::FaultPlan chaos = read_chaos(args);
   sim::FaultInjector chaos_injector(chaos);
   if (chaos.p_store_read > 0.0) qopt.faults = &chaos_injector;
 
-  const bool verified = qopt.verify_checksums && qopt.checksums.present();
+  const bool compressed = format == core::StoreFormat::kCompressed;
   const service::QueryEngine engine(*store, qopt);
   std::cout << "store: " << path << " (n=" << store->n() << ", "
             << (static_cast<std::uint64_t>(store->n()) * store->n() *
                 sizeof(dist_t) >> 10)
             << " KiB";
-  if (store->tile_size() > 0) {
+  if (compressed) {
     const auto info = core::compressed_store_info(path);
     std::cout << " raw; compressed to " << (info.file_bytes >> 10) << " KiB, "
               << static_cast<double>(info.raw_bytes) /
@@ -635,9 +620,10 @@ int run_query(const Args& args) {
             << (store->tile_size() > 0 ? store->tile_size() : qopt.block_size)
             << "-wide blocks\n"
             << "integrity: "
-            << (store->tile_size() > 0 ? "GAPSPZ1 frame checksums"
-                : verified             ? "GAPSPSM1 sidecar verification"
-                                       : "off (no sidecar)")
+            << (compressed ? "GAPSPZ1 frame checksums"
+                : format == core::StoreFormat::kRawChecked
+                    ? "GAPSPSM1 sidecar verification"
+                    : "off (no sidecar)")
             << ", " << qopt.retry.max_retries << " retries"
             << (qopt.repair ? ", repair=recompute" : "");
   if (qopt.max_queue > 0) std::cout << ", max-queue " << qopt.max_queue;
@@ -732,7 +718,8 @@ int run_scrub(const Args& args) {
 int run_compact(const Args& args) {
   const std::string in = kStorePath(args);
   const std::string out = kOut.get(args).value_or(in);
-  const auto cs = compact(in, out, static_cast<vidx_t>(kBlock(args)));
+  const auto cs =
+      core::compact_store(in, out, static_cast<vidx_t>(kBlock(args)));
   std::cout << "compacted: " << in << " -> " << out << "\n";
   print_compaction(cs);
   std::cout << "serve it with: apsp_cli query " << kStorePath.flag() << " "
@@ -746,36 +733,12 @@ std::uint64_t file_size_bytes(const std::string& path) {
   return f ? f->size() : 0;
 }
 
-/// First `len` bytes of `path` (shorter when the file is), for magic sniffs.
-std::string file_magic(const std::string& path, std::size_t len) {
-  const auto f = util::File::open_if_present(path);
-  if (!f) return {};
-  std::string magic(
-      static_cast<std::size_t>(std::min<std::uint64_t>(len, f->size())), '\0');
-  f->pread_exact(magic.data(), magic.size(), 0);
-  return magic;
-}
-
-/// Removes every shard sidecar of `path` (manifest + shard files), because
-/// the bytes they slice are about to change. Tolerates a corrupt manifest:
-/// the files are removed by probing, not by trusting its count.
-void remove_shard_sidecars(const std::string& path) {
-  const std::string manifest = core::shard_manifest_path(path);
-  if (file_size_bytes(manifest) == 0) return;
-  for (int k = 0;; ++k) {
-    if (std::remove(core::shard_file_path(path, k).c_str()) != 0) break;
-  }
-  std::remove(manifest.c_str());
-}
-
 /// Delta-repairs a kept store after a batch of edge-weight updates instead
 /// of re-solving (DESIGN.md §16). The repair writes into a sibling tmp copy
 /// and atomically replaces the store only when complete, so a kill leaves
 /// the pristine matrix plus a GAPSPCK1 delta sidecar that a resume continues
-/// bit-identically. A raw store's .sum sidecar checks every tile on its way
-/// into the copy and is refreshed after the swap; shard files derived from
-/// the old bytes are invalidated, and the .cal calibration (fit on synthetic
-/// probes, never on the store) is kept.
+/// bit-identically. The copy reads through core::open_store, so a .sum
+/// checks every tile on its way in.
 int run_update(const Args& args) {
   const std::string path = kStorePath(args);
   const auto upath = kUpdates.get(args);
@@ -788,20 +751,17 @@ int run_update(const Args& args) {
   const graph::CsrGraph g = make_graph(args);
   const auto updates = core::read_edge_updates(*upath);
 
-  auto pristine = core::open_store(path);  // raw or GAPSPZ1, auto-detected
+  core::StoreFormat format = core::StoreFormat::kRaw;
+  auto pristine = core::open_store(path, &format);
   const vidx_t n = pristine->n();
   GAPSP_CHECK(n == g.num_vertices(),
               "store " + path + " holds n=" + std::to_string(n) +
                   " but the graph has n=" + std::to_string(g.num_vertices()) +
                   " — pass the exact " + source + " the solve used");
-  const bool compressed = pristine->tile_size() > 0;
-  core::StoreChecksums sums;
-  const std::string sums_path = core::checksum_sidecar_path(path);
-  if (!compressed && core::load_store_checksums(sums_path, sums)) {
-    GAPSP_CHECK(sums.n == n, sums_path + " covers n=" +
-                                 std::to_string(sums.n) + ", not n=" +
-                                 std::to_string(n));
-  }
+  const bool compressed = format == core::StoreFormat::kCompressed;
+  // The old sidecar's grid, which the landing's fresh .sum keeps.
+  const vidx_t sum_tile =
+      format == core::StoreFormat::kRawChecked ? pristine->tile_size() : 0;
 
   core::IncrementalOptions opt;
   opt.damage_threshold = kUpdateThreshold(args);
@@ -832,35 +792,24 @@ int run_update(const Args& args) {
   }
   auto target = core::make_file_store(n, tmp, /*keep_file=*/true);
   if (fresh_copy) {
-    // Strips of the sidecar's tile, each tile checked before its strip is
-    // copied: an update must not land a fresh .sum over damaged bytes.
-    const vidx_t strip = std::min<vidx_t>(n, sums.present() ? sums.tile : 256);
+    // Whole strips of the store's tile: reading one checks every tile in
+    // it, so a damaged tile leaves the store as it was.
+    const vidx_t strip = std::min<vidx_t>(
+        n, pristine->tile_size() > 0 ? pristine->tile_size() : opt.tile);
     std::vector<dist_t> buf(static_cast<std::size_t>(strip) *
                             static_cast<std::size_t>(n));
-    std::vector<dist_t> packed(static_cast<std::size_t>(strip) * strip);
-    for (vidx_t r0 = 0; r0 < n; r0 += strip) {
-      const vidx_t rows = std::min(strip, n - r0);
-      pristine->read_block(r0, 0, rows, n, buf.data(),
-                           static_cast<std::size_t>(n));
-      for (vidx_t c0 = 0; sums.present() && c0 < n; c0 += strip) {
-        const vidx_t cols = std::min(strip, n - c0);
-        for (vidx_t r = 0; r < rows; ++r) {
-          std::copy_n(buf.data() + static_cast<std::size_t>(r) * n + c0, cols,
-                      packed.data() + static_cast<std::size_t>(r) * cols);
-        }
-        if (core::tile_checksum(packed.data(),
-                                static_cast<std::size_t>(rows) * cols) !=
-            sums.tile_sum(r0 / strip, c0 / strip)) {
-          target.reset();
-          std::remove(tmp.c_str());
-          throw CorruptError("tile (" + std::to_string(r0 / strip) + "," +
-                             std::to_string(c0 / strip) + ") of " + path +
-                             " fails its checksum in " + sums_path +
-                             "; the store was not updated");
-        }
+    try {
+      for (vidx_t r0 = 0; r0 < n; r0 += strip) {
+        const vidx_t rows = std::min(strip, n - r0);
+        pristine->read_block(r0, 0, rows, n, buf.data(),
+                             static_cast<std::size_t>(n));
+        target->write_block(r0, 0, rows, n, buf.data(),
+                            static_cast<std::size_t>(n));
       }
-      target->write_block(r0, 0, rows, n, buf.data(),
-                          static_cast<std::size_t>(n));
+    } catch (...) {
+      target.reset();
+      std::remove(tmp.c_str());
+      throw;
     }
   } else {
     std::cout << "resume: continuing into " << tmp << " from "
@@ -870,6 +819,9 @@ int run_update(const Args& args) {
   // before any checkpoint claims it, which already survives SIGKILL.
   // flush() is a no-op today; it is where the fsync for power loss goes.
   opt.sync_before_checkpoint = [&target] { target->flush(); };
+  // The copy was the check: the engine reads a plain view, which does not
+  // hash its whole-tile band reads a second time.
+  if (sum_tile > 0) pristine = core::open_file_store(path);
 
   core::IncrementalEngine engine(g, opt);
   // One write_block per run: a full-width run is one pwrite.
@@ -879,27 +831,15 @@ int run_update(const Args& args) {
                             run.ld);
       });
 
-  // Swap the repaired matrix in and fix up every sidecar derived from the
-  // old bytes (the invalidation matrix in DESIGN.md §16).
+  // Swap the repaired matrix in; land_store fixes the sidecars.
   target.reset();
   pristine.reset();
   if (compressed) {
-    compact(tmp, path, opt.tile);  // lands via atomic_replace
+    core::compact_store(tmp, path, opt.tile);  // then land_store
     std::remove(tmp.c_str());
   } else {
     util::commit_rename(tmp, path);
-    // Refresh the checksum sidecar when the store carries one.
-    if (sums.present()) {
-      auto repaired = core::open_file_store(path);
-      const auto fresh = core::compute_store_checksums(*repaired, sums.tile);
-      core::write_store_checksums(fresh, sums_path);
-      std::cout << "sidecar: refreshed " << sums_path << "\n";
-    }
-  }
-  if (file_size_bytes(core::shard_manifest_path(path)) > 0) {
-    remove_shard_sidecars(path);
-    std::cout << "sidecar: invalidated " << core::shard_manifest_path(path)
-              << " + shard files (re-shard with `apsp_cli shard`)\n";
+    core::land_store(path, sum_tile);
   }
 
   std::cout << "update: " << path << " (n=" << n << ", "
@@ -961,7 +901,7 @@ int run_info(const Args& args) {
               << static_cast<double>(info.raw_bytes) /
                      static_cast<double>(info.file_bytes)
               << "x)\n";
-  } else if (file_magic(path, 8) == "GAPSPSD1") {
+  } else if (core::is_shard_slice(path)) {
     std::cout << "format: GAPSPSD1 shard slice (one row range of a sharded "
               << "store; `info` on the parent store reads the manifest)\n";
     return 0;
@@ -1268,22 +1208,20 @@ int run_solve(const Args& args) {
       std::cout << "calibration: saved " << store_path << ".cal\n";
     }
     store.reset();  // flush buffered writes before the file is re-read
-    if (!kNoCompressStore.has(args)) {
+    // Drop what described the old bytes before anything reads them checked.
+    // A raw kept store has no framing to catch bit rot, so it gets a .sum
+    // (DESIGN.md §13), on `compact`'s default tile.
+    const auto tile = static_cast<vidx_t>(*kBlock.dflt);
+    const bool raw = kNoCompressStore.has(args);
+    core::land_store(store_path, raw ? tile : 0);
+    if (raw) {
+      std::cout << "store checksums: " << core::checksum_sidecar_path(store_path)
+                << "\n";
+    } else {
       // The solve loop always writes the raw store (blocked FW rewrites
       // every tile O(n_d) times); compression happens here, at the sink,
-      // once the matrix is final, with `compact`'s default tile.
-      print_compaction(compact(store_path, store_path,
-                               static_cast<vidx_t>(*kBlock.dflt)));
-    } else {
-      // The raw kept store has no framing to catch bit rot: write the
-      // GAPSPSM1 checksum sidecar so the serving tier can verify every
-      // cache-miss read (DESIGN.md §13).
-      const auto ro = core::open_file_store(store_path);
-      const auto sums = core::compute_store_checksums(*ro);
-      core::write_store_checksums(sums,
-                                  core::checksum_sidecar_path(store_path));
-      std::cout << "store checksums: " << sums.sums.size() << " tile sums -> "
-                << core::checksum_sidecar_path(store_path) << "\n";
+      // once the matrix is final.
+      print_compaction(core::compact_store(store_path, store_path, tile));
     }
     std::cout << "store kept: " << store_path << " (serve it with: apsp_cli "
               << "query " << kStorePath.flag() << " ...)\n";
@@ -1331,8 +1269,8 @@ const std::vector<Command> kCommands = {
      run_solve},
     {"query", "serve point, row and batch queries from a kept store",
      Flags{&kStorePath, &kPoint, &kRow, &kBatch, &kRepeat, &kMaxQueue,
-           &kNoVerifySums, &kRepair, &kRoute, &kShard, &kNoVerifyShard,
-           &kWorkerRetries, &kWorkerTimeoutMs, &kKillWorker} +
+           &kRepair, &kRoute, &kShard, &kNoVerifyShard, &kWorkerRetries,
+           &kWorkerTimeoutMs, &kKillWorker} +
          kCache + kGraphSource + kReadChaos,
      run_query},
     {"shard", "cut a kept store into row-range shards plus a manifest",
