@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   }
 
   // One solved matrix serves every series: road 40×40 → n = 1600, a 10 MiB
-  // file store, 49 cache tiles of 256².
+  // file store, 169 cache tiles of kStoreTile² (edge tiles ragged).
   const auto g = graph::make_road(40, 40, 11);
   const vidx_t n = g.num_vertices();
   core::ApspOptions opts;
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
 
   // --- fault-tolerance rows: same batch, same 16 MiB pooled config ---
   // The verified engine serves a checked view of the same store. Its
-  // sidecar tile = 256 matches the default cache tiling, so both engines
+  // sidecar tile is the default cache tiling (kStoreTile), so both engines
   // resolve the identical tile grid and the comparison is purely
   // "checksum the miss path or not". Checksums run only on misses, so two
   // warm engines differ by little more than scheduler noise, and a
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
   constexpr int kOverheadPairs = 15;
   constexpr double kSampleSeconds = 0.02;
   const core::CheckedStore checked(
-      *store, core::compute_store_checksums(*store, /*tile=*/256),
+      *store, core::compute_store_checksums(*store),
       store_path);
   service::QueryEngineOptions base_opt;
   base_opt.cache_bytes = 16384u << 10;

@@ -6,6 +6,7 @@
 
 #include "core/shard_store.h"
 #include "core/store_integrity.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace gapsp::core {
@@ -273,25 +274,45 @@ StoreCompactionStats write_compressed_store(const DistStore& src,
     // Frames first; the header and directory go in front once the offsets
     // are known.
     std::uint64_t offset = sizeof(ZHeader) + dir.size() * sizeof(ZDirEntry);
-    std::vector<dist_t> buf;
-    std::vector<std::uint8_t> frame;
+    std::vector<dist_t> strip(static_cast<std::size_t>(tile) *
+                              static_cast<std::size_t>(n));
+    // One frame per tile of the strip; empty for an all-kInf tile (a z1
+    // frame always has a header).
+    std::vector<std::vector<std::uint8_t>> frames(static_cast<std::size_t>(tps));
     for (vidx_t bi = 0; bi < tps; ++bi) {
+      const vidx_t rows = std::min<vidx_t>(tile, n - bi * tile);
+      src.read_block(bi * tile, 0, rows, n, strip.data(),
+                     static_cast<std::size_t>(n));
+      ThreadPool::global().parallel_for(
+          static_cast<std::size_t>(tps), [&](std::size_t j) {
+            const auto bj = static_cast<vidx_t>(j);
+            const vidx_t cols = std::min<vidx_t>(tile, n - bj * tile);
+            const std::size_t elems =
+                static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+            thread_local std::vector<dist_t> packed;
+            packed.resize(elems);
+            for (vidx_t r = 0; r < rows; ++r) {
+              std::copy_n(strip.data() +
+                              static_cast<std::size_t>(r) * n +
+                              static_cast<std::size_t>(bj) * tile,
+                          cols,
+                          packed.data() + static_cast<std::size_t>(r) * cols);
+            }
+            frames[j].clear();
+            if (!all_inf(packed.data(), elems)) {
+              z1_compress(packed.data(), elems * sizeof(dist_t), frames[j],
+                          static_cast<std::size_t>(cols));
+            }
+          });
       for (vidx_t bj = 0; bj < tps; ++bj) {
-        const vidx_t rows = std::min<vidx_t>(tile, n - bi * tile);
-        const vidx_t cols = std::min<vidx_t>(tile, n - bj * tile);
-        const std::size_t elems =
-            static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
-        buf.resize(elems);
-        src.read_block(bi * tile, bj * tile, rows, cols, buf.data(),
-                       static_cast<std::size_t>(cols));
+        const std::vector<std::uint8_t>& frame =
+            frames[static_cast<std::size_t>(bj)];
         ++stats.tiles;
-        ZDirEntry& e = dir[static_cast<std::size_t>(bi) * tps + bj];
-        if (all_inf(buf.data(), elems)) {
+        if (frame.empty()) {
           ++stats.inf_tiles;
           continue;  // zero-length entry: the directory is the payload
         }
-        z1_compress(buf.data(), elems * sizeof(dist_t), frame,
-                    static_cast<std::size_t>(cols));
+        ZDirEntry& e = dir[static_cast<std::size_t>(bi) * tps + bj];
         e.offset = offset;
         e.bytes = frame.size();
         file.pwrite_exact(frame.data(), frame.size(), offset);

@@ -18,6 +18,10 @@
 //              bytes == 0 marks an all-kInf tile with no stored payload
 //   payload: concatenated z1 frames, one per non-empty tile
 //
+// The tile defaults to kStoreTile (128: one 64 KiB frame, so a serving miss
+// decodes 64 KiB to answer a point); the header records it, so a store
+// written on another tile reads back on its own.
+//
 // Codec ("z1"): a hand-rolled LZ4-style byte stream — no new dependencies.
 // The codec itself lives in core/z1_codec.h (shared with the compressed
 // host↔device transfer path); this header re-exports it for existing users.
@@ -55,9 +59,15 @@ struct StoreCompactionStats {
 
 /// Writes `src` to `out_path` as a GAPSPZ1 store with `tile`-sided tiles
 /// (clamped to n; edge tiles are ragged), landed by util::atomic_replace.
+/// Reads `src` in strips of whole tile rows (tile × n, one positional read
+/// on a raw store, which a checked store verifies tile by tile) and encodes
+/// each strip's tiles on ThreadPool::global(); frames land in directory
+/// order, and z1 is a pure function of its tile, so the file never depends
+/// on the thread count. Host memory is one strip plus one frame per tile of
+/// it.
 StoreCompactionStats write_compressed_store(const DistStore& src,
                                             const std::string& out_path,
-                                            vidx_t tile = 256);
+                                            vidx_t tile = kStoreTile);
 
 /// Compacts the raw kept store at `raw_path` into a GAPSPZ1 store at
 /// `out_path` (the same path compacts in place), then land_store(out_path).
@@ -67,7 +77,7 @@ StoreCompactionStats write_compressed_store(const DistStore& src,
 /// and CorruptError, landing nothing, on a damaged tile.
 StoreCompactionStats compact_store(const std::string& raw_path,
                                    const std::string& out_path,
-                                   vidx_t tile = 256);
+                                   vidx_t tile = kStoreTile);
 
 /// True when the file at `path` starts with the GAPSPZ1 magic.
 bool is_compressed_store(const std::string& path);

@@ -18,6 +18,13 @@
 
 namespace gapsp::core {
 
+/// The side of a kept store's tile: the default GAPSPZ1 frame, `.sum` grid,
+/// shard routing grain and serving-cache block. A 128² tile of dist_t is
+/// 64 KiB, one transfer-codec slice and the reach of z1's u16 match offset,
+/// so a serving miss decodes one such frame. A store on disk keeps the tile
+/// its header or sidecar records.
+inline constexpr vidx_t kStoreTile = 128;
+
 class DistStore {
  public:
   virtual ~DistStore() = default;

@@ -17,11 +17,19 @@ namespace {
 
 constexpr std::size_t kMaxReportedTiles = 64;
 
+/// Records tile (bi, bj) as damaged. A checked raw store's error and an
+/// injected fault already name the tile; a z1 frame's or an I/O error's
+/// gets its location in front, so every reason names its tile once.
 void note_damage(ScrubReport& report, vidx_t bi, vidx_t bj,
-                 const std::string& reason) {
+                 const std::string& error) {
   ++report.corrupt;
   if (report.damaged.size() < kMaxReportedTiles) {
-    report.damaged.push_back(DamagedTile{bi, bj, false, reason});
+    const std::string where =
+        "tile (" + std::to_string(bi) + "," + std::to_string(bj) + ")";
+    report.damaged.push_back(DamagedTile{
+        bi, bj, false,
+        error.find(where) == std::string::npos ? where + ": " + error
+                                               : error});
   }
 }
 
@@ -58,8 +66,8 @@ std::unordered_set<std::uint64_t> scan_tiles(CheckedTileReader& reader,
 }
 
 /// Serves damaged tiles from the repair source and everything else from the
-/// underlying (partially corrupt) store. Both repairs read it in
-/// store-tile-aligned rectangles, so forwarding by tile key is exact.
+/// underlying (partially corrupt) store, tile by tile: a raw repair reads
+/// one tile, a GAPSPZ1 rebuild whole strips of tile rows.
 class PatchedSource final : public DistStore {
  public:
   PatchedSource(const DistStore& base, vidx_t tile,
@@ -76,22 +84,28 @@ class PatchedSource final : public DistStore {
   void read_block(vidx_t row0, vidx_t col0, vidx_t rows, vidx_t cols,
                   dist_t* dst, std::size_t dst_ld) const override {
     check_block(row0, col0, rows, cols);
-    GAPSP_CHECK(row0 % tile_ == 0 && col0 % tile_ == 0 && rows <= tile_ &&
-                    cols <= tile_,
-                "patched scrub source requires tile-aligned reads");
     const vidx_t tps = (n() + tile_ - 1) / tile_;
-    const std::uint64_t key =
-        static_cast<std::uint64_t>(row0 / tile_) * tps + col0 / tile_;
-    if (damaged_.count(key) == 0) {
-      base_.read_block(row0, col0, rows, cols, dst, dst_ld);
-      return;
-    }
-    const std::vector<dist_t> fixed = repair_(row0, col0, rows, cols);
-    GAPSP_CHECK(fixed.size() == static_cast<std::size_t>(rows) * cols,
-                "repair source returned a wrong-sized tile");
-    for (vidx_t r = 0; r < rows; ++r) {
-      std::copy_n(fixed.data() + static_cast<std::size_t>(r) * cols, cols,
-                  dst + static_cast<std::size_t>(r) * dst_ld);
+    for (vidx_t bi = row0 / tile_; bi * tile_ < row0 + rows; ++bi) {
+      const vidx_t r0 = std::max(row0, bi * tile_);
+      const vidx_t r1 = std::min<vidx_t>(row0 + rows, bi * tile_ + tile_);
+      for (vidx_t bj = col0 / tile_; bj * tile_ < col0 + cols; ++bj) {
+        const vidx_t c0 = std::max(col0, bj * tile_);
+        const vidx_t c1 = std::min<vidx_t>(col0 + cols, bj * tile_ + tile_);
+        dist_t* out = dst + static_cast<std::size_t>(r0 - row0) * dst_ld +
+                      static_cast<std::size_t>(c0 - col0);
+        if (damaged_.count(static_cast<std::uint64_t>(bi) * tps + bj) == 0) {
+          base_.read_block(r0, c0, r1 - r0, c1 - c0, out, dst_ld);
+          continue;
+        }
+        const auto width = static_cast<std::size_t>(c1 - c0);
+        const std::vector<dist_t> fixed = repair_(r0, c0, r1 - r0, c1 - c0);
+        GAPSP_CHECK(fixed.size() == static_cast<std::size_t>(r1 - r0) * width,
+                    "repair source returned a wrong-sized tile");
+        for (vidx_t r = r0; r < r1; ++r) {
+          std::copy_n(fixed.data() + static_cast<std::size_t>(r - r0) * width,
+                      width, out + static_cast<std::size_t>(r - r0) * dst_ld);
+        }
+      }
     }
   }
 

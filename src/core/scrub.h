@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dist_store.h"
 #include "core/tile_error.h"
 #include "util/retry.h"
 
@@ -35,14 +36,14 @@ struct ScrubOptions {
   /// legacy store without a sidecar gains one.
   bool write_sums = false;
   /// Tile size used when no sidecar/store tiling dictates one.
-  vidx_t tile = 256;
+  vidx_t tile = kStoreTile;
 };
 
 struct DamagedTile {
   vidx_t row_block = 0;
   vidx_t col_block = 0;
   bool repaired = false;
-  std::string reason;
+  std::string reason;  ///< the read error, naming the tile once
 };
 
 struct ScrubReport {

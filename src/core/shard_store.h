@@ -95,7 +95,8 @@ struct ShardingStats {
 /// a query), IoError/CorruptError on store damage. Returns the written
 /// manifest.
 ShardManifest shard_store_file(const std::string& store_path, int num_shards,
-                               vidx_t tile = 256, ShardingStats* stats = nullptr);
+                               vidx_t tile = kStoreTile,
+                               ShardingStats* stats = nullptr);
 
 /// True when the file at `path` starts with the GAPSPSD1 shard-slice magic.
 bool is_shard_slice(const std::string& path);

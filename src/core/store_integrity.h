@@ -42,7 +42,7 @@ std::string checksum_sidecar_path(const std::string& store_path);
 
 /// Reads every tile of `store` and computes the full checksum grid.
 StoreChecksums compute_store_checksums(const DistStore& store,
-                                       vidx_t tile = 256);
+                                       vidx_t tile = kStoreTile);
 
 /// Writes the sidecar, landed by util::atomic_replace. Throws IoError on
 /// failure.

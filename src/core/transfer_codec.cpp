@@ -5,12 +5,19 @@
 #include <functional>
 #include <utility>
 
+#include "core/dist_store.h"
 #include "core/z1_codec.h"
 #include "util/common.h"
 #include "util/thread_pool.h"
 
 namespace gapsp::core {
 namespace {
+
+// A kept store's tile is one slice: a serving miss decodes one frame of the
+// size a staged transfer slice carries.
+static_assert(std::size_t{kStoreTile} * kStoreTile * sizeof(dist_t) ==
+                  kTransferSliceBytes,
+              "a kStoreTile tile must be one transfer slice");
 
 /// Per-thread encode target. A worker emits its frame here and then swaps
 /// it into its slot: emitting straight into adjacent SlicedFrames::frames

@@ -128,8 +128,10 @@ void summarize_batch(BatchReport& report, std::size_t admitted,
 struct QueryEngineOptions {
   /// Cache tile side length in elements; edge tiles are smaller. The store's
   /// tile_size() wins when it has one (GAPSPZ1, a shard slice, a `.sum`
-  /// grid), so one cache miss is one stored or checked tile.
-  vidx_t block_size = 256;
+  /// grid), so one cache miss is one stored or checked tile. The default is
+  /// the stored tile's, so an untiled raw store serves on the grid it would
+  /// have with its `.sum`.
+  vidx_t block_size = core::kStoreTile;
   std::size_t cache_bytes = 64u << 20;
   int cache_shards = 8;
   /// Batch fan-out width over ThreadPool::global(): 0 = the whole pool,

@@ -358,8 +358,8 @@ std::string file_bytes(const std::string& path) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-/// A raw kept FW store of road:20x20 (n = 400, checksum tiles of 256, so a
-/// 2×2 grid) and a one-arc update batch, removed with their sidecars.
+/// A raw kept FW store of road:20x20 (n = 400, checksum tiles of 128, so a
+/// 4×4 grid) and a one-arc update batch, removed with their sidecars.
 class CliUpdate : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -394,7 +394,7 @@ class CliUpdate : public ::testing::Test {
 };
 
 TEST_F(CliUpdate, DamagedRawStoreIsRefusedAndLeftAsItWas) {
-  // One flipped byte in tile (1,1), which the batch's repair never touches.
+  // One flipped byte in tile (2,2), which the batch's repair never touches.
   // The update must refuse the store, not land a fresh .sum over the damage
   // that scrub would then call CLEAN.
   {
@@ -409,7 +409,7 @@ TEST_F(CliUpdate, DamagedRawStoreIsRefusedAndLeftAsItWas) {
   const std::string sums_before = file_bytes(store + ".sum");
   std::string out;
   EXPECT_EQ(update(&out), 4) << out;
-  EXPECT_NE(out.find("tile (1,1)"), std::string::npos) << out;
+  EXPECT_NE(out.find("tile (2,2)"), std::string::npos) << out;
   EXPECT_NE(out.find("apsp_cli scrub"), std::string::npos) << out;
   EXPECT_EQ(file_bytes(store), before);
   EXPECT_EQ(file_bytes(store + ".sum"), sums_before);
@@ -509,8 +509,8 @@ TEST_F(CliStoreOrder, QueryAnswersTheBoundaryStoreAsTheFwStore) {
 }
 
 TEST_F(CliStoreOrder, ScrubRecomputeRepairsTheBoundaryStoreToTheFwStore) {
-  // One flipped byte in tile (1,1): the repair rewrites that tile only, so
-  // the other eight must already be in the order the repair computes.
+  // One flipped byte in tile (2,2): the repair rewrites that tile only, so
+  // the other 24 must already be in the order the repair computes.
   {
     std::fstream f(boundary, std::ios::in | std::ios::out | std::ios::binary);
     const std::streamoff at = (300 * 576 + 300) * 4;
@@ -653,7 +653,7 @@ TEST_F(CliLanding, CompactingReSolveOverAnotherGraphsRawStore) {
 }
 
 TEST_F(CliLanding, DamagedRawStoreNeitherCompactsNorShards) {
-  // Element (300, 300) lies in checksum tile (1,1). Both commands used to
+  // Element (300, 300) lies in checksum tile (2,2). Both commands used to
   // exit 0 and carry the damage into a copy that then checked clean.
   ASSERT_EQ(solve("24x24", 1), 0);
   {
@@ -668,12 +668,68 @@ TEST_F(CliLanding, DamagedRawStoreNeitherCompactsNorShards) {
         "shard --store-path " + store + " --shards 2"}) {
     std::string log;
     EXPECT_EQ(run_cli(cli, cmd, &log), 4) << cmd << "\n" << log;
-    EXPECT_NE(log.find("tile (1,1)"), std::string::npos) << cmd << "\n"
+    EXPECT_NE(log.find("tile (2,2)"), std::string::npos) << cmd << "\n"
                                                         << log;
     expect_no_leftovers();
     EXPECT_EQ(file_bytes(store), before) << cmd;
     EXPECT_EQ(file_bytes(store + ".sum"), sums_before) << cmd;
   }
+}
+
+TEST_F(CliLanding, KeptStoresLandOn64KiBTiles) {
+  // The store tile is 128 (a 64 KiB tile of dist_t): a raw kept store's
+  // .sum and a compacted one's frames both sit on it, 5 per side of n = 576.
+  ASSERT_EQ(solve("24x24", 1), 0);
+  std::string log;
+  ASSERT_EQ(run_cli(cli, "info --store-path " + store, &log), 0) << log;
+  EXPECT_NE(log.find("checksums: present (" + store + ".sum, tile 128, 25 "
+                     "tiles)"),
+            std::string::npos)
+      << log;
+  ASSERT_EQ(solve("24x24", 1, /*compress=*/true), 0);
+  log.clear();
+  ASSERT_EQ(run_cli(cli, "info --store-path " + store, &log), 0) << log;
+  EXPECT_NE(log.find("tile: 128 (5 per side"), std::string::npos) << log;
+}
+
+/// How many times `what` occurs in `text`.
+std::size_t count_of(const std::string& text, const std::string& what) {
+  std::size_t count = 0;
+  for (auto at = text.find(what); at != std::string::npos;
+       at = text.find(what, at + what.size())) {
+    ++count;
+  }
+  return count;
+}
+
+TEST_F(CliLanding, ScrubNamesEachDamagedTileOnce) {
+  // A raw store's checksum error names its tile, and the scrub used to
+  // print the tile again in front of it. A z1 frame's error does not name
+  // one, so there the location still comes first.
+  ASSERT_EQ(solve("24x24", 1), 0);
+  {
+    std::fstream f(store, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp((300 * 576 + 300) * 4);
+    f.write("\xde\xad\xbe\x0e", 4);
+  }
+  std::string log;
+  EXPECT_EQ(run_cli(cli, "scrub --store-path " + store, &log), 3) << log;
+  EXPECT_EQ(count_of(log, "tile (2,2)"), 1u) << log;
+  EXPECT_EQ(count_of(log, "tile ("), 1u) << log;
+
+  // The last frame is tile (4,4)'s: road:24x24 has no all-kInf tile.
+  ASSERT_EQ(solve("24x24", 1, /*compress=*/true), 0);
+  {
+    std::fstream f(store, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(-2, std::ios::end);
+    const char byte = static_cast<char>(f.get() ^ 0x01);
+    f.seekp(-2, std::ios::end);
+    f.put(byte);
+  }
+  log.clear();
+  EXPECT_EQ(run_cli(cli, "scrub --store-path " + store, &log), 3) << log;
+  EXPECT_EQ(count_of(log, "tile (4,4)"), 1u) << log;
+  EXPECT_EQ(count_of(log, "tile ("), 1u) << log;
 }
 
 /// The line of `out` that starts with `prefix` (without its newline), or

@@ -274,11 +274,11 @@ TEST(Z1Codec, ContentChecksumCatchesPayloadCorruption) {
 }
 
 TEST(Z1Codec, Road64TilesDecodeToKnownAnswers) {
-  // A compacted road:64x64 (seed 1) Johnson store, as the serve-miss
-  // benchmark keeps it: 16×16 tiles of 256×256, each a row-delta frame
-  // whose row width takes the vector join. Every tile decodes like the
-  // reference decoder (z1_reference.h), and the word_hash of every decoded
-  // tile, folded per tile row, is pinned.
+  // A compacted road:64x64 (seed 1) Johnson store on the 256 tile the
+  // serve-miss benchmark kept before kStoreTile: 16×16 tiles of 256×256,
+  // each a row-delta frame whose row width takes the vector join. Every
+  // tile decodes like the reference decoder (z1_reference.h), and the
+  // word_hash of every decoded tile, folded per tile row, is pinned.
   const auto g = graph::make_road(64, 64, 1);
   ApspOptions o;
   o.device = test::tiny_device(64u << 20);
@@ -286,7 +286,7 @@ TEST(Z1Codec, Road64TilesDecodeToKnownAnswers) {
   auto ram = make_ram_store(g.num_vertices());
   solve_apsp(g, o, *ram);
   const std::string zpath = tmp_path("road64");
-  write_compressed_store(*ram, zpath);
+  write_compressed_store(*ram, zpath, /*tile=*/256);
   const auto dir = read_compressed_directory(zpath);
   const auto file = read_file(zpath);
   std::remove(zpath.c_str());
@@ -347,6 +347,39 @@ TEST(CompressedStore, BitIdenticalToRawOracle) {
     }
   }
   std::remove(zpath.c_str());
+}
+
+TEST(CompressedStore, CompactionBytesArePinnedAtBothTiles) {
+  // Compaction encodes each strip's tiles on the pool and writes the frames
+  // in directory order, so the file is the same whatever the thread count
+  // (CI runs this under TSan with GAPSP_THREADS=4). The FNV-1a digests of
+  // whole GAPSPZ1 files on the 256 and the 128 tile are pinned, ragged edge
+  // tiles and the all-kInf entries of the disconnected ER graph included.
+  struct Case {
+    const char* name;
+    graph::CsrGraph g;
+    std::uint64_t want256, want128;
+  };
+  const Case cases[] = {
+      {"road24", graph::make_road(24, 24, 1), 0x334615d36c4649c2ULL,
+       0xd67ca6dc709d6846ULL},
+      {"er600", graph::make_erdos_renyi(600, 900, 1, /*connect=*/false),
+       0xaced66a1757f8279ULL, 0x5458fd268b094e24ULL},
+  };
+  for (const Case& c : cases) {
+    const auto ram = solve_to_ram(c.g);
+    for (const auto& [tile, want] :
+         {std::pair<vidx_t, std::uint64_t>{256, c.want256}, {128, c.want128}}) {
+      const std::string zpath = tmp_path(c.name);
+      const auto cs = write_compressed_store(*ram, zpath, tile);
+      const auto bytes = read_file(zpath);
+      std::remove(zpath.c_str());
+      EXPECT_EQ(cs.compressed_bytes, bytes.size());
+      const std::uint64_t got = util::fnv1a(bytes.data(), bytes.size());
+      EXPECT_EQ(got, want) << c.name << " at tile " << tile << ": 0x"
+                           << std::hex << got << "ULL";
+    }
+  }
 }
 
 TEST(CompressedStore, RaggedTilesRoundTrip) {

@@ -281,8 +281,10 @@ TEST(CheckedTileReader, ChecksumMismatchIsCorruptNotRetried) {
 
 /// A kept 40×40 raw store whose element (r, c) holds r·40 + c, with a
 /// `.sum` on a 16-wide grid (tiles of 16, 16 and 8 per side) beside it.
-std::string position_store(const std::string& tag) {
-  const vidx_t n = 40;
+/// A raw n×n store holding r·n + c at (r, c), with its `.sum` on the
+/// `sum_tile` grid.
+std::string position_store(const std::string& tag, vidx_t n = 40,
+                           vidx_t sum_tile = 16) {
   const std::string path = temp_path(tag);
   {
     auto store = core::make_file_store(n, path, /*keep_file=*/true);
@@ -292,15 +294,16 @@ std::string position_store(const std::string& tag) {
       store->write_block(r, 0, 1, n, row.data(), row.size());
     }
   }
-  core::land_store(path, /*sum_tile=*/16);
+  core::land_store(path, sum_tile);
   return path;
 }
 
-/// Overwrites element (r, c) of a 40×40 raw store with 7.
-void overwrite_element(const std::string& path, vidx_t r, vidx_t c) {
+/// Overwrites element (r, c) of an n×n raw store with 7.
+void overwrite_element(const std::string& path, vidx_t r, vidx_t c,
+                       vidx_t n = 40) {
   auto bytes = read_file(path);
   const dist_t seven = 7;
-  std::memcpy(&bytes[(static_cast<std::size_t>(r) * 40 + c) * sizeof(dist_t)],
+  std::memcpy(&bytes[(static_cast<std::size_t>(r) * n + c) * sizeof(dist_t)],
               &seven, sizeof(seven));
   write_file(path, bytes);
 }
@@ -389,6 +392,25 @@ TEST(CheckedStore, TileSizeSnapsTheEngineAndCompaction) {
   EXPECT_EQ(core::compressed_store_info(zpath).tile, 16);
   std::remove(zpath.c_str());
   remove_store(path);
+
+  // A store whose .sum is on the 256 grid keeps that grid under the
+  // default tile, and the band reads check it: one flipped element stops
+  // the compaction naming its 256-grid tile, and nothing lands.
+  const std::string wide = position_store("checked_snap_wide", 300, 256);
+  core::compact_store(wide, zpath);
+  EXPECT_EQ(core::compressed_store_info(zpath).tile, 256);
+  std::remove(zpath.c_str());
+  overwrite_element(wide, 280, 270, 300);  // tile (1,1), ragged 44×44
+  try {
+    core::compact_store(wide, zpath);
+    FAIL() << "a damaged store compacted";
+  } catch (const CorruptError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tile (1,1) of " + wide), std::string::npos) << what;
+  }
+  EXPECT_FALSE(util::File::open_if_present(zpath));
+  EXPECT_FALSE(util::File::open_if_present(zpath + ".tmp"));
+  remove_store(wide);
 }
 
 TEST(CheckedStore, OpenStoreRefusesAShardSlice) {

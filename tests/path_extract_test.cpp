@@ -163,7 +163,7 @@ TEST(PathExtract, CachedDistancesMatchElementwiseOracle) {
   const vidx_t n = s.g.num_vertices();
   // A one-tile cache budget forces constant eviction; answers must hold.
   QueryEngineOptions opt;
-  opt.cache_bytes = 256 * 256 * sizeof(dist_t);
+  opt.cache_bytes = std::size_t{kStoreTile} * kStoreTile * sizeof(dist_t);
   const QueryEngine engine(*s.store, opt);
   const PathExtractor px(s.g, engine);
   for (vidx_t u = 0; u < n; u += 7) {

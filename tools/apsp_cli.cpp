@@ -63,8 +63,10 @@ const IntFlag kSeed("seed", "S", "generator seed", 1, 0, LLONG_MAX);
 
 // The query engine's cache and retry budget.
 const IntFlag kCacheMb("cache-mb", "M", "block cache MiB", 64, 0, 1LL << 30);
-const IntFlag kBlock("block", "B", "tile side (GAPSPZ1 and .sum keep theirs)",
-                     256, 1);
+const IntFlag kBlock("block", "B",
+                     "tile side; 128 is a 64 KiB tile (GAPSPZ1 and .sum keep "
+                     "theirs)",
+                     core::kStoreTile, 1);
 const IntFlag kShards("shards", "S", "cache shards", 8, 1, 1 << 16);
 const IntFlag kThreads("threads", "T", "batch threads (0 = pool)", 0, 0);
 const IntFlag kRetries("retries", "N", "retries per transient fault", 3, 0);
@@ -702,8 +704,8 @@ int run_scrub(const Args& args) {
   std::cout << "damage: " << report.corrupt << " corrupt, " << report.repaired
             << " repaired, " << report.unrepaired << " unrepaired\n";
   for (const auto& t : report.damaged) {
-    std::cout << "  tile (" << t.row_block << "," << t.col_block << ") "
-              << (t.repaired ? "[repaired] " : "") << t.reason << "\n";
+    std::cout << "  " << (t.repaired ? "[repaired] " : "") << t.reason
+              << "\n";
   }
   if (report.ok()) {
     std::cout << "result: " << (report.clean() ? "CLEAN" : "REPAIRED") << "\n";
